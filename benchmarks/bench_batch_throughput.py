@@ -9,8 +9,8 @@ cache:
 * **serial**  -- ``SweepEngine(workers=0)``, one job at a time.
 * **batch**   -- ``SweepEngine(workers=0, batch=True)``: the NumPy-backed
   batch planner (``repro.experiments.batch``) shares precomputed trace
-  arrays, the decoded-address table and pooled LLC / counter buffers across
-  every config of a group, and enables the controller's gated fast kernels.
+  arrays, the decoded-address table and pooled LLC / counter / timing-plane
+  buffers across every config of a group.
 * **pool**    -- ``SweepEngine(workers=N)``, the PR 5 process pool.
 
 Alongside wall-clock, every run returns a digest of its result payloads:

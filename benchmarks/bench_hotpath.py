@@ -19,8 +19,8 @@ The JSON carries:
   ``--tolerance`` (default 30%, env ``REPRO_BENCH_TOLERANCE``).  Since the
   structure-of-arrays timing plane landed, the reference also records
   ``readiness_scan`` -- the exclusive profile time the controller spends in
-  its readiness-scan kernel family (demand-scan entry, vector fold, hint
-  maintenance) on one profiled workload, so the cost the SoA plane attacks
+  its readiness-scan kernel family (demand scan and hint maintenance) on
+  one profiled workload, so the cost the SoA plane attacks
   stays measured, not assumed.
 * ``seed_engine`` -- the recorded wall-clock of the pre-event-horizon seed
   engine on the same workload set (measured once while both engines existed
@@ -84,18 +84,13 @@ BENCH_REPEATS = max(1, int(os.environ.get("REPRO_BENCH_REPEATS", "3")))
 #: run: it exercises the demand scan, the back-off path and the hint folds).
 READINESS_PROFILE_WORKLOAD: Tuple[str, int] = ("PRAC-4", 1)
 
-#: Function names of the controller's readiness-scan kernel family, both
-#: backends (matched by bare function name within controller.py).
+#: Function names of the controller's readiness-scan kernel family
+#: (matched by bare function name within controller.py).
 READINESS_KERNELS = frozenset(
     {
         "_demand_ready_cycle",
-        "_demand_ready_cycle_array",
-        "_demand_ready_cycle_vector",
         "_bank_demand_ready",
-        "_bank_demand_ready_array",
         "_fold_bank_hint",
-        "_fold_bank_hint_array",
-        "_fold_stream",
     }
 )
 

@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--batch", action="store_true",
         help="run missing jobs through the in-process batch-vectorized "
-             "engine (shared trace precomputation + fast kernels; "
+             "engine (shared trace precomputation + pooled buffers; "
              "byte-identical results, fastest on single-CPU machines)",
     )
     sweep.add_argument(

@@ -23,6 +23,9 @@ Hot-path design (the event-horizon engine):
   incrementally on enqueue/dequeue, so neither the FR-FCFS scan, the
   first-ready fallback, nor the wake-hint computation ever rescans the flat
   queue per candidate.
+* Bank readiness is read straight from the device's structure-of-arrays
+  timing plane (:mod:`repro.dram.timing_plane`) through its memoryview
+  twins, which yield plain Python ints without a bank-object hop.
 * The wake hint (:meth:`next_event_cycle`) is *precise*: it covers every
   event source that can unblock the controller -- per-bank command readiness,
   rank-level tRRD/tFAW release, the earliest periodic-refresh due cycle
@@ -39,13 +42,10 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.controller.address_mapping import AddressMapping
 from repro.controller.request import MemoryRequest, RequestType
 from repro.controller.scheduler import FrFcfsCapScheduler
 from repro.core.mitigation import ControllerMitigation
-from repro.dram.bank import BankState
 from repro.dram.device import DramDevice
 from repro.dram.refresh import RefreshScheduler
 
@@ -55,13 +55,6 @@ FAR_FUTURE = 1 << 62
 #: Arrival-order sort key of the demand candidate scan, hoisted so the
 #: per-issue hot path does not build a closure per call.
 _BY_REQUEST_ID = operator.attrgetter("request_id")
-
-#: Queued-bank count at which the array kernels switch from scalar plane
-#: reads to full vectorized folds.  Below this, NumPy ufunc dispatch costs
-#: more than the Python loop it replaces (the scans visit only the queued
-#: buckets); above it, one fold beats per-bank work.  Both paths compute
-#: identical results -- the threshold trades wall-clock only.
-_VECTOR_SCAN_MIN_BANKS = 64
 
 
 @dataclass(slots=True)
@@ -103,7 +96,6 @@ class MemoryController:
         scheduler_cap: int = 4,
         write_drain_high: int = 48,
         write_drain_low: int = 16,
-        fast_kernels: bool = False,
     ) -> None:
         self.device = device
         self.mapping = mapping
@@ -121,6 +113,19 @@ class MemoryController:
         # the controller side (where it is None).
         self._on_die = device.mitigation
 
+        # The plane's memoryview twins, hoisted onto the controller: every
+        # readiness check indexes these once per register access, and
+        # caching them here turns each ``device.timing_plane.next_*_mv``
+        # attribute chain into a single hop.  Safe because the plane
+        # identity is fixed for the device's lifetime (pooled planes are
+        # adopted at device construction) and ``reset()`` fills in place.
+        plane = device.timing_plane
+        self._mv_open_row = plane.open_row_mv
+        self._mv_next_act = plane.next_act_mv
+        self._mv_next_pre = plane.next_pre_mv
+        self._mv_next_rd = plane.next_rd_mv
+        self._mv_next_wr = plane.next_wr_mv
+
         # The demand queues live *only* as per-bank FIFO buckets, maintained
         # incrementally on enqueue/dequeue (empty buckets are pruned); the
         # flat per-type occupancy is a pair of counters.
@@ -137,7 +142,7 @@ class MemoryController:
         # Completed-but-undrained requests.  The ChannelRouter reads this
         # attribute directly (a truthiness check per channel per tick) to
         # skip the drain call when empty -- treat the name as part of the
-        # hot-path contract, like the bank's ready-cycle attributes.
+        # hot-path contract.
         self._completed: List[MemoryRequest] = []
         self._draining_writes = False
 
@@ -145,58 +150,36 @@ class MemoryController:
         self._rfm_due_cycle: Optional[int] = None
         self._in_recovery = False
 
-        # Cached demand-section wake hint.  The per-bank readiness values it
-        # derives from only change on an enqueue or an issued command, so
-        # between those the cached minimum stays exact; a cached value that
-        # fell into the past forces a recompute (see _next_event_hint).
+        # Incremental wake-hint caches (see docs/ARCHITECTURE.md, "Wake-hint
+        # caches").  Each one only ever errs early -- a stale value costs a
+        # wasted no-op wake, never a missed event -- and a cached value at or
+        # below the current cycle is stale by definition and recomputed.
+        #
+        # * ``_demand_hint``: the minimum strictly-future readiness over every
+        #   queued bank of both queues.  ``enqueue`` folds the new request's
+        #   bank in, a demand issue folds the served bank's fresh readiness
+        #   back in, and any other issued command drops it.  While it lies in
+        #   the future, ``_service_demand`` skips the FR-FCFS scan outright
+        #   -- unless ``_demand_ready_now`` is set: a bank that was already
+        #   ready at the last recompute is excluded from the strictly-future
+        #   minimum, yet may become servable later without any issue event
+        #   (e.g. the write-drain hysteresis flips the active queue on an
+        #   enqueue), so its presence disables the skip until the next
+        #   recompute.
+        # * ``_refresh_scan_hint``: the refresh-pending bank scan.  Its inputs
+        #   only change on refresh accrual, an issued command (both drop it)
+        #   or an enqueue that raises a rank's demand, which can only
+        #   *remove* scan events.
+        # * ``_mech_scan_hint``: the mechanism-pending bank scan.  Its inputs
+        #   -- the mechanism's pending sets and bank readiness -- change only
+        #   on an issued command, which drops it; pruning stale pending
+        #   entries can only remove events.
         self._demand_hint: Optional[int] = None
-
-        # Batch fast kernels (see docs/ARCHITECTURE.md, "Batch-vectorized
-        # kernels").  When enabled:
-        #
-        # * ``enqueue`` folds the new request's bank readiness into the
-        #   cached demand hint instead of dropping it (the other banks'
-        #   readiness is unchanged, so the min stays exact);
-        # * ``_service_demand`` skips the FR-FCFS scan outright when the
-        #   cached hint proves no queued bank has a legal command at this
-        #   cycle.  The skip additionally requires ``_demand_ready_now`` to
-        #   be False: a bank that was already ready when the hint was
-        #   computed is excluded from the strictly-future minimum, yet may
-        #   become servable later without any issue event (e.g. the write
-        #   drain hysteresis flips the active queue on an enqueue), so its
-        #   presence disables the skip until the next recompute;
-        # * ``_next_event_hint`` caches the refresh-pending bank scan, whose
-        #   inputs only change on refresh accrual, an enqueue that raises a
-        #   rank's demand (which can only *remove* scan events -- an early
-        #   hint is a wasted wake, never a behaviour change) or an issued
-        #   command.
-        #
-        # The scalar engine keeps ``fast_kernels=False`` and stays the
-        # simple reference implementation; the batch-vs-scalar equivalence
-        # tests pin byte-identical results.
-        self._fast = fast_kernels
         self._demand_ready_now = True
         self._refresh_scan_hint: Optional[int] = None
-        # Cached mechanism-pending scan (array kernels only; the object
-        # backend recomputes it inline in _next_event_hint).  Its inputs --
-        # the mechanism's pending sets and bank readiness -- change only on
-        # an issued command, which drops the cache alongside the refresh
-        # scan; pruning of stale pending entries can only *remove* events,
-        # which keeps a cached value early-but-never-late.
         self._mech_scan_hint: Optional[int] = None
 
         self.stats = ControllerStats()
-
-        # Structure-of-arrays kernels: when the device carries a timing
-        # plane (the array bank backend, see dram/timing_plane.py), the
-        # readiness scans are rebound to vectorized variants that fold over
-        # the plane arrays instead of walking bank objects.  The rebinding
-        # uses instance attributes exactly like the router's single-channel
-        # fast path; the object backend keeps the reference implementations
-        # above untouched.
-        self._plane = device.timing_plane
-        if self._plane is not None:
-            self._bind_array_kernels()
 
     # ------------------------------------------------------------------ #
     # Interface used by the cores / system simulator
@@ -231,18 +214,15 @@ class MemoryController:
         else:
             bucket.append(request)
         self._rank_demand[request.bank_id // self._banks_per_rank] += 1
-        if self._fast:
-            # Incremental maintenance: only the enqueued bank gained a new
-            # readiness event, so fold it into the cached minimum.  A value
-            # at or below the current cycle makes the hint stale, which
-            # forces the usual recompute at the next idle wake.
-            hint = self._demand_hint
-            if hint is not None:
-                ready = self._bank_demand_ready(request.bank_id, request.is_read)
-                if ready < hint:
-                    self._demand_hint = ready
-        else:
-            self._demand_hint = None
+        # Incremental maintenance: only the enqueued bank gained a new
+        # readiness event, so fold it into the cached minimum.  A value at or
+        # below the current cycle makes the hint stale, which forces the
+        # usual recompute at the next idle wake.
+        hint = self._demand_hint
+        if hint is not None:
+            ready = self._bank_demand_ready(request.bank_id, request.is_read)
+            if ready < hint:
+                self._demand_hint = ready
         return True
 
     def _dequeue(self, request: MemoryRequest, is_read: bool) -> None:
@@ -326,15 +306,14 @@ class MemoryController:
             if not issued:
                 issued = demand_issue = self._service_demand(cycle)
         if issued:
-            # Any command changes bank/rank readiness: drop the cached
-            # demand hint (and the refresh-scan hint it feeds).  Fast-kernel
-            # exception: a *demand* command only moves the served bank's own
+            # Any command changes bank/rank readiness: drop the cached hints.
+            # Exception: a *demand* command only moves the served bank's own
             # readiness (its rank-level side effects push other banks later,
             # which keeps the cached minimum early-but-never-late), and
             # _service_demand already folded that bank back in -- so the
-            # cached minimum survives demand bursts instead of forcing a
-            # full bucket rescan at the next idle wake.
-            if not (self._fast and demand_issue):
+            # cached demand minimum survives demand bursts instead of forcing
+            # a full bucket rescan at the next idle wake.
+            if not demand_issue:
                 self._demand_hint = None
             self._refresh_scan_hint = None
             self._mech_scan_hint = None
@@ -375,12 +354,13 @@ class MemoryController:
                 return False
             self._in_recovery = True
 
+        open_row = self._mv_open_row
         all_banks = self._all_banks
-        # All banks must be precharged before an all-bank RFM can be issued.
+        # All banks must be precharged before an all-bank RFM can be issued;
+        # stop at the first open bank in id order.
         for bank_id in all_banks:
-            bank = self.device.banks[bank_id]
-            if bank.state is BankState.ACTIVE:
-                if self.device.can_precharge(bank_id, cycle):
+            if open_row[bank_id] >= 0:
+                if cycle >= self._mv_next_pre[bank_id]:
                     self._precharge(bank_id, cycle)
                     return True
                 return False
@@ -411,11 +391,11 @@ class MemoryController:
     def _service_refresh(self, cycle: int) -> bool:
         pending_ranks = self.refresh.ranks_needing_refresh()
         device = self.device
-        banks = device.banks
+        open_row = self._mv_open_row
+        next_pre = self._mv_next_pre
+        urgent_ranks = self.refresh.urgent_ranks()
         for rank in pending_ranks:
-            urgent = self.refresh.refresh_urgent(rank)
-            bank_ids = device.banks_in_rank(rank)
-            if not urgent:
+            if rank not in urgent_ranks:
                 # Postpone the REF (DDR5 allows up to four postponements)
                 # unless the rank is completely idle, in which case refresh
                 # opportunistically.
@@ -428,15 +408,16 @@ class MemoryController:
                     return True
                 continue
             # Urgent: new activations to this rank are blocked (see
-            # _refresh_blocked_ranks); close its open banks, then refresh.
-            open_banks = [
-                b for b in bank_ids if banks[b].state is BankState.ACTIVE
-            ]
-            if open_banks:
-                for bank_id in open_banks:
-                    if device.can_precharge(bank_id, cycle):
+            # _serve_request); close its open banks (first ready one, in id
+            # order), then refresh.
+            any_open = False
+            for bank_id in device.banks_in_rank(rank):
+                if open_row[bank_id] >= 0:
+                    any_open = True
+                    if cycle >= next_pre[bank_id]:
                         self._precharge(bank_id, cycle)
                         return True
+            if any_open:
                 continue
             if device.can_refresh(rank, cycle):
                 device.refresh(rank, cycle)
@@ -444,14 +425,6 @@ class MemoryController:
                 self.stats.refreshes += 1
                 return True
         return False
-
-    def _refresh_blocked_ranks(self) -> List[int]:
-        """Ranks whose refresh debt is urgent: no new ACTs may be issued."""
-        return [
-            rank
-            for rank in self.refresh.ranks_needing_refresh()
-            if self.refresh.refresh_urgent(rank)
-        ]
 
     # ------------------------------------------------------------------ #
     # Controller-side mechanism servicing
@@ -463,14 +436,14 @@ class MemoryController:
         pending = mechanism.rfm_pending_banks()
         if not pending:
             return False
+        open_row = self._mv_open_row
         for bank_id in pending:
-            bank = self.device.banks[bank_id]
-            if bank.state is BankState.ACTIVE:
-                if self.device.can_precharge(bank_id, cycle):
+            if open_row[bank_id] >= 0:
+                if cycle >= self._mv_next_pre[bank_id]:
                     self._precharge(bank_id, cycle)
                     return True
                 continue
-            if self.device.can_rfm([bank_id], cycle):
+            if cycle >= self._mv_next_act[bank_id]:
                 refreshed = self.device.rfm([bank_id], cycle)
                 mechanism.acknowledge_rfm(
                     bank_id,
@@ -488,17 +461,17 @@ class MemoryController:
         mechanism = self.mechanism
         if mechanism is None or not mechanism.has_pending_refreshes():
             return False
+        open_row = self._mv_open_row
         # Direct key iteration over the pruned pending dict (hot-path
         # contract): safe because the dict is only mutated on a served
         # refresh, which returns out of the loop immediately.
         for bank_id in mechanism._pending:
-            bank = self.device.banks[bank_id]
-            if bank.state is BankState.ACTIVE:
-                if self.device.can_precharge(bank_id, cycle):
+            if open_row[bank_id] >= 0:
+                if cycle >= self._mv_next_pre[bank_id]:
                     self._precharge(bank_id, cycle)
                     return True
                 continue
-            if self.device.can_victim_refresh(bank_id, cycle):
+            if cycle >= self._mv_next_act[bank_id]:
                 refresh = mechanism.pop_refresh(bank_id, cycle)
                 if refresh is None:
                     continue
@@ -524,44 +497,43 @@ class MemoryController:
 
     def _service_demand(self, cycle: int) -> bool:
         is_read = self._active_queue_is_reads()
-        if self._fast:
-            # Batch fast path: the cached demand hint is the exact minimum
-            # readiness over every queued bank of *both* queues, so a
-            # strictly-future hint proves no candidate can issue -- the
-            # whole FR-FCFS scan (pure on failure) is skipped.  The
-            # hysteresis above still ran, so the drain flag's trajectory is
-            # unchanged.  Disabled while a blocked-but-ready bank exists
-            # (see __init__).
-            hint = self._demand_hint
-            if hint is not None and cycle < hint and not self._demand_ready_now:
-                return False
+        # The cached demand hint is the exact minimum readiness over every
+        # queued bank of *both* queues, so a strictly-future hint proves no
+        # candidate can issue -- the whole FR-FCFS scan (pure on failure) is
+        # skipped.  The hysteresis above still ran, so the drain flag's
+        # trajectory is unchanged.  Disabled while a blocked-but-ready bank
+        # exists (see __init__).
+        hint = self._demand_hint
+        if hint is not None and cycle < hint and not self._demand_ready_now:
+            return False
         if is_read:
             if not self._read_count:
                 return False
             buckets = self._read_buckets
         else:
             buckets = self._write_buckets
-        request = self.scheduler.choose_from_buckets(buckets, self.device)
+        open_rows = self._mv_open_row
+        request = self.scheduler.choose_from_buckets(buckets, open_rows)
         if request is not None and self._serve_request(request, is_read, buckets, cycle):
-            if self._fast:
-                self._fold_bank_hint(request.bank_id)
+            self._fold_bank_hint(request.bank_id)
             return True
         # First-ready fallback: try any request whose next command is legal.
         # Per bank only three requests can differ in outcome -- the bucket
         # head, the oldest row hit and the oldest row conflict (legality of a
         # column command or a precharge does not depend on which queued
         # request triggers it) -- so trying those in global FCFS order is
-        # equivalent to the full-queue rescan this replaces.  Candidates
-        # whose bank timing already rules the command out are dropped here
-        # (pure pre-filter: _serve_request would reject them identically).
-        banks = self.device.banks
+        # equivalent to a full-queue rescan.  Candidates whose bank timing
+        # already rules the command out are dropped here (pure pre-filter:
+        # _serve_request would reject them identically).
+        col_mv = self._mv_next_rd if is_read else self._mv_next_wr
+        act_mv = self._mv_next_act
+        pre_mv = self._mv_next_pre
         candidates: List[MemoryRequest] = []
         for bank_id, bucket in buckets.items():
-            bank = banks[bank_id]
-            open_row = bank.open_row
+            open_row = open_rows[bank_id]
             head = bucket[0]
-            if open_row is None:
-                if cycle >= bank._next_act:
+            if open_row < 0:
+                if cycle >= act_mv[bank_id]:
                     candidates.append(head)
                 continue
             head_is_hit = head.dram.row == open_row
@@ -570,8 +542,8 @@ class MemoryController:
                 if (r.dram.row == open_row) != head_is_hit:
                     second = r
                     break
-            hit_ready = cycle >= (bank._next_rd if is_read else bank._next_wr)
-            pre_ready = cycle >= bank._next_pre
+            hit_ready = cycle >= col_mv[bank_id]
+            pre_ready = cycle >= pre_mv[bank_id]
             if head_is_hit:
                 if hit_ready:
                     candidates.append(head)
@@ -585,8 +557,7 @@ class MemoryController:
         candidates.sort(key=_BY_REQUEST_ID)
         for request in candidates:
             if self._serve_request(request, is_read, buckets, cycle):
-                if self._fast:
-                    self._fold_bank_hint(request.bank_id)
+                self._fold_bank_hint(request.bank_id)
                 return True
         return False
 
@@ -598,30 +569,30 @@ class MemoryController:
         cycle: int,
     ) -> bool:
         bank_id = request.bank_id
-        bank = self.device.banks[bank_id]
-        open_row = bank.open_row
+        open_row = self._mv_open_row[bank_id]
         target_row = request.dram.row
 
-        if open_row == target_row:
-            hit = request.row_hit if request.row_hit is not None else True
-            if is_read:
-                if cycle >= bank._next_rd:
-                    ready = self.device.read(bank_id, cycle)
-                    self._complete_column(request, is_read, cycle, ready, row_hit=hit)
+        if open_row >= 0:
+            if open_row == target_row:
+                hit = request.row_hit if request.row_hit is not None else True
+                if is_read:
+                    if cycle >= self._mv_next_rd[bank_id]:
+                        ready = self.device.read(bank_id, cycle)
+                        self._complete_column(
+                            request, is_read, cycle, ready, row_hit=hit
+                        )
+                        return True
+                elif cycle >= self._mv_next_wr[bank_id]:
+                    done = self.device.write(bank_id, cycle)
+                    self._complete_column(request, is_read, cycle, done, row_hit=hit)
                     return True
-            elif cycle >= bank._next_wr:
-                done = self.device.write(bank_id, cycle)
-                self._complete_column(request, is_read, cycle, done, row_hit=hit)
-                return True
-            return False
-
-        if open_row is not None:
+                return False
             if self._preserve_open_row(bank_id, open_row, buckets):
                 # A pending request still targets the open row and the
                 # column-over-row reordering cap has not been exhausted, so
                 # the conflicting request must wait (FR-FCFS row-hit-first).
                 return False
-            if cycle >= bank._next_pre:
+            if cycle >= self._mv_next_pre[bank_id]:
                 self._precharge(bank_id, cycle)
                 self.stats.row_conflicts += 1
                 request.row_hit = False
@@ -632,11 +603,14 @@ class MemoryController:
             return False
 
         rank = bank_id // self._banks_per_rank
-        # Inlined refresh_urgent (runs per ACT-candidate serve).
-        if self.refresh._ranks[rank].pending >= RefreshScheduler.MAX_POSTPONED:
-            # The rank must drain for an overdue periodic refresh first.
+        # The rank must drain for an overdue periodic refresh first.  The
+        # urgent set is cached (almost always the shared empty tuple), so
+        # the probe is one containment check per ACT candidate.
+        if rank in self.refresh.urgent_ranks():
             return False
-        if cycle >= bank._next_act and self.device._rank_act_allowed(rank, cycle):
+        if cycle >= self._mv_next_act[bank_id] and self.device._rank_act_allowed(
+            rank, cycle
+        ):
             self.device.activate(bank_id, target_row, cycle)
             self.stats.row_misses += 1
             request.row_hit = False
@@ -709,13 +683,14 @@ class MemoryController:
         Every event source is covered, so the system simulator may advance
         time to exactly this cycle without changing simulated behaviour
         (hints may be conservative -- early -- but never late; the
-        strict-tick determinism harness pins this).  Bank/rank readiness is
-        read via the private ``_next_*`` attributes: this hint runs on every
-        idle tick and the accessor-call overhead dominates otherwise.
+        strict-tick determinism harness pins this).  Bank readiness is read
+        from the plane's memoryview twins (plain Python ints): this hint
+        runs on every idle tick.
         """
         best = FAR_FUTURE
-        device = self.device
-        banks = device.banks
+        open_row = self._mv_open_row
+        next_pre = self._mv_next_pre
+        next_act = self._mv_next_act
 
         # Periodic refresh: a skip must never jump past a tREFI boundary,
         # otherwise REFs would silently be postponed beyond the DDR5 limit.
@@ -730,20 +705,17 @@ class MemoryController:
 
         if self._in_recovery:
             # Recovery needs every bank precharged, then an all-bank RFM.
-            for bank in banks:
+            for bank_id in self._all_banks:
                 ready = (
-                    bank._next_pre if bank.state is BankState.ACTIVE else bank._next_act
+                    next_pre[bank_id]
+                    if open_row[bank_id] >= 0
+                    else next_act[bank_id]
                 )
                 if cycle < ready < best:
                     best = ready
         else:
-            # The pending-rank bank scan is cached on the batch fast path:
-            # its inputs only change on refresh accrual, an issued command
-            # (both drop the cache) or an enqueue (which can only remove
-            # scan events -- a too-early hint is a wasted wake, never a
-            # behaviour change).  A cached value in the past is stale.
             scan = self._refresh_scan_hint
-            if self._fast and scan is not None and scan > cycle:
+            if scan is not None and scan > cycle:
                 if scan < best:
                     best = scan
             else:
@@ -751,35 +723,29 @@ class MemoryController:
                 pending_ranks = self.refresh.ranks_needing_refresh()
                 if pending_ranks:
                     rank_demand = self._rank_demand
+                    urgent_ranks = self.refresh.urgent_ranks()
+                    device = self.device
                     for rank in pending_ranks:
                         # A postponed REF is only actionable when urgent or
                         # when the rank is idle; otherwise the next refresh
                         # event is the accrual boundary already covered
                         # above.
-                        if not self.refresh.refresh_urgent(rank) and rank_demand[rank]:
+                        if rank not in urgent_ranks and rank_demand[rank]:
                             continue
                         for bank_id in device.banks_in_rank(rank):
-                            bank = banks[bank_id]
                             ready = (
-                                bank._next_pre
-                                if bank.state is BankState.ACTIVE
-                                else bank._next_act
+                                next_pre[bank_id]
+                                if open_row[bank_id] >= 0
+                                else next_act[bank_id]
                             )
                             if cycle < ready < scan:
                                 scan = ready
-                if self._fast:
-                    self._refresh_scan_hint = scan
+                self._refresh_scan_hint = scan
                 if scan < best:
                     best = scan
 
         # Demand requests, bucketed per bank.  Both queues contribute: the
         # write queue may become the active queue as soon as it drains.
-        # The section is cached: its inputs (bucket membership, bank/rank
-        # readiness) only change on an enqueue or an issued command, both of
-        # which drop the cache, so consecutive idle wakes (refresh
-        # boundaries, core events, early hints) reuse the minimum instead of
-        # rescanning every bucket.  A cached value at or below the current
-        # cycle is stale by definition and forces a recompute.
         demand = self._demand_hint
         if demand is None or demand <= cycle:
             demand = self._demand_ready_cycle(cycle)
@@ -789,23 +755,28 @@ class MemoryController:
 
         mechanism = self.mechanism
         if mechanism is not None:
-            if mechanism._pending:
+            mech = self._mech_scan_hint
+            if mech is None or mech <= cycle:
+                mech = FAR_FUTURE
                 for bank_id in mechanism._pending:
-                    bank = banks[bank_id]
                     ready = (
-                        bank._next_pre
-                        if bank.state is BankState.ACTIVE
-                        else bank._next_act
+                        next_pre[bank_id]
+                        if open_row[bank_id] >= 0
+                        else next_act[bank_id]
                     )
-                    if cycle < ready < best:
-                        best = ready
-            for bank_id in mechanism.rfm_pending_banks():
-                bank = banks[bank_id]
-                ready = (
-                    bank._next_pre if bank.state is BankState.ACTIVE else bank._next_act
-                )
-                if cycle < ready < best:
-                    best = ready
+                    if cycle < ready < mech:
+                        mech = ready
+                for bank_id in mechanism.rfm_pending_banks():
+                    ready = (
+                        next_pre[bank_id]
+                        if open_row[bank_id] >= 0
+                        else next_act[bank_id]
+                    )
+                    if cycle < ready < mech:
+                        mech = ready
+                self._mech_scan_hint = mech
+            if mech < best:
+                best = mech
 
         reads = self._inflight_reads
         if reads:
@@ -819,36 +790,34 @@ class MemoryController:
     def _fold_bank_hint(self, bank_id: int) -> None:
         """Fold one served bank's new readiness into the cached demand hint.
 
-        Called after a demand command issued on ``bank_id`` (fast kernels
-        only).  The fold is deliberately conservative: for an open bank it
-        takes the minimum over read, write and precharge release without
-        checking which queues the bank actually sits in, and for a closed
-        bank it ignores the rank-level ACT constraints -- a value at or
-        below the bank's true next event keeps the cached minimum
-        early-but-never-late (an early hint is a wasted wake; a late one
-        would change behaviour).
+        Called after a demand command issued on ``bank_id``.  The fold is
+        deliberately conservative: for an open bank it takes the minimum over
+        read, write and precharge release without checking which queues the
+        bank actually sits in, and for a closed bank it ignores the
+        rank-level ACT constraints -- a value at or below the bank's true
+        next event keeps the cached minimum early-but-never-late.
         """
         hint = self._demand_hint
         if hint is None:
             return
-        bank = self.device.banks[bank_id]
-        if bank.open_row is None:
-            ready = bank._next_act
+        if self._mv_open_row[bank_id] < 0:
+            ready = self._mv_next_act[bank_id]
         else:
-            ready = bank._next_rd
-            if bank._next_wr < ready:
-                ready = bank._next_wr
-            if bank._next_pre < ready:
-                ready = bank._next_pre
+            ready = self._mv_next_rd[bank_id]
+            wr = self._mv_next_wr[bank_id]
+            if wr < ready:
+                ready = wr
+            pre = self._mv_next_pre[bank_id]
+            if pre < ready:
+                ready = pre
         if ready < hint:
             self._demand_hint = ready
 
     def _bank_demand_ready(self, bank_id: int, is_read: bool) -> int:
         """Readiness of one queued bank (the per-bank body of
         :meth:`_demand_ready_cycle`), for incremental hint maintenance."""
-        bank = self.device.banks[bank_id]
-        if bank.open_row is None:
-            ready = bank._next_act
+        if self._mv_open_row[bank_id] < 0:
+            ready = self._mv_next_act[bank_id]
             state = self.device._ranks[bank_id // self._banks_per_rank]
             rank_ready = state.last_act_cycle + self.timing.tRRD
             if rank_ready > ready:
@@ -859,217 +828,24 @@ class MemoryController:
                 if faw_ready > ready:
                     ready = faw_ready
             return ready
-        ready = bank._next_rd if is_read else bank._next_wr
-        pre = bank._next_pre
-        return ready if ready < pre else pre
+        col = (
+            self._mv_next_rd[bank_id] if is_read else self._mv_next_wr[bank_id]
+        )
+        pre = self._mv_next_pre[bank_id]
+        return col if col < pre else pre
 
     def _demand_ready_cycle(self, cycle: int) -> int:
         """Earliest strictly-future readiness event of any queued demand.
 
-        Rank-level ACT readiness (tRRD / tFAW) is inlined: this scan runs on
-        idle wakes and the accessor-call overhead dominates otherwise.  For
-        open banks both the column-command and the precharge release are
-        included without scanning the bucket for actual hits/conflicts --
-        hints may be early (a wasted wake is a no-op tick), never late, and
-        the per-request row scan this replaces dominated the idle-wake cost.
+        Walks only the queued buckets.  Rank-level ACT readiness (tRRD /
+        tFAW) is inlined: this scan runs on idle wakes and the call overhead
+        dominates otherwise.  For open banks both the column-command and the
+        precharge release are included without scanning the bucket for
+        actual hits/conflicts -- hints may be early (a wasted wake is a
+        no-op tick), never late.  Also records in ``_demand_ready_now``
+        whether any queued bank is ready at or before ``cycle`` (see
+        ``__init__``).
         """
-        best = FAR_FUTURE
-        device = self.device
-        banks = device.banks
-        banks_per_rank = self._banks_per_rank
-        rank_states = device._ranks
-        tRRD = self.timing.tRRD
-        tFAW = self.timing.tFAW
-        # Whether any queued bank is ready at or before ``cycle`` (excluded
-        # from the strictly-future minimum): such a bank is being blocked by
-        # something other than timing, so the batch fast path must not use
-        # the hint to skip demand scans until the next recompute.
-        ready_now = False
-        for buckets, is_read in (
-            (self._read_buckets, True),
-            (self._write_buckets, False),
-        ):
-            for bank_id in buckets:
-                bank = banks[bank_id]
-                if bank.open_row is None:
-                    ready = bank._next_act
-                    state = rank_states[bank_id // banks_per_rank]
-                    rank_ready = state.last_act_cycle + tRRD
-                    if rank_ready > ready:
-                        ready = rank_ready
-                    window = state.act_window
-                    if len(window) == window.maxlen:
-                        faw_ready = window[0] + tFAW
-                        if faw_ready > ready:
-                            ready = faw_ready
-                    if ready <= cycle:
-                        ready_now = True
-                    elif ready < best:
-                        best = ready
-                    continue
-                ready = bank._next_rd if is_read else bank._next_wr
-                if ready <= cycle:
-                    ready_now = True
-                elif ready < best:
-                    best = ready
-                ready = bank._next_pre
-                if ready <= cycle:
-                    ready_now = True
-                elif ready < best:
-                    best = ready
-        self._demand_ready_now = ready_now
-        return best
-
-    # ------------------------------------------------------------------ #
-    # Structure-of-arrays kernels (array bank backend)
-    #
-    # Every method below is the vectorized twin of the object-backend
-    # implementation above: identical decisions, identical issue order,
-    # identical hints -- pinned byte-for-byte by tests/test_bank_backends.py
-    # -- with the per-bank Python loops folded into passes over the device's
-    # BankArrayTiming plane.  The incremental caches (_demand_hint,
-    # _refresh_scan_hint, _mech_scan_hint) are always maintained here: the
-    # plane makes recomputes cheap and the fold bookkeeping makes them rare.
-    # ------------------------------------------------------------------ #
-    def _bind_array_kernels(self) -> None:
-        """Rebind the readiness scans to the vectorized variants."""
-        plane = self._plane
-        n = plane.num_banks
-        # The plane's memoryview twins, re-hoisted onto the controller: the
-        # scalar kernels index these once per register access, and caching
-        # them here turns every ``self._plane.next_*_mv`` double attribute
-        # hop into a single one.  Safe because the plane identity is fixed
-        # for the controller's lifetime (pooled planes are adopted at
-        # device construction, before this binding runs) and ``reset()``
-        # fills the arrays in place.
-        self._mv_open_row = plane.open_row_mv
-        self._mv_next_act = plane.next_act_mv
-        self._mv_next_pre = plane.next_pre_mv
-        self._mv_next_rd = plane.next_rd_mv
-        self._mv_next_wr = plane.next_wr_mv
-        # Scratch buffers (one allocation at construction, reused by every
-        # vectorized scan; the plane never reallocates, so views stay valid).
-        self._rank_ready = np.empty(n, dtype=np.int64)
-        self._act_ready = np.empty(n, dtype=np.int64)
-        self._stream_buf = np.empty(n, dtype=np.int64)
-        self._m_read = np.empty(n, dtype=bool)
-        self._m_write = np.empty(n, dtype=bool)
-        self._m_any = np.empty(n, dtype=bool)
-        self._m_closed = np.empty(n, dtype=bool)
-        self._m_open = np.empty(n, dtype=bool)
-        self._stream_mask = np.empty(n, dtype=bool)
-        self._past_mask = np.empty(n, dtype=bool)
-        self._act_ok = np.empty(n, dtype=bool)
-        self._col_ok = np.empty(n, dtype=bool)
-        self._pre_ok = np.empty(n, dtype=bool)
-        self._rank_slices = self.device._rank_slices
-        # The array kernels subsume the batch fast kernels: the caches they
-        # rely on are maintained unconditionally here.  ``enqueue`` and
-        # ``_dequeue`` need no twins -- the object versions already fold
-        # through the rebound ``_bank_demand_ready``.
-        self._fast = True
-        self._service_demand = self._service_demand_array
-        self._serve_request = self._serve_request_array
-        self._service_refresh = self._service_refresh_array
-        self._service_backoff = self._service_backoff_array
-        self._service_prfm = self._service_prfm_array
-        self._service_preventive = self._service_preventive_array
-        self._next_event_hint = self._next_event_hint_array
-        self._demand_ready_cycle = self._demand_ready_cycle_array
-        self._fold_bank_hint = self._fold_bank_hint_array
-        self._bank_demand_ready = self._bank_demand_ready_array
-
-    def _fold_stream(
-        self, mask: np.ndarray, values: np.ndarray, cycle: int
-    ) -> Tuple[bool, int]:
-        """Fold one masked event stream into ``(ready_now, future_min)``.
-
-        ``ready_now`` is True when any masked value is at or below ``cycle``
-        (those are excluded from the returned strictly-future minimum),
-        mirroring the per-event handling of the scalar scan.
-        """
-        buf = self._stream_buf
-        np.copyto(buf, FAR_FUTURE)
-        np.copyto(buf, values, where=mask)
-        lowest = int(buf.min())
-        if lowest > cycle:
-            return False, lowest
-        past = self._past_mask
-        np.less_equal(buf, cycle, out=past)
-        buf[past] = FAR_FUTURE
-        return True, int(buf.min())
-
-    def _demand_ready_cycle_vector(self, cycle: int) -> int:
-        """Whole-plane ``np.minimum``-reduction fold of the demand scan.
-
-        The heavy-queue half of :meth:`_demand_ready_cycle_array`: four
-        masked folds over the full plane replace the per-bucket walk once
-        enough banks hold queued demand.  Identical minimum and
-        ``_demand_ready_now`` semantics as the scalar walk.
-        """
-        plane = self._plane
-        m_read = self._m_read
-        m_write = self._m_write
-        m_any = self._m_any
-        closed = self._m_closed
-        m_read.fill(False)
-        m_read[list(self._read_buckets)] = True
-        m_write.fill(False)
-        m_write[list(self._write_buckets)] = True
-        np.logical_or(m_read, m_write, out=m_any)
-        np.less(plane.open_row, 0, out=closed)
-
-        # Rank-level ACT readiness (tRRD / tFAW), broadcast per bank.
-        rank_ready = self._rank_ready
-        tRRD = self.timing.tRRD
-        tFAW = self.timing.tFAW
-        for rank, state in self.device._ranks.items():
-            ready = state.last_act_cycle + tRRD
-            window = state.act_window
-            if len(window) == window.maxlen:
-                faw_ready = window[0] + tFAW
-                if faw_ready > ready:
-                    ready = faw_ready
-            rank_ready[self._rank_slices[rank]] = ready
-        act_ready = self._act_ready
-        np.maximum(plane.next_act, rank_ready, out=act_ready)
-
-        stream = self._stream_mask
-        m_open = self._m_open
-        np.logical_and(closed, m_any, out=stream)
-        now_act, best = self._fold_stream(stream, act_ready, cycle)
-        np.logical_not(closed, out=m_open)
-        np.logical_and(m_open, m_read, out=stream)
-        now_rd, ready = self._fold_stream(stream, plane.next_rd, cycle)
-        if ready < best:
-            best = ready
-        np.logical_and(m_open, m_write, out=stream)
-        now_wr, ready = self._fold_stream(stream, plane.next_wr, cycle)
-        if ready < best:
-            best = ready
-        np.logical_and(m_open, m_any, out=stream)
-        now_pre, ready = self._fold_stream(stream, plane.next_pre, cycle)
-        if ready < best:
-            best = ready
-        self._demand_ready_now = now_act or now_rd or now_wr or now_pre
-        return best
-
-    def _demand_ready_cycle_array(self, cycle: int) -> int:
-        """Array twin of :meth:`_demand_ready_cycle` (adaptive dispatch).
-
-        The common case walks only the queued buckets, reading the plane's
-        memoryview twins in place of bank attributes -- same event streams,
-        same ``_demand_ready_now`` semantics as the object backend's scan.
-        Once enough banks hold queued demand, the walk escalates to the
-        whole-plane vectorized fold (:meth:`_demand_ready_cycle_vector`);
-        below the threshold, ufunc dispatch overhead exceeds the loop it
-        replaces.  Both paths compute identical results.
-        """
-        if (
-            len(self._read_buckets) + len(self._write_buckets)
-            > _VECTOR_SCAN_MIN_BANKS
-        ):
-            return self._demand_ready_cycle_vector(cycle)
         best = FAR_FUTURE
         next_act = self._mv_next_act
         next_pre = self._mv_next_pre
@@ -1111,391 +887,4 @@ class MemoryController:
                 elif ready < best:
                     best = ready
         self._demand_ready_now = ready_now
-        return best
-
-    def _bank_demand_ready_array(self, bank_id: int, is_read: bool) -> int:
-        """Array twin of :meth:`_bank_demand_ready` (plain-int result)."""
-        if self._mv_open_row[bank_id] < 0:
-            ready = self._mv_next_act[bank_id]
-            state = self.device._ranks[bank_id // self._banks_per_rank]
-            rank_ready = state.last_act_cycle + self.timing.tRRD
-            if rank_ready > ready:
-                ready = rank_ready
-            window = state.act_window
-            if len(window) == window.maxlen:
-                faw_ready = window[0] + self.timing.tFAW
-                if faw_ready > ready:
-                    ready = faw_ready
-            return ready
-        col = (
-            self._mv_next_rd[bank_id] if is_read else self._mv_next_wr[bank_id]
-        )
-        pre = self._mv_next_pre[bank_id]
-        return col if col < pre else pre
-
-    def _fold_bank_hint_array(self, bank_id: int) -> None:
-        """Array twin of :meth:`_fold_bank_hint`."""
-        hint = self._demand_hint
-        if hint is None:
-            return
-        if self._mv_open_row[bank_id] < 0:
-            ready = self._mv_next_act[bank_id]
-        else:
-            ready = self._mv_next_rd[bank_id]
-            wr = self._mv_next_wr[bank_id]
-            if wr < ready:
-                ready = wr
-            pre = self._mv_next_pre[bank_id]
-            if pre < ready:
-                ready = pre
-        if ready < hint:
-            self._demand_hint = ready
-
-    def _service_demand_array(self, cycle: int) -> bool:
-        """Array twin of :meth:`_service_demand`.
-
-        The FR-FCFS pick consults the plane's open-row array directly; the
-        first-ready fallback pre-filters candidates through per-bank ready
-        masks computed in three vectorized comparisons.
-        """
-        is_read = self._active_queue_is_reads()
-        # The cached hint proves no queued bank has a legal command at this
-        # cycle (see _service_demand); skip the scan outright.
-        hint = self._demand_hint
-        if hint is not None and cycle < hint and not self._demand_ready_now:
-            return False
-        if is_read:
-            if not self._read_count:
-                return False
-            buckets = self._read_buckets
-        else:
-            buckets = self._write_buckets
-        open_rows = self._mv_open_row
-        request = self.scheduler.choose_from_buckets_array(buckets, open_rows)
-        if request is not None and self._serve_request_array(
-            request, is_read, buckets, cycle
-        ):
-            self._fold_bank_hint_array(request.bank_id)
-            return True
-        # First-ready fallback, same candidate set as the scalar version
-        # (bucket head + oldest opposite-classification request per bank).
-        # Busy queues pre-filter through per-bank ready masks computed in
-        # three vectorized comparisons; light queues read the plane slots
-        # directly (the adaptive-dispatch rationale of
-        # _demand_ready_cycle_array applies identically here).
-        col_mv = self._mv_next_rd if is_read else self._mv_next_wr
-        act_mv = self._mv_next_act
-        pre_mv = self._mv_next_pre
-        vectorized = len(buckets) > _VECTOR_SCAN_MIN_BANKS
-        if vectorized:
-            plane = self._plane
-            act_ok = self._act_ok
-            col_ok = self._col_ok
-            pre_ok = self._pre_ok
-            np.less_equal(plane.next_act, cycle, out=act_ok)
-            np.less_equal(
-                plane.next_rd if is_read else plane.next_wr, cycle, out=col_ok
-            )
-            np.less_equal(plane.next_pre, cycle, out=pre_ok)
-        candidates: List[MemoryRequest] = []
-        for bank_id, bucket in buckets.items():
-            open_row = open_rows[bank_id]
-            head = bucket[0]
-            if open_row < 0:
-                if act_ok[bank_id] if vectorized else cycle >= act_mv[bank_id]:
-                    candidates.append(head)
-                continue
-            head_is_hit = head.dram.row == open_row
-            second: Optional[MemoryRequest] = None
-            for r in bucket:
-                if (r.dram.row == open_row) != head_is_hit:
-                    second = r
-                    break
-            if vectorized:
-                hit_ready = bool(col_ok[bank_id])
-                pre_ready = bool(pre_ok[bank_id])
-            else:
-                hit_ready = cycle >= col_mv[bank_id]
-                pre_ready = cycle >= pre_mv[bank_id]
-            if head_is_hit:
-                if hit_ready:
-                    candidates.append(head)
-                if second is not None and pre_ready:
-                    candidates.append(second)
-            else:
-                if pre_ready:
-                    candidates.append(head)
-                if second is not None and hit_ready:
-                    candidates.append(second)
-        candidates.sort(key=_BY_REQUEST_ID)
-        for request in candidates:
-            if self._serve_request_array(request, is_read, buckets, cycle):
-                self._fold_bank_hint_array(request.bank_id)
-                return True
-        return False
-
-    def _serve_request_array(
-        self,
-        request: MemoryRequest,
-        is_read: bool,
-        buckets: Dict[int, List[MemoryRequest]],
-        cycle: int,
-    ) -> bool:
-        """Array twin of :meth:`_serve_request`."""
-        bank_id = request.bank_id
-        open_row = self._mv_open_row[bank_id]
-        target_row = request.dram.row
-
-        if open_row >= 0:
-            if open_row == target_row:
-                hit = request.row_hit if request.row_hit is not None else True
-                if is_read:
-                    if cycle >= self._mv_next_rd[bank_id]:
-                        ready = self.device.read(bank_id, cycle)
-                        self._complete_column(
-                            request, is_read, cycle, ready, row_hit=hit
-                        )
-                        return True
-                elif cycle >= self._mv_next_wr[bank_id]:
-                    done = self.device.write(bank_id, cycle)
-                    self._complete_column(request, is_read, cycle, done, row_hit=hit)
-                    return True
-                return False
-            if self._preserve_open_row(bank_id, open_row, buckets):
-                return False
-            if cycle >= self._mv_next_pre[bank_id]:
-                self._precharge(bank_id, cycle)
-                self.stats.row_conflicts += 1
-                request.row_hit = False
-                self.scheduler.on_scheduled(request, was_row_hit=False)
-                return True
-            return False
-
-        rank = bank_id // self._banks_per_rank
-        # Cached urgent set (runs per ACT-candidate serve; almost always
-        # the shared empty tuple, so the probe is one containment check).
-        if rank in self.refresh.urgent_ranks():
-            return False
-        if cycle >= self._mv_next_act[bank_id] and self.device._rank_act_allowed(
-            rank, cycle
-        ):
-            self.device.activate(bank_id, target_row, cycle)
-            self.stats.row_misses += 1
-            request.row_hit = False
-            if self.mechanism is not None:
-                self.mechanism.on_activate(bank_id, target_row, cycle)
-            return True
-        return False
-
-    def _service_refresh_array(self, cycle: int) -> bool:
-        """Array twin of :meth:`_service_refresh` (plane reads, vector REF)."""
-        pending_ranks = self.refresh.ranks_needing_refresh()
-        device = self.device
-        open_row = self._mv_open_row
-        next_pre = self._mv_next_pre
-        urgent_ranks = self.refresh.urgent_ranks()
-        for rank in pending_ranks:
-            urgent = rank in urgent_ranks
-            if not urgent:
-                if self._rank_demand[rank]:
-                    continue
-                if device.can_refresh(rank, cycle):
-                    device.refresh(rank, cycle)
-                    self.refresh.refresh_issued(rank)
-                    self.stats.refreshes += 1
-                    return True
-                continue
-            # Urgent: close the rank's open banks (first ready one), then
-            # refresh.  Same visit order as the scalar scan.
-            any_open = False
-            for bank_id in device.banks_in_rank(rank):
-                if open_row[bank_id] >= 0:
-                    any_open = True
-                    if cycle >= next_pre[bank_id]:
-                        self._precharge(bank_id, cycle)
-                        return True
-            if any_open:
-                continue
-            if device.can_refresh(rank, cycle):
-                device.refresh(rank, cycle)
-                self.refresh.refresh_issued(rank)
-                self.stats.refreshes += 1
-                return True
-        return False
-
-    def _service_backoff_array(self, cycle: int) -> bool:
-        """Array twin of :meth:`_service_backoff`."""
-        if not self._in_recovery:
-            if self._rfm_due_cycle is None or cycle < self._rfm_due_cycle:
-                return False
-            self._in_recovery = True
-
-        open_row = self._mv_open_row
-        all_banks = self._all_banks
-        # All banks must be precharged before an all-bank RFM can be issued;
-        # stop at the first open bank in id order, like the object scan.
-        for bank_id in all_banks:
-            if open_row[bank_id] >= 0:
-                if cycle >= self._mv_next_pre[bank_id]:
-                    self._precharge(bank_id, cycle)
-                    return True
-                return False
-        if not self.device.can_rfm(all_banks, cycle):
-            return False
-        refreshed = self.device.rfm(all_banks, cycle)
-        self.stats.rfms += 1
-        self.stats.preventive_refresh_rows += refreshed
-        if not self.device.wants_more_rfm():
-            self._in_recovery = False
-            self._rfm_due_cycle = None
-        return True
-
-    def _service_prfm_array(self, cycle: int) -> bool:
-        """Array twin of :meth:`_service_prfm`."""
-        mechanism = self.mechanism
-        if mechanism is None:
-            return False
-        pending = mechanism.rfm_pending_banks()
-        if not pending:
-            return False
-        open_row = self._mv_open_row
-        for bank_id in pending:
-            if open_row[bank_id] >= 0:
-                if cycle >= self._mv_next_pre[bank_id]:
-                    self._precharge(bank_id, cycle)
-                    return True
-                continue
-            if cycle >= self._mv_next_act[bank_id]:
-                refreshed = self.device.rfm([bank_id], cycle)
-                mechanism.acknowledge_rfm(
-                    bank_id,
-                    cycle,
-                    on_die_refreshed=(
-                        refreshed if self.device.mitigation is not None else None
-                    ),
-                )
-                self.stats.rfms += 1
-                self.stats.preventive_refresh_rows += mechanism.victim_rows_per_aggressor
-                return True
-        return False
-
-    def _service_preventive_array(self, cycle: int) -> bool:
-        """Array twin of :meth:`_service_preventive`."""
-        mechanism = self.mechanism
-        if mechanism is None or not mechanism.has_pending_refreshes():
-            return False
-        open_row = self._mv_open_row
-        for bank_id in mechanism._pending:
-            if open_row[bank_id] >= 0:
-                if cycle >= self._mv_next_pre[bank_id]:
-                    self._precharge(bank_id, cycle)
-                    return True
-                continue
-            if cycle >= self._mv_next_act[bank_id]:
-                refresh = mechanism.pop_refresh(bank_id, cycle)
-                if refresh is None:
-                    continue
-                self.device.victim_refresh(bank_id, refresh.num_rows, cycle)
-                self.stats.preventive_refresh_rows += refresh.num_rows
-                return True
-        return False
-
-    def _next_event_hint_array(self, cycle: int) -> int:
-        """Array twin of :meth:`_next_event_hint`.
-
-        The bank-readiness scans index the plane's memoryview twins (plain
-        Python ints, no ndarray scalar boxing); the refresh-pending scan is
-        cached as on the object fast path, and the mechanism-pending scan is
-        additionally cached (see ``_mech_scan_hint`` in ``__init__``).
-        Every section preserves the early-never-late contract of the scalar
-        hint.
-        """
-        best = FAR_FUTURE
-        open_row = self._mv_open_row
-        next_pre = self._mv_next_pre
-        next_act = self._mv_next_act
-
-        due = self.refresh.next_due_cycle()
-        if cycle < due < best:
-            best = due
-
-        rfm_due = self._rfm_due_cycle
-        if rfm_due is not None and not self._in_recovery and cycle < rfm_due < best:
-            best = rfm_due
-
-        if self._in_recovery:
-            # Recovery needs every bank precharged, then an all-bank RFM.
-            for bank_id in self._all_banks:
-                ready = (
-                    next_pre[bank_id]
-                    if open_row[bank_id] >= 0
-                    else next_act[bank_id]
-                )
-                if cycle < ready < best:
-                    best = ready
-        else:
-            scan = self._refresh_scan_hint
-            if scan is not None and scan > cycle:
-                if scan < best:
-                    best = scan
-            else:
-                scan = FAR_FUTURE
-                pending_ranks = self.refresh.ranks_needing_refresh()
-                if pending_ranks:
-                    rank_demand = self._rank_demand
-                    urgent_ranks = self.refresh.urgent_ranks()
-                    device = self.device
-                    for rank in pending_ranks:
-                        if rank not in urgent_ranks and rank_demand[rank]:
-                            continue
-                        for bank_id in device.banks_in_rank(rank):
-                            ready = (
-                                next_pre[bank_id]
-                                if open_row[bank_id] >= 0
-                                else next_act[bank_id]
-                            )
-                            if cycle < ready < scan:
-                                scan = ready
-                self._refresh_scan_hint = scan
-                if scan < best:
-                    best = scan
-
-        demand = self._demand_hint
-        if demand is None or demand <= cycle:
-            demand = self._demand_ready_cycle_array(cycle)
-            self._demand_hint = demand
-        if cycle < demand < best:
-            best = demand
-
-        mechanism = self.mechanism
-        if mechanism is not None:
-            mech = self._mech_scan_hint
-            if mech is None or mech <= cycle:
-                mech = FAR_FUTURE
-                for bank_id in mechanism._pending:
-                    ready = (
-                        next_pre[bank_id]
-                        if open_row[bank_id] >= 0
-                        else next_act[bank_id]
-                    )
-                    if cycle < ready < mech:
-                        mech = ready
-                for bank_id in mechanism.rfm_pending_banks():
-                    ready = (
-                        next_pre[bank_id]
-                        if open_row[bank_id] >= 0
-                        else next_act[bank_id]
-                    )
-                    if cycle < ready < mech:
-                        mech = ready
-                self._mech_scan_hint = mech
-            if mech < best:
-                best = mech
-
-        reads = self._inflight_reads
-        if reads:
-            completion = reads[0].completion_cycle
-            if cycle < completion < best:
-                best = completion
-
         return best

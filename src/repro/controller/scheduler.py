@@ -68,45 +68,15 @@ class FrFcfsCapScheduler:
     def choose_from_buckets(
         self,
         buckets: Dict[int, List[MemoryRequest]],
-        device: DramDevice,
+        open_rows: Sequence[int],
     ) -> Optional[MemoryRequest]:
         """Equivalent of :meth:`choose` over per-bank FIFO buckets.
 
         ``buckets`` maps a flat bank id to the bank's queued requests in
         arrival (= request_id) order; empty buckets must have been removed.
-        Picks exactly the request a flat FR-FCFS+Cap scan would pick.
-        """
-        if not buckets:
-            return None
-
-        banks = device.banks
-        oldest: Optional[MemoryRequest] = None
-        best_hit: Optional[MemoryRequest] = None
-        for bank_id, bucket in buckets.items():
-            head = bucket[0]
-            if oldest is None or head.request_id < oldest.request_id:
-                oldest = head
-            open_row = banks[bank_id].open_row
-            if open_row is None:
-                continue
-            for request in bucket:
-                if request.dram.row == open_row:
-                    if best_hit is None or request.request_id < best_hit.request_id:
-                        best_hit = request
-                    break  # bucket is FIFO: the first hit is the oldest hit
-        return self._arbitrate_bucketed(oldest, best_hit, buckets)
-
-    def choose_from_buckets_array(
-        self,
-        buckets: Dict[int, List[MemoryRequest]],
-        open_rows,
-    ) -> Optional[MemoryRequest]:
-        """Array-backend twin of :meth:`choose_from_buckets`.
-
         ``open_rows`` is the timing plane's per-bank open-row memoryview
-        (``-1`` = precharged); indexing it yields plain ints without the
-        bank-view property hops of the object path.  Picks exactly the same
-        request.
+        (``-1`` = precharged), indexed by flat bank id.  Picks exactly the
+        request a flat FR-FCFS+Cap scan would pick.
         """
         if not buckets:
             return None

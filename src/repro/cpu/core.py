@@ -65,7 +65,6 @@ class Core:
         bypass_llc: bool = False,
         request_pool: Optional[RequestPool] = None,
         trace_data: Optional[tuple] = None,
-        pooled_hits: bool = False,
     ) -> None:
         """Create a core.
 
@@ -94,8 +93,6 @@ class Core:
                 :mod:`repro.experiments.batch`); the lists are read-only
                 during a run, so sharing them is observably identical to
                 decomposing the trace here.
-            pooled_hits: use the LLC's allocation-free shared hit result for
-                the dispatch probe (the batch fast path).
         """
         if clock_ratio <= 0 or issue_width <= 0 or window_size <= 0:
             raise ValueError("core parameters must be positive")
@@ -133,9 +130,8 @@ class Core:
             ipc = self.instructions_per_dram_cycle
             self._gap_cycles = [gap / ipc for gap in self._gaps]
         self._trace_len = len(self._gaps)
-        # Dispatch probe: the batch path returns a shared hit result
-        # instead of allocating one per LLC hit.
-        self._probe_hit = llc.access_if_hit_pooled if pooled_hits else llc.access_if_hit
+        # Dispatch probe, pre-bound (one attribute hop per dispatch).
+        self._probe_hit = llc.access_if_hit
 
         # Trace cursor (wraps around).
         self._index = 0

@@ -11,29 +11,18 @@ The bank intentionally refuses illegal commands by raising
 simulators (e.g. Ramulator 2.0) separate scheduling from device legality
 checks and lets the test-suite verify both layers independently.
 
-Backends
---------
+Storage
+-------
 
-:class:`Bank` comes in two interchangeable backends selected by the
-``backend`` constructor argument (see
-:func:`~repro.dram.timing_plane.resolve_bank_backend`):
-
-* ``"object"`` -- the original layout: every register is a plain Python
-  attribute on the bank (simple, the reference implementation the
-  equivalence tests compare against), and
-* ``"array"`` -- the default: the registers live in a shared
-  :class:`~repro.dram.timing_plane.BankArrayTiming` structure-of-arrays
-  plane owned by the device, and the bank is a thin *view* over one slot.
-  The view preserves the full ``Bank`` API -- every ``can_*`` /
-  ``ready_cycle_for_*`` caller keeps working, and the ``state`` /
-  ``open_row`` / ``last_act_cycle`` / ``_next_*`` names resolve through
-  properties -- while the controller's readiness scans fold over the plane
-  arrays directly.
-
-The two backends are *observably identical* -- same legality decisions, same
-:class:`TimingViolation` messages, same stats -- which the differential tests
-in ``tests/test_bank_backends.py`` pin, and which lets cached simulation
-results stay byte-for-byte stable across backends.
+The registers live in a shared
+:class:`~repro.dram.timing_plane.BankArrayTiming` structure-of-arrays plane
+owned by the device, and a :class:`Bank` is a thin *view* over one slot.
+The view keeps the full per-bank API -- every ``can_*`` /
+``ready_cycle_for_*`` caller keeps working, and ``state`` / ``open_row`` /
+``last_act_cycle`` resolve through properties -- while the controller's
+readiness scans read the plane arrays directly.  ``tests/bank_reference.py``
+holds the attribute-per-register reference model the view is differentially
+tested against.
 """
 
 from __future__ import annotations
@@ -43,11 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.dram.timing import TimingParams
-from repro.dram.timing_plane import (
-    NO_ROW,
-    BankArrayTiming,
-    resolve_bank_backend,
-)
+from repro.dram.timing_plane import NO_ROW, BankArrayTiming
 
 
 class TimingViolation(RuntimeError):
@@ -81,239 +66,16 @@ class BankStats:
 
 
 class Bank:
-    """A single DRAM bank with open-row state and timing bookkeeping.
-
-    Constructing this class returns the implementation selected by
-    ``backend`` (both are subclasses, so ``isinstance(bank, Bank)`` holds
-    either way).  A standalone array-backend bank allocates its own
-    single-slot plane; the device passes a shared per-channel plane plus the
-    bank's flat index instead.
-    """
-
-    __slots__ = ()
-
-    #: Concrete backend name ("object" or "array"), set on the subclasses.
-    backend = "abstract"
-
-    def __new__(
-        cls,
-        bank_id: int,
-        timing: TimingParams,
-        backend: Optional[str] = None,
-        *,
-        plane: Optional[BankArrayTiming] = None,
-        index: Optional[int] = None,
-    ):
-        if cls is Bank:
-            if plane is not None:
-                cls = _ArrayBank
-            else:
-                cls = (
-                    _ArrayBank
-                    if resolve_bank_backend(backend) == "array"
-                    else _ObjectBank
-                )
-        return object.__new__(cls)
-
-    # ------------------------------------------------------------------ #
-    # Shared introspection helpers (attribute protocol: plain attributes
-    # on the object backend, properties on the array views)
-    # ------------------------------------------------------------------ #
-    def ready_cycle_for_activate(self) -> int:
-        """Earliest cycle at which an ACT could be legal (ignoring state)."""
-        return self._next_act
-
-    def ready_cycle_for_precharge(self) -> int:
-        """Earliest cycle at which a PRE could be legal (ignoring state)."""
-        return self._next_pre
-
-    def ready_cycle_for_read(self) -> int:
-        """Earliest cycle at which a RD could be legal (ignoring state)."""
-        return self._next_rd
-
-    def ready_cycle_for_write(self) -> int:
-        """Earliest cycle at which a WR could be legal (ignoring state)."""
-        return self._next_wr
-
-    def is_open(self, row: Optional[int] = None) -> bool:
-        """Return True if the bank has an open row (optionally a given row)."""
-        open_row = self.open_row
-        if open_row is None:
-            return False
-        return row is None or open_row == row
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Bank(id={self.bank_id}, state={self.state.value}, "
-            f"open_row={self.open_row})"
-        )
-
-
-class _ObjectBank(Bank):
-    """The original attribute-per-register bank (reference backend)."""
-
-    __slots__ = (
-        "bank_id", "timing", "state", "open_row", "stats",
-        "_next_act", "_next_pre", "_next_rd", "_next_wr", "last_act_cycle",
-    )
-
-    backend = "object"
-
-    def __init__(
-        self,
-        bank_id: int,
-        timing: TimingParams,
-        backend: Optional[str] = None,
-        *,
-        plane: Optional[BankArrayTiming] = None,
-        index: Optional[int] = None,
-    ) -> None:
-        self.bank_id = bank_id
-        self.timing = timing
-        self.state = BankState.IDLE
-        self.open_row: Optional[int] = None
-        self.stats = BankStats()
-
-        # Earliest cycle each command class may be issued.  The
-        # ``ready_cycle_for_*`` accessors are the public API; the memory
-        # controller's wake-hint loop (controller.py:_next_event_hint) and
-        # the device's ``can_refresh``/``can_rfm`` predicates read these
-        # attributes directly -- they run on every idle tick, where accessor
-        # call overhead dominates -- so treat the attribute names as part of
-        # the hot-path contract.
-        self._next_act = 0
-        self._next_pre = 0
-        self._next_rd = 0
-        self._next_wr = 0
-
-        #: Cycle at which the currently open row was activated (used by the
-        #: RowPress-aware extensions and by tests).
-        self.last_act_cycle: Optional[int] = None
-
-    # ------------------------------------------------------------------ #
-    # Legality predicates
-    # ------------------------------------------------------------------ #
-    def can_activate(self, cycle: int) -> bool:
-        """Return True if an ACT may be issued at ``cycle``."""
-        return self.state is BankState.IDLE and cycle >= self._next_act
-
-    def can_precharge(self, cycle: int) -> bool:
-        """Return True if a PRE may be issued at ``cycle``."""
-        return self.state is BankState.ACTIVE and cycle >= self._next_pre
-
-    def can_read(self, cycle: int) -> bool:
-        """Return True if a RD may be issued at ``cycle``."""
-        return self.state is BankState.ACTIVE and cycle >= self._next_rd
-
-    def can_write(self, cycle: int) -> bool:
-        """Return True if a WR may be issued at ``cycle``."""
-        return self.state is BankState.ACTIVE and cycle >= self._next_wr
-
-    # ------------------------------------------------------------------ #
-    # Command issue
-    # ------------------------------------------------------------------ #
-    def activate(self, row: int, cycle: int) -> None:
-        """Open ``row`` in the row buffer."""
-        if not self.can_activate(cycle):
-            raise TimingViolation(
-                f"bank {self.bank_id}: ACT at cycle {cycle} illegal "
-                f"(state={self.state}, next_act={self._next_act})"
-            )
-        t = self.timing
-        self.state = BankState.ACTIVE
-        self.open_row = row
-        self.last_act_cycle = cycle
-        self.stats.activations += 1
-        self._next_pre = max(self._next_pre, cycle + t.tRAS)
-        self._next_rd = cycle + t.tRCD
-        self._next_wr = cycle + t.tRCD
-        self._next_act = max(self._next_act, cycle + t.tRC)
-
-    def precharge(self, cycle: int) -> int:
-        """Close the open row.  Returns the row that was closed."""
-        if not self.can_precharge(cycle):
-            raise TimingViolation(
-                f"bank {self.bank_id}: PRE at cycle {cycle} illegal "
-                f"(state={self.state}, next_pre={self._next_pre})"
-            )
-        t = self.timing
-        closed_row = self.open_row
-        assert closed_row is not None
-        self.state = BankState.IDLE
-        self.open_row = None
-        self.stats.precharges += 1
-        self._next_act = max(self._next_act, cycle + t.tRP)
-        return closed_row
-
-    def read(self, cycle: int) -> int:
-        """Issue a RD; return the cycle at which data is available."""
-        if not self.can_read(cycle):
-            raise TimingViolation(
-                f"bank {self.bank_id}: RD at cycle {cycle} illegal "
-                f"(state={self.state}, next_rd={self._next_rd})"
-            )
-        t = self.timing
-        self.stats.reads += 1
-        self._next_rd = cycle + t.tCCD
-        self._next_wr = cycle + t.tCCD
-        self._next_pre = max(self._next_pre, cycle + t.tRTP)
-        return cycle + t.tCL + t.tBL
-
-    def write(self, cycle: int) -> int:
-        """Issue a WR; return the cycle at which the write completes."""
-        if not self.can_write(cycle):
-            raise TimingViolation(
-                f"bank {self.bank_id}: WR at cycle {cycle} illegal "
-                f"(state={self.state}, next_wr={self._next_wr})"
-            )
-        t = self.timing
-        self.stats.writes += 1
-        self._next_rd = cycle + t.tCCD
-        self._next_wr = cycle + t.tCCD
-        completion = cycle + t.tCWL + t.tBL
-        self._next_pre = max(self._next_pre, completion + t.tWR)
-        return completion
-
-    def block(self, cycle: int, duration: int) -> None:
-        """Block the bank (REF / RFM / internal maintenance) for ``duration``.
-
-        The bank must be precharged.  All commands to the bank are delayed
-        until ``cycle + duration``.
-        """
-        if self.state is not BankState.IDLE:
-            raise TimingViolation(
-                f"bank {self.bank_id}: cannot block an open bank at cycle {cycle}"
-            )
-        self._next_act = max(self._next_act, cycle + duration)
-
-    def victim_refresh(self, cycle: int, rows: int = 1) -> int:
-        """Model a controller-side victim-row refresh (VRR).
-
-        A victim-row refresh is an internal ACT+PRE of the victim row; the
-        bank is blocked for ``rows * tRC`` cycles.  Returns the cycle at
-        which the bank becomes available again.
-        """
-        if self.state is not BankState.IDLE:
-            raise TimingViolation(
-                f"bank {self.bank_id}: VRR requires a precharged bank at cycle {cycle}"
-            )
-        duration = rows * self.timing.tRC
-        self.stats.victim_refreshes += rows
-        self._next_act = max(self._next_act, cycle + duration)
-        return cycle + duration
-
-
-class _ArrayBank(Bank):
-    """Thin view over one slot of a :class:`BankArrayTiming` plane.
+    """A single DRAM bank: a view over one slot of a timing plane.
 
     The plane arrays are the single source of truth; every command method
-    writes them in place and every register name the object backend exposes
-    (``state``, ``open_row``, ``last_act_cycle``, ``_next_*``) resolves
-    through a read-only property returning plain Python values, so no NumPy
-    scalar ever leaks into stats, request fields or cached payloads.  The
-    view caches the plane's memoryview twins (the plane never reallocates
-    its arrays -- :meth:`BankArrayTiming.reset` fills in place), so a
-    register access is one plain-int indexing operation.
+    writes them in place and every register read returns a plain Python
+    value, so no NumPy scalar ever leaks into stats, request fields or
+    cached payloads.  The view caches the plane's memoryview twins (the
+    plane never reallocates its arrays -- :meth:`BankArrayTiming.reset`
+    fills in place), so a register access is one plain-int indexing
+    operation.  A standalone bank allocates its own single-slot plane; the
+    device passes a shared per-channel plane plus the bank's flat index.
     """
 
     __slots__ = (
@@ -321,13 +83,10 @@ class _ArrayBank(Bank):
         "_a_act", "_a_pre", "_a_rd", "_a_wr", "_a_row", "_a_last",
     )
 
-    backend = "array"
-
     def __init__(
         self,
         bank_id: int,
         timing: TimingParams,
-        backend: Optional[str] = None,
         *,
         plane: Optional[BankArrayTiming] = None,
         index: Optional[int] = None,
@@ -365,24 +124,38 @@ class _ArrayBank(Bank):
 
     @property
     def last_act_cycle(self) -> Optional[int]:
+        """Cycle at which the currently open row was activated."""
         last = self._a_last[self.index]
         return last if last >= 0 else None
 
-    @property
-    def _next_act(self) -> int:
+    def ready_cycle_for_activate(self) -> int:
+        """Earliest cycle at which an ACT could be legal (ignoring state)."""
         return self._a_act[self.index]
 
-    @property
-    def _next_pre(self) -> int:
+    def ready_cycle_for_precharge(self) -> int:
+        """Earliest cycle at which a PRE could be legal (ignoring state)."""
         return self._a_pre[self.index]
 
-    @property
-    def _next_rd(self) -> int:
+    def ready_cycle_for_read(self) -> int:
+        """Earliest cycle at which a RD could be legal (ignoring state)."""
         return self._a_rd[self.index]
 
-    @property
-    def _next_wr(self) -> int:
+    def ready_cycle_for_write(self) -> int:
+        """Earliest cycle at which a WR could be legal (ignoring state)."""
         return self._a_wr[self.index]
+
+    def is_open(self, row: Optional[int] = None) -> bool:
+        """Return True if the bank has an open row (optionally a given row)."""
+        open_row = self.open_row
+        if open_row is None:
+            return False
+        return row is None or open_row == row
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"Bank(id={self.bank_id}, state={self.state.value}, "
+            f"open_row={self.open_row})"
+        )
 
     # ------------------------------------------------------------------ #
     # Legality predicates
@@ -416,7 +189,7 @@ class _ArrayBank(Bank):
         if not (self._a_row[i] < 0 and cycle >= self._a_act[i]):
             raise TimingViolation(
                 f"bank {self.bank_id}: ACT at cycle {cycle} illegal "
-                f"(state={self.state}, next_act={self._next_act})"
+                f"(state={self.state}, next_act={self._a_act[i]})"
             )
         t = self.timing
         self._a_row[i] = row
@@ -438,7 +211,7 @@ class _ArrayBank(Bank):
         if not (self._a_row[i] >= 0 and cycle >= self._a_pre[i]):
             raise TimingViolation(
                 f"bank {self.bank_id}: PRE at cycle {cycle} illegal "
-                f"(state={self.state}, next_pre={self._next_pre})"
+                f"(state={self.state}, next_pre={self._a_pre[i]})"
             )
         closed_row = self._a_row[i]
         self._a_row[i] = NO_ROW
@@ -454,7 +227,7 @@ class _ArrayBank(Bank):
         if not (self._a_row[i] >= 0 and cycle >= self._a_rd[i]):
             raise TimingViolation(
                 f"bank {self.bank_id}: RD at cycle {cycle} illegal "
-                f"(state={self.state}, next_rd={self._next_rd})"
+                f"(state={self.state}, next_rd={self._a_rd[i]})"
             )
         t = self.timing
         self.stats.reads += 1
@@ -472,7 +245,7 @@ class _ArrayBank(Bank):
         if not (self._a_row[i] >= 0 and cycle >= self._a_wr[i]):
             raise TimingViolation(
                 f"bank {self.bank_id}: WR at cycle {cycle} illegal "
-                f"(state={self.state}, next_wr={self._next_wr})"
+                f"(state={self.state}, next_wr={self._a_wr[i]})"
             )
         t = self.timing
         self.stats.writes += 1

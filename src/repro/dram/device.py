@@ -23,10 +23,10 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.mitigation import OnDieMitigation
-from repro.dram.bank import Bank, BankState, TimingViolation
+from repro.dram.bank import Bank, TimingViolation
 from repro.dram.organization import DramOrganization
 from repro.dram.timing import TimingParams
-from repro.dram.timing_plane import BankArrayTiming, resolve_bank_backend
+from repro.dram.timing_plane import BankArrayTiming
 
 
 @dataclass(slots=True)
@@ -49,7 +49,6 @@ class DramDevice:
         organization: DramOrganization,
         timing: TimingParams,
         mitigation: Optional[OnDieMitigation] = None,
-        bank_backend: Optional[str] = None,
         timing_plane: Optional[BankArrayTiming] = None,
     ) -> None:
         if mitigation is not None and mitigation.side != "dram":
@@ -59,35 +58,25 @@ class DramDevice:
         self.organization = organization
         self.timing = timing
         self.mitigation = mitigation
-        # Bank timing backend (see dram/timing_plane.py).  Passing a
+        # The bank timing registers (see dram/timing_plane.py).  A
         # pre-allocated plane (the batch engine pools them like counter
-        # buffers) implies the array backend; the plane is reset here so a
-        # pooled buffer's history can never leak into a new device.
-        if timing_plane is not None:
+        # buffers) is reset here, so a pooled buffer's history can never
+        # leak into a new device.
+        if timing_plane is None:
+            timing_plane = BankArrayTiming(organization.total_banks)
+        else:
             if timing_plane.num_banks != organization.total_banks:
                 raise ValueError(
                     f"timing plane has {timing_plane.num_banks} banks, "
                     f"organization needs {organization.total_banks}"
                 )
             timing_plane.reset()
-            self.bank_backend = "array"
-        else:
-            self.bank_backend = resolve_bank_backend(bank_backend)
-            if self.bank_backend == "array":
-                timing_plane = BankArrayTiming(organization.total_banks)
-        #: The structure-of-arrays timing registers (None = object backend).
-        #: The controller's vectorized kernels key off this attribute.
+        #: The structure-of-arrays timing registers the controller scans.
         self.timing_plane = timing_plane
-        if timing_plane is not None:
-            self.banks: List[Bank] = [
-                Bank(bank_id, timing, plane=timing_plane, index=bank_id)
-                for bank_id in range(organization.total_banks)
-            ]
-        else:
-            self.banks = [
-                Bank(bank_id, timing, backend="object")
-                for bank_id in range(organization.total_banks)
-            ]
+        self.banks: List[Bank] = [
+            Bank(bank_id, timing, plane=timing_plane, index=bank_id)
+            for bank_id in range(organization.total_banks)
+        ]
         self._ranks: Dict[int, RankState] = {
             rank: RankState() for rank in range(organization.ranks)
         }
@@ -100,7 +89,7 @@ class DramDevice:
             for rank in range(organization.ranks)
         ]
         # Per-rank contiguous slices into the plane arrays (flat bank ids of
-        # a rank are consecutive), for the vectorized REF/RFM predicates.
+        # a rank are consecutive), for the vectorized REF update.
         self._rank_slices: List[slice] = [
             slice(rank * per_rank, (rank + 1) * per_rank)
             for rank in range(organization.ranks)
@@ -169,22 +158,6 @@ class DramDevice:
         state.last_act_cycle = cycle
         state.act_window.append(cycle)
 
-    def rank_act_ready_cycle(self, rank: int) -> int:
-        """Earliest cycle at which the rank-level constraints allow an ACT.
-
-        Used by the event-horizon wake hints: an ACT to a bank may be legal
-        at ``max(bank.ready_cycle_for_activate(), rank_act_ready_cycle(rank))``
-        at the earliest, so time skips never jump past a tRRD/tFAW release.
-        """
-        state = self._ranks[rank]
-        ready = state.last_act_cycle + self.timing.tRRD
-        window = state.act_window
-        if len(window) == window.maxlen:
-            faw_ready = window[0] + self.timing.tFAW
-            if faw_ready > ready:
-                ready = faw_ready
-        return ready
-
     # ------------------------------------------------------------------ #
     # Command legality
     # ------------------------------------------------------------------ #
@@ -204,52 +177,29 @@ class DramDevice:
 
     def can_refresh(self, rank: int, cycle: int) -> bool:
         """True if every bank in ``rank`` is precharged and ACT-ready."""
+        # Early-exit scalar walk over the plane slots: the predicate almost
+        # always fails on the first open or busy bank, which an ndarray
+        # reduction cannot short-circuit on.
         plane = self.timing_plane
-        if plane is not None:
-            # Early-exit scalar walk over the plane slots: the predicate
-            # almost always fails on the first open or busy bank, which an
-            # ndarray reduction cannot short-circuit on.
-            open_row = plane.open_row_mv
-            next_act = plane.next_act_mv
-            for bank_id in self._rank_bank_ids[rank]:
-                if open_row[bank_id] >= 0 or cycle < next_act[bank_id]:
-                    return False
-            return True
-        banks = self.banks
-        # Direct state/ready access: this predicate runs every controller
-        # tick while a refresh is owed, so the per-bank method calls of the
-        # naive formulation dominate idle-loop time.
+        open_row = plane.open_row_mv
+        next_act = plane.next_act_mv
         for bank_id in self._rank_bank_ids[rank]:
-            bank = banks[bank_id]
-            if bank.state is not BankState.IDLE or cycle < bank._next_act:
+            if open_row[bank_id] >= 0 or cycle < next_act[bank_id]:
                 return False
         return True
 
     def can_rfm(self, bank_ids: Sequence[int], cycle: int) -> bool:
         """True if all target banks are precharged and ready for maintenance."""
         plane = self.timing_plane
-        if plane is not None:
-            if len(bank_ids) == plane.num_banks:
-                # All-bank RFM (back-off recovery): whole-plane reductions.
-                return bool(
-                    plane.open_row.max() < 0 and plane.next_act.max() <= cycle
-                )
-            open_row = plane.open_row_mv
-            next_act = plane.next_act_mv
-            for bank_id in bank_ids:
-                if open_row[bank_id] >= 0 or cycle < next_act[bank_id]:
-                    return False
-            return True
-        banks = self.banks
+        if len(bank_ids) == plane.num_banks:
+            # All-bank RFM (back-off recovery): whole-plane reductions.
+            return bool(plane.open_row.max() < 0 and plane.next_act.max() <= cycle)
+        open_row = plane.open_row_mv
+        next_act = plane.next_act_mv
         for bank_id in bank_ids:
-            bank = banks[bank_id]
-            if bank.state is not BankState.IDLE or cycle < bank._next_act:
+            if open_row[bank_id] >= 0 or cycle < next_act[bank_id]:
                 return False
         return True
-
-    def can_victim_refresh(self, bank_id: int, cycle: int) -> bool:
-        bank = self.banks[bank_id]
-        return bank.state is BankState.IDLE and bank.can_activate(cycle)
 
     # ------------------------------------------------------------------ #
     # Command issue
@@ -294,15 +244,10 @@ class DramDevice:
         bank_ids = self.banks_in_rank(rank)
         if not self.can_refresh(rank, cycle):
             raise TimingViolation(f"rank {rank}: REF at cycle {cycle} illegal")
-        plane = self.timing_plane
-        if plane is not None:
-            # can_refresh above proved every bank idle: the per-bank block()
-            # calls collapse to one vectorized max over the rank slice.
-            target = plane.next_act[self._rank_slices[rank]]
-            np.maximum(target, cycle + self.timing.tRFC, out=target)
-        else:
-            for bank_id in bank_ids:
-                self.banks[bank_id].block(cycle, self.timing.tRFC)
+        # can_refresh above proved every bank idle: the per-bank block()
+        # calls collapse to one vectorized max over the rank slice.
+        target = self.timing_plane.next_act[self._rank_slices[rank]]
+        np.maximum(target, cycle + self.timing.tRFC, out=target)
         self.command_counts["REF"] += 1
         if self.mitigation is not None:
             self.mitigation.on_periodic_refresh(bank_ids, cycle)
@@ -316,7 +261,7 @@ class DramDevice:
         if not self.can_rfm(bank_ids, cycle):
             raise TimingViolation(f"RFM at cycle {cycle} illegal for banks {bank_ids}")
         plane = self.timing_plane
-        if plane is not None and len(bank_ids) == plane.num_banks:
+        if len(bank_ids) == plane.num_banks:
             # All-bank RFM, all banks proven idle: one vectorized max.
             np.maximum(plane.next_act, cycle + self.timing.tRFM, out=plane.next_act)
         else:

@@ -1,18 +1,14 @@
 """Structure-of-arrays storage for the per-bank timing registers.
 
-The object-backend :class:`~repro.dram.bank.Bank` keeps its timing registers
-(``_next_act`` / ``_next_pre`` / ``_next_rd`` / ``_next_wr``), the open row
-and the last-ACT cycle as Python attributes.  That layout is convenient but
-forces every controller readiness scan -- ``_demand_ready_cycle``, the
-postponed-REF sweep, the back-off recovery probe, the event-horizon hint --
-to walk 64 bank objects per channel in Python.
-
-:class:`BankArrayTiming` stores the same six registers as flat per-channel
-NumPy ``int64`` arrays indexed by *flat bank id*, so those scans become a
-handful of vectorized array passes.  The array-backend ``Bank`` is a thin
-view over one slot of a plane (see :mod:`repro.dram.bank`); the plane itself
-is owned by :class:`~repro.dram.device.DramDevice` and can be pre-allocated
-and pooled by the batch engine exactly like counter buffers.
+:class:`BankArrayTiming` stores the six per-bank registers -- the earliest
+legal cycle of each command class (``next_act`` / ``next_pre`` /
+``next_rd`` / ``next_wr``), the open row and the last-ACT cycle -- as flat
+per-channel NumPy ``int64`` arrays indexed by *flat bank id*.  A
+:class:`~repro.dram.bank.Bank` is a thin view over one slot of a plane; the
+controller's readiness scans and the device's REF/RFM predicates read the
+arrays directly instead of walking 64 bank objects per channel.  The plane
+itself is owned by :class:`~repro.dram.device.DramDevice` and can be
+pre-allocated and pooled by the batch engine exactly like counter buffers.
 
 Sentinels
 ---------
@@ -20,58 +16,24 @@ Sentinels
 ``open_row`` uses ``-1`` for "no open row" and ``last_act`` uses ``-1`` for
 "never activated"; real rows and cycles are non-negative, so the encoding is
 lossless.  Bank state needs no separate array: a bank is ACTIVE iff its
-``open_row`` slot is non-negative (the object backend maintains exactly this
-invariant between ``state`` and ``open_row``).
-
-Backend selection mirrors :mod:`repro.core.counters`: a
-``backend="object"|"array"`` constructor argument, ``None`` resolving to
-``$REPRO_BANK_BACKEND`` when set and to the array default otherwise.
+``open_row`` slot is non-negative.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Tuple
-
 import numpy as np
-
-#: Backend names accepted by :class:`repro.dram.bank.Bank` and
-#: :class:`repro.dram.device.DramDevice`.
-BANK_BACKENDS: Tuple[str, ...] = ("object", "array")
-
-#: Environment variable overriding the default backend (debugging aid and
-#: the CI differential-matrix switch).
-BANK_BACKEND_ENV = "REPRO_BANK_BACKEND"
-
-#: The default backend: the structure-of-arrays timing plane.
-DEFAULT_BANK_BACKEND = "array"
 
 #: ``open_row`` / ``last_act`` sentinel for "none".
 NO_ROW = -1
-
-
-def resolve_bank_backend(backend: Optional[str]) -> str:
-    """Resolve a ``backend`` constructor argument to a concrete name.
-
-    ``None`` selects ``$REPRO_BANK_BACKEND`` when set, otherwise
-    :data:`DEFAULT_BANK_BACKEND`.
-    """
-    if backend is None:
-        backend = os.environ.get(BANK_BACKEND_ENV) or DEFAULT_BANK_BACKEND
-    if backend not in BANK_BACKENDS:
-        raise ValueError(
-            f"unknown bank backend {backend!r}; expected one of {BANK_BACKENDS}"
-        )
-    return backend
 
 
 class BankArrayTiming:
     """Flat per-channel timing registers for ``num_banks`` banks.
 
     Every array is ``int64`` of length ``num_banks`` and indexed by flat
-    bank id.  The arrays are the single source of truth for the array
-    backend -- bank views read and write them directly, and the controller
-    kernels fold over them without touching bank objects.
+    bank id.  The arrays are the single source of truth -- bank views read
+    and write them directly, and the controller kernels scan them without
+    touching bank objects.
     """
 
     __slots__ = (
@@ -97,7 +59,8 @@ class BankArrayTiming:
         # Scalar-access twins: memoryview indexing reads and writes plain
         # Python ints at roughly half the cost of ndarray scalar indexing
         # and shares the ndarray buffer, so per-slot view accesses and the
-        # whole-plane vector folds always see the same registers.  The
+        # whole-plane NumPy updates (REF, all-bank RFM) always see the same
+        # registers.  The
         # arrays never reallocate (reset() fills in place), so the views
         # stay valid for the plane's lifetime.
         self.next_act_mv = memoryview(self.next_act)

@@ -19,16 +19,11 @@ this module attacks it in-process instead:
   decode table), and per-bank maximum-row extents that pre-size the
   mitigation counter arrays.
 * **Pooled buffers**: one LLC instance, one set of per-bank counter arrays
-  and -- under the array bank backend -- one set of per-channel
+  and one set of per-channel
   :class:`~repro.dram.timing_plane.BankArrayTiming` planes per group,
   recycled between configs (``Cache.reset``, ``release_count_buffers`` and
   the device's plane reset restore the pristine state; capacity is
   unobservable, so pooling is byte-identical to fresh allocation).
-* **Gated fast kernels**: each simulator in a batch runs with
-  ``fast_kernels=True`` (see
-  :class:`~repro.controller.controller.MemoryController`), enabling the
-  incremental demand-hint maintenance, the demand-scan skip and the cached
-  refresh-pending scan.  The scalar engine stays the untouched reference.
 
 Equivalence is pinned the same way the counter backends and the
 event-horizon engine are: ``tests/test_batch_equivalence.py`` asserts
@@ -50,7 +45,7 @@ from repro.controller.address_mapping import mapping_by_name
 from repro.core.counters import PerRowCounters
 from repro.cpu.cache import Cache
 from repro.dram.organization import DramAddress
-from repro.dram.timing_plane import BankArrayTiming, resolve_bank_backend
+from repro.dram.timing_plane import BankArrayTiming
 from repro.experiments.sweep import SimJob, build_job_traces
 from repro.system.metrics import SimulationResult
 from repro.system.simulator import SystemSimulator
@@ -260,7 +255,7 @@ class TracePlan:
 
 
 def execute_job_with_plan(job: SimJob, plan: TracePlan) -> SimulationResult:
-    """Run one job on the batch kernels, borrowing the plan's buffers."""
+    """Run one job on the plan's shared precomputation and pooled buffers."""
     oracle = None
     if job.attack is not None:
         oracle = DisturbanceOracle(
@@ -269,12 +264,7 @@ def execute_job_with_plan(job: SimJob, plan: TracePlan) -> SimulationResult:
             num_channels=job.config.organization.channels,
         )
     llc = plan.acquire_llc()
-    # Pooled timing planes only make sense for the array bank backend; when
-    # the environment pins the object backend (the CI differential leg),
-    # the simulator builds object banks exactly like the scalar engine.
-    planes = None
-    if resolve_bank_backend(None) == "array":
-        planes = plan.acquire_planes(job.config.organization.channels)
+    planes = plan.acquire_planes(job.config.organization.channels)
     sim = SystemSimulator(
         job.config,
         plan.traces,
@@ -283,7 +273,6 @@ def execute_job_with_plan(job: SimJob, plan: TracePlan) -> SimulationResult:
         llc=llc,
         decode_cache=plan.decode_cache,
         core_trace_data=plan.core_trace_data,
-        fast_kernels=True,
         timing_planes=planes,
     )
     # Pre-size the array-backed per-row counter stores from the decoded row
@@ -303,8 +292,7 @@ def execute_job_with_plan(job: SimJob, plan: TracePlan) -> SimulationResult:
         for channel, store in adopted:
             plan.release_counts(channel, store.release_count_buffers())
         plan.release_llc(llc)
-        if planes is not None:
-            plan.release_planes(planes)
+        plan.release_planes(planes)
     return result
 
 

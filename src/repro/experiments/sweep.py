@@ -917,7 +917,7 @@ class SweepEngine:
 
         Jobs are grouped by shared trace/topology (one report shard per
         batch group), each group runs on one set of precomputed trace
-        arrays and pooled buffers with the gated fast kernels enabled.
+        arrays and pooled buffers.
         """
         # Imported here: repro.experiments.batch imports this module.
         from repro.experiments.batch import plan_batches

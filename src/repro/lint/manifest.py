@@ -54,38 +54,30 @@ HOT_PATH_FUNCTIONS = {
         "MemoryController.tick",
         "MemoryController._next_event_hint",
         "MemoryController._fold_bank_hint",
+        "MemoryController._bank_demand_ready",
         "MemoryController._demand_ready_cycle",
         "MemoryController._service_demand",
-        # The structure-of-arrays twins (the array bank backend's kernels).
-        "MemoryController._next_event_hint_array",
-        "MemoryController._fold_bank_hint_array",
-        "MemoryController._bank_demand_ready_array",
-        "MemoryController._demand_ready_cycle_array",
-        "MemoryController._demand_ready_cycle_vector",
-        "MemoryController._fold_stream",
-        "MemoryController._service_demand_array",
-        "MemoryController._serve_request_array",
+        "MemoryController._serve_request",
     }),
     "src/repro/controller/scheduler.py": frozenset({
         "FrFcfsCapScheduler.choose",
         "FrFcfsCapScheduler.choose_from_buckets",
-        "FrFcfsCapScheduler.choose_from_buckets_array",
         "FrFcfsCapScheduler._arbitrate",
         "FrFcfsCapScheduler._arbitrate_bucketed",
         "FrFcfsCapScheduler.on_scheduled",
         "FrFcfsCapScheduler.on_row_closed",
     }),
     "src/repro/dram/bank.py": frozenset({
-        # The array bank view's per-command path: one memoryview indexing
+        # The bank view's per-command path: one memoryview indexing
         # operation per register access, nothing allocated per call.
-        "_ArrayBank.activate",
-        "_ArrayBank.precharge",
-        "_ArrayBank.read",
-        "_ArrayBank.write",
-        "_ArrayBank.can_activate",
-        "_ArrayBank.can_precharge",
-        "_ArrayBank.can_read",
-        "_ArrayBank.can_write",
+        "Bank.activate",
+        "Bank.precharge",
+        "Bank.read",
+        "Bank.write",
+        "Bank.can_activate",
+        "Bank.can_precharge",
+        "Bank.can_read",
+        "Bank.can_write",
     }),
     "src/repro/core/counters.py": frozenset({
         "_DictPerRowCounters.increment",

@@ -68,7 +68,6 @@ class SystemSimulator:
         llc: Optional[Cache] = None,
         decode_cache: Optional[Dict[int, tuple]] = None,
         core_trace_data: Optional[Sequence[tuple]] = None,
-        fast_kernels: bool = False,
         timing_planes: Optional[Sequence["BankArrayTiming"]] = None,
     ) -> None:
         if len(traces) != config.num_cores:
@@ -86,10 +85,10 @@ class SystemSimulator:
         #: harness asserts the event-driven path is byte-identical to it.
         self.strict_tick = strict_tick
         # Batch-mode hooks (see repro.experiments.batch): a pooled LLC, a
-        # shared address-decode table, pre-decomposed per-core trace arrays
-        # and the controllers' gated fast kernels.  All observably identical
-        # to the defaults -- the batch equivalence tests pin byte-equal
-        # results -- so scalar runs simply leave them unset.
+        # shared address-decode table and pre-decomposed per-core trace
+        # arrays.  All observably identical to the defaults -- the batch
+        # equivalence tests pin byte-equal results -- so scalar runs simply
+        # leave them unset.
         if llc is not None and (
             llc.size_bytes != config.llc_size_bytes
             or llc.associativity != config.llc_associativity
@@ -101,8 +100,6 @@ class SystemSimulator:
                 f"expected {len(traces)} per-core trace arrays, "
                 f"got {len(core_trace_data)}"
             )
-        self.fast_kernels = fast_kernels
-
         organization = config.organization
         self.num_channels = organization.channels
         # One mechanism instance per channel: counter tables, back-off state
@@ -126,8 +123,8 @@ class SystemSimulator:
             ),
         )
         # Batch-mode hook: pre-allocated per-channel timing planes (pooled
-        # like counter buffers).  Passing a plane implies the array backend;
-        # DramDevice resets it, so pooled history can never leak in.
+        # like counter buffers).  DramDevice resets each one, so pooled
+        # history can never leak in.
         if timing_planes is not None and len(timing_planes) != self.num_channels:
             raise ValueError(
                 f"expected {self.num_channels} timing planes, "
@@ -153,7 +150,6 @@ class SystemSimulator:
                 read_queue_size=config.read_queue_size,
                 write_queue_size=config.write_queue_size,
                 scheduler_cap=config.scheduler_cap,
-                fast_kernels=fast_kernels,
             )
             for device, setup in zip(self.devices, self.setups)
         ]
@@ -182,7 +178,6 @@ class SystemSimulator:
                 trace_data=(
                     core_trace_data[index] if core_trace_data is not None else None
                 ),
-                pooled_hits=fast_kernels,
             )
             for index, trace in enumerate(self.traces)
         ]

@@ -1,24 +1,23 @@
-"""Object/array bank-timing backend equivalence.
+"""Plane-backed bank view vs the attribute-per-register reference bank.
 
-The structure-of-arrays timing plane must be *observably identical* to the
-attribute-per-register reference bank: same legality decisions, same
-:class:`TimingViolation` classes and messages, same register trajectories,
-same stats -- byte for byte, so cached simulation results never depend on
-the backend.  Four layers pin that:
+The production :class:`~repro.dram.bank.Bank` is a view over one slot of a
+structure-of-arrays timing plane.  It must be *observably identical* to the
+simple reference model in ``tests/bank_reference.py``: same legality
+decisions, same :class:`TimingViolation` classes and messages, same register
+trajectories, same stats.  Four layers pin that:
 
-1. randomized command streams (Hypothesis) driven through an object/array
+1. randomized command streams (Hypothesis) driven through a reference/view
    bank pair, comparing every observable -- including raised violations --
    after every command;
 2. direct illegal-command coverage: every command class raises
-   :class:`TimingViolation` through the array backend, with the exact
-   object-backend message, for both its state violation and its too-early
-   timing violation;
-3. :class:`BankStats` totals (and ``merge`` results) identical across
-   backends after a mixed legal stream;
-4. the full-simulator property test: for all 12 mechanisms x 1,2 channels
-   the complete :class:`SimulationResult` payload is byte-identical across
-   backends (``REPRO_BANK_BACKEND`` toggles the default the device
-   resolves), plus the batch engine's pooled-plane path.
+   :class:`TimingViolation` through the view, with the exact reference
+   message, for both its state violation and its too-early timing
+   violation;
+3. :class:`BankStats` totals (and ``merge`` results) identical to the
+   reference after a mixed legal stream;
+4. plane adoption and pooling: a device resets an adopted plane, and the
+   batch engine's pooled (dirty) planes change no simulated number, for
+   every mechanism on one and two channels.
 """
 
 import json
@@ -30,27 +29,20 @@ from repro.core.factory import MECHANISM_NAMES
 from repro.dram.bank import Bank, BankStats, TimingViolation
 from repro.dram.device import DramDevice
 from repro.dram.timing import ddr5_3200an
-from repro.dram.timing_plane import (
-    BANK_BACKENDS,
-    DEFAULT_BANK_BACKEND,
-    NO_ROW,
-    BankArrayTiming,
-    resolve_bank_backend,
-)
+from repro.dram.timing_plane import NO_ROW, BankArrayTiming
 from repro.experiments.cache import result_to_dict
 from repro.experiments.sweep import build_job_traces, mechanism_job
 from repro.system.config import paper_system_config
 from repro.system.simulator import SystemSimulator, simulate
 
+from bank_reference import ObjectBank
+
 TIMING = ddr5_3200an()
 
 
 def make_pair():
-    """One bank per backend, same id and timing."""
-    return (
-        Bank(0, TIMING, backend="object"),
-        Bank(0, TIMING, backend="array"),
-    )
+    """A reference bank and a plane view, same id and timing."""
+    return ObjectBank(0, TIMING), Bank(0, TIMING)
 
 
 def observables(bank, cycle):
@@ -135,16 +127,16 @@ class TestDifferentialStreams:
         for op, row, gap in stream:
             cycle += gap
             apply_command(arr, op, row, cycle)
-            assert int(plane.next_act[0]) == arr._next_act
-            assert int(plane.next_pre[0]) == arr._next_pre
-            assert int(plane.next_rd[0]) == arr._next_rd
-            assert int(plane.next_wr[0]) == arr._next_wr
+            assert int(plane.next_act[0]) == arr.ready_cycle_for_activate()
+            assert int(plane.next_pre[0]) == arr.ready_cycle_for_precharge()
+            assert int(plane.next_rd[0]) == arr.ready_cycle_for_read()
+            assert int(plane.next_wr[0]) == arr.ready_cycle_for_write()
             open_row = arr.open_row
             assert int(plane.open_row[0]) == (NO_ROW if open_row is None else open_row)
 
 
 class TestArrayBackendViolations:
-    """Every illegal command class raises through the array backend."""
+    """Every illegal command class raises through the plane view."""
 
     @pytest.fixture()
     def open_pair(self):
@@ -211,7 +203,7 @@ class TestArrayBackendViolations:
 
 
 class TestBankStatsAcrossBackends:
-    """Stats counting and merge totals are backend-independent."""
+    """Stats counting and merge totals match the reference."""
 
     def _run_mixed_stream(self, bank):
         cycle = 0
@@ -236,11 +228,11 @@ class TestBankStatsAcrossBackends:
         self._run_mixed_stream(obj)
         self._run_mixed_stream(arr)
         totals = {}
-        for backend, bank in (("object", obj), ("array", arr)):
+        for name, bank in (("object", obj), ("array", arr)):
             merged = BankStats()
             merged.merge(bank.stats)
             merged.merge(bank.stats)
-            totals[backend] = (
+            totals[name] = (
                 merged.activations,
                 merged.precharges,
                 merged.reads,
@@ -252,51 +244,18 @@ class TestBankStatsAcrossBackends:
         assert totals["array"] == (6, 6, 6, 6, 12)
 
 
-class TestBackendResolution:
-    """Constructor argument, environment variable and plane adoption."""
+class TestPlaneAdoption:
+    """Shared planes: slot binding, size checks and reset on adoption."""
 
-    def test_default_is_array(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BANK_BACKEND", raising=False)
-        assert DEFAULT_BANK_BACKEND == "array"
-        assert resolve_bank_backend(None) == "array"
-        assert Bank(0, TIMING).backend == "array"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BANK_BACKEND", "object")
-        assert resolve_bank_backend(None) == "object"
-        assert Bank(0, TIMING).backend == "object"
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BANK_BACKEND", "object")
-        assert Bank(0, TIMING, backend="array").backend == "array"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown bank backend"):
-            resolve_bank_backend("linkedlist")
-        assert set(BANK_BACKENDS) == {"object", "array"}
-
-    def test_shared_plane_implies_array(self):
+    def test_shared_plane_view(self):
         plane = BankArrayTiming(4)
         bank = Bank(2, TIMING, plane=plane, index=2)
-        assert bank.backend == "array"
         bank.activate(9, 0)
         assert int(plane.open_row[2]) == 9
 
     def test_shared_plane_requires_index(self):
         with pytest.raises(ValueError, match="slot index"):
             Bank(0, TIMING, plane=BankArrayTiming(4))
-
-    def test_device_resolves_env(self, monkeypatch):
-        organization = paper_system_config().organization
-        monkeypatch.setenv("REPRO_BANK_BACKEND", "object")
-        device = DramDevice(organization, TIMING)
-        assert device.bank_backend == "object"
-        assert device.timing_plane is None
-        monkeypatch.delenv("REPRO_BANK_BACKEND", raising=False)
-        device = DramDevice(organization, TIMING)
-        assert device.bank_backend == "array"
-        assert device.timing_plane is not None
-        assert device.timing_plane.num_banks == organization.total_banks
 
     def test_device_rejects_mis_sized_plane(self):
         organization = paper_system_config().organization
@@ -339,29 +298,45 @@ class TestTimingPlane:
             BankArrayTiming(0)
 
 
-def _result_payload(mechanism, channels, backend, monkeypatch):
-    monkeypatch.setenv("REPRO_BANK_BACKEND", backend)
-    base = paper_system_config().with_overrides(channels=channels)
-    job = mechanism_job(base, ("429.mcf", "401.bzip2"), mechanism, 64, 300)
-    result = simulate(
-        job.config, build_job_traces(job), workload_name=job.workload_name
-    )
-    return json.dumps(result_to_dict(result), sort_keys=True)
+def _dirty_planes(total_banks, channels):
+    """Planes with junk in every register, as a pooled plane may hold."""
+    planes = [BankArrayTiming(total_banks) for _ in range(channels)]
+    for plane in planes:
+        plane.next_act.fill(31337)
+        plane.next_pre.fill(4242)
+        plane.next_rd.fill(777)
+        plane.next_wr.fill(999)
+        plane.open_row.fill(3)
+        plane.last_act.fill(12345)
+        assert not plane.is_pristine()
+    return planes
 
 
 class TestFullSimulationEquivalence:
-    """Byte-identical SimulationResult payloads across bank backends."""
+    """Pooled planes are observably identical to fresh ones."""
 
     @pytest.mark.parametrize("channels", (1, 2))
     @pytest.mark.parametrize("mechanism", MECHANISM_NAMES)
-    def test_payloads_identical(self, mechanism, channels, monkeypatch):
-        object_payload = _result_payload(mechanism, channels, "object", monkeypatch)
-        array_payload = _result_payload(mechanism, channels, "array", monkeypatch)
-        assert object_payload == array_payload
+    def test_payloads_identical(self, mechanism, channels):
+        """Every mechanism's payload is unchanged by dirty adopted planes."""
+        base = paper_system_config().with_overrides(channels=channels)
+        job = mechanism_job(base, ("429.mcf", "401.bzip2"), mechanism, 64, 300)
+        fresh = simulate(
+            job.config, build_job_traces(job), workload_name=job.workload_name
+        )
+        planes = _dirty_planes(job.config.organization.total_banks, channels)
+        pooled = SystemSimulator(
+            job.config,
+            build_job_traces(job),
+            workload_name=job.workload_name,
+            timing_planes=planes,
+        ).run()
+        assert json.dumps(result_to_dict(fresh), sort_keys=True) == json.dumps(
+            result_to_dict(pooled), sort_keys=True
+        )
 
-    def test_pooled_planes_identical_to_fresh(self, monkeypatch):
+    def test_pooled_planes_identical_to_fresh(self):
         """Pre-allocated (dirty) planes change nothing observable."""
-        monkeypatch.delenv("REPRO_BANK_BACKEND", raising=False)
         base = paper_system_config().with_overrides(channels=2)
         job = mechanism_job(base, ("429.mcf", "401.bzip2"), "PRAC-4", 64, 300)
         traces = build_job_traces(job)

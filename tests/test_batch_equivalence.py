@@ -1,9 +1,9 @@
 """Batch-vs-scalar engine equivalence.
 
 The batch-vectorized engine (:mod:`repro.experiments.batch`) shares trace
-arrays, a pre-decoded address table and pooled LLC / counter buffers across
-every config of a batch group, and enables the controller's gated fast
-kernels.  None of that may change a single simulated number: these tests pin
+arrays, a pre-decoded address table and pooled LLC / counter / timing-plane
+buffers across every config of a batch group.  None of that may change a
+single simulated number: these tests pin
 byte-identical :class:`~repro.system.metrics.SimulationResult` payloads
 against the untouched scalar engine -- the same standard
 ``tests/test_event_horizon.py`` holds the event-driven engine to against the

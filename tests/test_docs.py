@@ -124,21 +124,24 @@ class TestEntryDocuments:
         )
         for needle in (
             "Structure-of-arrays bank timing", "BankArrayTiming",
-            "REPRO_BANK_BACKEND", "memoryview", "TimingViolation",
+            "tests/bank_reference.py", "memoryview", "TimingViolation",
             "tests/test_bank_backends.py", "acquire_planes",
-            "_demand_ready_cycle_vector",
+            "_demand_ready_cycle", "Wake-hint caches",
         ):
             assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
+        for removed in ("REPRO_BANK_BACKEND", "fast_kernels"):
+            assert removed not in architecture, f"ARCHITECTURE.md names {removed!r}"
 
-    def test_experiments_doc_covers_bank_backend_and_readiness_scan(self):
+    def test_experiments_doc_covers_bank_timing_and_readiness_scan(self):
         experiments = (REPO_ROOT / "docs" / "EXPERIMENTS.md").read_text(
             encoding="utf-8"
         )
         for needle in (
-            "REPRO_BANK_BACKEND", "readiness_scan",
+            "_demand_ready_cycle", "readiness_scan",
             "structure-of-arrays-bank-timing",
         ):
             assert needle in experiments, f"EXPERIMENTS.md is missing {needle!r}"
+        assert "REPRO_BANK_BACKEND" not in experiments
 
     def test_experiment_and_attack_docs_mention_channels_knob(self):
         experiments = (REPO_ROOT / "docs" / "EXPERIMENTS.md").read_text(

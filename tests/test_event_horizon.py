@@ -7,8 +7,9 @@ properties that make the skipping *safe*:
 1. **Determinism harness** -- the event-driven path produces byte-identical
    :class:`~repro.system.metrics.SimulationResult` payloads to the
    cycle-stepped reference path (``strict_tick=True``) for every mechanism
-   on one and two channels.  A wake hint that fires late shows up here as a
-   payload mismatch.
+   on one and two channels, and for every acting mechanism on an attack
+   job where its back-offs, RFMs or victim refreshes fire.  A wake hint
+   that fires late shows up here as a payload mismatch.
 
 2. **Refresh fidelity** -- a time skip can never jump past a tREFI boundary:
    at every observed cycle the per-rank postponed-REF debt stays within the
@@ -24,12 +25,15 @@ from repro.core.factory import MECHANISM_NAMES
 from repro.cpu.trace import Trace, TraceEntry
 from repro.dram.refresh import RefreshScheduler
 from repro.experiments.cache import result_to_dict
-from repro.experiments.sweep import build_job_traces, mechanism_job
+from repro.experiments.sweep import attack_job, build_job_traces, mechanism_job
 from repro.system.config import paper_system_config
 from repro.system.simulator import SystemSimulator, simulate
 
 APPS = ("429.mcf", "401.bzip2")
 ACCESSES = 300
+#: Attack-job size at which every acting mechanism below acts at N_RH=20.
+ATTACK_BENIGN_ACCESSES = 50
+ATTACK_ACCESSES = 600
 
 
 def _payload(result) -> str:
@@ -53,6 +57,40 @@ class TestStrictTickDeterminism:
             workload_name=job.workload_name,
             strict_tick=True,
         )
+        assert _payload(event) == _payload(strict)
+
+    @pytest.mark.parametrize(
+        "mechanism, action",
+        (
+            ("PRAC-1", "backoffs_observed"),
+            ("PRAC-4", "backoffs_observed"),
+            ("Chronus", "backoffs_observed"),
+            ("Chronus-PB", "backoffs_observed"),
+            ("PRFM", "rfms"),
+            ("Graphene", "preventive_refresh_rows"),
+        ),
+    )
+    def test_acting_mechanism_matches_strict_tick(self, mechanism, action):
+        """The back-off, RFM and victim-refresh paths skip time exactly too.
+
+        The benign mixes above never trigger a mitigation at N_RH=64, so
+        this attack job at N_RH=20 covers the code that only runs when the
+        mechanism acts; the run must show the mechanism's action.
+        """
+        job = attack_job(
+            paper_system_config(), ("429.mcf",), mechanism, 20,
+            ATTACK_BENIGN_ACCESSES, ATTACK_ACCESSES,
+        )
+        event = simulate(
+            job.config, build_job_traces(job), workload_name=job.workload_name
+        )
+        strict = simulate(
+            job.config,
+            build_job_traces(job),
+            workload_name=job.workload_name,
+            strict_tick=True,
+        )
+        assert event.controller_stats[action] > 0
         assert _payload(event) == _payload(strict)
 
     def test_event_path_actually_skips(self):

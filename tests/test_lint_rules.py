@@ -767,15 +767,14 @@ def write_tree(root, files):
 
 
 CLEAN_TREE = {
-    # The committed manifest registers _ArrayBank's per-command path in
-    # this file, so the clean fixture must define every registered
-    # qualname (else the stale-entry detection fires, by design).
+    # The committed manifest registers Bank's per-command path in this
+    # file, so the clean fixture must define every registered qualname
+    # (else the stale-entry detection fires, by design).
     "src/repro/dram/bank.py": """\
         class Bank:
             def __init__(self):
                 self.open_row = None
 
-        class _ArrayBank:
             def activate(self, row, cycle):
                 return cycle
 
