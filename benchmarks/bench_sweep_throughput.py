@@ -8,8 +8,8 @@ Two quantities, maintained in ``BENCH_sweep_throughput.json``:
   simulator and compared against the committed PR 4 engine anchor (the
   ``reference.workloads`` wall-clock recorded in ``BENCH_hotpath.json``
   when the event-horizon engine landed).  This is the data-plane speedup
-  trajectory: PR 5's array-backed counter stores, allocation-free request
-  path and wake gating must keep it >= 1.4x over that anchor.
+  trajectory: the allocation-free request path and wake gating must keep
+  it >= 1.4x over that anchor.
 * **cold-sweep scaling** -- one declarative sweep executed twice from a
   cold cache: serially, then across the persistent work-stealing pool.
   Wall-clock for both, plus the warm re-run (which must be 100 % cached).
@@ -19,10 +19,8 @@ so the CI gate is the *same-run* relative speedup ``--min-parallel-speedup``
 (like bench_hotpath's ``--relative-gate``), with the honest caveat that
 parallel speedup is bounded by the physical core count -- the recorded
 ``cpu_count`` travels with every measurement.  On single-CPU machines,
-where no pool speedup is physically possible, the gate measures the
-in-process **batch engine** (``SweepEngine(batch=True)``) instead of
-skipping: batching is the lever that still works with one core, and its
-speedup is recorded and held to ``MIN_BATCH_SPEEDUP_1CPU``.
+where no pool speedup is physically possible, the gate is skipped with a
+note.
 
 Usage::
 
@@ -58,12 +56,6 @@ BENCH_JSON = os.path.join(
 #: Worker count of the recorded scaling measurement.
 DEFAULT_WORKERS = 8
 
-#: Floor for the batch-mode speedup that replaces the parallel gate on
-#: single-CPU machines.  Deliberately a backstop (batch must beat serial
-#: with margin), not the calibrated batch gate -- that lives in
-#: bench_batch_throughput.py, measured on the full quick figure sweep.
-MIN_BATCH_SPEEDUP_1CPU = 1.05
-
 
 def sweep_spec(quick: bool) -> SweepSpec:
     """The cold-sweep job set (a realistic mechanism-comparison sweep)."""
@@ -86,13 +78,11 @@ def sweep_spec(quick: bool) -> SweepSpec:
     )
 
 
-def run_cold_sweep(
-    spec: SweepSpec, workers: int, batch: bool = False
-) -> Dict[str, object]:
+def run_cold_sweep(spec: SweepSpec, workers: int) -> Dict[str, object]:
     """Execute ``spec`` from a cold on-disk cache; return timing + report."""
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as tmp:
         engine = SweepEngine(cache=ResultCache(os.path.join(tmp, "cache")),
-                             workers=workers, batch=batch)
+                             workers=workers)
         try:
             start = time.perf_counter()
             results = engine.run(spec)
@@ -234,57 +224,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"({parallel_speedup:.2f}x, cpu_count={cpu_count})"
     )
 
-    batch = None
-    batch_speedup = None
-    if cpu_count < 2:
-        # Process parallelism can't help here, so measure the in-process
-        # batch engine instead -- the lever that actually works on one CPU.
-        # Min-of-two passes for both sides of the ratio: the gated quick
-        # sweeps run in well under a second, where scheduler jitter alone
-        # can swamp a single measurement.
-        print(f"cold sweep ({label}): batch mode (single-CPU machine)...")
-        batch = run_cold_sweep(spec, workers=0, batch=True)
-        second = run_cold_sweep(spec, workers=0, batch=True)
-        if second["seconds"] < batch["seconds"]:
-            batch = second
-        serial_best = min(
-            serial["seconds"], run_cold_sweep(spec, workers=0)["seconds"]
-        )
-        batch_speedup = serial_best / batch["seconds"]
-        print(f"  batch:    {batch['seconds']:6.2f}s ({batch_speedup:.2f}x)")
-
     if not args.no_check:
         if serial["warm_executed"] or parallel["warm_executed"]:
             failures.append(
                 "warm re-run executed jobs: the cache did not serve the sweep"
             )
-        if batch is not None and batch["warm_executed"]:
-            failures.append(
-                "warm batch re-run executed jobs: the cache did not serve "
-                "the sweep"
-            )
         if args.min_parallel_speedup is not None:
             if cpu_count < 2:
-                # The pool gate is physically meaningless on one CPU, but
-                # the batch engine has no such excuse: it must at least
-                # beat serial.  The calibrated batch floor lives in
-                # bench_batch_throughput.py (--min-batch-speedup); this is
-                # the direction-of-travel backstop that replaces the old
-                # unconditional skip.
-                if batch_speedup < MIN_BATCH_SPEEDUP_1CPU:
-                    failures.append(
-                        f"single-CPU batch cold sweep only "
-                        f"{batch_speedup:.2f}x faster than serial (floor "
-                        f"{MIN_BATCH_SPEEDUP_1CPU:.2f}x; measured serial "
-                        f"{serial_best:.2f}s vs batch {batch['seconds']:.2f}s "
-                        f"over {serial['jobs']} jobs)"
-                    )
-                else:
-                    print(
-                        f"parallel gate: replaced by batch mode on this "
-                        f"single-CPU machine -- {batch_speedup:.2f}x >= "
-                        f"{MIN_BATCH_SPEEDUP_1CPU:.2f}x: OK"
-                    )
+                # No pool speedup is physically possible on one CPU.
+                print("parallel gate: skipped on this single-CPU machine")
             elif parallel_speedup < args.min_parallel_speedup:
                 failures.append(
                     f"parallel cold sweep only {parallel_speedup:.2f}x faster "
@@ -316,17 +264,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             "workers": args.workers,
             "cpu_count": cpu_count,
             "speedup": round(parallel_speedup, 3),
-            "batch_seconds": (
-                round(batch["seconds"], 3) if batch is not None else None
-            ),
-            "batch_speedup": (
-                round(batch_speedup, 3) if batch_speedup is not None else None
-            ),
             "note": (
                 "parallel speedup is bounded by cpu_count; on a 1-CPU "
                 "machine the honest measurement is ~1.0x regardless of the "
-                "worker count, and the in-process batch engine "
-                "(batch_speedup) is the measurement that matters"
+                "worker count"
             ),
         }
         bench.setdefault("trajectory", []).append(
@@ -340,9 +281,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     if single_run else None
                 ),
                 "cold_sweep_speedup": round(parallel_speedup, 3),
-                "batch_speedup": (
-                    round(batch_speedup, 3) if batch_speedup is not None else None
-                ),
                 "cpu_count": cpu_count,
                 "python": platform.python_version(),
             }

@@ -7,9 +7,7 @@ Subcommands:
     through the :class:`~repro.experiments.sweep.SweepEngine`, printing the
     aggregated mechanism comparison.  ``--dry-run`` lists the expanded jobs
     (and whether each is already cached) without simulating anything;
-    ``--workers N`` executes missing jobs across N worker processes and
-    ``--batch`` runs them through the in-process batch-vectorized engine
-    instead (fastest on single-CPU machines).
+    ``--workers N`` executes missing jobs across N worker processes.
 
 ``cache``
     Inspect (``cache info``) or wipe (``cache clear``) the on-disk result
@@ -130,12 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None, metavar="N",
         help="worker processes (default: $REPRO_SWEEP_WORKERS, else one per "
              "CPU up to 8; values below 2 run serially)",
-    )
-    sweep.add_argument(
-        "--batch", action="store_true",
-        help="run missing jobs through the in-process batch-vectorized "
-             "engine (shared trace precomputation + pooled buffers; "
-             "byte-identical results, fastest on single-CPU machines)",
     )
     sweep.add_argument(
         "--cache-dir", default=None, metavar="PATH",
@@ -348,10 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
              "$REPRO_SWEEP_WORKERS, else serial)",
     )
     serve.add_argument(
-        "--batch", action="store_true",
-        help="execute jobs through the in-process batch-vectorized engine",
-    )
-    serve.add_argument(
         "--queue-depth", type=int, default=32, metavar="N",
         help="bounded job-queue depth; overflow answers 429 (default: 32)",
     )
@@ -494,7 +482,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    engine = SweepEngine(cache=cache, workers=workers, batch=args.batch)
+    engine = SweepEngine(cache=cache, workers=workers)
     try:
         base_config = paper_system_config().with_overrides(channels=args.channels)
     except ValueError as error:
@@ -530,7 +518,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(
             f"\ndry run: {len(jobs)} jobs ({spec.num_points()} sweep points, "
             f"{cached} cached, {len(jobs) - cached} to simulate, "
-            f"workers={workers}{', batch' if args.batch else ''}, "
+            f"workers={workers}, "
             f"cache={cache.directory or 'memory-only'})"
         )
         return 0
@@ -970,7 +958,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = SimulationService.build(
         cache_dir=cache_dir,
         workers=workers,
-        batch=args.batch,
         max_queue_depth=args.queue_depth,
         per_client_active=args.client_cap,
         rate=args.rate,

@@ -16,7 +16,7 @@ bit-for-bit (the golden regression tests pin this).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.controller.address_mapping import AddressMapping
 from repro.controller.controller import FAR_FUTURE, MemoryController
@@ -33,18 +33,11 @@ class ChannelRouter:
         self,
         mapping: AddressMapping,
         controllers: Sequence[MemoryController],
-        decode_cache: Optional[Dict[int, Tuple]] = None,
     ) -> None:
         if not controllers:
             raise ValueError("at least one memory controller is required")
         self.mapping = mapping
         self.controllers: List[MemoryController] = list(controllers)
-        # Optional shared address -> (DramAddress, flat_bank) table.  The
-        # batch engine pre-decodes every trace line once per group (the
-        # mapping is pure bit shuffling, so decoded coordinates are reusable
-        # across configs); the dict doubles as a memo for any address the
-        # precomputation missed.
-        self._decode_cache = decode_cache
         expected = mapping.organization.channels
         if len(self.controllers) != expected:
             raise ValueError(
@@ -78,17 +71,8 @@ class ChannelRouter:
         """Decode, route and enqueue a demand request; False if the target
         channel's queue is full."""
         if request.dram is None:
-            cache = self._decode_cache
-            if cache is not None:
-                entry = cache.get(request.address)
-                if entry is None:
-                    dram = self.mapping.decode(request.address)
-                    entry = (dram, dram.flat_bank(self.mapping.organization))
-                    cache[request.address] = entry
-                request.dram, request.bank_id = entry
-            else:
-                request.dram = self.mapping.decode(request.address)
-                request.bank_id = request.dram.flat_bank(self.mapping.organization)
+            request.dram = self.mapping.decode(request.address)
+            request.bank_id = request.dram.flat_bank(self.mapping.organization)
         channel = request.dram.channel
         accepted = self.controllers[channel].enqueue(request)
         if accepted:

@@ -14,22 +14,14 @@ bank whose RAV bit is set.
 
 Appendix C of the Chronus paper compares Chronus against ABACuS using
 ABACuS's own address mapping.
-
-Backends: the ``"dict"`` reference keeps a dict of :class:`SiblingEntry`
-objects with RAVs as Python sets; the ``"array"`` backend (default) keeps
-index-slot parallel lists with the RAV as a plain bitmask int (bit ``b`` =
-bank ``b``), insertion-stamped slots for dict-identical eviction ties, and a
-slot freelist.  Victim fan-out iterates RAV bits in ascending bank order,
-matching the reference's sorted-set iteration bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
-from repro.core.counters import resolve_backend
 from repro.core.mitigation import (
     DEFAULT_BLAST_RADIUS,
     ControllerMitigation,
@@ -61,7 +53,6 @@ class ABACuS(ControllerMitigation):
         reset_window_activations: Optional[int] = None,
         table_entries: Optional[int] = None,
         blast_radius: int = DEFAULT_BLAST_RADIUS,
-        backend: Optional[str] = None,
     ) -> None:
         """Create an ABACuS instance.
 
@@ -74,8 +65,6 @@ class ABACuS(ControllerMitigation):
             table_entries: number of sibling counters (defaults to the
                 Misra-Gries bound ``window / threshold``).
             blast_radius: victim rows on each side of an aggressor.
-            backend: counter-store backend ("dict" / "array"; None resolves
-                to the module default, array).
         """
         super().__init__(nrh, blast_radius)
         if num_banks <= 0:
@@ -90,25 +79,11 @@ class ABACuS(ControllerMitigation):
                 1, math.ceil(reset_window_activations / self.trigger_threshold) + 1
             )
         self.table_entries = table_entries
-        self.backend = resolve_backend(backend)
         self._spillover = 0
-        if self.backend == "array":
-            # Slot storage grows by appending (benign workloads rarely fill
-            # the provisioned table); a slot, once allocated, is always live
-            # -- Misra-Gries only replaces in place when full.
-            self._rows: List[int] = []
-            self._counts: List[int] = []
-            self._last_trigger: List[int] = []
-            self._rav: List[int] = []
-            self._seq: List[int] = []
-            self._slot_of: Dict[int, int] = {}
-            self._next_seq = 0
-            self.on_activate = self._on_activate_array  # type: ignore[method-assign]
-        else:
-            self._table: Dict[int, SiblingEntry] = {}
+        self._table: Dict[int, SiblingEntry] = {}
 
     # ------------------------------------------------------------------ #
-    # Observation hooks -- dict backend (reference)
+    # Observation hooks
     # ------------------------------------------------------------------ #
     def on_activate(self, bank_id: int, row: int, cycle: int) -> None:
         self.stats.tracked_activations += 1
@@ -160,138 +135,23 @@ class ABACuS(ControllerMitigation):
             )
         entry.rav = set()
 
-    # ------------------------------------------------------------------ #
-    # Observation hooks -- array backend (bitmask RAVs, index slots)
-    # ------------------------------------------------------------------ #
-    def _on_activate_array(self, bank_id: int, row: int, cycle: int) -> None:
-        self.stats.tracked_activations += 1
-        slot = self._slot_of.get(row)
-        counts = self._counts
-        if slot is None:
-            if len(counts) < self.table_entries:
-                slot = len(counts)
-                self._append(row, self._spillover, self._spillover)
-            else:
-                self._spillover += 1
-                spill = self._spillover
-                lowest = min(counts)
-                if spill < lowest:
-                    # Absorbed by the spillover counter: the ephemeral
-                    # entry's trigger delta is zero, so nothing can fire and
-                    # its RAV update is discarded (reference behaviour).
-                    return
-                slot = self._evict_slot(lowest)
-                del self._slot_of[self._rows[slot]]
-                self._spillover, inherited = lowest, spill
-                self._install(slot, row, inherited, inherited)
-        rav = self._rav
-        bit = 1 << bank_id
-        if rav[slot] & bit:
-            count = counts[slot] + 1
-            counts[slot] = count
-            rav[slot] = bit
-        else:
-            rav[slot] |= bit
-            count = counts[slot]
-        if count - self._last_trigger[slot] >= self.trigger_threshold:
-            self._last_trigger[slot] = count
-            self._refresh_siblings_array(slot)
-
-    def _append(self, row: int, count: int, last_trigger: int) -> None:
-        self._slot_of[row] = len(self._rows)
-        self._rows.append(row)
-        self._counts.append(count)
-        self._last_trigger.append(last_trigger)
-        self._rav.append(0)
-        self._seq.append(self._next_seq)
-        self._next_seq += 1
-
-    def _install(self, slot: int, row: int, count: int, last_trigger: int) -> None:
-        self._slot_of[row] = slot
-        self._rows[slot] = row
-        self._counts[slot] = count
-        self._last_trigger[slot] = last_trigger
-        self._rav[slot] = 0
-        self._seq[slot] = self._next_seq
-        self._next_seq += 1
-
-    def _evict_slot(self, lowest: int) -> int:
-        """Slot holding ``lowest`` with the smallest insertion stamp."""
-        counts = self._counts
-        slot = counts.index(lowest)
-        if counts.count(lowest) > 1:
-            seq = self._seq
-            for other in range(slot + 1, len(counts)):
-                if counts[other] == lowest and seq[other] < seq[slot]:
-                    slot = other
-        return slot
-
-    def _refresh_siblings_array(self, slot: int) -> None:
-        mask = self._rav[slot]
-        row = self._rows[slot]
-        num_rows = self.victim_rows_per_aggressor
-        queue_refresh = self.queue_refresh
-        if mask:
-            bank_id = 0
-            while mask:
-                if mask & 1:
-                    queue_refresh(
-                        PreventiveRefresh(
-                            bank_id=bank_id, aggressor_row=row, num_rows=num_rows
-                        )
-                    )
-                mask >>= 1
-                bank_id += 1
-        else:
-            for bank_id in range(self.num_banks):
-                queue_refresh(
-                    PreventiveRefresh(
-                        bank_id=bank_id, aggressor_row=row, num_rows=num_rows
-                    )
-                )
-        self._rav[slot] = 0
-
     def on_refresh_window(self, cycle: int) -> None:
         self._reset_table()
 
     def _reset_table(self) -> None:
         self._spillover = 0
-        if self.backend == "array":
-            self._rows.clear()
-            self._counts.clear()
-            self._last_trigger.clear()
-            self._rav.clear()
-            self._seq.clear()
-            self._slot_of.clear()
-            self._next_seq = 0
-        else:
-            self._table.clear()
+        self._table.clear()
 
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
     @property
     def spillover(self) -> int:
-        """Current spillover-counter value (backend-agnostic view)."""
+        """Current spillover-counter value."""
         return self._spillover
 
     def sibling_entries(self) -> Dict[int, SiblingEntry]:
-        """Snapshot of the tracked sibling counters, keyed by row address.
-
-        RAVs are materialised as sets in both backends, so inspection code
-        and tests are backend-agnostic.
-        """
-        if self.backend == "array":
-            return {
-                row: SiblingEntry(
-                    row=row,
-                    count=self._counts[slot],
-                    rav={b for b in range(self.num_banks)
-                         if self._rav[slot] >> b & 1},
-                    last_trigger=self._last_trigger[slot],
-                )
-                for row, slot in self._slot_of.items()
-            }
+        """The tracked sibling counters, keyed by row address."""
         return self._table
 
     def storage_overhead_bits(self, num_banks: int, rows_per_bank: int) -> Dict[str, int]:

@@ -15,339 +15,53 @@ This module provides:
 * :class:`AggressorTrackingTable` -- the small per-bank table used to find
   the rows with the highest activation counts during an RFM (§3).
 
-Counter-store backends
-----------------------
-
-Every store comes in two interchangeable backends selected by the
-``backend`` constructor argument (see :func:`resolve_backend`):
-
-* ``"dict"`` -- the original sparse mapping layout (simple, the reference
-  implementation the equivalence tests compare against), and
-* ``"array"`` -- flat per-bank arrays with explicit insertion-order
-  bookkeeping and slot/freelist storage, the default.  Reads and increments
-  are plain list indexing instead of hashing, and
-  :meth:`PerRowCounters.rows_at_or_above` answers its common negative case
-  in O(1) from power-of-two *threshold buckets* (a 64-entry histogram of
-  counter bit-lengths: no bucket at or above ``threshold.bit_length()``
-  occupied means no counter can reach ``threshold``).
-
-The two backends are *observably identical* -- same values, same victim
-sets, same iteration and eviction order (ties broken by insertion order,
-exactly like dict iteration) -- which the property tests in
-``tests/test_counter_backends.py`` pin, and which lets cached simulation
-results stay byte-for-byte stable across backends.
+The stores are sparse (one dict per bank), so memory follows the rows a
+trace touches rather than the highest row address it reaches.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
-
-#: Backend names accepted by every counter store in :mod:`repro.core`.
-COUNTER_BACKENDS: Tuple[str, ...] = ("dict", "array")
-
-#: Environment variable overriding the default backend (debugging aid).
-COUNTER_BACKEND_ENV = "REPRO_COUNTER_BACKEND"
-
-#: The default backend: flat arrays.
-DEFAULT_COUNTER_BACKEND = "array"
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Resolve a ``backend`` constructor argument to a concrete name.
-
-    ``None`` selects ``$REPRO_COUNTER_BACKEND`` when set, otherwise
-    :data:`DEFAULT_COUNTER_BACKEND`.
-    """
-    if backend is None:
-        backend = os.environ.get(COUNTER_BACKEND_ENV) or DEFAULT_COUNTER_BACKEND
-    if backend not in COUNTER_BACKENDS:
-        raise ValueError(
-            f"unknown counter backend {backend!r}; expected one of {COUNTER_BACKENDS}"
-        )
-    return backend
 
 
 class PerRowCounters:
     """Per-bank, per-row activation counters.
 
     A real device allocates a counter for every row; the simulator only
-    materialises state for activated rows.  Constructing this class returns
-    the implementation selected by ``backend`` (both are subclasses, so
-    ``isinstance(store, PerRowCounters)`` holds either way).
+    materialises state for activated rows.  Each bank's counters live in a
+    ``Dict[int, int]``, iterated in insertion order.
     """
 
-    #: Concrete backend name ("dict" or "array"), set on the subclasses.
-    backend = "abstract"
-
-    def __new__(cls, num_banks: int, backend: Optional[str] = None):
-        if cls is PerRowCounters:
-            cls = (
-                _ArrayPerRowCounters
-                if resolve_backend(backend) == "array"
-                else _DictPerRowCounters
-            )
-        return object.__new__(cls)
-
-    def __init__(self, num_banks: int, backend: Optional[str] = None) -> None:
+    def __init__(self, num_banks: int) -> None:
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
         self.num_banks = num_banks
-
-    # -- interface (implemented by both backends) ------------------------ #
-    def increment(self, bank_id: int, row: int) -> int:
-        """Increment and return the activation count of (bank, row)."""
-        raise NotImplementedError
-
-    def get(self, bank_id: int, row: int) -> int:
-        """Return the activation count of (bank, row)."""
-        raise NotImplementedError
-
-    def reset_row(self, bank_id: int, row: int) -> None:
-        """Reset the counter of a single row (after its victims are refreshed)."""
-        raise NotImplementedError
-
-    def reset_bank(self, bank_id: int) -> None:
-        """Reset all counters of a bank."""
-        raise NotImplementedError
-
-    def reset_all(self) -> None:
-        """Reset every counter (refresh-window boundary)."""
-        for bank_id in range(self.num_banks):
-            self.reset_bank(bank_id)
-
-    def rows_at_or_above(self, bank_id: int, threshold: int) -> List[int]:
-        """Rows of a bank whose count is >= threshold (insertion order)."""
-        raise NotImplementedError
-
-    def max_row(self, bank_id: int) -> Optional[Tuple[int, int]]:
-        """Return (row, count) with the maximum count in a bank, or None."""
-        raise NotImplementedError
-
-    def nonzero_rows(self, bank_id: int) -> int:
-        """Number of rows with a non-zero counter in a bank."""
-        raise NotImplementedError
-
-    def iter_bank(self, bank_id: int) -> Iterator[Tuple[int, int]]:
-        """Iterate over (row, count) pairs of a bank (insertion order)."""
-        raise NotImplementedError
-
-    # -- batch-mode buffer pooling (array backend only) ------------------- #
-    def adopt_count_buffers(self, buffers: List[List[int]]) -> None:
-        """Adopt preallocated all-zero per-bank count arrays (array backend).
-
-        The batch engine sizes the arrays from the sweep's decoded trace
-        rows, so the lazy power-of-two growth never runs during the
-        simulation, and recycles them across the configs of a batch group.
-        Capacity is unobservable (``reset_bank`` touches only live rows), so
-        an adopted store is byte-identical to a freshly grown one.
-        """
-        raise NotImplementedError(f"{self.backend!r} backend does not pool buffers")
-
-    def release_count_buffers(self) -> List[List[int]]:
-        """Reset every counter and detach the per-bank arrays for reuse."""
-        raise NotImplementedError(f"{self.backend!r} backend does not pool buffers")
-
-
-class _DictPerRowCounters(PerRowCounters):
-    """The original sparse ``Dict[int, int]`` backend (reference layout)."""
-
-    backend = "dict"
-
-    def __init__(self, num_banks: int, backend: Optional[str] = None) -> None:
-        super().__init__(num_banks)
         self._counters: List[Dict[int, int]] = [dict() for _ in range(num_banks)]
 
     def increment(self, bank_id: int, row: int) -> int:
+        """Increment and return the activation count of (bank, row)."""
         counters = self._counters[bank_id]
         value = counters.get(row, 0) + 1
         counters[row] = value
         return value
 
     def get(self, bank_id: int, row: int) -> int:
+        """Return the activation count of (bank, row)."""
         return self._counters[bank_id].get(row, 0)
 
     def reset_row(self, bank_id: int, row: int) -> None:
+        """Reset the counter of a single row (after its victims are refreshed)."""
         self._counters[bank_id].pop(row, None)
 
-    def reset_bank(self, bank_id: int) -> None:
-        self._counters[bank_id].clear()
-
     def reset_all(self) -> None:
+        """Reset every counter (refresh-window boundary)."""
         for counters in self._counters:
             counters.clear()
 
-    def rows_at_or_above(self, bank_id: int, threshold: int) -> List[int]:
-        return [row for row, count in self._counters[bank_id].items() if count >= threshold]
-
-    def max_row(self, bank_id: int) -> Optional[Tuple[int, int]]:
-        counters = self._counters[bank_id]
-        if not counters:
-            return None
-        row = max(counters, key=counters.__getitem__)
-        return row, counters[row]
-
-    def nonzero_rows(self, bank_id: int) -> int:
-        return len(self._counters[bank_id])
-
     def iter_bank(self, bank_id: int) -> Iterator[Tuple[int, int]]:
+        """Iterate over (row, count) pairs of a bank (insertion order)."""
         return iter(self._counters[bank_id].items())
-
-
-#: Width of the per-bank threshold-bucket histogram: counters are Python
-#: ints but activation counts stay far below 2**63 in any simulation.
-_BUCKET_BITS = 64
-
-
-class _ArrayPerRowCounters(PerRowCounters):
-    """Flat array backend with insertion-order and threshold-bucket indexes.
-
-    Per bank:
-
-    * ``counts`` -- a lazily grown flat list indexed by row (power-of-two
-      growth, so a handful of ``extend`` calls cover any trace),
-    * ``order`` / ``pos`` -- explicit insertion-order bookkeeping with lazy
-      tombstones, replicating dict iteration order exactly (including a
-      reset row re-entering at the back on its next activation),
-    * ``buckets`` -- the count-bit-length histogram behind the O(1)
-      :meth:`rows_at_or_above` negative fast path.
-    """
-
-    backend = "array"
-
-    #: Tombstone fraction of the order list that triggers compaction.
-    _COMPACT_MIN_HOLES = 16
-
-    def __init__(self, num_banks: int, backend: Optional[str] = None) -> None:
-        super().__init__(num_banks)
-        self._counts: List[List[int]] = [[] for _ in range(num_banks)]
-        # Row -> index into the order list, *active rows only* (a dict: the
-        # flat count array spans the whole row space but only a few hundred
-        # rows are ever live, so a parallel flat array would double the
-        # growth churn for nothing).
-        self._pos: List[Dict[int, int]] = [dict() for _ in range(num_banks)]
-        self._order: List[List[int]] = [[] for _ in range(num_banks)]
-        self._holes: List[int] = [0] * num_banks
-        self._active: List[int] = [0] * num_banks
-        self._buckets: List[List[int]] = [[0] * _BUCKET_BITS for _ in range(num_banks)]
-
-    def _grow(self, bank_id: int, row: int) -> None:
-        counts = self._counts[bank_id]
-        size = len(counts)
-        new_size = max(row + 1, size * 4, 1024)
-        counts.extend([0] * (new_size - size))
-
-    def increment(self, bank_id: int, row: int) -> int:
-        counts = self._counts[bank_id]
-        if row >= len(counts):
-            self._grow(bank_id, row)
-            counts = self._counts[bank_id]
-        value = counts[row] + 1
-        counts[row] = value
-        buckets = self._buckets[bank_id]
-        if value == 1:
-            order = self._order[bank_id]
-            self._pos[bank_id][row] = len(order)
-            order.append(row)
-            self._active[bank_id] += 1
-            buckets[1] += 1
-        elif not value & (value - 1):
-            # The count crossed a power of two: move it up one bucket.
-            length = value.bit_length()
-            buckets[length - 1] -= 1
-            buckets[length] += 1
-        return value
-
-    def get(self, bank_id: int, row: int) -> int:
-        counts = self._counts[bank_id]
-        if row >= len(counts):
-            return 0
-        return counts[row]
-
-    def reset_row(self, bank_id: int, row: int) -> None:
-        counts = self._counts[bank_id]
-        if row >= len(counts):
-            return
-        value = counts[row]
-        if not value:
-            return
-        counts[row] = 0
-        self._buckets[bank_id][value.bit_length()] -= 1
-        index = self._pos[bank_id].pop(row)
-        self._order[bank_id][index] = -1
-        self._active[bank_id] -= 1
-        holes = self._holes[bank_id] + 1
-        self._holes[bank_id] = holes
-        order = self._order[bank_id]
-        if holes > self._COMPACT_MIN_HOLES and holes * 2 > len(order):
-            self._compact(bank_id)
-
-    def _compact(self, bank_id: int) -> None:
-        pos = self._pos[bank_id]
-        compacted = [row for row in self._order[bank_id] if row >= 0]
-        for index, row in enumerate(compacted):
-            pos[row] = index
-        self._order[bank_id] = compacted
-        self._holes[bank_id] = 0
-
-    def reset_bank(self, bank_id: int) -> None:
-        counts = self._counts[bank_id]
-        for row in self._order[bank_id]:
-            if row >= 0:
-                counts[row] = 0
-        self._pos[bank_id].clear()
-        self._order[bank_id] = []
-        self._holes[bank_id] = 0
-        self._active[bank_id] = 0
-        self._buckets[bank_id] = [0] * _BUCKET_BITS
-
-    def rows_at_or_above(self, bank_id: int, threshold: int) -> List[int]:
-        if threshold > 0:
-            # Threshold buckets: a count >= threshold needs at least
-            # threshold.bit_length() bits, so empty upper buckets answer the
-            # (common) negative case without touching a single row.
-            buckets = self._buckets[bank_id]
-            if not any(buckets[threshold.bit_length():]):
-                return []
-        counts = self._counts[bank_id]
-        return [
-            row for row in self._order[bank_id]
-            if row >= 0 and counts[row] >= threshold
-        ]
-
-    def max_row(self, bank_id: int) -> Optional[Tuple[int, int]]:
-        counts = self._counts[bank_id]
-        best_row = -1
-        best_count = 0
-        for row in self._order[bank_id]:
-            # Strict comparison keeps the first-inserted row on ties,
-            # matching max() over dict insertion order.
-            if row >= 0 and counts[row] > best_count:
-                best_row, best_count = row, counts[row]
-        if best_row < 0:
-            return None
-        return best_row, best_count
-
-    def nonzero_rows(self, bank_id: int) -> int:
-        return self._active[bank_id]
-
-    def iter_bank(self, bank_id: int) -> Iterator[Tuple[int, int]]:
-        counts = self._counts[bank_id]
-        return ((row, counts[row]) for row in self._order[bank_id] if row >= 0)
-
-    def adopt_count_buffers(self, buffers: List[List[int]]) -> None:
-        if len(buffers) != self.num_banks:
-            raise ValueError(
-                f"expected {self.num_banks} per-bank buffers, got {len(buffers)}"
-            )
-        self._counts = buffers
-
-    def release_count_buffers(self) -> List[List[int]]:
-        self.reset_all()
-        buffers = self._counts
-        self._counts = [[] for _ in range(self.num_banks)]
-        return buffers
 
 
 @dataclass(frozen=True)
@@ -418,69 +132,16 @@ class AggressorTrackingTable:
 
     During an RFM, the entry with the *maximum* count is invalidated and its
     victims refreshed.
-
-    Backends: ``"dict"`` keeps the original list-of-entry-objects layout;
-    ``"array"`` (default) keeps parallel row/count/valid slot lists with a
-    row-to-slot index (O(1) update instead of a linear scan -- this runs on
-    every precharge under PRAC) and a sorted freelist of invalidated slots,
-    so slot reuse matches the reference first-invalid-slot scan exactly.
     """
 
-    backend = "abstract"
-
-    def __new__(cls, num_entries: int = 4, backend: Optional[str] = None):
-        if cls is AggressorTrackingTable:
-            cls = (
-                _ArrayAggressorTrackingTable
-                if resolve_backend(backend) == "array"
-                else _DictAggressorTrackingTable
-            )
-        return object.__new__(cls)
-
-    def __init__(self, num_entries: int = 4, backend: Optional[str] = None) -> None:
+    def __init__(self, num_entries: int = 4) -> None:
         if num_entries <= 0:
             raise ValueError("num_entries must be positive")
         self.num_entries = num_entries
-
-    # -- interface -------------------------------------------------------- #
-    def update(self, row: int, count: int) -> None:
-        """Update the table after ``row`` was precharged with ``count``."""
-        raise NotImplementedError
-
-    def max_entry(self) -> Optional[AttEntry]:
-        """Return the valid entry with the maximum count (or None)."""
-        raise NotImplementedError
-
-    def invalidate(self, row: int) -> None:
-        """Invalidate the entry tracking ``row`` (after its victims refresh)."""
-        raise NotImplementedError
-
-    def valid_entries(self) -> List[AttEntry]:
-        """Return all valid entries (highest count first)."""
-        raise NotImplementedError
-
-    def tracked_rows(self) -> List[int]:
-        """Rows currently tracked by valid entries."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Invalidate every entry."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class _DictAggressorTrackingTable(AggressorTrackingTable):
-    """The original list-of-:class:`AttEntry` backend (reference layout)."""
-
-    backend = "dict"
-
-    def __init__(self, num_entries: int = 4, backend: Optional[str] = None) -> None:
-        super().__init__(num_entries)
         self._entries: List[AttEntry] = []
 
     def update(self, row: int, count: int) -> None:
+        """Update the table after ``row`` was precharged with ``count``."""
         for entry in self._entries:
             if entry.valid and entry.row == row:
                 entry.count = count
@@ -501,18 +162,21 @@ class _DictAggressorTrackingTable(AggressorTrackingTable):
             lowest.count = count
 
     def max_entry(self) -> Optional[AttEntry]:
+        """Return the valid entry with the maximum count (or None)."""
         valid = [entry for entry in self._entries if entry.valid]
         if not valid:
             return None
         return max(valid, key=lambda e: e.count)
 
     def invalidate(self, row: int) -> None:
+        """Invalidate the entry tracking ``row`` (after its victims refresh)."""
         for entry in self._entries:
             if entry.valid and entry.row == row:
                 entry.valid = False
                 return
 
     def valid_entries(self) -> List[AttEntry]:
+        """Return all valid entries (highest count first)."""
         return sorted(
             (entry for entry in self._entries if entry.valid),
             key=lambda e: e.count,
@@ -520,113 +184,12 @@ class _DictAggressorTrackingTable(AggressorTrackingTable):
         )
 
     def tracked_rows(self) -> List[int]:
+        """Rows currently tracked by valid entries."""
         return [entry.row for entry in self._entries if entry.valid]
 
     def clear(self) -> None:
+        """Invalidate every entry."""
         self._entries.clear()
 
     def __len__(self) -> int:
         return len([entry for entry in self._entries if entry.valid])
-
-
-class _ArrayAggressorTrackingTable(AggressorTrackingTable):
-    """Slot-array backend: parallel lists, row index and sorted freelist."""
-
-    backend = "array"
-
-    def __init__(self, num_entries: int = 4, backend: Optional[str] = None) -> None:
-        super().__init__(num_entries)
-        self._rows: List[int] = []
-        self._counts: List[int] = []
-        self._valid: List[bool] = []
-        #: Row -> slot index, valid rows only.
-        self._slot_of: Dict[int, int] = {}
-        #: Invalidated slot indexes, kept sorted so reuse picks the lowest
-        #: slot -- identical to the reference first-invalid-slot scan.
-        self._free: List[int] = []
-
-    def update(self, row: int, count: int) -> None:
-        slot = self._slot_of.get(row)
-        if slot is not None:
-            self._counts[slot] = count
-            return
-        rows = self._rows
-        if len(rows) < self.num_entries:
-            self._slot_of[row] = len(rows)
-            rows.append(row)
-            self._counts.append(count)
-            self._valid.append(True)
-            return
-        free = self._free
-        if free:
-            slot = free.pop(0)
-            self._slot_of[row] = slot
-            rows[slot] = row
-            self._counts[slot] = count
-            self._valid[slot] = True
-            return
-        # Full and all valid: replace the minimum entry (first slot on
-        # ties, like min() over the reference entry list).
-        counts = self._counts
-        lowest = min(counts)
-        if count > lowest:
-            slot = counts.index(lowest)
-            del self._slot_of[rows[slot]]
-            self._slot_of[row] = slot
-            rows[slot] = row
-            counts[slot] = count
-
-    def max_entry(self) -> Optional[AttEntry]:
-        best_slot = -1
-        best_count = 0
-        first = True
-        counts = self._counts
-        valid = self._valid
-        for slot in range(len(counts)):
-            if not valid[slot]:
-                continue
-            # Strict comparison keeps the first slot on ties (reference
-            # max() behaviour); the very first valid slot always seeds.
-            if first or counts[slot] > best_count:
-                best_slot, best_count = slot, counts[slot]
-                first = False
-        if best_slot < 0:
-            return None
-        return AttEntry(row=self._rows[best_slot], count=best_count)
-
-    def invalidate(self, row: int) -> None:
-        slot = self._slot_of.pop(row, None)
-        if slot is None:
-            return
-        self._valid[slot] = False
-        free = self._free
-        index = len(free)
-        while index and free[index - 1] > slot:
-            index -= 1
-        free.insert(index, slot)
-
-    def valid_entries(self) -> List[AttEntry]:
-        entries = [
-            AttEntry(row=self._rows[slot], count=self._counts[slot])
-            for slot in range(len(self._rows))
-            if self._valid[slot]
-        ]
-        entries.sort(key=lambda e: e.count, reverse=True)  # stable, slot order
-        return entries
-
-    def tracked_rows(self) -> List[int]:
-        return [
-            self._rows[slot]
-            for slot in range(len(self._rows))
-            if self._valid[slot]
-        ]
-
-    def clear(self) -> None:
-        self._rows.clear()
-        self._counts.clear()
-        self._valid.clear()
-        self._slot_of.clear()
-        self._free.clear()
-
-    def __len__(self) -> int:
-        return len(self._slot_of)

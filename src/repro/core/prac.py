@@ -33,11 +33,7 @@ from repro.analysis.security import (
     att_required_entries,
     secure_prac_backoff_threshold,
 )
-from repro.core.counters import (
-    AggressorTrackingTable,
-    PerRowCounters,
-    resolve_backend,
-)
+from repro.core.counters import AggressorTrackingTable, PerRowCounters
 from repro.core.mitigation import DEFAULT_BLAST_RADIUS, OnDieMitigation
 
 
@@ -63,7 +59,6 @@ class PRAC(OnDieMitigation):
         borrowed_refresh: bool = True,
         security_params: SecurityParameters = DEFAULT_PARAMETERS,
         allow_insecure: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         """Create a PRAC-N instance.
 
@@ -87,9 +82,6 @@ class PRAC(OnDieMitigation):
             allow_insecure: if True and no secure ``NBO`` exists for ``nrh``,
                 fall back to the most aggressive configuration (``NBO = 1``)
                 and set :attr:`is_secure` to False instead of raising.
-            backend: counter-store backend ("dict" / "array"; None resolves
-                to the module default, array) for the per-row counters and
-                the Aggressor Tracking Tables.
         """
         super().__init__(nrh, blast_radius)
         if num_banks <= 0:
@@ -118,11 +110,9 @@ class PRAC(OnDieMitigation):
         self.att_entries = att_entries
 
         self.name = f"PRAC-{nref}"
-        self.backend = resolve_backend(backend)
-        self.counters = PerRowCounters(num_banks, backend=self.backend)
+        self.counters = PerRowCounters(num_banks)
         self.att: List[AggressorTrackingTable] = [
-            AggressorTrackingTable(att_entries, backend=self.backend)
-            for _ in range(num_banks)
+            AggressorTrackingTable(att_entries) for _ in range(num_banks)
         ]
 
         # Back-off protocol state.

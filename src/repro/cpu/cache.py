@@ -146,9 +146,3 @@ class Cache:
     def occupancy(self) -> int:
         """Number of valid lines currently stored."""
         return sum(len(cache_set) for cache_set in self._sets)
-
-    def reset(self) -> None:
-        """Invalidate the entire cache and clear statistics."""
-        for cache_set in self._sets:
-            cache_set.clear()
-        self.stats = CacheStats()

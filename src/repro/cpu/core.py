@@ -64,7 +64,6 @@ class Core:
         instruction_target: Optional[int] = None,
         bypass_llc: bool = False,
         request_pool: Optional[RequestPool] = None,
-        trace_data: Optional[tuple] = None,
     ) -> None:
         """Create a core.
 
@@ -87,12 +86,6 @@ class Core:
             request_pool: shared :class:`~repro.controller.request.RequestPool`
                 the core allocates its memory requests from (a private pool is
                 created when omitted, so standalone cores keep working).
-            trace_data: optional pre-decomposed trace arrays
-                ``(gaps, lines, is_writes, gap_cycles)`` shared across the
-                configs of a batch group (see
-                :mod:`repro.experiments.batch`); the lists are read-only
-                during a run, so sharing them is observably identical to
-                decomposing the trace here.
         """
         if clock_ratio <= 0 or issue_width <= 0 or window_size <= 0:
             raise ValueError("core parameters must be positive")
@@ -115,20 +108,14 @@ class Core:
         # line address, is-write, front-end cycles per gap): the dispatch
         # loop then reads list slots instead of chasing entry-object
         # attributes, re-aligning the address and re-dividing the gap on
-        # every attempt.  A batch group precomputes the decomposition once
-        # and shares it across every config (``trace_data``).
-        if trace_data is not None:
-            self._gaps, self._lines, self._is_writes, self._gap_cycles = trace_data
-        else:
-            line_size = llc.line_size
-            entries = list(trace.entries)
-            self._gaps = [entry.gap_instructions for entry in entries]
-            self._lines = [
-                (entry.address // line_size) * line_size for entry in entries
-            ]
-            self._is_writes = [entry.is_write for entry in entries]
-            ipc = self.instructions_per_dram_cycle
-            self._gap_cycles = [gap / ipc for gap in self._gaps]
+        # every attempt.
+        line_size = llc.line_size
+        entries = list(trace.entries)
+        self._gaps = [entry.gap_instructions for entry in entries]
+        self._lines = [(entry.address // line_size) * line_size for entry in entries]
+        self._is_writes = [entry.is_write for entry in entries]
+        ipc = self.instructions_per_dram_cycle
+        self._gap_cycles = [gap / ipc for gap in self._gaps]
         self._trace_len = len(self._gaps)
         # Dispatch probe, pre-bound (one attribute hop per dispatch).
         self._probe_hit = llc.access_if_hit

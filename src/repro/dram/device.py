@@ -49,7 +49,6 @@ class DramDevice:
         organization: DramOrganization,
         timing: TimingParams,
         mitigation: Optional[OnDieMitigation] = None,
-        timing_plane: Optional[BankArrayTiming] = None,
     ) -> None:
         if mitigation is not None and mitigation.side != "dram":
             raise ValueError(
@@ -58,20 +57,9 @@ class DramDevice:
         self.organization = organization
         self.timing = timing
         self.mitigation = mitigation
-        # The bank timing registers (see dram/timing_plane.py).  A
-        # pre-allocated plane (the batch engine pools them like counter
-        # buffers) is reset here, so a pooled buffer's history can never
-        # leak into a new device.
-        if timing_plane is None:
-            timing_plane = BankArrayTiming(organization.total_banks)
-        else:
-            if timing_plane.num_banks != organization.total_banks:
-                raise ValueError(
-                    f"timing plane has {timing_plane.num_banks} banks, "
-                    f"organization needs {organization.total_banks}"
-                )
-            timing_plane.reset()
-        #: The structure-of-arrays timing registers the controller scans.
+        #: The structure-of-arrays bank timing registers the controller
+        #: scans (see dram/timing_plane.py).
+        timing_plane = BankArrayTiming(organization.total_banks)
         self.timing_plane = timing_plane
         self.banks: List[Bank] = [
             Bank(bank_id, timing, plane=timing_plane, index=bank_id)

@@ -115,9 +115,9 @@ class RefreshScheduler:
         """Ranks whose postpone budget is exhausted (cached tuple).
 
         The urgent set only changes on accrual (``tick``) or issue
-        (``refresh_issued``), so the array-backend controller kernels can
-        probe it as a shared tuple -- almost always empty -- instead of
-        re-deriving per-rank pending counts on every ACT-candidate serve.
+        (``refresh_issued``), so the controller can probe it as a shared
+        tuple -- almost always empty -- instead of re-deriving per-rank
+        pending counts on every ACT-candidate serve.
         Callers must not mutate the returned tuple.
         """
         if self._urgent_ranks is None:

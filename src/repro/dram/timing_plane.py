@@ -7,8 +7,7 @@ per-channel NumPy ``int64`` arrays indexed by *flat bank id*.  A
 :class:`~repro.dram.bank.Bank` is a thin view over one slot of a plane; the
 controller's readiness scans and the device's REF/RFM predicates read the
 arrays directly instead of walking 64 bank objects per channel.  The plane
-itself is owned by :class:`~repro.dram.device.DramDevice` and can be
-pre-allocated and pooled by the batch engine exactly like counter buffers.
+itself is owned by :class:`~repro.dram.device.DramDevice`.
 
 Sentinels
 ---------
@@ -60,35 +59,14 @@ class BankArrayTiming:
         # Python ints at roughly half the cost of ndarray scalar indexing
         # and shares the ndarray buffer, so per-slot view accesses and the
         # whole-plane NumPy updates (REF, all-bank RFM) always see the same
-        # registers.  The
-        # arrays never reallocate (reset() fills in place), so the views
-        # stay valid for the plane's lifetime.
+        # registers.  The arrays never reallocate, so the views stay valid
+        # for the plane's lifetime.
         self.next_act_mv = memoryview(self.next_act)
         self.next_pre_mv = memoryview(self.next_pre)
         self.next_rd_mv = memoryview(self.next_rd)
         self.next_wr_mv = memoryview(self.next_wr)
         self.open_row_mv = memoryview(self.open_row)
         self.last_act_mv = memoryview(self.last_act)
-
-    def reset(self) -> None:
-        """Return every register to its construction state (pool reuse)."""
-        self.next_act.fill(0)
-        self.next_pre.fill(0)
-        self.next_rd.fill(0)
-        self.next_wr.fill(0)
-        self.open_row.fill(NO_ROW)
-        self.last_act.fill(NO_ROW)
-
-    def is_pristine(self) -> bool:
-        """True if no register differs from its construction state."""
-        return bool(
-            not self.next_act.any()
-            and not self.next_pre.any()
-            and not self.next_rd.any()
-            and not self.next_wr.any()
-            and (self.open_row == NO_ROW).all()
-            and (self.last_act == NO_ROW).all()
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         open_banks = int((self.open_row != NO_ROW).sum())

@@ -14,10 +14,9 @@ needs.  This module turns such a sweep into data:
   :meth:`~SweepSpec.expand`\\ s into the set of independent jobs, including
   the per-application *alone* runs and per-mix no-mitigation *baseline*
   runs shared by every sweep point.
-* :class:`SweepEngine` -- executes jobs serially, across worker processes
-  (``concurrent.futures.ProcessPoolExecutor``), or through the in-process
-  batch-vectorized engine (:mod:`repro.experiments.batch`), and memoises
-  every result in a :class:`~repro.experiments.cache.ResultCache`.
+* :class:`SweepEngine` -- executes jobs serially or across worker processes
+  (``concurrent.futures.ProcessPoolExecutor``) and memoises every result in
+  a :class:`~repro.experiments.cache.ResultCache`.
 
 Beyond the Cartesian sweep, :func:`attack_job` builds the §11 performance
 attack runs and :func:`attack_search_job` builds the red-team probes of
@@ -500,7 +499,6 @@ class RunReport:
     cached_jobs: int = 0
     executed_jobs: int = 0
     workers: int = 0
-    batch: bool = False
     wall_seconds: float = 0.0
     shards: List[ShardReport] = field(default_factory=list)
 
@@ -509,8 +507,6 @@ class RunReport:
         """Which execution mode ran the missing jobs."""
         if self.executed_jobs == 0:
             return "cached"
-        if self.batch:
-            return "batch"
         return "pool" if self.workers >= 2 else "serial"
 
     @property
@@ -533,7 +529,6 @@ class RunReport:
             "executed_jobs": self.executed_jobs,
             "workers": self.workers,
             "engine": self.engine_mode,
-            "batch": self.batch,
             "wall_seconds": self.wall_seconds,
             "cache_hit_rate": self.cache_hit_rate,
             "shards": [dataclasses.asdict(shard) for shard in self.shards],
@@ -541,16 +536,14 @@ class RunReport:
 
     def summary_lines(self) -> List[str]:
         """Human-readable per-shard timing block (CLI output)."""
-        engine = "engine=batch" if self.batch else f"workers={self.workers}"
-        label = "batch group" if self.batch else "shard"
         lines = [
             f"run: {self.total_jobs} jobs ({self.cached_jobs} cached, "
-            f"{self.executed_jobs} executed, {engine}) "
+            f"{self.executed_jobs} executed, workers={self.workers}) "
             f"in {self.wall_seconds:.2f}s"
         ]
         for report in self.shards:
             lines.append(
-                f"  {label} {report.shard:>3}: {report.jobs:>3} job(s)  "
+                f"  shard {report.shard:>3}: {report.jobs:>3} job(s)  "
                 f"{report.seconds:7.2f}s  (est. cost {report.estimated_cost:,.0f})"
             )
         return lines
@@ -696,7 +689,6 @@ class SweepEngine:
         self,
         cache: Optional[ResultCache] = None,
         workers: Optional[int] = None,
-        batch: bool = False,
     ) -> None:
         """Create an engine.
 
@@ -705,15 +697,9 @@ class SweepEngine:
             workers: worker-process count; ``None`` reads the
                 ``REPRO_SWEEP_WORKERS`` environment variable (serial when
                 unset), and values below 2 execute serially in-process.
-            batch: execute missing jobs through the in-process
-                batch-vectorized engine (:mod:`repro.experiments.batch`)
-                instead of the serial/pooled scalar engine.  Results are
-                byte-identical either way; batch mode wins on single-CPU
-                machines, where process workers only add overhead.
         """
         self.cache = cache if cache is not None else ResultCache()
         self.workers = default_workers() if workers is None else workers
-        self.batch = batch
         self.executed_jobs = 0
         #: Report of the most recent :meth:`run_jobs` call.
         self.last_run_report = RunReport()
@@ -761,22 +747,19 @@ class SweepEngine:
     def run_jobs(
         self,
         jobs: Sequence[SimJob],
-        batch: Optional[bool] = None,
         progress: Optional[ProgressFn] = None,
         cancel: Optional[CancelToken] = None,
     ) -> Dict[str, SimulationResult]:
-        """Run a batch of jobs, returning ``{job.key: result}``.
+        """Run ``jobs``, returning ``{job.key: result}``.
 
-        Cached jobs are served immediately; the remainder executes in one
-        of three interchangeable modes -- serially, across the persistent
-        worker pool (cost-balanced shards, longest first), or through the
-        in-process batch-vectorized engine (``batch``; defaults to the
-        engine's ``batch`` setting).  The result mapping is byte-identical
-        and independent of execution order, worker count and mode.
+        Cached jobs are served immediately; the remainder executes either
+        serially or across the persistent worker pool (cost-balanced
+        shards, longest first).  The result mapping is byte-identical and
+        independent of execution order, worker count and mode.
 
         ``progress`` receives JSON-serialisable event dicts as the run
         advances: one ``plan`` event up front (totals, cache hits, mode),
-        a ``job`` event per job executed in-process (serial/batch modes), a
+        a ``job`` event per job executed in-process (serial mode), a
         ``shard`` event per completed unit of work, and a final ``report``
         event mirroring :meth:`RunReport.as_dict`.  ``cancel`` is polled
         between jobs / shard completions; when it fires the engine raises
@@ -801,13 +784,11 @@ class SweepEngine:
             cached_jobs=len(unique) - len(missing),
             workers=self.workers,
         )
-        use_batch = self.batch if batch is None else batch
+        pooled = self.workers >= 2 and len(missing) > 1
         if progress is not None:
             mode = "cached"
             if missing:
-                mode = "batch" if use_batch else (
-                    "pool" if self.workers >= 2 and len(missing) > 1 else "serial"
-                )
+                mode = "pool" if pooled else "serial"
             progress(
                 {
                     "event": "plan",
@@ -819,11 +800,8 @@ class SweepEngine:
                 }
             )
         if missing:
-            report.batch = use_batch
             self._check_cancel(cancel, report)
-            if use_batch:
-                self._run_batch(missing, results, report, progress, cancel)
-            elif self.workers >= 2 and len(missing) > 1:
+            if pooled:
                 self._run_sharded(missing, results, report, progress, cancel)
             else:
                 self._run_serial(missing, results, report, progress, cancel)
@@ -904,46 +882,6 @@ class SweepEngine:
         )
         report.shards.append(shard)
         self._emit_shard(progress, shard, done, len(missing))
-
-    def _run_batch(
-        self,
-        missing: List[SimJob],
-        results: Dict[str, SimulationResult],
-        report: RunReport,
-        progress: Optional[ProgressFn] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> None:
-        """Execute missing jobs through the batch-vectorized engine.
-
-        Jobs are grouped by shared trace/topology (one report shard per
-        batch group), each group runs on one set of precomputed trace
-        arrays and pooled buffers.
-        """
-        # Imported here: repro.experiments.batch imports this module.
-        from repro.experiments.batch import plan_batches
-
-        report.batch = True
-        done_jobs = 0
-        for index, group in enumerate(plan_batches(missing)):
-            self._check_cancel(cancel, report)
-            group_start = time.perf_counter()
-            for job, result in group.execute():
-                self.executed_jobs += 1
-                self.cache.put(job.key, result, job.cache_payload())
-                results[job.key] = result
-                done_jobs += 1
-                self._emit_job(progress, job, 0.0, done_jobs, len(missing))
-                self._check_cancel(cancel, report)
-            shard = ShardReport(
-                shard=index,
-                jobs=len(group.jobs),
-                estimated_cost=sum(
-                    estimate_job_cost(job) for job in group.jobs
-                ),
-                seconds=time.perf_counter() - group_start,
-            )
-            report.shards.append(shard)
-            self._emit_shard(progress, shard, done_jobs, len(missing))
 
     def _run_sharded(
         self,

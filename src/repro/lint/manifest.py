@@ -33,8 +33,7 @@ CANONICAL_JSON_ALLOWED = ("src/repro/artifacts/spec.py",)
 
 #: Simulation packages that must stay deterministic run-to-run: the
 #: content-addressed ResultCache and every byte-identity pin
-#: (test_event_horizon.py, test_batch_equivalence.py, the golden
-#: regression) silently depend on it.
+#: (test_event_horizon.py, the golden regression) silently depend on it.
 DETERMINISM_TARGETS = (
     "src/repro/dram/",
     "src/repro/controller/",
@@ -80,12 +79,9 @@ HOT_PATH_FUNCTIONS = {
         "Bank.can_write",
     }),
     "src/repro/core/counters.py": frozenset({
-        "_DictPerRowCounters.increment",
-        "_DictPerRowCounters.get",
-        "_DictPerRowCounters.reset_row",
-        "_ArrayPerRowCounters.increment",
-        "_ArrayPerRowCounters.get",
-        "_ArrayPerRowCounters.reset_row",
+        "PerRowCounters.increment",
+        "PerRowCounters.get",
+        "PerRowCounters.reset_row",
     }),
     "src/repro/dram/refresh.py": frozenset({
         "RefreshScheduler.tick",
@@ -120,8 +116,6 @@ CONFIG_MODULE = "src/repro/system/config.py"
 CONFIG_CLASS = "SystemConfig"
 PAYLOAD_MODULE = "src/repro/experiments/cache.py"
 PAYLOAD_FUNCTION = "config_payload"
-GROUP_KEY_MODULE = "src/repro/experiments/batch.py"
-GROUP_FREE_FIELDS_CONST = "GROUP_FREE_CONFIG_FIELDS"
 
 #: Default scan scope of ``python -m repro lint``.
 DEFAULT_SCAN_PATHS = ("src/repro",)

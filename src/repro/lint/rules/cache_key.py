@@ -3,17 +3,11 @@
 The exact bug PR 1 fixed: the old baseline cache keyed on a hand-written
 subset of the config, so adding an IPC-relevant knob silently served stale
 results.  Today ``config_payload`` uses ``dataclasses.asdict`` (complete
-by construction) and the batch engine *subtracts* a short list of
-simulation-behaviour-free fields -- both of which can rot:
+by construction), but that can rot: if ``config_payload`` is ever
+rewritten as an explicit dict, a missing ``SystemConfig`` field resurrects
+the stale-cache bug (and a key that is not a field serves nothing).
 
-* if ``config_payload`` is ever rewritten as an explicit dict, a missing
-  ``SystemConfig`` field resurrects the stale-cache bug (and a key that is
-  not a field serves nothing);
-* if a field named in ``GROUP_FREE_CONFIG_FIELDS`` is renamed on
-  ``SystemConfig``, the batch grouping's ``pop(name, None)`` silently
-  no-ops and jobs stop sharing groups (or worse, share wrongly).
-
-This rule parses the three modules and cross-checks the names statically.
+This rule parses both modules and cross-checks the names statically.
 It is a :class:`ProjectRule`: the invariant spans files, so it runs once
 over the parsed project rather than per node.
 """
@@ -89,33 +83,10 @@ def _explicit_payload_keys(func: ast.FunctionDef) -> Set[str]:
     return keys
 
 
-def _string_tuple_const(tree: ast.Module, const_name: str):
-    """The ``(node, names)`` of a module-level tuple/list-of-str constant."""
-    for node in ast.walk(tree):
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == const_name:
-                if isinstance(value, (ast.Tuple, ast.List)):
-                    names = [
-                        e.value
-                        for e in value.elts
-                        if isinstance(e, ast.Constant) and isinstance(e.value, str)
-                    ]
-                    return node, names
-    return None, None
-
-
 class CacheKeyCompletenessRule(ProjectRule):
     name = "cache-key-completeness"
     description = (
-        "SystemConfig fields, the cache config_payload keys and the batch "
-        "group-key field subtraction must agree"
+        "SystemConfig fields and the cache config_payload keys must agree"
     )
 
     def __init__(
@@ -124,30 +95,24 @@ class CacheKeyCompletenessRule(ProjectRule):
         config_class: str = manifest.CONFIG_CLASS,
         payload_module: str = manifest.PAYLOAD_MODULE,
         payload_function: str = manifest.PAYLOAD_FUNCTION,
-        group_key_module: str = manifest.GROUP_KEY_MODULE,
-        free_fields_const: str = manifest.GROUP_FREE_FIELDS_CONST,
     ) -> None:
         self.config_module = config_module
         self.config_class = config_class
         self.payload_module = payload_module
         self.payload_function = payload_function
-        self.group_key_module = group_key_module
-        self.free_fields_const = free_fields_const
 
     def check_project(self, project: Project) -> List[Finding]:
         payload_ctx = project.get(self.payload_module)
-        group_ctx = project.get(self.group_key_module)
-        if payload_ctx is None and group_ctx is None:
+        if payload_ctx is None:
             return []  # partial scan: nothing to cross-check
 
         config_ctx = project.get(self.config_module)
         if config_ctx is None:
-            # The consumers are in scope but the config module is not: the
+            # The consumer is in scope but the config module is not: the
             # cross-check cannot run, which is itself worth surfacing.
-            anchor = payload_ctx or group_ctx
             return [
                 Finding(
-                    rule=self.name, path=anchor.rel_path, line=1, col=0,
+                    rule=self.name, path=payload_ctx.rel_path, line=1, col=0,
                     message=(
                         f"cannot cross-check the cache key: "
                         f"{self.config_module} is not in the scanned set"
@@ -165,13 +130,7 @@ class CacheKeyCompletenessRule(ProjectRule):
                     ),
                 )
             ]
-
-        findings: List[Finding] = []
-        if payload_ctx is not None:
-            findings.extend(self._check_payload(payload_ctx, fields))
-        if group_ctx is not None:
-            findings.extend(self._check_group_key(group_ctx, fields))
-        return findings
+        return self._check_payload(payload_ctx, fields)
 
     def _check_payload(self, ctx: FileContext, fields: Set[str]) -> List[Finding]:
         func = _find_function(ctx.tree, self.payload_function)
@@ -213,25 +172,4 @@ class CacheKeyCompletenessRule(ProjectRule):
                     ),
                 )
             )
-        return findings
-
-    def _check_group_key(self, ctx: FileContext, fields: Set[str]) -> List[Finding]:
-        node, names = _string_tuple_const(ctx.tree, self.free_fields_const)
-        if node is None:
-            return []  # the batch engine may legitimately not exist in scans
-        findings: List[Finding] = []
-        for name in names:
-            if name not in fields:
-                findings.append(
-                    Finding(
-                        rule=self.name, path=ctx.rel_path,
-                        line=node.lineno, col=node.col_offset,
-                        message=(
-                            f"{self.free_fields_const} names "
-                            f"{name!r}, which is not a {self.config_class} "
-                            f"field: the group-key subtraction silently "
-                            f"no-ops"
-                        ),
-                    )
-                )
         return findings

@@ -1,9 +1,9 @@
 """Rule ``determinism``: simulation code must be reproducible run-to-run.
 
-The content-addressed ResultCache, the byte-identity pins
-(``test_event_horizon.py``, ``test_batch_equivalence.py``) and the golden
-regression all assume that a ``(config, trace seed)`` pair produces the
-same bytes on every run.  Three constructs silently break that:
+The content-addressed ResultCache, the byte-identity pin
+(``test_event_horizon.py``) and the golden regression all assume that a
+``(config, trace seed)`` pair produces the same bytes on every run.
+Three constructs silently break that:
 
 * wall-clock reads (``time.time`` / ``perf_counter`` / ``monotonic`` and
   their ``_ns`` variants) leaking into simulated state,

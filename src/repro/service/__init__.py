@@ -1,6 +1,6 @@
 """Simulation-as-a-service: an async job server over the sweep engine.
 
-The package turns the batch CLI into a long-running multi-tenant service:
+The package turns the one-shot CLI into a long-running multi-tenant service:
 
 * :mod:`repro.service.protocol` -- a minimal, dependency-free HTTP/1.1 and
   WebSocket (RFC 6455) layer over ``asyncio`` streams, with a sans-I/O

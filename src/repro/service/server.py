@@ -2,9 +2,8 @@
 
 One :class:`SimulationService` owns one shared
 :class:`~repro.experiments.sweep.SweepEngine` (and therefore one persistent
-worker pool, one batch engine, one sharded
-:class:`~repro.experiments.cache.ResultCache`) and multiplexes it across
-clients:
+worker pool and one sharded :class:`~repro.experiments.cache.ResultCache`)
+and multiplexes it across clients:
 
 * ``POST /jobs`` validates the payload (:mod:`repro.service.specs`), admits
   it through the :class:`~repro.service.queue.FairQueue` (429 +
@@ -16,7 +15,7 @@ clients:
   ``call_soon_threadsafe``, so every ``plan`` / ``job`` / ``shard`` /
   ``report`` event lands in the record's append-only event log **and** is
   pushed live to WebSocket subscribers.  Jobs run one at a time -- the
-  engine parallelises *inside* a job (pool shards / batch groups), which
+  engine parallelises *inside* a job (pool shards), which
   also guarantees that overlapping submissions are computed once: the
   second job finds the first one's results in the shared cache.
 * ``GET /ws/jobs/{id}`` upgrades to WebSocket: the
@@ -174,7 +173,6 @@ class SimulationService:
         cls,
         cache_dir: Optional[str] = None,
         workers: Optional[int] = None,
-        batch: bool = False,
         max_queue_depth: int = 32,
         per_client_active: int = 4,
         rate: float = 10.0,
@@ -185,7 +183,6 @@ class SimulationService:
         engine = SweepEngine(
             cache=ResultCache(cache_dir),
             workers=default_workers() if workers is None else workers,
-            batch=batch,
         )
         queue = FairQueue(
             max_depth=max_queue_depth,
@@ -444,7 +441,6 @@ class SimulationService:
             "subscribers": self.manager.snapshot(),
             "engine": {
                 "workers": self.engine.workers,
-                "batch": self.engine.batch,
                 "executed_jobs": self.engine.executed_jobs,
                 "cache": self.engine.cache.summary(),
             },

@@ -38,7 +38,6 @@ from repro.cpu.core import Core
 from repro.cpu.trace import Trace
 from repro.dram.device import DramDevice
 from repro.dram.timing import ddr5_3200an
-from repro.dram.timing_plane import BankArrayTiming
 from repro.energy.drampower import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.system.config import SystemConfig
 from repro.system.metrics import (
@@ -65,10 +64,6 @@ class SystemSimulator:
         energy_model: Optional[EnergyModel] = None,
         oracle: Optional["DisturbanceOracle"] = None,
         strict_tick: bool = False,
-        llc: Optional[Cache] = None,
-        decode_cache: Optional[Dict[int, tuple]] = None,
-        core_trace_data: Optional[Sequence[tuple]] = None,
-        timing_planes: Optional[Sequence["BankArrayTiming"]] = None,
     ) -> None:
         if len(traces) != config.num_cores:
             raise ValueError(
@@ -84,22 +79,6 @@ class SystemSimulator:
         #: event horizon.  Slow but trivially correct; the determinism
         #: harness asserts the event-driven path is byte-identical to it.
         self.strict_tick = strict_tick
-        # Batch-mode hooks (see repro.experiments.batch): a pooled LLC, a
-        # shared address-decode table and pre-decomposed per-core trace
-        # arrays.  All observably identical to the defaults -- the batch
-        # equivalence tests pin byte-equal results -- so scalar runs simply
-        # leave them unset.
-        if llc is not None and (
-            llc.size_bytes != config.llc_size_bytes
-            or llc.associativity != config.llc_associativity
-            or llc.line_size != config.llc_line_size
-        ):
-            raise ValueError("pooled LLC geometry does not match the config")
-        if core_trace_data is not None and len(core_trace_data) != len(traces):
-            raise ValueError(
-                f"expected {len(traces)} per-core trace arrays, "
-                f"got {len(core_trace_data)}"
-            )
         organization = config.organization
         self.num_channels = organization.channels
         # One mechanism instance per channel: counter tables, back-off state
@@ -122,24 +101,9 @@ class SystemSimulator:
                 config.legacy_prac_timings and self.setup.use_prac_timings
             ),
         )
-        # Batch-mode hook: pre-allocated per-channel timing planes (pooled
-        # like counter buffers).  DramDevice resets each one, so pooled
-        # history can never leak in.
-        if timing_planes is not None and len(timing_planes) != self.num_channels:
-            raise ValueError(
-                f"expected {self.num_channels} timing planes, "
-                f"got {len(timing_planes)}"
-            )
         self.devices: List[DramDevice] = [
-            DramDevice(
-                organization,
-                timing,
-                mitigation=setup.on_die,
-                timing_plane=(
-                    timing_planes[channel] if timing_planes is not None else None
-                ),
-            )
-            for channel, setup in enumerate(self.setups)
+            DramDevice(organization, timing, mitigation=setup.on_die)
+            for setup in self.setups
         ]
         mapping = mapping_by_name(config.address_mapping, organization)
         self.controllers: List[MemoryController] = [
@@ -153,8 +117,8 @@ class SystemSimulator:
             )
             for device, setup in zip(self.devices, self.setups)
         ]
-        self.router = ChannelRouter(mapping, self.controllers, decode_cache=decode_cache)
-        self.llc = llc if llc is not None else Cache(
+        self.router = ChannelRouter(mapping, self.controllers)
+        self.llc = Cache(
             size_bytes=config.llc_size_bytes,
             associativity=config.llc_associativity,
             line_size=config.llc_line_size,
@@ -175,9 +139,6 @@ class SystemSimulator:
                 llc_hit_latency=config.llc_hit_latency,
                 bypass_llc=index in config.attacker_cores,
                 request_pool=self._request_pool,
-                trace_data=(
-                    core_trace_data[index] if core_trace_data is not None else None
-                ),
             )
             for index, trace in enumerate(self.traces)
         ]

@@ -4,7 +4,7 @@ The production :class:`~repro.dram.bank.Bank` is a view over one slot of a
 structure-of-arrays timing plane.  It must be *observably identical* to the
 simple reference model in ``tests/bank_reference.py``: same legality
 decisions, same :class:`TimingViolation` classes and messages, same register
-trajectories, same stats.  Four layers pin that:
+trajectories, same stats.  Three layers pin that:
 
 1. randomized command streams (Hypothesis) driven through a reference/view
    bank pair, comparing every observable -- including raised violations --
@@ -14,26 +14,15 @@ trajectories, same stats.  Four layers pin that:
    message, for both its state violation and its too-early timing
    violation;
 3. :class:`BankStats` totals (and ``merge`` results) identical to the
-   reference after a mixed legal stream;
-4. plane adoption and pooling: a device resets an adopted plane, and the
-   batch engine's pooled (dirty) planes change no simulated number, for
-   every mechanism on one and two channels.
+   reference after a mixed legal stream.
 """
-
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.factory import MECHANISM_NAMES
 from repro.dram.bank import Bank, BankStats, TimingViolation
-from repro.dram.device import DramDevice
 from repro.dram.timing import ddr5_3200an
 from repro.dram.timing_plane import NO_ROW, BankArrayTiming
-from repro.experiments.cache import result_to_dict
-from repro.experiments.sweep import build_job_traces, mechanism_job
-from repro.system.config import paper_system_config
-from repro.system.simulator import SystemSimulator, simulate
 
 from bank_reference import ObjectBank
 
@@ -245,7 +234,7 @@ class TestBankStatsAcrossBackends:
 
 
 class TestPlaneAdoption:
-    """Shared planes: slot binding, size checks and reset on adoption."""
+    """Shared planes: slot binding and the required slot index."""
 
     def test_shared_plane_view(self):
         plane = BankArrayTiming(4)
@@ -257,32 +246,9 @@ class TestPlaneAdoption:
         with pytest.raises(ValueError, match="slot index"):
             Bank(0, TIMING, plane=BankArrayTiming(4))
 
-    def test_device_rejects_mis_sized_plane(self):
-        organization = paper_system_config().organization
-        with pytest.raises(ValueError, match="banks"):
-            DramDevice(organization, TIMING, timing_plane=BankArrayTiming(2))
-
-    def test_device_resets_adopted_plane(self):
-        organization = paper_system_config().organization
-        plane = BankArrayTiming(organization.total_banks)
-        plane.next_act.fill(123)
-        plane.open_row.fill(7)
-        device = DramDevice(organization, TIMING, timing_plane=plane)
-        assert device.timing_plane is plane
-        assert plane.is_pristine()
-
 
 class TestTimingPlane:
-    """The plane container itself: reset, pristine checks, twins."""
-
-    def test_reset_restores_construction_state(self):
-        plane = BankArrayTiming(8)
-        plane.next_act[3] = 99
-        plane.open_row[5] = 2
-        plane.last_act[5] = 40
-        assert not plane.is_pristine()
-        plane.reset()
-        assert plane.is_pristine()
+    """The plane container itself: memoryview twins and size checks."""
 
     def test_memoryview_twins_share_storage(self):
         plane = BankArrayTiming(4)
@@ -290,80 +256,7 @@ class TestTimingPlane:
         assert int(plane.next_rd[1]) == 77
         plane.open_row[2] = 5
         assert plane.open_row_mv[2] == 5
-        plane.reset()
-        assert plane.next_rd_mv[1] == 0 and plane.open_row_mv[2] == NO_ROW
 
     def test_rejects_non_positive_size(self):
         with pytest.raises(ValueError, match="num_banks"):
             BankArrayTiming(0)
-
-
-def _dirty_planes(total_banks, channels):
-    """Planes with junk in every register, as a pooled plane may hold."""
-    planes = [BankArrayTiming(total_banks) for _ in range(channels)]
-    for plane in planes:
-        plane.next_act.fill(31337)
-        plane.next_pre.fill(4242)
-        plane.next_rd.fill(777)
-        plane.next_wr.fill(999)
-        plane.open_row.fill(3)
-        plane.last_act.fill(12345)
-        assert not plane.is_pristine()
-    return planes
-
-
-class TestFullSimulationEquivalence:
-    """Pooled planes are observably identical to fresh ones."""
-
-    @pytest.mark.parametrize("channels", (1, 2))
-    @pytest.mark.parametrize("mechanism", MECHANISM_NAMES)
-    def test_payloads_identical(self, mechanism, channels):
-        """Every mechanism's payload is unchanged by dirty adopted planes."""
-        base = paper_system_config().with_overrides(channels=channels)
-        job = mechanism_job(base, ("429.mcf", "401.bzip2"), mechanism, 64, 300)
-        fresh = simulate(
-            job.config, build_job_traces(job), workload_name=job.workload_name
-        )
-        planes = _dirty_planes(job.config.organization.total_banks, channels)
-        pooled = SystemSimulator(
-            job.config,
-            build_job_traces(job),
-            workload_name=job.workload_name,
-            timing_planes=planes,
-        ).run()
-        assert json.dumps(result_to_dict(fresh), sort_keys=True) == json.dumps(
-            result_to_dict(pooled), sort_keys=True
-        )
-
-    def test_pooled_planes_identical_to_fresh(self):
-        """Pre-allocated (dirty) planes change nothing observable."""
-        base = paper_system_config().with_overrides(channels=2)
-        job = mechanism_job(base, ("429.mcf", "401.bzip2"), "PRAC-4", 64, 300)
-        traces = build_job_traces(job)
-        fresh = simulate(job.config, traces, workload_name=job.workload_name)
-        total_banks = job.config.organization.total_banks
-        planes = [BankArrayTiming(total_banks) for _ in range(2)]
-        for plane in planes:
-            plane.next_act.fill(31337)  # dirty: adoption must reset it
-            plane.open_row.fill(3)
-        pooled = SystemSimulator(
-            job.config,
-            traces,
-            workload_name=job.workload_name,
-            timing_planes=planes,
-        ).run()
-        assert json.dumps(result_to_dict(fresh), sort_keys=True) == json.dumps(
-            result_to_dict(pooled), sort_keys=True
-        )
-
-    def test_simulator_validates_plane_count(self):
-        base = paper_system_config().with_overrides(channels=2)
-        job = mechanism_job(base, ("429.mcf", "401.bzip2"), "None", 64, 50)
-        traces = build_job_traces(job)
-        total_banks = job.config.organization.total_banks
-        with pytest.raises(ValueError, match="timing planes"):
-            SystemSimulator(
-                job.config,
-                traces,
-                timing_planes=[BankArrayTiming(total_banks)],
-            )

@@ -54,13 +54,6 @@ class TestBasicBehaviour:
         result = cache.access(2 * 64, is_write=False)
         assert result.writeback_address == 0
 
-    def test_reset(self):
-        cache = Cache(size_bytes=4096, associativity=2, line_size=64)
-        cache.access(0x100, False)
-        cache.reset()
-        assert cache.occupancy() == 0
-        assert cache.stats.accesses == 0
-
     def test_miss_rate(self):
         cache = Cache(size_bytes=4096, associativity=2, line_size=64)
         assert cache.stats.miss_rate == 0.0

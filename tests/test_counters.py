@@ -1,5 +1,7 @@
 """Tests for per-row counters, the counter subarray and the ATT."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,37 +27,28 @@ class TestPerRowCounters:
         counters.reset_row(0, 5)
         assert counters.get(0, 5) == 0
 
-    def test_reset_bank_and_all(self):
+    def test_reset_all(self):
         counters = PerRowCounters(2)
         counters.increment(0, 1)
         counters.increment(1, 2)
-        counters.reset_bank(0)
-        assert counters.get(0, 1) == 0
-        assert counters.get(1, 2) == 1
         counters.reset_all()
+        assert counters.get(0, 1) == 0
         assert counters.get(1, 2) == 0
+        assert list(counters.iter_bank(0)) == list(counters.iter_bank(1)) == []
 
-    def test_rows_at_or_above(self):
-        counters = PerRowCounters(1)
-        for _ in range(3):
-            counters.increment(0, 7)
-        counters.increment(0, 8)
-        assert counters.rows_at_or_above(0, 2) == [7]
-        assert set(counters.rows_at_or_above(0, 1)) == {7, 8}
-
-    def test_max_row(self):
-        counters = PerRowCounters(1)
-        assert counters.max_row(0) is None
-        counters.increment(0, 3)
-        counters.increment(0, 4)
-        counters.increment(0, 4)
-        assert counters.max_row(0) == (4, 2)
-
-    def test_nonzero_rows(self):
-        counters = PerRowCounters(1)
-        counters.increment(0, 1)
-        counters.increment(0, 2)
-        assert counters.nonzero_rows(0) == 2
+    def test_memory_follows_activated_rows_not_row_addresses(self):
+        # One activation of a high row in each of 64 banks: a layout sized
+        # by the highest row would hold 64 x 65,536 slots (~32 MiB).
+        tracemalloc.start()
+        try:
+            counters = PerRowCounters(64)
+            for bank_id in range(64):
+                counters.increment(bank_id, 65_535)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counters.get(63, 65_535) == 1
+        assert peak < 1 << 20
 
     def test_invalid_bank_count(self):
         with pytest.raises(ValueError):
@@ -169,5 +162,3 @@ def test_per_row_counters_match_reference_counts(rows):
         reference[row] = reference.get(row, 0) + 1
     for row, count in reference.items():
         assert counters.get(0, row) == count
-    max_row, max_count = counters.max_row(0)
-    assert max_count == max(reference.values())

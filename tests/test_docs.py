@@ -125,12 +125,30 @@ class TestEntryDocuments:
         for needle in (
             "Structure-of-arrays bank timing", "BankArrayTiming",
             "tests/bank_reference.py", "memoryview", "TimingViolation",
-            "tests/test_bank_backends.py", "acquire_planes",
+            "tests/test_bank_backends.py",
             "_demand_ready_cycle", "Wake-hint caches",
         ):
             assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
         for removed in ("REPRO_BANK_BACKEND", "fast_kernels"):
             assert removed not in architecture, f"ARCHITECTURE.md names {removed!r}"
+
+    def test_architecture_doc_covers_counter_stores(self):
+        architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
+            encoding="utf-8"
+        )
+        for needle in (
+            "### Counter stores", "PerRowCounters", "AggressorTrackingTable",
+            "MisraGriesTable", "peak_rss_mib", "tests/test_counters.py",
+        ):
+            assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
+
+    def test_docs_name_no_deleted_counter_or_sweep_mode(self):
+        for name in ("ARCHITECTURE.md", "EXPERIMENTS.md"):
+            doc = (REPO_ROOT / "docs" / name).read_text(encoding="utf-8")
+            for removed in (
+                "REPRO_COUNTER_BACKEND", "--batch", "adopt_count_buffers",
+            ):
+                assert removed not in doc, f"{name} names {removed!r}"
 
     def test_experiments_doc_covers_bank_timing_and_readiness_scan(self):
         experiments = (REPO_ROOT / "docs" / "EXPERIMENTS.md").read_text(

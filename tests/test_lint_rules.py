@@ -399,14 +399,12 @@ class SystemConfig:
 """
 
 
-def cache_key_project(payload_src, tmp_path, group_src=None):
-    """A three-module fixture project for the cross-file rule."""
+def cache_key_project(payload_src, tmp_path):
+    """A two-module fixture project for the cross-file rule."""
     files = {
         "src/repro/system/config.py": CONFIG_SRC,
         "src/repro/experiments/cache.py": payload_src,
     }
-    if group_src is not None:
-        files["src/repro/experiments/batch.py"] = group_src
     contexts = {}
     for rel_path, source in files.items():
         source = textwrap.dedent(source)
@@ -456,23 +454,6 @@ class TestCacheKeyCompletenessRule:
         findings = CacheKeyCompletenessRule().check_project(project)
         assert rule_names(findings) == ["cache-key-completeness"]
         assert "'n_rh'" in findings[0].message
-
-    def test_fires_on_group_free_field_that_no_longer_exists(self, tmp_path):
-        project = cache_key_project(
-            """\
-            from dataclasses import asdict
-
-            def config_payload(config):
-                return asdict(config)
-            """,
-            tmp_path,
-            group_src="""\
-            GROUP_FREE_CONFIG_FIELDS = ("progress_interval", "renamed_knob")
-            """,
-        )
-        findings = CacheKeyCompletenessRule().check_project(project)
-        assert rule_names(findings) == ["cache-key-completeness"]
-        assert "renamed_knob" in findings[0].message
 
     def test_quiet_on_partial_scans(self, tmp_path):
         source = "x = 1\n"

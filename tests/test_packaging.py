@@ -3,8 +3,8 @@
 ``setup.py`` has always claimed "the pyproject.toml metadata is
 authoritative" -- these tests make that claim true and keep it true: the
 file must exist, parse, agree with the package's ``__version__``, declare
-the NumPy dependency the batch engine imports, and expose a console entry
-point that actually resolves.
+the NumPy dependency the bank timing plane imports, and expose a console
+entry point that actually resolves.
 """
 
 import sys

@@ -283,11 +283,11 @@ class BlockingEngine(SweepEngine):
         super().__init__(workers=0)
         self.release = threading.Event()
 
-    def run_jobs(self, jobs, batch=None, progress=None, cancel=None):
+    def run_jobs(self, jobs, progress=None, cancel=None):
         while not self.release.wait(0.005):
             if cancel is not None and cancel.cancelled:
                 raise SweepCancelled(RunReport())
-        return super().run_jobs(jobs, batch=batch, progress=progress, cancel=cancel)
+        return super().run_jobs(jobs, progress=progress, cancel=cancel)
 
 
 class ServiceHarness:

@@ -34,12 +34,8 @@ class TestProgressEvents:
         results = engine.run(SPEC, progress=events.append)
         return engine, events, results
 
-    @pytest.mark.parametrize("engine_kwargs", [
-        {"workers": 0},
-        {"batch": True},
-    ])
-    def test_event_stream_shape(self, engine_kwargs):
-        engine, events, results = self.run_with_progress(**engine_kwargs)
+    def test_event_stream_shape(self):
+        engine, events, results = self.run_with_progress(workers=0)
         kinds = [event["event"] for event in events]
         assert kinds[0] == "plan"
         assert kinds[-1] == "report"
@@ -48,7 +44,7 @@ class TestProgressEvents:
         plan = events[0]
         assert plan["total_jobs"] == len(results)
         assert plan["missing_jobs"] == len(results)
-        assert plan["mode"] == ("batch" if engine_kwargs.get("batch") else "serial")
+        assert plan["mode"] == "serial"
         # Per-job events count up monotonically to completion.
         done = [event["done_jobs"] for event in events if event["event"] == "job"]
         assert done == list(range(1, len(results) + 1))
