@@ -12,8 +12,9 @@ must be written back to DRAM.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 
 @dataclass(slots=True)
@@ -120,6 +121,16 @@ class Cache:
         """True if the line holding ``address`` is currently cached."""
         set_index, tag = self._locate(address)
         return tag in self._sets[set_index]
+
+    def never_evicts(self, addresses: Iterable[int]) -> bool:
+        """True if no access stream over ``addresses`` can ever evict.
+
+        That holds when no set receives more distinct lines than it has
+        ways: every line, once allocated, then stays resident for good.
+        """
+        lines = {address // self.line_size for address in addresses}
+        per_set = Counter(line % self.num_sets for line in lines)
+        return max(per_set.values(), default=0) <= self.associativity
 
     def access_if_hit(self, address: int, is_write: bool) -> Optional[CacheAccessResult]:
         """Perform the access only if it hits; ``None`` (and no state

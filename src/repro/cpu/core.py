@@ -173,6 +173,15 @@ class Core:
         """True once the core has retired its instruction target."""
         return self.finish_cycle is not None
 
+    @property
+    def quiet(self) -> bool:
+        """Finished, with no DRAM read in flight and no buffered posted write."""
+        return (
+            self.finish_cycle is not None
+            and not self._reads_in_flight
+            and not self._pending_posted_writes
+        )
+
     def ipc(self) -> float:
         """Instructions per *core* cycle up to the finish point."""
         if self.finish_cycle is None or self.finish_cycle == 0:
@@ -417,6 +426,96 @@ class Core:
                 self.retired_instructions = retired
                 if retired >= self.instruction_target:
                     self.finish_cycle = cycle
+
+    # ------------------------------------------------------------------ #
+    # Parked replay
+    # ------------------------------------------------------------------ #
+    def replay_hits(self, end_cycle: int) -> None:
+        """Dispatch every access this parked core would dispatch up to and
+        including ``end_cycle``; each one is an LLC hit.
+
+        A second implementation of ``try_issue``'s rules for a :attr:`quiet`
+        core whose lines all stay in the LLC (retirement, the front end, the
+        instruction window; the MSHR limit cannot bind with no read in
+        flight), keeping its state in local variables.  Stepping
+        ``try_issue`` at each wake cycle instead, which tests pin this loop
+        against, loses most of parking's end-to-end gain
+        (docs/ARCHITECTURE.md, "Parked cores").  A probe that misses means
+        the parking rule was wrong and raises ``RuntimeError``.
+        """
+        if self.bypass_llc or not self.quiet:
+            raise RuntimeError(f"core {self.core_id} is not parkable")
+        cycle = self._wake_cycle
+        if cycle > end_cycle:
+            return
+        probe = self._probe_hit
+        outstanding = self._outstanding
+        access_pool = self._access_pool
+        gaps = self._gaps
+        lines = self._lines
+        is_writes = self._is_writes
+        gap_cycles = self._gap_cycles
+        trace_len = self._trace_len
+        window_size = self.window_size
+        latency = self.llc_hit_latency
+        position = self._position
+        index = self._index
+        front = self._front_cycle
+        ready = self._ready_cycle
+        hits = writes = 0
+        while True:
+            # One try_issue call: retire the completed window head first.
+            while outstanding and outstanding[0].completion_cycle <= cycle:
+                access_pool.append(outstanding.popleft())
+            if ready > cycle:
+                # Front-end block (a finished core ignores the window head).
+                wake = math.ceil(ready)
+            else:
+                dispatch_position = position + gaps[index]
+                if outstanding and outstanding[0].position <= dispatch_position - window_size:
+                    # Window block: the head is still in flight.
+                    wake = outstanding[0].completion_cycle
+                else:
+                    is_write = is_writes[index]
+                    if probe(lines[index], is_write) is None:
+                        raise RuntimeError(
+                            f"parked core {self.core_id} missed the LLC at cycle {cycle}"
+                        )
+                    hits += 1
+                    if is_write:
+                        writes += 1
+                    if access_pool:
+                        access = access_pool.pop()
+                        access.position = dispatch_position
+                        access.completion_cycle = cycle + latency
+                    else:
+                        access = _OutstandingAccess(dispatch_position, cycle + latency)
+                    outstanding.append(access)
+                    position = dispatch_position + 1
+                    # try_issue's front update; the ready cycle cannot
+                    # exceed ``cycle`` here.
+                    if cycle > front:
+                        front = float(cycle)
+                    index += 1
+                    if index >= trace_len:
+                        index = 0
+                    ready = front + gap_cycles[index]
+                    continue
+            if wake > end_cycle:
+                break
+            cycle = wake
+        self.llc_hits += hits
+        self.mem_writes += writes
+        self._position = position
+        self._index = index
+        self._front_cycle = front
+        self._ready_cycle = ready
+        self._cur_gap = gaps[index]
+        self._cur_line = lines[index]
+        self._cur_write = is_writes[index]
+        self._wake_cycle = wake
+        self._retry_on_issue = False
+        self._dispatched_since_retire = False
 
     # ------------------------------------------------------------------ #
     # Event hints

@@ -88,7 +88,22 @@ HOT_PATH_FUNCTIONS = {
         "RefreshScheduler.next_due_cycle",
     }),
     "src/repro/cpu/core.py": frozenset({
+        # The per-dispatch path, and the parked-core replay loop that runs
+        # most dispatches of a finished core.
+        "Core.try_issue",
+        "Core.notify_completion",
+        "Core._retire",
+        "Core._block",
+        "Core._window_allows",
+        "Core.replay_hits",
         "Core.next_event_cycle",
+    }),
+    "src/repro/cpu/cache.py": frozenset({
+        "Cache.access",
+        "Cache.access_if_hit",
+    }),
+    "src/repro/system/simulator.py": frozenset({
+        "SystemSimulator.run",
     }),
 }
 

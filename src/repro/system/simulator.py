@@ -143,6 +143,10 @@ class SystemSimulator:
             for index, trace in enumerate(self.traces)
         ]
         self.cycle = 0
+        # Whether no LLC set can ever overflow in this run; run() decides it
+        # when the first core that reads through the LLC finishes (see
+        # _park_cores).
+        self._llc_never_evicts: Optional[bool] = None
 
         if self.oracle is not None:
             if self.oracle.num_channels != self.num_channels:
@@ -194,9 +198,12 @@ class SystemSimulator:
         Time is event-driven: when no component issued anything, the loop
         advances to the exact minimum of every component's next-event hint
         (controller command readiness, refresh due cycles, back-off
-        deadlines, core retire/issue events).  With ``strict_tick=True`` it
-        instead advances one cycle at a time -- the reference path the
-        determinism tests compare against.
+        deadlines, core retire/issue events).  A finished core whose replay
+        can only hit the LLC is parked (see :meth:`_park_cores`) and
+        replays its hits in one go when the loop exits.  With
+        ``strict_tick=True`` time instead advances one cycle at a time and
+        no core parks -- the reference path the determinism tests compare
+        against.
         """
         cycle = self.cycle
         cores = self.cores
@@ -211,10 +218,16 @@ class SystemSimulator:
         # space only frees on issue events, so queue-blocked cores retry
         # exactly then (matching the ungated schedule cycle for cycle).
         prev_issued = True
+        # The cores in the issue pass and the wake minimum, and the parked
+        # ones; ``parking`` turns False once no core can park in this run.
+        live = list(cores)
+        parked: List[Core] = []
+        parking = not strict
 
         while True:
             finished_all = True
-            for core in cores:
+            park_due = False
+            for core in live:
                 # Issue gating: a call is skipped only when the core's own
                 # wake bookkeeping proves it would be a no-op -- the blocked
                 # state can change at ``_wake_cycle`` (front-end readiness /
@@ -232,6 +245,8 @@ class SystemSimulator:
                 # which has run for this iteration, so the check fuses here.
                 if core.finish_cycle is None:
                     finished_all = False
+                elif parking and not core.bypass_llc:
+                    park_due = True
             issued, hint = router_tick(cycle, force=strict)
             completed = router_drain()
             if completed:
@@ -242,6 +257,8 @@ class SystemSimulator:
                     # (cores drop theirs during notification), so it can be
                     # recycled for the next dispatch.
                     release(request)
+            if park_due:
+                parking = self._park_cores(live, parked)
 
             if finished_all:
                 break
@@ -259,15 +276,15 @@ class SystemSimulator:
                 cycle += 1
                 continue
             wake = hint
-            for core in cores:
-                # Finished cores participate too: they keep replaying their
-                # trace to preserve memory contention (weighted-speedup
-                # methodology), so their issue events are real events -- a
-                # skip over them would make the background traffic depend on
-                # the wake pattern instead of on simulated time.  The cached
-                # wake is exact: it was computed when the core last blocked
-                # and nothing has changed it since (else the core would have
-                # been eligible above and refreshed it).
+            for core in live:
+                # Finished cores keep replaying their trace to preserve
+                # memory contention (weighted-speedup methodology), so a
+                # live finished core's issue events are real events.  A
+                # parked one's are not: it only hits the LLC, which no
+                # other component observes before the loop exits.  The
+                # cached wake is exact: it was computed when the core last
+                # blocked and nothing has changed it since (else the core
+                # would have been eligible above and refreshed it).
                 event = core._wake_cycle
                 if event < wake:
                     wake = event
@@ -276,6 +293,7 @@ class SystemSimulator:
                 # yields a strictly future wake cycle.
                 cycle += 1
             elif wake >= FAR_FUTURE:
+                # Parked cores do not keep a stalled run alive.
                 raise RuntimeError(
                     f"simulation deadlock at cycle {cycle} "
                     f"({self.workload_name}, {self.config.mechanism})"
@@ -283,8 +301,34 @@ class SystemSimulator:
             else:
                 cycle = min(wake, max_cycles)
 
+        for core in parked:
+            core.replay_hits(cycle)
         self.cycle = cycle
         return self._build_result(cycle)
+
+    def _park_cores(self, live: List[Core], parked: List[Core]) -> bool:
+        """Move every live core whose replay can only hit the LLC to ``parked``.
+
+        A core parks when it is :attr:`~Core.quiet` and reads through an
+        LLC that can never evict in this run.  Finishing retires a whole
+        pass of the trace, so every line of it is then resident for good
+        and every later dispatch hits; nothing reads what a hit changes
+        (the hit counter, the line's LRU position and dirty bit) before the
+        loop exits and :meth:`Core.replay_hits` makes those dispatches.
+        docs/ARCHITECTURE.md ("Parked cores") has the full argument.
+        Returns False when no core may park for the rest of the run.
+        """
+        if self._llc_never_evicts is None:
+            self._llc_never_evicts = self.llc.never_evicts(
+                line for core in self.cores if not core.bypass_llc for line in core._lines
+            )
+        if not self._llc_never_evicts:
+            return False
+        for core in list(live):
+            if core.quiet and not core.bypass_llc:
+                live.remove(core)
+                parked.append(core)
+        return True
 
     # ------------------------------------------------------------------ #
     # Result assembly

@@ -86,3 +86,14 @@ def test_contains_after_access(addresses):
     for address in addresses:
         cache.access(address, False)
         assert cache.contains(address)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=64 * 64), min_size=0, max_size=60))
+def test_never_evicts_iff_every_line_stays_resident(addresses):
+    """``never_evicts`` holds exactly when streaming the addresses evicts nothing."""
+    cache = Cache(size_bytes=8 * 64 * 4, associativity=4, line_size=64)
+    never_evicts = cache.never_evicts(addresses)
+    for address in addresses:
+        cache.access(address, is_write=bool(address % 3))
+    assert never_evicts == all(cache.contains(address) for address in addresses)

@@ -1,6 +1,7 @@
 """Tests for the trace-driven core model."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.controller.address_mapping import mop_mapping
 from repro.controller.controller import MemoryController
@@ -60,6 +61,16 @@ class TestCoreExecution:
         assert core.finished
         assert core.finish_cycle is not None and core.finish_cycle <= final_cycle
         assert 0 < core.ipc() <= core.issue_width
+
+    def test_finished_core_is_quiet_only_without_reads_in_flight(self):
+        controller, llc = make_system()
+        # The target is a tenth of the trace: the core finishes while reads
+        # of later accesses are still in flight.
+        core = Core(0, streaming_trace(num_accesses=100, gap=0), llc, instruction_target=10)
+        assert not core.quiet
+        run_core(core, controller)
+        assert core.finished and core._reads_in_flight > 0
+        assert not core.quiet
 
     def test_llc_hits_do_not_reach_dram(self):
         controller, llc = make_system()
@@ -190,3 +201,107 @@ class TestCoreExecution:
         # The queue really was the bottleneck, and real progress was made.
         assert in_retry_buffer > 0
         assert controller.stats.writes_served >= 2
+
+
+class _NoController:
+    """A memory controller that a core replaying LLC hits must never reach."""
+
+    def enqueue(self, request):
+        pytest.fail("a core replaying LLC hits reached the memory controller")
+
+
+def finished_core_over_resident_lines(entries, window_size=128, llc_hit_latency=16):
+    """A core that has just finished, every line of its trace in its LLC.
+
+    ``entries`` are ``(gap_instructions, line, is_write)``; each line lands
+    in its own set, so the LLC never evicts.  The core is stepped like the
+    system simulator steps it, one ``try_issue`` run per wake cycle.
+    """
+    llc = Cache(size_bytes=64 * 1024, associativity=8, line_size=64)
+    trace = Trace("parked", [
+        TraceEntry(gap_instructions=gap, address=line * 64, is_write=is_write)
+        for gap, line, is_write in entries
+    ])
+    for entry in trace.entries:
+        llc.access(entry.address, False)
+    core = Core(0, trace, llc, window_size=window_size, llc_hit_latency=llc_hit_latency)
+    controller = _NoController()
+    while not core.finished:
+        cycle = core._wake_cycle
+        while core.try_issue(cycle, controller):
+            pass
+    return core
+
+
+def step_wake_cycles(core, end_cycle):
+    """Call ``try_issue`` at each wake cycle up to ``end_cycle``, as the main loop would."""
+    controller = _NoController()
+    while core._wake_cycle <= end_cycle:
+        cycle = core._wake_cycle
+        while core.try_issue(cycle, controller):
+            pass
+
+
+def replay_state(core):
+    llc = core.llc
+    return {
+        "llc_stats": llc.stats,
+        "llc_sets": [list(cache_set.items()) for cache_set in llc._sets],
+        "llc_hits": core.llc_hits,
+        "mem_writes": core.mem_writes,
+        "position": core._position,
+        "index": core._index,
+        "wake_cycle": core._wake_cycle,
+        "ready_cycle": core._ready_cycle,
+    }
+
+
+#: Gaps in instructions: 21 instructions are exactly 2 DRAM cycles of the
+#: front end (4-wide at 2.625 core cycles per DRAM cycle), and gaps of a few
+#: instructions let the instruction window bind before the front end does.
+GAPS = st.one_of(
+    st.integers(0, 300),
+    st.integers(0, 14).map(lambda k: 21 * k),
+    st.integers(0, 4),
+)
+
+
+class TestParkedReplay:
+    """``Core.replay_hits`` is a second implementation of ``try_issue``'s
+    finished-core rules; it must leave exactly the state stepping leaves."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(GAPS, st.integers(0, 63), st.booleans()), min_size=1, max_size=40
+        ),
+        window_size=st.sampled_from((4, 16, 128)),
+        llc_hit_latency=st.integers(1, 40),
+        horizon=st.integers(0, 3000),
+    )
+    def test_replay_matches_stepping_try_issue(
+        self, entries, window_size, llc_hit_latency, horizon
+    ):
+        replayed = finished_core_over_resident_lines(entries, window_size, llc_hit_latency)
+        stepped = finished_core_over_resident_lines(entries, window_size, llc_hit_latency)
+        end_cycle = replayed.finish_cycle + horizon
+        replayed.replay_hits(end_cycle)
+        step_wake_cycles(stepped, end_cycle)
+        assert replay_state(replayed) == replay_state(stepped)
+        assert replayed._wake_cycle > end_cycle
+
+    def test_replay_raises_on_a_miss(self):
+        core = finished_core_over_resident_lines([(10, 1, False), (10, 2, False)])
+        core.llc._sets[2].clear()  # line 2 lives in set 2
+        with pytest.raises(RuntimeError, match="missed the LLC"):
+            core.replay_hits(core.finish_cycle + 1000)
+
+    def test_replay_refuses_a_core_that_is_not_parkable(self):
+        _, llc = make_system()
+        unfinished = Core(0, streaming_trace(), llc)
+        with pytest.raises(RuntimeError, match="not parkable"):
+            unfinished.replay_hits(1000)
+        attacker = finished_core_over_resident_lines([(10, 1, False)])
+        attacker.bypass_llc = True
+        with pytest.raises(RuntimeError, match="not parkable"):
+            attacker.replay_hits(attacker.finish_cycle + 1000)

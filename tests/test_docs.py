@@ -142,6 +142,19 @@ class TestEntryDocuments:
         ):
             assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
 
+    def test_architecture_doc_covers_parked_cores(self):
+        architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
+            encoding="utf-8"
+        )
+        for needle in (
+            "### Parked cores", "Cache.never_evicts", "Core.replay_hits",
+            "second implementation", "TestParkedReplay", "simulation deadlock",
+            "access_if_hit", "benchmarks/e2e/",
+        ):
+            assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
+        # Invariant 3 names the fused probe; the old two-step probe is gone.
+        assert "probed with `contains` before" not in architecture
+
     def test_docs_name_no_deleted_counter_or_sweep_mode(self):
         for name in ("ARCHITECTURE.md", "EXPERIMENTS.md"):
             doc = (REPO_ROOT / "docs" / name).read_text(encoding="utf-8")
