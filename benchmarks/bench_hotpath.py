@@ -81,7 +81,7 @@ QUICK_WORKLOADS: Tuple[Tuple[str, int], ...] = (
 BENCH_REPEATS = max(1, int(os.environ.get("REPRO_BENCH_REPEATS", "3")))
 
 #: The workload profiled for the readiness-scan kernel measurement (a PRAC
-#: run: it exercises the demand scan, the back-off path and the hint folds).
+#: run: it exercises the demand scan, the back-off path and the enqueue fold).
 READINESS_PROFILE_WORKLOAD: Tuple[str, int] = ("PRAC-4", 1)
 
 #: Function names of the controller's readiness-scan kernel family
@@ -90,7 +90,6 @@ READINESS_KERNELS = frozenset(
     {
         "_demand_ready_cycle",
         "_bank_demand_ready",
-        "_fold_bank_hint",
     }
 )
 

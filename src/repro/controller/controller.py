@@ -15,7 +15,8 @@ controller side:
 The controller issues at most one DRAM command per cycle (single command
 bus).  ``tick`` returns whether a command was issued plus a hint of the next
 cycle at which the controller could do useful work, which the system
-simulator uses to skip idle cycles.
+simulator uses to skip cycles -- after an issued command as well as after an
+idle tick.
 
 Hot-path design (the event-horizon engine):
 
@@ -31,9 +32,11 @@ Hot-path design (the event-horizon engine):
   rank-level tRRD/tFAW release, the earliest periodic-refresh due cycle
   (a time skip must never jump past a tREFI boundary), the back-off recovery
   deadline, pending preventive refreshes and pending RFMs, and in-flight
-  read completions.  A hint that fires early merely costs a wasted wake; a
-  hint that fires late would silently change simulated behaviour, which the
-  strict-tick determinism harness guards against.
+  read completions.  The demand part is exact: it covers only the queue the
+  next demand service will serve, and a bank only at the release of a
+  command FR-FCFS+Cap can issue there.  A hint that fires early merely costs
+  a wasted wake; a hint that fires late would silently change simulated
+  behaviour, which the strict-tick determinism harness guards against.
 """
 
 from __future__ import annotations
@@ -106,6 +109,12 @@ class MemoryController:
         self.write_queue_size = write_queue_size
         self.scheduler = FrFcfsCapScheduler(cap=scheduler_cap)
         self.refresh = RefreshScheduler(self.organization.ranks, self.timing)
+        if not 0 <= write_drain_low < write_drain_high:
+            # The hysteresis then only ever drains a non-empty write queue,
+            # so the drain flag alone names the queue being served.
+            raise ValueError(
+                "write drain thresholds need 0 <= write_drain_low < write_drain_high"
+            )
         self.write_drain_high = write_drain_high
         self.write_drain_low = write_drain_low
         # The on-die mechanism, cached: the back-off probe runs every tick
@@ -155,17 +164,21 @@ class MemoryController:
         # wasted no-op wake, never a missed event -- and a cached value at or
         # below the current cycle is stale by definition and recomputed.
         #
-        # * ``_demand_hint``: the minimum strictly-future readiness over every
-        #   queued bank of both queues.  ``enqueue`` folds the new request's
-        #   bank in, a demand issue folds the served bank's fresh readiness
-        #   back in, and any other issued command drops it.  While it lies in
-        #   the future, ``_service_demand`` skips the FR-FCFS scan outright
-        #   -- unless ``_demand_ready_now`` is set: a bank that was already
-        #   ready at the last recompute is excluded from the strictly-future
-        #   minimum, yet may become servable later without any issue event
-        #   (e.g. the write-drain hysteresis flips the active queue on an
-        #   enqueue), so its presence disables the skip until the next
-        #   recompute.
+        # * ``_demand_hint``: the earliest strictly-future cycle at which a
+        #   bank of the queue the next ``_service_demand`` serves can issue
+        #   (``_demand_ready_cycle``); ``_demand_drains`` records which queue
+        #   that was.  Every issued command drops it, and the hint after the
+        #   issue recomputes it; ``enqueue`` folds the new request's bank in.
+        #   The queue can only flip when a count changes: on an issue, which
+        #   recomputes the hint, or on an enqueue, which marks the channel
+        #   dirty -- ``_service_demand`` then drops a hint computed for the
+        #   other queue.  While the hint lies in the future,
+        #   ``_service_demand`` skips the FR-FCFS scan outright -- unless
+        #   ``_demand_ready_now`` is set: a bank that could already issue at
+        #   the last recompute is excluded from the strictly-future minimum.
+        #   After an issue that means the command bus was taken, so the next
+        #   cycle is a wake; after a failed tick it only means an urgent
+        #   refresh blocks the bank's ACT.
         # * ``_refresh_scan_hint``: the refresh-pending bank scan.  Its inputs
         #   only change on refresh accrual, an issued command (both drop it)
         #   or an enqueue that raises a rank's demand, which can only
@@ -175,6 +188,7 @@ class MemoryController:
         #   on an issued command, which drops it; pruning stale pending
         #   entries can only remove events.
         self._demand_hint: Optional[int] = None
+        self._demand_drains = False
         self._demand_ready_now = True
         self._refresh_scan_hint: Optional[int] = None
         self._mech_scan_hint: Optional[int] = None
@@ -264,8 +278,8 @@ class MemoryController:
         """Attempt to issue one DRAM command at ``cycle``.
 
         Returns ``(issued, next_hint)`` where ``next_hint`` is the earliest
-        cycle at which calling ``tick`` again may be useful (only meaningful
-        when ``issued`` is False).
+        cycle at which calling ``tick`` again may be useful, whether or not
+        a command issued (see :meth:`_next_event_hint`).
         """
         # Prologue with the O(1) guards inlined (this runs every busy
         # cycle): refresh accrual off-boundary, read retirement with nothing
@@ -289,7 +303,6 @@ class MemoryController:
                 )
 
         issued = self._service_backoff(cycle)
-        demand_issue = False
         if not issued and not self._backoff_blocks_traffic(cycle):
             # Guards inlined: each service stage is only entered when its
             # work queue is non-empty (this tick runs every busy cycle).
@@ -304,20 +317,14 @@ class MemoryController:
                     and self._service_preventive(cycle)
                 )
             if not issued:
-                issued = demand_issue = self._service_demand(cycle)
+                issued = self._service_demand(cycle)
         if issued:
-            # Any command changes bank/rank readiness: drop the cached hints.
-            # Exception: a *demand* command only moves the served bank's own
-            # readiness (its rank-level side effects push other banks later,
-            # which keeps the cached minimum early-but-never-late), and
-            # _service_demand already folded that bank back in -- so the
-            # cached demand minimum survives demand bursts instead of forcing
-            # a full bucket rescan at the next idle wake.
-            if not demand_issue:
-                self._demand_hint = None
+            # Any command changes bank/rank readiness: drop the cached hints,
+            # which the hint below recomputes.
+            self._demand_hint = None
             self._refresh_scan_hint = None
             self._mech_scan_hint = None
-            return True, cycle + 1
+            return True, self._next_event_hint(cycle, True)
         return False, self._next_event_hint(cycle)
 
     def next_event_cycle(self, cycle: int) -> int:
@@ -330,6 +337,8 @@ class MemoryController:
         """
         self.refresh.tick(cycle)
         self._refresh_scan_hint = None
+        # An enqueue since the last tick may have flipped the active queue.
+        self._demand_hint = None
         return self._next_event_hint(cycle)
 
     def _backoff_blocks_traffic(self, cycle: int) -> bool:
@@ -483,29 +492,41 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Demand request servicing (FR-FCFS + Cap)
     # ------------------------------------------------------------------ #
+    def _write_drain(self) -> bool:
+        """The write-drain hysteresis, free of side effects.
+
+        Returns the drain flag the next demand service holds, from the
+        stored flag and the two queue counts: start draining at
+        ``write_drain_high`` writes (or when only writes are queued), stop
+        at ``write_drain_low``.  It is True only while writes are queued.
+        """
+        writes = self._write_count
+        if self._draining_writes and writes > self.write_drain_low:
+            return True
+        return writes >= self.write_drain_high or (
+            writes > 0 and not self._read_count
+        )
+
     def _active_queue_is_reads(self) -> bool:
-        """Write-drain hysteresis: pick the queue type to serve this tick."""
-        if self._draining_writes:
-            if self._write_count <= self.write_drain_low:
-                self._draining_writes = False
-        if not self._draining_writes:
-            if self._write_count >= self.write_drain_high or (
-                not self._read_count and self._write_count
-            ):
-                self._draining_writes = True
-        return not (self._draining_writes and self._write_count)
+        """Pick the queue type to serve this tick, storing the drain flag."""
+        draining = self._draining_writes = self._write_drain()
+        return not draining
 
     def _service_demand(self, cycle: int) -> bool:
         is_read = self._active_queue_is_reads()
-        # The cached demand hint is the exact minimum readiness over every
-        # queued bank of *both* queues, so a strictly-future hint proves no
-        # candidate can issue -- the whole FR-FCFS scan (pure on failure) is
-        # skipped.  The hysteresis above still ran, so the drain flag's
-        # trajectory is unchanged.  Disabled while a blocked-but-ready bank
-        # exists (see __init__).
+        # The cached demand hint is the exact minimum readiness over the
+        # queued banks of the active queue, so a strictly-future hint proves
+        # no candidate can issue -- the whole FR-FCFS scan (pure on failure)
+        # is skipped.  The hysteresis above still ran, so the drain flag's
+        # trajectory is unchanged.  Disabled while a bank that could issue
+        # at the last recompute exists (see __init__); a hint computed for
+        # the other queue (an enqueue flipped it) is dropped.
         hint = self._demand_hint
-        if hint is not None and cycle < hint and not self._demand_ready_now:
-            return False
+        if hint is not None:
+            if self._demand_drains != self._draining_writes:
+                self._demand_hint = None
+            elif cycle < hint and not self._demand_ready_now:
+                return False
         if is_read:
             if not self._read_count:
                 return False
@@ -515,7 +536,6 @@ class MemoryController:
         open_rows = self._mv_open_row
         request = self.scheduler.choose_from_buckets(buckets, open_rows)
         if request is not None and self._serve_request(request, is_read, buckets, cycle):
-            self._fold_bank_hint(request.bank_id)
             return True
         # First-ready fallback: try any request whose next command is legal.
         # Per bank only three requests can differ in outcome -- the bucket
@@ -557,7 +577,6 @@ class MemoryController:
         candidates.sort(key=_BY_REQUEST_ID)
         for request in candidates:
             if self._serve_request(request, is_read, buckets, cycle):
-                self._fold_bank_hint(request.bank_id)
                 return True
         return False
 
@@ -675,9 +694,9 @@ class MemoryController:
         self._inflight_reads = still_waiting
 
     # ------------------------------------------------------------------ #
-    # Idle-time hints (the event horizon)
+    # Wake hints (the event horizon)
     # ------------------------------------------------------------------ #
-    def _next_event_hint(self, cycle: int) -> int:
+    def _next_event_hint(self, cycle: int, issued: bool = False) -> int:
         """Earliest future cycle at which ``tick`` may do useful work.
 
         Every event source is covered, so the system simulator may advance
@@ -685,9 +704,47 @@ class MemoryController:
         (hints may be conservative -- early -- but never late; the
         strict-tick determinism harness pins this).  Bank readiness is read
         from the plane's memoryview twins (plain Python ints): this hint
-        runs on every idle tick.
+        runs on every tick.
+
+        After an issued command (``issued``) the next tick may act at once,
+        so the hint is ``cycle + 1`` when a recovery is running, when the
+        on-die back-off is asserted but not yet observed (skipping the
+        prologue probe would move ``_rfm_due_cycle``), when the issue moved
+        the write-drain flag (see below), or when a source can issue now: a
+        queued bank, a bank of a rank whose REF is actionable, or a bank
+        owing a preventive refresh or an RFM.  The scans record that in the
+        same pass.  Demand goes first: a busy multi-bank run often issues
+        again on the next cycle, and then the refresh and mechanism scans
+        are not needed.
         """
-        best = FAR_FUTURE
+        if issued:
+            # A recovery due by ``cycle + 1`` is running already, or is the
+            # back-off deadline below.
+            if self._in_recovery:
+                return cycle + 1
+            on_die = self._on_die
+            if (
+                on_die is not None
+                and self._rfm_due_cycle is None
+                and on_die.backoff_asserted()
+            ):
+                return cycle + 1
+            if self._write_drain() != self._draining_writes:
+                # The issue moved the write-drain flag.  The hysteresis
+                # depends on the order of counts it sees, so the next demand
+                # service must store the flag on the next cycle, before a
+                # later enqueue moves the counts.
+                return cycle + 1
+
+        # Demand requests, bucketed per bank: only the queue the next
+        # _service_demand serves.  Every issued command drops the cached
+        # value, so after one it is recomputed here.
+        demand = self._demand_hint
+        if demand is None or demand <= cycle:
+            demand = self._demand_hint = self._demand_ready_cycle(cycle)
+            if issued and self._demand_ready_now:
+                return cycle + 1
+        best = demand
         open_row = self._mv_open_row
         next_pre = self._mv_next_pre
         next_act = self._mv_next_act
@@ -720,6 +777,7 @@ class MemoryController:
                     best = scan
             else:
                 scan = FAR_FUTURE
+                ready_now = False
                 pending_ranks = self.refresh.ranks_needing_refresh()
                 if pending_ranks:
                     rank_demand = self._rank_demand
@@ -738,33 +796,31 @@ class MemoryController:
                                 if open_row[bank_id] >= 0
                                 else next_act[bank_id]
                             )
-                            if cycle < ready < scan:
+                            if ready <= cycle:
+                                ready_now = True
+                            elif ready < scan:
                                 scan = ready
                 self._refresh_scan_hint = scan
+                if issued and ready_now:
+                    return cycle + 1
                 if scan < best:
                     best = scan
-
-        # Demand requests, bucketed per bank.  Both queues contribute: the
-        # write queue may become the active queue as soon as it drains.
-        demand = self._demand_hint
-        if demand is None or demand <= cycle:
-            demand = self._demand_ready_cycle(cycle)
-            self._demand_hint = demand
-        if cycle < demand < best:
-            best = demand
 
         mechanism = self.mechanism
         if mechanism is not None:
             mech = self._mech_scan_hint
             if mech is None or mech <= cycle:
                 mech = FAR_FUTURE
+                ready_now = False
                 for bank_id in mechanism._pending:
                     ready = (
                         next_pre[bank_id]
                         if open_row[bank_id] >= 0
                         else next_act[bank_id]
                     )
-                    if cycle < ready < mech:
+                    if ready <= cycle:
+                        ready_now = True
+                    elif ready < mech:
                         mech = ready
                 for bank_id in mechanism.rfm_pending_banks():
                     ready = (
@@ -772,9 +828,13 @@ class MemoryController:
                         if open_row[bank_id] >= 0
                         else next_act[bank_id]
                     )
-                    if cycle < ready < mech:
+                    if ready <= cycle:
+                        ready_now = True
+                    elif ready < mech:
                         mech = ready
                 self._mech_scan_hint = mech
+                if issued and ready_now:
+                    return cycle + 1
             if mech < best:
                 best = mech
 
@@ -787,35 +847,13 @@ class MemoryController:
 
         return best
 
-    def _fold_bank_hint(self, bank_id: int) -> None:
-        """Fold one served bank's new readiness into the cached demand hint.
-
-        Called after a demand command issued on ``bank_id``.  The fold is
-        deliberately conservative: for an open bank it takes the minimum over
-        read, write and precharge release without checking which queues the
-        bank actually sits in, and for a closed bank it ignores the
-        rank-level ACT constraints -- a value at or below the bank's true
-        next event keeps the cached minimum early-but-never-late.
-        """
-        hint = self._demand_hint
-        if hint is None:
-            return
-        if self._mv_open_row[bank_id] < 0:
-            ready = self._mv_next_act[bank_id]
-        else:
-            ready = self._mv_next_rd[bank_id]
-            wr = self._mv_next_wr[bank_id]
-            if wr < ready:
-                ready = wr
-            pre = self._mv_next_pre[bank_id]
-            if pre < ready:
-                ready = pre
-        if ready < hint:
-            self._demand_hint = ready
-
     def _bank_demand_ready(self, bank_id: int, is_read: bool) -> int:
-        """Readiness of one queued bank (the per-bank body of
-        :meth:`_demand_ready_cycle`), for incremental hint maintenance."""
+        """Readiness of one queued bank, for the enqueue fold.
+
+        The per-bank body of :meth:`_demand_ready_cycle`, kept conservative
+        for an open bank: the earlier of the column and precharge release,
+        without scanning the bucket for hits and conflicts.
+        """
         if self._mv_open_row[bank_id] < 0:
             ready = self._mv_next_act[bank_id]
             state = self.device._ranks[bank_id // self._banks_per_rank]
@@ -835,17 +873,26 @@ class MemoryController:
         return col if col < pre else pre
 
     def _demand_ready_cycle(self, cycle: int) -> int:
-        """Earliest strictly-future readiness event of any queued demand.
+        """Earliest strictly-future cycle at which a queued demand can issue.
 
-        Walks only the queued buckets.  Rank-level ACT readiness (tRRD /
-        tFAW) is inlined: this scan runs on idle wakes and the call overhead
-        dominates otherwise.  For open banks both the column-command and the
-        precharge release are included without scanning the bucket for
-        actual hits/conflicts -- hints may be early (a wasted wake is a
-        no-op tick), never late.  Also records in ``_demand_ready_now``
-        whether any queued bank is ready at or before ``cycle`` (see
-        ``__init__``).
+        Walks only the buckets of the queue the next ``_service_demand``
+        serves (recorded in ``_demand_drains``) and applies the rules under
+        which ``_serve_request`` issues: a closed bank at its ACT release,
+        with the rank-level tRRD / tFAW release inlined (the call overhead
+        dominates otherwise); an open bank at its column release if its
+        bucket holds a hit to the open row, and at its precharge release if
+        the bucket holds a conflict that ``_preserve_open_row`` would not
+        hold back (no hit queued, or the bank's cap is reached).  Also
+        records in ``_demand_ready_now`` whether a queued bank can issue at
+        or before ``cycle`` (see ``__init__``).
         """
+        drains = self._demand_drains = self._write_drain()
+        if drains:
+            buckets = self._write_buckets
+            col = self._mv_next_wr
+        else:
+            buckets = self._read_buckets
+            col = self._mv_next_rd
         best = FAR_FUTURE
         next_act = self._mv_next_act
         next_pre = self._mv_next_pre
@@ -855,36 +902,36 @@ class MemoryController:
         tRRD = self.timing.tRRD
         tFAW = self.timing.tFAW
         ready_now = False
-        for buckets, col in (
-            (self._read_buckets, self._mv_next_rd),
-            (self._write_buckets, self._mv_next_wr),
-        ):
-            for bank_id in buckets:
-                if open_row[bank_id] < 0:
-                    ready = next_act[bank_id]
-                    state = rank_states[bank_id // banks_per_rank]
-                    rank_ready = state.last_act_cycle + tRRD
-                    if rank_ready > ready:
-                        ready = rank_ready
-                    window = state.act_window
-                    if len(window) == window.maxlen:
-                        faw_ready = window[0] + tFAW
-                        if faw_ready > ready:
-                            ready = faw_ready
-                    if ready <= cycle:
-                        ready_now = True
-                    elif ready < best:
-                        best = ready
-                    continue
-                ready = col[bank_id]
-                if ready <= cycle:
-                    ready_now = True
-                elif ready < best:
-                    best = ready
-                ready = next_pre[bank_id]
-                if ready <= cycle:
-                    ready_now = True
-                elif ready < best:
-                    best = ready
+        for bank_id, bucket in buckets.items():
+            row = open_row[bank_id]
+            if row < 0:
+                ready = next_act[bank_id]
+                state = rank_states[bank_id // banks_per_rank]
+                rank_ready = state.last_act_cycle + tRRD
+                if rank_ready > ready:
+                    ready = rank_ready
+                window = state.act_window
+                if len(window) == window.maxlen:
+                    faw_ready = window[0] + tFAW
+                    if faw_ready > ready:
+                        ready = faw_ready
+            else:
+                head_is_hit = bucket[0].dram.row == row
+                for request in bucket:
+                    if (request.dram.row == row) != head_is_hit:
+                        # Hits and conflicts queued: the conflict's
+                        # precharge waits until the cap stops the hits.
+                        ready = col[bank_id]
+                        if self.scheduler.cap_reached(bank_id):
+                            pre = next_pre[bank_id]
+                            if pre < ready:
+                                ready = pre
+                        break
+                else:
+                    ready = col[bank_id] if head_is_hit else next_pre[bank_id]
+            if ready <= cycle:
+                ready_now = True
+            elif ready < best:
+                best = ready
         self._demand_ready_now = ready_now
         return best

@@ -109,8 +109,7 @@ class ChannelRouter:
         their previous hint is still valid.  ``force`` disables the gating
         (the strict-tick reference path must not depend on hint precision).
         Returns ``(any_issued, next_hint)`` where ``next_hint`` is the
-        earliest wake cycle across channels (only meaningful when nothing
-        issued anywhere).
+        earliest wake cycle across channels, issuing or not.
         """
         issued_any = False
         hint = FAR_FUTURE
@@ -118,24 +117,20 @@ class ChannelRouter:
         dirty = self._dirty
         for index, controller in enumerate(self.controllers):
             if force or dirty[index] or cycle >= wake[index]:
-                issued, channel_hint = controller.tick(cycle)
+                issued, wake[index] = controller.tick(cycle)
                 dirty[index] = False
-                wake[index] = channel_hint  # == cycle + 1 when issued
                 if issued:
                     issued_any = True
-                    continue
             if wake[index] < hint:
                 hint = wake[index]
-        return issued_any, (cycle + 1 if issued_any else hint)
+        return issued_any, hint
 
     def _tick_single(self, cycle: int, force: bool = False) -> Tuple[bool, int]:
         """Loop-free :meth:`tick` for the one-channel topology."""
         wake = self._wake
         if force or self._dirty[0] or cycle >= wake[0]:
-            issued, hint = self.controllers[0].tick(cycle)
+            result = self.controllers[0].tick(cycle)
             self._dirty[0] = False
-            wake[0] = hint
-            if issued:
-                return True, cycle + 1
-            return False, hint
+            wake[0] = result[1]
+            return result
         return False, wake[0]

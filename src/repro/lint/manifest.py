@@ -52,11 +52,17 @@ HOT_PATH_FUNCTIONS = {
     "src/repro/controller/controller.py": frozenset({
         "MemoryController.tick",
         "MemoryController._next_event_hint",
-        "MemoryController._fold_bank_hint",
         "MemoryController._bank_demand_ready",
         "MemoryController._demand_ready_cycle",
         "MemoryController._service_demand",
         "MemoryController._serve_request",
+        "MemoryController._active_queue_is_reads",
+        "MemoryController._write_drain",
+    }),
+    "src/repro/controller/router.py": frozenset({
+        # The per-cycle fan-out: one call per main-loop iteration.
+        "ChannelRouter.tick",
+        "ChannelRouter._tick_single",
     }),
     "src/repro/controller/scheduler.py": frozenset({
         "FrFcfsCapScheduler.choose",

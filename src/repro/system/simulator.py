@@ -195,15 +195,16 @@ class SystemSimulator:
     def run(self) -> SimulationResult:
         """Run the simulation until every core retires its target.
 
-        Time is event-driven: when no component issued anything, the loop
-        advances to the exact minimum of every component's next-event hint
-        (controller command readiness, refresh due cycles, back-off
-        deadlines, core retire/issue events).  A finished core whose replay
-        can only hit the LLC is parked (see :meth:`_park_cores`) and
-        replays its hits in one go when the loop exits.  With
-        ``strict_tick=True`` time instead advances one cycle at a time and
-        no core parks -- the reference path the determinism tests compare
-        against.
+        Time is event-driven: after every iteration, the loop advances to
+        the exact minimum of every component's next-event hint (controller
+        command readiness, refresh due cycles, back-off deadlines, core
+        retire/issue events); a core waiting for queue space after an
+        issue, or woken by a completion, makes it the next cycle.  A
+        finished core whose replay can only hit the LLC is parked (see
+        :meth:`_park_cores`) and replays its hits in one go when the loop
+        exits.  With ``strict_tick=True`` time instead advances one cycle
+        at a time and no core parks -- the reference path the determinism
+        tests compare against.
         """
         cycle = self.cycle
         cores = self.cores
@@ -272,9 +273,11 @@ class SystemSimulator:
                 # advancing time (otherwise a final same-cycle completion
                 # would look like a deadlock).
                 continue
-            if issued or strict:
+            if strict:
                 cycle += 1
                 continue
+            # The router hint is exact after an issued command too, so time
+            # advances the same way whether or not a command issued.
             wake = hint
             for core in live:
                 # Finished cores keep replaying their trace to preserve
@@ -286,11 +289,14 @@ class SystemSimulator:
                 # blocked and nothing has changed it since (else the core
                 # would have been eligible above and refreshed it).
                 event = core._wake_cycle
+                if issued and core._retry_on_issue:
+                    # The issue may have freed the queue space it waits for.
+                    event = cycle + 1
                 if event < wake:
                     wake = event
             if wake <= cycle:
-                # Defensive only: hints are precise, so an idle tick always
-                # yields a strictly future wake cycle.
+                # A completion drained at an issuing cycle reset a core's
+                # wake: it reacts on the next cycle.
                 cycle += 1
             elif wake >= FAR_FUTURE:
                 # Parked cores do not keep a stalled run alive.

@@ -155,6 +155,19 @@ class TestEntryDocuments:
         # Invariant 3 names the fused probe; the old two-step probe is gone.
         assert "probed with `contains` before" not in architecture
 
+    def test_architecture_doc_covers_the_hint_after_an_issue(self):
+        architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
+            encoding="utf-8"
+        )
+        for needle in (
+            "### The hint after an issue", "_demand_ready_now", "_write_drain",
+            "_preserve_open_row", "not yet observed", "TestWakeContract",
+            "89,163",
+        ):
+            assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
+        # The old rule stepped one cycle after every issued command.
+        assert "issued a command this cycle (or `strict_tick=True`)" not in architecture
+
     def test_docs_name_no_deleted_counter_or_sweep_mode(self):
         for name in ("ARCHITECTURE.md", "EXPERIMENTS.md"):
             doc = (REPO_ROOT / "docs" / name).read_text(encoding="utf-8")

@@ -7,8 +7,9 @@ properties that make the skipping *safe*:
 1. **Determinism harness** -- the event-driven path produces byte-identical
    :class:`~repro.system.metrics.SimulationResult` payloads to the
    cycle-stepped reference path (``strict_tick=True``) for every mechanism
-   on one and two channels, and for every acting mechanism on an attack
-   job where its back-offs, RFMs or victim refreshes fire.  A wake hint
+   on one and two channels, for every acting mechanism on an attack job
+   where its back-offs, RFMs or victim refreshes fire, and on the wave
+   attack, where one LLC-bypassing core hammers one bank.  A wake hint
    that fires late shows up here as a payload mismatch.
 
    Each of these runs parks a finished core (it leaves the main loop and
@@ -26,11 +27,18 @@ import json
 
 import pytest
 
+from repro.attacks.oracle import DisturbanceOracle
+from repro.attacks.patterns import AttackSpec
 from repro.core.factory import MECHANISM_NAMES
 from repro.cpu.trace import Trace, TraceEntry
 from repro.dram.refresh import RefreshScheduler
 from repro.experiments.cache import result_to_dict
-from repro.experiments.sweep import attack_job, build_job_traces, mechanism_job
+from repro.experiments.sweep import (
+    attack_job,
+    attack_search_job,
+    build_job_traces,
+    mechanism_job,
+)
 from repro.system.config import paper_system_config
 from repro.system.simulator import FAR_FUTURE, SystemSimulator, simulate
 
@@ -39,6 +47,8 @@ ACCESSES = 300
 #: Attack-job size at which every acting mechanism below acts at N_RH=20.
 ATTACK_BENIGN_ACCESSES = 50
 ATTACK_ACCESSES = 600
+#: A shrunken wave attack: one core hammering 16 rows of one bank.
+WAVE = AttackSpec.create("wave", {"num_rows": 16, "rounds": 20, "row_stride": 4})
 
 
 def _payload(result) -> str:
@@ -75,15 +85,28 @@ def _deferred_state(sim) -> dict:
     }
 
 
-def _event_matches_strict(config, traces):
+def _job_oracle(job) -> DisturbanceOracle:
+    """A fresh disturbance oracle for ``job``, built as ``execute_job`` does."""
+    return DisturbanceOracle(
+        nrh=job.config.nrh,
+        blast_radius=job.config.blast_radius,
+        num_channels=job.config.organization.channels,
+    )
+
+
+def _event_matches_strict(config, traces, oracle=None):
     """Run ``traces`` event-driven and cycle-stepped and assert they agree.
 
-    Returns the event-driven simulator, its result and the ids of its
-    parked cores.
+    ``oracle``, when given, builds a fresh disturbance oracle for each run,
+    so the ``oracle_*`` statistics are compared too.  Returns the
+    event-driven simulator, its result and the ids of its parked cores.
     """
     runs = []
     for strict in (False, True):
-        sim = SystemSimulator(config, traces, strict_tick=strict)
+        sim = SystemSimulator(
+            config, traces, strict_tick=strict,
+            oracle=None if oracle is None else oracle(),
+        )
         parked = _spy_parking(sim)
         runs.append((sim, sim.run(), parked))
     (event_sim, event, parked), (strict_sim, strict, strict_parked) = runs
@@ -129,6 +152,28 @@ class TestStrictTickDeterminism:
         _, event, parked = _event_matches_strict(job.config, build_job_traces(job))
         assert event.controller_stats[action] > 0
         assert parked, "no core parked, so the replay path went unchecked"
+
+    @pytest.mark.parametrize(
+        "mechanism, action",
+        (
+            ("PRAC-1", "backoffs_observed"),
+            ("Chronus", "backoffs_observed"),
+            ("Graphene", "preventive_refresh_rows"),
+        ),
+    )
+    def test_wave_attack_matches_strict_tick(self, mechanism, action):
+        """A lone LLC-bypassing core against one bank skips time exactly.
+
+        Here the controller's hint after an issued command skips most
+        often: between the attacker's requests only one bank has work.
+        """
+        job = attack_search_job(paper_system_config(), mechanism, 20, WAVE)
+        _, event, parked = _event_matches_strict(
+            job.config, build_job_traces(job), oracle=lambda: _job_oracle(job)
+        )
+        assert event.controller_stats[action] > 0
+        assert any(key.startswith("oracle_") for key in event.mitigation_stats)
+        assert parked == []  # the attacker bypasses the LLC
 
     def test_event_path_actually_skips(self):
         """The equality above is meaningful: far fewer ticks than cycles."""
