@@ -160,25 +160,18 @@ def wave_attack_trace(
         raise ValueError("rounds must be positive")
     rows = _wave_rows(organization, num_rows, row_stride, first_row)
     mapping = mapping or mop_mapping(organization)
-    entries: List[TraceEntry] = []
-    for _ in range(rounds):
-        for row in rows:
-            # Interleave with a conflicting row in the same bank so that each
-            # access closes the previously open row (classic hammer kernel).
-            conflict_row = (row + 2) % organization.rows
-            entries.append(
-                TraceEntry(
-                    gap_instructions=0,
-                    address=_address_for(mapping, organization, bank_index, row),
-                )
-            )
-            entries.append(
-                TraceEntry(
-                    gap_instructions=0,
-                    address=_address_for(mapping, organization, bank_index, conflict_row),
-                )
-            )
-    return Trace(name, entries)
+    # One round, encoded once and repeated (entries are frozen).  Each decoy
+    # row alternates with a conflicting row in the same bank, so every access
+    # closes the previously open row (classic hammer kernel).
+    one_round = [
+        TraceEntry(
+            gap_instructions=0,
+            address=_address_for(mapping, organization, bank_index, hammered_row),
+        )
+        for row in rows
+        for hammered_row in (row, (row + 2) % organization.rows)
+    ]
+    return Trace(name, one_round * rounds)
 
 
 def performance_attack_trace(
@@ -205,22 +198,16 @@ def performance_attack_trace(
     banks = list(range(min(num_banks, organization.total_banks)))
     base_row = rng.randrange(organization.rows // 2)
     rows = [base_row + 4 * index for index in range(rows_per_bank)]
-
-    entries: List[TraceEntry] = []
-    cursor = 0
-    while len(entries) < num_accesses:
-        row = rows[cursor % rows_per_bank]
-        for bank_index in banks:
-            if len(entries) >= num_accesses:
-                break
-            entries.append(
-                TraceEntry(
-                    gap_instructions=0,
-                    address=_address_for(mapping, organization, bank_index, row),
-                )
-            )
-        cursor += 1
-    return Trace(name, entries)
+    # One pass over every (row, bank) pair, encoded once, repeated and cut.
+    pattern = [
+        TraceEntry(
+            gap_instructions=0,
+            address=_address_for(mapping, organization, bank_index, row),
+        )
+        for row in rows
+        for bank_index in banks
+    ]
+    return Trace(name, (pattern * (num_accesses // len(pattern) + 1))[:num_accesses])
 
 
 # --------------------------------------------------------------------------- #

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dram.organization import DramAddress, DramOrganization
 
@@ -64,18 +64,22 @@ class AddressMapping:
     column_low_bits: int = 0
 
     def __post_init__(self) -> None:
-        # Decode runs once per LLC miss, so the per-field (shift, mask)
-        # pairs are precomputed instead of rebuilding the width table per
-        # call.  ``object.__setattr__`` because the dataclass is frozen; the
-        # plan is derived state, not a field (equality/repr are unaffected).
+        # Decode (once per LLC miss) and encode walk per-field plans
+        # precomputed here instead of rebuilding the width table per call.
+        # ``object.__setattr__`` because the dataclass is frozen; the plans
+        # are derived state, not fields (equality/repr are unaffected).
         widths = self.field_widths()
         shifts: Dict[str, int] = {}
         masks: Dict[str, int] = {}
+        # (index into FIELDS, shift, limit) in field_order, so the range
+        # checks run, and fail, in the order of the address bits.
+        encode_plan: List[Tuple[int, int, int]] = []
         shift = 0
         for field in self.field_order:
             width = widths[field]
             shifts[field] = shift
             masks[field] = (1 << width) - 1
+            encode_plan.append((FIELDS.index(field), shift, 1 << width))
             shift += width
         plan = tuple(
             (shifts[field], masks[field])
@@ -85,6 +89,7 @@ class AddressMapping:
             )
         )
         object.__setattr__(self, "_decode_plan", plan)
+        object.__setattr__(self, "_encode_plan", tuple(encode_plan))
         object.__setattr__(self, "_column_low_width", widths["column_low"])
 
     def field_widths(self) -> Dict[str, int]:
@@ -134,28 +139,30 @@ class AddressMapping:
         )
 
     def encode(self, dram: DramAddress) -> int:
-        """Encode DRAM coordinates back into a physical byte address."""
-        widths = self.field_widths()
-        low_mask = (1 << widths["column_low"]) - 1
-        values = {
-            "offset": 0,
-            "column_low": dram.column & low_mask,
-            "column_high": dram.column >> widths["column_low"],
-            "bank": dram.bank,
-            "bankgroup": dram.bankgroup,
-            "rank": dram.rank,
-            "row": dram.row,
-            "channel": dram.channel,
-        }
+        """Encode DRAM coordinates back into a physical byte address.
+
+        Raises ``ValueError`` when a field falls outside ``[0, 1 << width)``.
+        """
+        column = dram.column
+        low_width = self._column_low_width
+        values = (  # in FIELDS order
+            0, column & ((1 << low_width) - 1), column >> low_width,
+            dram.bank, dram.bankgroup, dram.rank, dram.row, dram.channel,
+        )
         address = 0
-        shift = 0
-        for field in self.field_order:
-            width = widths[field]
-            if values[field] >= (1 << width) and width >= 0 and values[field] != 0:
-                if values[field] >> width:
-                    raise ValueError(f"{field} value {values[field]} does not fit in {width} bits")
-            address |= values[field] << shift
-            shift += width
+        for index, shift, limit in self._encode_plan:
+            value = values[index]
+            if not 0 <= value < limit:
+                field = FIELDS[index]
+                if value < 0:
+                    coordinate = field.partition("_")[0]  # column_low/high -> column
+                    raise ValueError(
+                        f"{coordinate} coordinate {getattr(dram, coordinate)} is negative"
+                    )
+                raise ValueError(
+                    f"{field} value {value} does not fit in {limit.bit_length() - 1} bits"
+                )
+            address |= value << shift
         return address
 
 

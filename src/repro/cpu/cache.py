@@ -71,10 +71,9 @@ class Cache:
         # Each set maps tag -> dirty flag, ordered LRU -> MRU.  Plain dicts
         # preserve insertion order, so delete-and-reinsert moves a tag to the
         # MRU end and ``next(iter(set))`` is the LRU victim -- same policy as
-        # an OrderedDict, minus its per-node overhead on this hot path.
-        self._sets: List[Dict[int, bool]] = [
-            dict() for _ in range(self.num_sets)
-        ]
+        # an OrderedDict, minus its per-node overhead on this hot path.  A
+        # set is ``None`` until a miss first fills it.
+        self._sets: List[Optional[Dict[int, bool]]] = [None] * self.num_sets
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------ #
@@ -98,6 +97,8 @@ class Cache:
         set_index = line % self.num_sets
         tag = line // self.num_sets
         cache_set = self._sets[set_index]
+        if cache_set is None:
+            cache_set = self._sets[set_index] = {}
 
         dirty = cache_set.pop(tag, None)
         if dirty is not None:
@@ -120,7 +121,7 @@ class Cache:
     def contains(self, address: int) -> bool:
         """True if the line holding ``address`` is currently cached."""
         set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
+        return tag in (self._sets[set_index] or ())
 
     def never_evicts(self, addresses: Iterable[int]) -> bool:
         """True if no access stream over ``addresses`` can ever evict.
@@ -147,6 +148,8 @@ class Cache:
         set_index = line % self.num_sets
         tag = line // self.num_sets
         cache_set = self._sets[set_index]
+        if cache_set is None:
+            return None
         dirty = cache_set.pop(tag, None)
         if dirty is None:
             return None
@@ -156,4 +159,4 @@ class Cache:
 
     def occupancy(self) -> int:
         """Number of valid lines currently stored."""
-        return sum(len(cache_set) for cache_set in self._sets)
+        return sum(len(cache_set) for cache_set in self._sets if cache_set)

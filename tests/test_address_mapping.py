@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.controller.address_mapping import (
+    MAPPING_NAMES,
     abacus_mapping,
     mapping_by_name,
     mop_mapping,
     robarracoch_mapping,
 )
-from repro.dram.organization import PAPER_ORGANIZATION
+from repro.dram.organization import PAPER_ORGANIZATION, DramAddress
 
 
 ALL_MAPPINGS = [
@@ -101,3 +102,74 @@ def test_distinct_lines_decode_to_distinct_coordinates(address):
     line = (address // 64) * 64
     other = (line + 64) % PAPER_ORGANIZATION.capacity_bytes
     assert mapping.decode(line) != mapping.decode(other)
+
+
+COORDINATES = ("channel", "rank", "bankgroup", "bank", "row", "column")
+
+
+def reference_encode(mapping, dram):
+    """The field-by-field encoder that the precomputed plan replaced.
+
+    It rebuilds the width table on every call and checks only the upper
+    bound of each field.
+    """
+    widths = mapping.field_widths()
+    low_mask = (1 << widths["column_low"]) - 1
+    values = {
+        "offset": 0,
+        "column_low": dram.column & low_mask,
+        "column_high": dram.column >> widths["column_low"],
+        "bank": dram.bank,
+        "bankgroup": dram.bankgroup,
+        "rank": dram.rank,
+        "row": dram.row,
+        "channel": dram.channel,
+    }
+    address = 0
+    shift = 0
+    for field in mapping.field_order:
+        width = widths[field]
+        if values[field] >= (1 << width):
+            raise ValueError(f"{field} value {values[field]} does not fit in {width} bits")
+        address |= values[field] << shift
+        shift += width
+    return address
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(MAPPING_NAMES),
+    channels=st.sampled_from((1, 2, 4)),
+)
+def test_encode_matches_the_field_by_field_reference(data, name, channels):
+    """Same address, or the same ``ValueError``, for coordinates in and out of range."""
+    org = PAPER_ORGANIZATION.with_channels(channels)
+    mapping = mapping_by_name(name, org)
+    limits = (
+        org.channels, org.ranks, org.bankgroups, org.banks_per_group, org.rows, org.columns
+    )
+    dram = DramAddress(**{
+        coordinate: data.draw(st.integers(0, 2 * limit), label=coordinate)
+        for coordinate, limit in zip(COORDINATES, limits)
+    })
+    try:
+        expected = reference_encode(mapping, dram)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            mapping.encode(dram)
+        assert str(raised.value) == str(error)
+    else:
+        assert mapping.encode(dram) == expected
+
+
+class TestEncodeRangeCheck:
+    @pytest.mark.parametrize("channels", (1, 2))
+    @pytest.mark.parametrize("name", MAPPING_NAMES)
+    @pytest.mark.parametrize("coordinate", COORDINATES)
+    def test_negative_coordinate_rejected(self, coordinate, name, channels):
+        mapping = mapping_by_name(name, PAPER_ORGANIZATION.with_channels(channels))
+        coordinates = dict.fromkeys(COORDINATES, 0)
+        coordinates[coordinate] = -1
+        with pytest.raises(ValueError, match=f"^{coordinate} coordinate -1 is negative$"):
+            mapping.encode(DramAddress(**coordinates))

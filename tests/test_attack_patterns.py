@@ -1,5 +1,6 @@
 """Tests for the attack-pattern registry and AttackSpec compilation."""
 
+import hashlib
 import importlib
 
 import pytest
@@ -10,10 +11,11 @@ from repro.attacks.patterns import (
     default_search_specs,
     pattern_by_name,
     pattern_names,
+    performance_attack_trace,
     wave_attack_addresses,
     wave_attack_trace,
 )
-from repro.controller.address_mapping import mop_mapping
+from repro.controller.address_mapping import AddressMapping, mop_mapping
 from repro.dram.organization import PAPER_ORGANIZATION
 
 
@@ -145,6 +147,112 @@ class TestPatternShapes:
             AttackSpec.create(
                 "single_sided", {"row": PAPER_ORGANIZATION.rows}
             ).compile()
+
+
+def trace_digest(trace):
+    """First 16 hex digits of a SHA-256 over each entry's (gap, address, is_write)."""
+    digest = hashlib.sha256()
+    for entry in trace:
+        digest.update(
+            f"{entry.gap_instructions},{entry.address},{int(entry.is_write)};".encode()
+        )
+    return digest.hexdigest()[:16]
+
+
+#: Compiled-trace digests of every default search spec, by (label, channels).
+#: The ``@ch1`` specs go through ``retarget_channel``.
+SPEC_TRACE_DIGESTS = {
+    ("single_sided", 1): "26f7729a7aa82396",
+    ("single_sided(hammer_count=2400)", 1): "50310ff63cab865d",
+    ("double_sided", 1): "5069c856cea0d466",
+    ("many_sided", 1): "6e52a4c8e74c2a13",
+    ("many_sided(num_sides=16,rounds=150)", 1): "82acefa7d633f949",
+    ("wave", 1): "0bcc70232d763774",
+    ("wave(num_rows=96,rounds=12)", 1): "ffd42e5615eacb78",
+    ("rfm_dodge", 1): "316e3f21c9a41da4",
+    ("refresh_sync", 1): "3dc94a5057a1e3df",
+    ("perf_attack", 1): "7190612630b6112a",
+    ("single_sided", 2): "5caeb1b5485e0d8d",
+    ("single_sided(hammer_count=2400)", 2): "f1aaa5c76e457683",
+    ("double_sided", 2): "c051a082b53524d6",
+    ("many_sided", 2): "6d1399b2bea8a177",
+    ("many_sided(num_sides=16,rounds=150)", 2): "5e77d1009247f4c3",
+    ("wave", 2): "bb09340391a3b5b2",
+    ("wave(num_rows=96,rounds=12)", 2): "ae4f52e1dae51612",
+    ("rfm_dodge", 2): "e07397eedc761da8",
+    ("refresh_sync", 2): "d4aaddc3f665cf4d",
+    ("perf_attack", 2): "52d9bb27c4d413fd",
+    ("single_sided@ch1", 2): "7e7593941c6ab71b",
+    ("single_sided(hammer_count=2400)@ch1", 2): "3df4630f2509c146",
+    ("double_sided@ch1", 2): "6fb2b5ec55d9a37f",
+    ("many_sided@ch1", 2): "f8fe24a084444c60",
+    ("many_sided(num_sides=16,rounds=150)@ch1", 2): "267818d154145d98",
+    ("wave@ch1", 2): "8477b32d01d5069b",
+    ("wave(num_rows=96,rounds=12)@ch1", 2): "da5c502fc017328b",
+    ("rfm_dodge@ch1", 2): "01e227946ffc9c90",
+    ("refresh_sync@ch1", 2): "3ea560238fbcacbe",
+    ("perf_attack@ch1", 2): "d68f1fe261acae5e",
+}
+
+#: ``performance_attack_trace`` digests by (num_accesses, seed); 800 is the
+#: benchmark's attacker, 31 and 50 cut the 32-entry pattern mid-way.
+PERF_ATTACK_DIGESTS = {
+    (800, 0): "780cf61df253cfa6",
+    (800, 1): "7d6d246994911d9d",
+    (31, 0): "35d8c3c36f35b4f8",
+    (50, 0): "f30d7e1e37e72faa",
+}
+
+SPECS_BY_CHANNELS = [
+    (spec, channels)
+    for channels, target in ((1, 0), (2, 0), (2, 1))
+    for spec in default_search_specs(channel=target)
+]
+
+
+class TestCompiledTraces:
+    """Compiled attack traces are pinned entry by entry, not just by shape."""
+
+    @pytest.mark.parametrize(
+        "spec, channels", SPECS_BY_CHANNELS,
+        ids=[f"{spec.label}-{channels}ch" for spec, channels in SPECS_BY_CHANNELS],
+    )
+    def test_spec_trace_digest(self, spec, channels):
+        organization = PAPER_ORGANIZATION.with_channels(channels)
+        trace = spec.compile(organization=organization)
+        assert trace_digest(trace) == SPEC_TRACE_DIGESTS[(spec.label, channels)]
+
+    @pytest.mark.parametrize("num_accesses, seed", sorted(PERF_ATTACK_DIGESTS))
+    def test_performance_attack_trace_digest(self, num_accesses, seed):
+        trace = performance_attack_trace(num_accesses=num_accesses, seed=seed)
+        assert trace.memory_accesses == num_accesses
+        assert trace_digest(trace) == PERF_ATTACK_DIGESTS[(num_accesses, seed)]
+
+
+class TestEncodeOncePerAddress:
+    """The repeating builders encode one period and repeat its entries."""
+
+    @pytest.fixture
+    def encode_calls(self, monkeypatch):
+        calls = []
+        encode = AddressMapping.encode
+
+        def spy(mapping, dram):
+            calls.append(dram)
+            return encode(mapping, dram)
+
+        monkeypatch.setattr(AddressMapping, "encode", spy)
+        return calls
+
+    def test_wave_encodes_one_round(self, encode_calls):
+        trace = AttackSpec.create("wave", {"num_rows": 64, "rounds": 20}).compile()
+        assert trace.memory_accesses == 2 * 64 * 20
+        assert len(encode_calls) == 2 * 64
+
+    def test_performance_attack_encodes_one_pattern(self, encode_calls):
+        trace = performance_attack_trace(num_accesses=800)
+        assert trace.memory_accesses == 800
+        assert len(encode_calls) == 8 * 4  # rows_per_bank x num_banks
 
 
 class TestWaveWrapAround:

@@ -246,7 +246,7 @@ def replay_state(core):
     llc = core.llc
     return {
         "llc_stats": llc.stats,
-        "llc_sets": [list(cache_set.items()) for cache_set in llc._sets],
+        "llc_sets": [list((cache_set or {}).items()) for cache_set in llc._sets],
         "llc_hits": core.llc_hits,
         "mem_writes": core.mem_writes,
         "position": core._position,

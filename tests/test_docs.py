@@ -168,6 +168,17 @@ class TestEntryDocuments:
         # The old rule stepped one cycle after every issued command.
         assert "issued a command this cycle (or `strict_tick=True`)" not in architecture
 
+    def test_architecture_doc_covers_lazy_sets_and_the_encode_plan(self):
+        architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
+            encoding="utf-8"
+        )
+        for needle in (
+            "allocated on first fill", "1.7 ms and about 1 MiB",
+            "`0 <= value < limit`", "coordinate -1 is negative",
+            "encodes 128 addresses, not 2,560",
+        ):
+            assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
+
     def test_docs_name_no_deleted_counter_or_sweep_mode(self):
         for name in ("ARCHITECTURE.md", "EXPERIMENTS.md"):
             doc = (REPO_ROOT / "docs" / name).read_text(encoding="utf-8")

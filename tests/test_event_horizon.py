@@ -77,7 +77,7 @@ def _deferred_state(sim) -> dict:
         "llc_stats": llc.stats,
         # Compared as dicts, without LRU order: a deferred hit may leave
         # another order, which nothing reads in a run that never evicts.
-        "llc_sets": [dict(cache_set) for cache_set in llc._sets],
+        "llc_sets": [dict(cache_set or {}) for cache_set in llc._sets],
         "cores": [
             (core.llc_hits, core.mem_writes, core._position, core._index)
             for core in sim.cores
