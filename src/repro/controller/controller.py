@@ -24,9 +24,8 @@ Hot-path design (the event-horizon engine):
   incrementally on enqueue/dequeue, so neither the FR-FCFS scan, the
   first-ready fallback, nor the wake-hint computation ever rescans the flat
   queue per candidate.
-* Bank readiness is read straight from the device's structure-of-arrays
-  timing plane (:mod:`repro.dram.timing_plane`) through its memoryview
-  twins, which yield plain Python ints without a bank-object hop.
+* Readiness is read straight from the device's per-bank timing registers
+  (plain lists indexed by flat bank id), hoisted once at construction.
 * The wake hint (:meth:`next_event_cycle`) is *precise*: it covers every
   event source that can unblock the controller -- per-bank command readiness,
   rank-level tRRD/tFAW release, the earliest periodic-refresh due cycle
@@ -122,18 +121,16 @@ class MemoryController:
         # the controller side (where it is None).
         self._on_die = device.mitigation
 
-        # The plane's memoryview twins, hoisted onto the controller: every
-        # readiness check indexes these once per register access, and
-        # caching them here turns each ``device.timing_plane.next_*_mv``
-        # attribute chain into a single hop.  Safe because the plane
-        # identity is fixed for the device's lifetime (pooled planes are
-        # adopted at device construction) and ``reset()`` fills in place.
-        plane = device.timing_plane
-        self._mv_open_row = plane.open_row_mv
-        self._mv_next_act = plane.next_act_mv
-        self._mv_next_pre = plane.next_pre_mv
-        self._mv_next_rd = plane.next_rd_mv
-        self._mv_next_wr = plane.next_wr_mv
+        # The device's bank timing registers, hoisted onto the controller:
+        # every readiness check indexes these once per register access, and
+        # caching them here turns each ``device.next_*`` attribute chain
+        # into a single hop.  Safe because the device mutates the lists in
+        # place and never rebinds them.
+        self._open_rows = device.open_rows
+        self._next_act = device.next_act
+        self._next_pre = device.next_pre
+        self._next_rd = device.next_rd
+        self._next_wr = device.next_wr
 
         # The demand queues live *only* as per-bank FIFO buckets, maintained
         # incrementally on enqueue/dequeue (empty buckets are pruned); the
@@ -363,13 +360,13 @@ class MemoryController:
                 return False
             self._in_recovery = True
 
-        open_row = self._mv_open_row
+        open_row = self._open_rows
         all_banks = self._all_banks
         # All banks must be precharged before an all-bank RFM can be issued;
         # stop at the first open bank in id order.
         for bank_id in all_banks:
             if open_row[bank_id] >= 0:
-                if cycle >= self._mv_next_pre[bank_id]:
+                if cycle >= self._next_pre[bank_id]:
                     self._precharge(bank_id, cycle)
                     return True
                 return False
@@ -400,8 +397,8 @@ class MemoryController:
     def _service_refresh(self, cycle: int) -> bool:
         pending_ranks = self.refresh.ranks_needing_refresh()
         device = self.device
-        open_row = self._mv_open_row
-        next_pre = self._mv_next_pre
+        open_row = self._open_rows
+        next_pre = self._next_pre
         urgent_ranks = self.refresh.urgent_ranks()
         for rank in pending_ranks:
             if rank not in urgent_ranks:
@@ -445,14 +442,14 @@ class MemoryController:
         pending = mechanism.rfm_pending_banks()
         if not pending:
             return False
-        open_row = self._mv_open_row
+        open_row = self._open_rows
         for bank_id in pending:
             if open_row[bank_id] >= 0:
-                if cycle >= self._mv_next_pre[bank_id]:
+                if cycle >= self._next_pre[bank_id]:
                     self._precharge(bank_id, cycle)
                     return True
                 continue
-            if cycle >= self._mv_next_act[bank_id]:
+            if cycle >= self._next_act[bank_id]:
                 refreshed = self.device.rfm([bank_id], cycle)
                 mechanism.acknowledge_rfm(
                     bank_id,
@@ -470,17 +467,17 @@ class MemoryController:
         mechanism = self.mechanism
         if mechanism is None or not mechanism.has_pending_refreshes():
             return False
-        open_row = self._mv_open_row
+        open_row = self._open_rows
         # Direct key iteration over the pruned pending dict (hot-path
         # contract): safe because the dict is only mutated on a served
         # refresh, which returns out of the loop immediately.
         for bank_id in mechanism._pending:
             if open_row[bank_id] >= 0:
-                if cycle >= self._mv_next_pre[bank_id]:
+                if cycle >= self._next_pre[bank_id]:
                     self._precharge(bank_id, cycle)
                     return True
                 continue
-            if cycle >= self._mv_next_act[bank_id]:
+            if cycle >= self._next_act[bank_id]:
                 refresh = mechanism.pop_refresh(bank_id, cycle)
                 if refresh is None:
                     continue
@@ -533,7 +530,7 @@ class MemoryController:
             buckets = self._read_buckets
         else:
             buckets = self._write_buckets
-        open_rows = self._mv_open_row
+        open_rows = self._open_rows
         request = self.scheduler.choose_from_buckets(buckets, open_rows)
         if request is not None and self._serve_request(request, is_read, buckets, cycle):
             return True
@@ -545,15 +542,15 @@ class MemoryController:
         # equivalent to a full-queue rescan.  Candidates whose bank timing
         # already rules the command out are dropped here (pure pre-filter:
         # _serve_request would reject them identically).
-        col_mv = self._mv_next_rd if is_read else self._mv_next_wr
-        act_mv = self._mv_next_act
-        pre_mv = self._mv_next_pre
+        next_col = self._next_rd if is_read else self._next_wr
+        next_act = self._next_act
+        next_pre = self._next_pre
         candidates: List[MemoryRequest] = []
         for bank_id, bucket in buckets.items():
             open_row = open_rows[bank_id]
             head = bucket[0]
             if open_row < 0:
-                if cycle >= act_mv[bank_id]:
+                if cycle >= next_act[bank_id]:
                     candidates.append(head)
                 continue
             head_is_hit = head.dram.row == open_row
@@ -562,8 +559,8 @@ class MemoryController:
                 if (r.dram.row == open_row) != head_is_hit:
                     second = r
                     break
-            hit_ready = cycle >= col_mv[bank_id]
-            pre_ready = cycle >= pre_mv[bank_id]
+            hit_ready = cycle >= next_col[bank_id]
+            pre_ready = cycle >= next_pre[bank_id]
             if head_is_hit:
                 if hit_ready:
                     candidates.append(head)
@@ -588,20 +585,20 @@ class MemoryController:
         cycle: int,
     ) -> bool:
         bank_id = request.bank_id
-        open_row = self._mv_open_row[bank_id]
+        open_row = self._open_rows[bank_id]
         target_row = request.dram.row
 
         if open_row >= 0:
             if open_row == target_row:
                 hit = request.row_hit if request.row_hit is not None else True
                 if is_read:
-                    if cycle >= self._mv_next_rd[bank_id]:
+                    if cycle >= self._next_rd[bank_id]:
                         ready = self.device.read(bank_id, cycle)
                         self._complete_column(
                             request, is_read, cycle, ready, row_hit=hit
                         )
                         return True
-                elif cycle >= self._mv_next_wr[bank_id]:
+                elif cycle >= self._next_wr[bank_id]:
                     done = self.device.write(bank_id, cycle)
                     self._complete_column(request, is_read, cycle, done, row_hit=hit)
                     return True
@@ -611,7 +608,7 @@ class MemoryController:
                 # column-over-row reordering cap has not been exhausted, so
                 # the conflicting request must wait (FR-FCFS row-hit-first).
                 return False
-            if cycle >= self._mv_next_pre[bank_id]:
+            if cycle >= self._next_pre[bank_id]:
                 self._precharge(bank_id, cycle)
                 self.stats.row_conflicts += 1
                 request.row_hit = False
@@ -627,7 +624,7 @@ class MemoryController:
         # the probe is one containment check per ACT candidate.
         if rank in self.refresh.urgent_ranks():
             return False
-        if cycle >= self._mv_next_act[bank_id] and self.device._rank_act_allowed(
+        if cycle >= self._next_act[bank_id] and self.device._rank_act_allowed(
             rank, cycle
         ):
             self.device.activate(bank_id, target_row, cycle)
@@ -702,9 +699,9 @@ class MemoryController:
         Every event source is covered, so the system simulator may advance
         time to exactly this cycle without changing simulated behaviour
         (hints may be conservative -- early -- but never late; the
-        strict-tick determinism harness pins this).  Bank readiness is read
-        from the plane's memoryview twins (plain Python ints): this hint
-        runs on every tick.
+        strict-tick determinism harness pins this).  Per-bank readiness is
+        read from the hoisted device register lists: this hint runs on
+        every tick.
 
         After an issued command (``issued``) the next tick may act at once,
         so the hint is ``cycle + 1`` when a recovery is running, when the
@@ -745,9 +742,9 @@ class MemoryController:
             if issued and self._demand_ready_now:
                 return cycle + 1
         best = demand
-        open_row = self._mv_open_row
-        next_pre = self._mv_next_pre
-        next_act = self._mv_next_act
+        open_row = self._open_rows
+        next_pre = self._next_pre
+        next_act = self._next_act
 
         # Periodic refresh: a skip must never jump past a tREFI boundary,
         # otherwise REFs would silently be postponed beyond the DDR5 limit.
@@ -854,8 +851,8 @@ class MemoryController:
         for an open bank: the earlier of the column and precharge release,
         without scanning the bucket for hits and conflicts.
         """
-        if self._mv_open_row[bank_id] < 0:
-            ready = self._mv_next_act[bank_id]
+        if self._open_rows[bank_id] < 0:
+            ready = self._next_act[bank_id]
             state = self.device._ranks[bank_id // self._banks_per_rank]
             rank_ready = state.last_act_cycle + self.timing.tRRD
             if rank_ready > ready:
@@ -867,9 +864,9 @@ class MemoryController:
                     ready = faw_ready
             return ready
         col = (
-            self._mv_next_rd[bank_id] if is_read else self._mv_next_wr[bank_id]
+            self._next_rd[bank_id] if is_read else self._next_wr[bank_id]
         )
-        pre = self._mv_next_pre[bank_id]
+        pre = self._next_pre[bank_id]
         return col if col < pre else pre
 
     def _demand_ready_cycle(self, cycle: int) -> int:
@@ -889,14 +886,14 @@ class MemoryController:
         drains = self._demand_drains = self._write_drain()
         if drains:
             buckets = self._write_buckets
-            col = self._mv_next_wr
+            col = self._next_wr
         else:
             buckets = self._read_buckets
-            col = self._mv_next_rd
+            col = self._next_rd
         best = FAR_FUTURE
-        next_act = self._mv_next_act
-        next_pre = self._mv_next_pre
-        open_row = self._mv_open_row
+        next_act = self._next_act
+        next_pre = self._next_pre
+        open_row = self._open_rows
         banks_per_rank = self._banks_per_rank
         rank_states = self.device._ranks
         tRRD = self.timing.tRRD

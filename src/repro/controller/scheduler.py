@@ -74,7 +74,7 @@ class FrFcfsCapScheduler:
 
         ``buckets`` maps a flat bank id to the bank's queued requests in
         arrival (= request_id) order; empty buckets must have been removed.
-        ``open_rows`` is the timing plane's per-bank open-row memoryview
+        ``open_rows`` is the device's per-bank open-row list
         (``-1`` = precharged), indexed by flat bank id.  Picks exactly the
         request a flat FR-FCFS+Cap scan would pick.
         """

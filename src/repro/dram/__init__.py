@@ -10,8 +10,7 @@ on-DRAM-die read-disturbance mitigation mechanisms.
 from repro.dram.commands import Command, CommandKind
 from repro.dram.organization import DramAddress, DramOrganization
 from repro.dram.timing import TimingParams, ddr5_3200an
-from repro.dram.bank import Bank, BankState
-from repro.dram.device import DramDevice
+from repro.dram.device import DramDevice, TimingViolation
 
 __all__ = [
     "Command",
@@ -20,7 +19,6 @@ __all__ = [
     "DramOrganization",
     "TimingParams",
     "ddr5_3200an",
-    "Bank",
-    "BankState",
     "DramDevice",
+    "TimingViolation",
 ]

@@ -1,17 +1,24 @@
 """DRAM device model.
 
-:class:`DramDevice` aggregates the per-bank state machines, enforces the
+:class:`DramDevice` holds the per-bank timing registers, enforces the
 rank-level activation constraints (tRRD, tFAW), counts commands for the
 energy model, and hosts an optional *on-DRAM-die* mitigation mechanism
 (PRAC or Chronus).  On-die mechanisms observe activations and precharges,
 assert the ``alert_n`` back-off signal, and perform victim refreshes when the
 memory controller grants them time with an RFM command.
 
+Each bank is a small state machine: it is either *precharged* or has one
+*open* row in its row buffer.  The device records, per bank, the earliest
+cycle at which each class of command may legally be issued, derived from the
+timing parameters in :mod:`repro.dram.timing`.
+
 The device exposes explicit, type-safe methods (``activate``, ``precharge``,
 ``read`` ...) rather than a single opaque command entry point; the memory
 controller is responsible for consulting the ``can_*`` predicates before
-issuing, and the device raises :class:`~repro.dram.bank.TimingViolation` if a
-command is illegal, which the test-suite relies on.
+issuing, and the device raises :class:`TimingViolation` if a command is
+illegal, which the test-suite relies on.  ``tests/bank_reference.py`` holds
+the attribute-per-register reference bank the device is differentially
+tested against.
 """
 
 from __future__ import annotations
@@ -20,13 +27,16 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.mitigation import OnDieMitigation
-from repro.dram.bank import Bank, TimingViolation
 from repro.dram.organization import DramOrganization
 from repro.dram.timing import TimingParams
-from repro.dram.timing_plane import BankArrayTiming
+
+#: ``open_rows`` sentinel for a precharged bank (real rows are non-negative).
+NO_ROW = -1
+
+
+class TimingViolation(RuntimeError):
+    """Raised when a command is issued before the device allows it."""
 
 
 @dataclass(slots=True)
@@ -57,14 +67,17 @@ class DramDevice:
         self.organization = organization
         self.timing = timing
         self.mitigation = mitigation
-        #: The structure-of-arrays bank timing registers the controller
-        #: scans (see dram/timing_plane.py).
-        timing_plane = BankArrayTiming(organization.total_banks)
-        self.timing_plane = timing_plane
-        self.banks: List[Bank] = [
-            Bank(bank_id, timing, plane=timing_plane, index=bank_id)
-            for bank_id in range(organization.total_banks)
-        ]
+        # The bank timing registers, indexed by flat bank id.  The device
+        # mutates these lists in place and never rebinds them, which is what
+        # lets the controller and scheduler hoist them once at construction.
+        banks = organization.total_banks
+        #: Open row per bank (:data:`NO_ROW` = precharged).
+        self.open_rows: List[int] = [NO_ROW] * banks
+        #: Earliest cycle each command class may be issued, per bank.
+        self.next_act: List[int] = [0] * banks
+        self.next_pre: List[int] = [0] * banks
+        self.next_rd: List[int] = [0] * banks
+        self.next_wr: List[int] = [0] * banks
         self._ranks: Dict[int, RankState] = {
             rank: RankState() for rank in range(organization.ranks)
         }
@@ -74,12 +87,6 @@ class DramDevice:
         per_rank = organization.banks_per_rank
         self._rank_bank_ids: List[Tuple[int, ...]] = [
             tuple(range(rank * per_rank, (rank + 1) * per_rank))
-            for rank in range(organization.ranks)
-        ]
-        # Per-rank contiguous slices into the plane arrays (flat bank ids of
-        # a rank are consecutive), for the vectorized REF update.
-        self._rank_slices: List[slice] = [
-            slice(rank * per_rank, (rank + 1) * per_rank)
             for rank in range(organization.ranks)
         ]
         #: Command counts, keyed by command mnemonic, for the energy model.
@@ -150,44 +157,62 @@ class DramDevice:
     # Command legality
     # ------------------------------------------------------------------ #
     def can_activate(self, bank_id: int, cycle: int) -> bool:
-        bank = self.banks[bank_id]
-        rank = self.rank_of_bank(bank_id)
-        return bank.can_activate(cycle) and self._rank_act_allowed(rank, cycle)
+        return (
+            self.open_rows[bank_id] < 0
+            and cycle >= self.next_act[bank_id]
+            and self._rank_act_allowed(self.rank_of_bank(bank_id), cycle)
+        )
 
     def can_precharge(self, bank_id: int, cycle: int) -> bool:
-        return self.banks[bank_id].can_precharge(cycle)
+        return self.open_rows[bank_id] >= 0 and cycle >= self.next_pre[bank_id]
 
     def can_read(self, bank_id: int, cycle: int) -> bool:
-        return self.banks[bank_id].can_read(cycle)
+        return self.open_rows[bank_id] >= 0 and cycle >= self.next_rd[bank_id]
 
     def can_write(self, bank_id: int, cycle: int) -> bool:
-        return self.banks[bank_id].can_write(cycle)
+        return self.open_rows[bank_id] >= 0 and cycle >= self.next_wr[bank_id]
 
     def can_refresh(self, rank: int, cycle: int) -> bool:
         """True if every bank in ``rank`` is precharged and ACT-ready."""
-        # Early-exit scalar walk over the plane slots: the predicate almost
-        # always fails on the first open or busy bank, which an ndarray
-        # reduction cannot short-circuit on.
-        plane = self.timing_plane
-        open_row = plane.open_row_mv
-        next_act = plane.next_act_mv
-        for bank_id in self._rank_bank_ids[rank]:
-            if open_row[bank_id] >= 0 or cycle < next_act[bank_id]:
-                return False
-        return True
+        return self.can_rfm(self._rank_bank_ids[rank], cycle)
 
     def can_rfm(self, bank_ids: Sequence[int], cycle: int) -> bool:
         """True if all target banks are precharged and ready for maintenance."""
-        plane = self.timing_plane
-        if len(bank_ids) == plane.num_banks:
-            # All-bank RFM (back-off recovery): whole-plane reductions.
-            return bool(plane.open_row.max() < 0 and plane.next_act.max() <= cycle)
-        open_row = plane.open_row_mv
-        next_act = plane.next_act_mv
+        # Early-exit walk: the predicate almost always fails on the first
+        # open or busy bank.
+        open_rows = self.open_rows
+        next_act = self.next_act
         for bank_id in bank_ids:
-            if open_row[bank_id] >= 0 or cycle < next_act[bank_id]:
+            if open_rows[bank_id] >= 0 or cycle < next_act[bank_id]:
                 return False
         return True
+
+    def _violation(
+        self, bank_id: int, command: str, cycle: int, register: str, value: int
+    ) -> TimingViolation:
+        """The error for an illegal ``command``, naming the blocking register."""
+        state = "active" if self.open_rows[bank_id] >= 0 else "idle"
+        return TimingViolation(
+            f"bank {bank_id}: {command} at cycle {cycle} illegal "
+            f"(state={state}, {register}={value})"
+        )
+
+    def _block(
+        self, command: str, bank_ids: Sequence[int], cycle: int, duration: int
+    ) -> None:
+        """Block the target banks of a REF or RFM for ``duration`` cycles."""
+        next_act = self.next_act
+        if not self.can_rfm(bank_ids, cycle):
+            for bank_id in bank_ids:
+                if not self.can_rfm((bank_id,), cycle):
+                    raise self._violation(
+                        bank_id, command, cycle, "next_act", next_act[bank_id]
+                    )
+        # Every target bank is precharged with next_act <= cycle, so the
+        # block is a plain store.
+        done = cycle + duration
+        for bank_id in bank_ids:
+            next_act[bank_id] = done
 
     # ------------------------------------------------------------------ #
     # Command issue
@@ -199,7 +224,23 @@ class DramDevice:
             raise TimingViolation(
                 f"rank {rank}: ACT at cycle {cycle} violates tRRD/tFAW"
             )
-        self.banks[bank_id].activate(row, cycle)
+        next_act = self.next_act
+        if self.open_rows[bank_id] >= 0 or cycle < next_act[bank_id]:
+            raise self._violation(
+                bank_id, "ACT", cycle, "next_act", next_act[bank_id]
+            )
+        t = self.timing
+        self.open_rows[bank_id] = row
+        next_pre = self.next_pre
+        pre = cycle + t.tRAS
+        if pre > next_pre[bank_id]:
+            next_pre[bank_id] = pre
+        rcd = cycle + t.tRCD
+        self.next_rd[bank_id] = rcd
+        self.next_wr[bank_id] = rcd
+        act = cycle + t.tRC
+        if act > next_act[bank_id]:
+            next_act[bank_id] = act
         self._record_rank_act(rank, cycle)
         self.command_counts["ACT"] += 1
         if self._act_hooks:
@@ -208,7 +249,17 @@ class DramDevice:
 
     def precharge(self, bank_id: int, cycle: int) -> int:
         """Issue a PRE to ``bank_id``.  Returns the closed row."""
-        closed_row = self.banks[bank_id].precharge(cycle)
+        open_rows = self.open_rows
+        closed_row = open_rows[bank_id]
+        if closed_row < 0 or cycle < self.next_pre[bank_id]:
+            raise self._violation(
+                bank_id, "PRE", cycle, "next_pre", self.next_pre[bank_id]
+            )
+        open_rows[bank_id] = NO_ROW
+        next_act = self.next_act
+        act = cycle + self.timing.tRP
+        if act > next_act[bank_id]:
+            next_act[bank_id] = act
         self.command_counts["PRE"] += 1
         if self._pre_hooks:
             for hook in self._pre_hooks:
@@ -217,25 +268,41 @@ class DramDevice:
 
     def read(self, bank_id: int, cycle: int) -> int:
         """Issue a RD; return the data-ready cycle."""
-        ready = self.banks[bank_id].read(cycle)
+        next_rd = self.next_rd
+        if self.open_rows[bank_id] < 0 or cycle < next_rd[bank_id]:
+            raise self._violation(bank_id, "RD", cycle, "next_rd", next_rd[bank_id])
+        t = self.timing
+        ccd = cycle + t.tCCD
+        next_rd[bank_id] = ccd
+        self.next_wr[bank_id] = ccd
+        next_pre = self.next_pre
+        pre = cycle + t.tRTP
+        if pre > next_pre[bank_id]:
+            next_pre[bank_id] = pre
         self.command_counts["RD"] += 1
-        return ready
+        return cycle + t.tCL + t.tBL
 
     def write(self, bank_id: int, cycle: int) -> int:
         """Issue a WR; return the completion cycle."""
-        done = self.banks[bank_id].write(cycle)
+        next_wr = self.next_wr
+        if self.open_rows[bank_id] < 0 or cycle < next_wr[bank_id]:
+            raise self._violation(bank_id, "WR", cycle, "next_wr", next_wr[bank_id])
+        t = self.timing
+        ccd = cycle + t.tCCD
+        self.next_rd[bank_id] = ccd
+        next_wr[bank_id] = ccd
+        completion = cycle + t.tCWL + t.tBL
+        next_pre = self.next_pre
+        pre = completion + t.tWR
+        if pre > next_pre[bank_id]:
+            next_pre[bank_id] = pre
         self.command_counts["WR"] += 1
-        return done
+        return completion
 
     def refresh(self, rank: int, cycle: int) -> None:
         """Issue an all-bank periodic REF to ``rank``."""
-        bank_ids = self.banks_in_rank(rank)
-        if not self.can_refresh(rank, cycle):
-            raise TimingViolation(f"rank {rank}: REF at cycle {cycle} illegal")
-        # can_refresh above proved every bank idle: the per-bank block()
-        # calls collapse to one vectorized max over the rank slice.
-        target = self.timing_plane.next_act[self._rank_slices[rank]]
-        np.maximum(target, cycle + self.timing.tRFC, out=target)
+        bank_ids = self._rank_bank_ids[rank]
+        self._block("REF", bank_ids, cycle, self.timing.tRFC)
         self.command_counts["REF"] += 1
         if self.mitigation is not None:
             self.mitigation.on_periodic_refresh(bank_ids, cycle)
@@ -246,15 +313,7 @@ class DramDevice:
         The on-die mechanism (if any) performs its victim refreshes within
         the tRFM window.  Returns the number of victim rows refreshed.
         """
-        if not self.can_rfm(bank_ids, cycle):
-            raise TimingViolation(f"RFM at cycle {cycle} illegal for banks {bank_ids}")
-        plane = self.timing_plane
-        if len(bank_ids) == plane.num_banks:
-            # All-bank RFM, all banks proven idle: one vectorized max.
-            np.maximum(plane.next_act, cycle + self.timing.tRFM, out=plane.next_act)
-        else:
-            for bank_id in bank_ids:
-                self.banks[bank_id].block(cycle, self.timing.tRFM)
+        self._block("RFM", bank_ids, cycle, self.timing.tRFM)
         self.command_counts["RFM"] += 1
         refreshed = 0
         if self.mitigation is not None:
@@ -265,9 +324,18 @@ class DramDevice:
     def victim_refresh(self, bank_id: int, num_rows: int, cycle: int) -> int:
         """Serve a controller-side victim-row refresh (VRR).
 
-        Returns the cycle at which the bank becomes available again.
+        A VRR is an internal ACT+PRE of each victim row, so, like an ACT, it
+        needs a precharged bank at or after its ``next_act``; the bank is
+        then blocked for ``num_rows * tRC`` cycles.  Returns the cycle at
+        which the bank becomes available again.
         """
-        done = self.banks[bank_id].victim_refresh(cycle, rows=num_rows)
+        next_act = self.next_act
+        if self.open_rows[bank_id] >= 0 or cycle < next_act[bank_id]:
+            raise self._violation(
+                bank_id, "VRR", cycle, "next_act", next_act[bank_id]
+            )
+        # cycle >= next_act, so the block is a plain store, as in _block.
+        done = next_act[bank_id] = cycle + num_rows * self.timing.tRC
         self.command_counts["VRR"] += num_rows
         return done
 
@@ -287,7 +355,8 @@ class DramDevice:
     # ------------------------------------------------------------------ #
     def open_row(self, bank_id: int) -> Optional[int]:
         """Currently open row of ``bank_id`` (or None)."""
-        return self.banks[bank_id].open_row
+        row = self.open_rows[bank_id]
+        return row if row >= 0 else None
 
     def total_activations(self) -> int:
         """Total ACT commands issued to the device."""

@@ -72,17 +72,13 @@ HOT_PATH_FUNCTIONS = {
         "FrFcfsCapScheduler.on_scheduled",
         "FrFcfsCapScheduler.on_row_closed",
     }),
-    "src/repro/dram/bank.py": frozenset({
-        # The bank view's per-command path: one memoryview indexing
-        # operation per register access, nothing allocated per call.
-        "Bank.activate",
-        "Bank.precharge",
-        "Bank.read",
-        "Bank.write",
-        "Bank.can_activate",
-        "Bank.can_precharge",
-        "Bank.can_read",
-        "Bank.can_write",
+    "src/repro/dram/device.py": frozenset({
+        # The per-command path: one list indexing operation per register
+        # access, nothing allocated per call.
+        "DramDevice.activate",
+        "DramDevice.precharge",
+        "DramDevice.read",
+        "DramDevice.write",
     }),
     "src/repro/core/counters.py": frozenset({
         "PerRowCounters.increment",

@@ -1,8 +1,8 @@
 """Rule ``hot-path-alloc``: the registered data plane stays allocation-free.
 
-PRs 4-6 made the per-command / per-access / per-idle-wake path
-allocation-free in steady state (slot recycling, the bank timing plane,
-cached hints) and the committed benches gate the wins.  A future edit
+The per-command / per-access / per-idle-wake path is allocation-free in
+steady state (slot recycling, the device's bank register lists indexed in
+place, cached hints) and the committed benches gate the wins.  A future edit
 that drops a comprehension or an f-string into one of those bodies
 compiles fine, behaves identically -- and quietly regresses the measured
 throughput.

@@ -1,19 +1,40 @@
 """Attribute-per-register reference bank for the bank differential tests.
 
 :class:`ObjectBank` keeps every timing register of one DRAM bank as a plain
-Python attribute.  It is the simple, obviously-correct model the
-structure-of-arrays :class:`~repro.dram.bank.Bank` view is checked against:
-``tests/test_bank_backends.py`` drives both through the same randomized
-command streams and requires identical registers, legality decisions, stats
-and :class:`~repro.dram.bank.TimingViolation` messages.
+Python attribute.  It is the simple, obviously-correct model the device's
+register lists are checked against: ``tests/test_bank_backends.py`` drives
+bank 0 of a :class:`~repro.dram.device.DramDevice` and an ``ObjectBank``
+through the same randomized command streams and requires identical
+registers, legality decisions, command counts and
+:class:`~repro.dram.device.TimingViolation` messages.
 """
 
 from __future__ import annotations
 
+import enum
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.dram.bank import BankState, BankStats, TimingViolation
+from repro.dram.device import TimingViolation
 from repro.dram.timing import TimingParams
+
+
+class BankState(enum.Enum):
+    """Row-buffer state of a bank."""
+
+    IDLE = "idle"
+    ACTIVE = "active"
+
+
+@dataclass(slots=True)
+class BankStats:
+    """Per-bank command counts."""
+
+    activations: int = 0
+    precharges: int = 0
+    reads: int = 0
+    writes: int = 0
+    victim_refreshes: int = 0
 
 
 class ObjectBank:
@@ -93,7 +114,7 @@ class ObjectBank:
         if not self.can_activate(cycle):
             raise TimingViolation(
                 f"bank {self.bank_id}: ACT at cycle {cycle} illegal "
-                f"(state={self.state}, next_act={self._next_act})"
+                f"(state={self.state.value}, next_act={self._next_act})"
             )
         t = self.timing
         self.state = BankState.ACTIVE
@@ -110,7 +131,7 @@ class ObjectBank:
         if not self.can_precharge(cycle):
             raise TimingViolation(
                 f"bank {self.bank_id}: PRE at cycle {cycle} illegal "
-                f"(state={self.state}, next_pre={self._next_pre})"
+                f"(state={self.state.value}, next_pre={self._next_pre})"
             )
         t = self.timing
         closed_row = self.open_row
@@ -126,7 +147,7 @@ class ObjectBank:
         if not self.can_read(cycle):
             raise TimingViolation(
                 f"bank {self.bank_id}: RD at cycle {cycle} illegal "
-                f"(state={self.state}, next_rd={self._next_rd})"
+                f"(state={self.state.value}, next_rd={self._next_rd})"
             )
         t = self.timing
         self.stats.reads += 1
@@ -140,7 +161,7 @@ class ObjectBank:
         if not self.can_write(cycle):
             raise TimingViolation(
                 f"bank {self.bank_id}: WR at cycle {cycle} illegal "
-                f"(state={self.state}, next_wr={self._next_wr})"
+                f"(state={self.state.value}, next_wr={self._next_wr})"
             )
         t = self.timing
         self.stats.writes += 1
@@ -150,29 +171,33 @@ class ObjectBank:
         self._next_pre = max(self._next_pre, completion + t.tWR)
         return completion
 
-    def block(self, cycle: int, duration: int) -> None:
-        """Block the bank (REF / RFM / internal maintenance) for ``duration``.
-
-        The bank must be precharged.  All commands to the bank are delayed
-        until ``cycle + duration``.
-        """
-        if self.state is not BankState.IDLE:
+    def _require_act_ready(self, command: str, cycle: int) -> None:
+        """Raise unless the bank is precharged and could take an ACT."""
+        if not self.can_activate(cycle):
             raise TimingViolation(
-                f"bank {self.bank_id}: cannot block an open bank at cycle {cycle}"
+                f"bank {self.bank_id}: {command} at cycle {cycle} illegal "
+                f"(state={self.state.value}, next_act={self._next_act})"
             )
+
+    def block(self, cycle: int, duration: int, command: str = "RFM") -> None:
+        """Block the bank for a REF or RFM ``command`` of ``duration`` cycles.
+
+        Like the device, the bank must be precharged and past its
+        ``next_act``.  All commands to the bank are delayed until
+        ``cycle + duration``.
+        """
+        self._require_act_ready(command, cycle)
         self._next_act = max(self._next_act, cycle + duration)
 
     def victim_refresh(self, cycle: int, rows: int = 1) -> int:
         """Model a controller-side victim-row refresh (VRR).
 
-        A victim-row refresh is an internal ACT+PRE of the victim row; the
-        bank is blocked for ``rows * tRC`` cycles.  Returns the cycle at
-        which the bank becomes available again.
+        A victim-row refresh is an internal ACT+PRE of the victim row, so it
+        needs a bank that could take an ACT; the bank is then blocked for
+        ``rows * tRC`` cycles.  Returns the cycle at which the bank becomes
+        available again.
         """
-        if self.state is not BankState.IDLE:
-            raise TimingViolation(
-                f"bank {self.bank_id}: VRR requires a precharged bank at cycle {cycle}"
-            )
+        self._require_act_ready("VRR", cycle)
         duration = rows * self.timing.tRC
         self.stats.victim_refreshes += rows
         self._next_act = max(self._next_act, cycle + duration)

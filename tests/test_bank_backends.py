@@ -1,45 +1,53 @@
-"""Plane-backed bank view vs the attribute-per-register reference bank.
+"""The device's bank registers vs the attribute-per-register reference bank.
 
-The production :class:`~repro.dram.bank.Bank` is a view over one slot of a
-structure-of-arrays timing plane.  It must be *observably identical* to the
-simple reference model in ``tests/bank_reference.py``: same legality
-decisions, same :class:`TimingViolation` classes and messages, same register
-trajectories, same stats.  Three layers pin that:
+:class:`~repro.dram.device.DramDevice` keeps every bank's timing registers
+in plain lists indexed by flat bank id.  Bank 0 of a device must be
+*observably identical* to the simple reference model in
+``tests/bank_reference.py``: same legality decisions, same
+:class:`TimingViolation` classes and messages, same register trajectories,
+same command counts.  Three layers pin that:
 
-1. randomized command streams (Hypothesis) driven through a reference/view
-   bank pair, comparing every observable -- including raised violations --
-   after every command;
+1. randomized command streams (Hypothesis) driven through bank 0 of a
+   device and a reference bank, comparing every observable -- including
+   raised violations -- after every command;
 2. direct illegal-command coverage: every command class raises
-   :class:`TimingViolation` through the view, with the exact reference
+   :class:`TimingViolation` through the device, with the exact reference
    message, for both its state violation and its too-early timing
    violation;
-3. :class:`BankStats` totals (and ``merge`` results) identical to the
-   reference after a mixed legal stream.
+3. command counts identical to the reference stats after a mixed legal
+   stream.
+
+One bank cannot reach the rank limits with a legal ACT: same-bank ACTs are
+at least tRC apart (76 cycles), more than tRRD (8), and four of them span
+at least 3 x tRC, more than tFAW (32).  The device checks the rank before
+the bank, though, so an ACT the bank refuses within tRRD of the last ACT
+raises the rank's message; :func:`on_reference` models that one rule.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.bank import Bank, BankStats, TimingViolation
+from repro.dram.device import DramDevice, TimingViolation
+from repro.dram.organization import DramOrganization
 from repro.dram.timing import ddr5_3200an
-from repro.dram.timing_plane import NO_ROW, BankArrayTiming
 
 from bank_reference import ObjectBank
 
 TIMING = ddr5_3200an()
+#: One rank of four banks; the tests drive bank 0.
+ORG = DramOrganization(ranks=1, bankgroups=2, banks_per_group=2, rows=1024, columns=32)
 
 
 def make_pair():
-    """A reference bank and a plane view, same id and timing."""
-    return ObjectBank(0, TIMING), Bank(0, TIMING)
+    """A reference bank and a device whose bank 0 it models."""
+    return ObjectBank(0, TIMING), DramDevice(ORG, TIMING)
 
 
-def observables(bank, cycle):
-    """Every externally visible bank property at ``cycle``."""
+def reference_observables(bank, cycle):
+    """Every externally visible property of the reference bank at ``cycle``."""
+    stats = bank.stats
     return {
-        "state": bank.state,
         "open_row": bank.open_row,
-        "last_act_cycle": bank.last_act_cycle,
         "next_act": bank.ready_cycle_for_activate(),
         "next_pre": bank.ready_cycle_for_precharge(),
         "next_rd": bank.ready_cycle_for_read(),
@@ -48,21 +56,51 @@ def observables(bank, cycle):
         "can_precharge": bank.can_precharge(cycle),
         "can_read": bank.can_read(cycle),
         "can_write": bank.can_write(cycle),
-        "is_open": bank.is_open(),
-        "stats": (
-            bank.stats.activations,
-            bank.stats.precharges,
-            bank.stats.reads,
-            bank.stats.writes,
-            bank.stats.victim_refreshes,
+        "can_rfm": bank.can_activate(cycle),
+        "counts": (
+            stats.activations, stats.precharges, stats.reads, stats.writes,
+            stats.victim_refreshes,
         ),
     }
 
 
-def apply_command(bank, op, row, cycle):
-    """Run one command; return ``(outcome, violation message or None)``."""
+def device_observables(device, cycle):
+    """The same properties, read from bank 0 of ``device``."""
+    counts = device.command_counts
+    return {
+        "open_row": device.open_row(0),
+        "next_act": device.next_act[0],
+        "next_pre": device.next_pre[0],
+        "next_rd": device.next_rd[0],
+        "next_wr": device.next_wr[0],
+        "can_activate": device.can_activate(0, cycle),
+        "can_precharge": device.can_precharge(0, cycle),
+        "can_read": device.can_read(0, cycle),
+        "can_write": device.can_write(0, cycle),
+        "can_rfm": device.can_rfm([0], cycle),
+        "counts": (
+            counts["ACT"], counts["PRE"], counts["RD"], counts["WR"], counts["VRR"],
+        ),
+    }
+
+
+def registers(device):
+    """The device's five register lists."""
+    return (
+        device.open_rows, device.next_act, device.next_pre, device.next_rd,
+        device.next_wr,
+    )
+
+
+def on_reference(bank, op, row, cycle):
+    """Run one command on the reference; ``(outcome, violation or None)``."""
     try:
         if op == "act":
+            last = bank.last_act_cycle
+            if last is not None and cycle < last + TIMING.tRRD:
+                raise TimingViolation(
+                    f"rank 0: ACT at cycle {cycle} violates tRRD/tFAW"
+                )
             return bank.activate(row, cycle), None
         if op == "pre":
             return bank.precharge(cycle), None
@@ -71,17 +109,42 @@ def apply_command(bank, op, row, cycle):
         if op == "wr":
             return bank.write(cycle), None
         if op == "block":
-            return bank.block(cycle, 10 + row), None
+            return bank.block(cycle, TIMING.tRFM), None
+        if op == "ref":
+            return bank.block(cycle, TIMING.tRFC, "REF"), None
         return bank.victim_refresh(cycle, rows=1 + row % 3), None
     except TimingViolation as violation:
         return "violation", str(violation)
 
 
-#: Command streams mixing all six command classes; ``gap`` values straddle
-#: the DDR5 timing constants so both legal and too-early issues occur.
+def on_device(device, op, row, cycle):
+    """Run the same command on bank 0 of ``device``."""
+    try:
+        if op == "act":
+            return device.activate(0, row, cycle), None
+        if op == "pre":
+            return device.precharge(0, cycle), None
+        if op == "rd":
+            return device.read(0, cycle), None
+        if op == "wr":
+            return device.write(0, cycle), None
+        if op == "block":
+            # A one-bank RFM; without an on-die mechanism it refreshes no rows.
+            assert device.rfm([0], cycle) == 0
+            return None, None
+        if op == "ref":
+            # Bank 0's rank-mates see only REFs, so bank 0 decides legality.
+            return device.refresh(0, cycle), None
+        return device.victim_refresh(0, 1 + row % 3, cycle), None
+    except TimingViolation as violation:
+        return "violation", str(violation)
+
+
+#: Command streams mixing every command class; ``gap`` values straddle the
+#: DDR5 timing constants so both legal and too-early issues occur.
 command_streams = st.lists(
     st.tuples(
-        st.sampled_from(("act", "pre", "rd", "wr", "block", "vrr")),
+        st.sampled_from(("act", "pre", "rd", "wr", "block", "ref", "vrr")),
         st.integers(0, 7),       # row operand
         st.integers(0, 40),      # cycle gap before the command
     ),
@@ -91,172 +154,142 @@ command_streams = st.lists(
 
 
 class TestDifferentialStreams:
-    """Hypothesis: identical trajectories, violations and stats."""
+    """Hypothesis: identical trajectories, violations and counts."""
 
     @settings(max_examples=60, deadline=None)
     @given(stream=command_streams)
     def test_command_stream_equivalence(self, stream):
-        obj, arr = make_pair()
+        reference, device = make_pair()
         cycle = 0
         for op, row, gap in stream:
             cycle += gap
-            obj_out = apply_command(obj, op, row, cycle)
-            arr_out = apply_command(arr, op, row, cycle)
+            expected = on_reference(reference, op, row, cycle)
             # Same return value, or the same violation with the same text.
-            assert obj_out == arr_out
-            assert observables(obj, cycle) == observables(arr, cycle)
+            assert on_device(device, op, row, cycle) == expected
+            assert device_observables(device, cycle) == reference_observables(
+                reference, cycle
+            )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(stream=command_streams)
-    def test_plane_slot_matches_registers(self, stream):
-        """The plane arrays always mirror the view's register values."""
-        _, arr = make_pair()
-        plane = arr.plane
+    def test_hoisted_lists_stay_the_registers(self, stream):
+        """The controller hoists the register lists once, so the device must
+        mutate them in place and never rebind them."""
+        device = DramDevice(ORG, TIMING)
+        hoisted = registers(device)
         cycle = 0
         for op, row, gap in stream:
             cycle += gap
-            apply_command(arr, op, row, cycle)
-            assert int(plane.next_act[0]) == arr.ready_cycle_for_activate()
-            assert int(plane.next_pre[0]) == arr.ready_cycle_for_precharge()
-            assert int(plane.next_rd[0]) == arr.ready_cycle_for_read()
-            assert int(plane.next_wr[0]) == arr.ready_cycle_for_write()
-            open_row = arr.open_row
-            assert int(plane.open_row[0]) == (NO_ROW if open_row is None else open_row)
+            on_device(device, op, row, cycle)
+        assert all(a is b for a, b in zip(hoisted, registers(device)))
 
 
 class TestArrayBackendViolations:
-    """Every illegal command class raises through the plane view."""
+    """Every illegal command class raises through the device's register lists."""
 
     @pytest.fixture()
     def open_pair(self):
         """Both banks with row 5 open at cycle 0."""
-        obj, arr = make_pair()
-        obj.activate(5, 0)
-        arr.activate(5, 0)
-        return obj, arr
+        reference, device = make_pair()
+        reference.activate(5, 0)
+        device.activate(0, 5, 0)
+        return reference, device
 
-    def _assert_same_violation(self, obj, arr, command, *args):
-        with pytest.raises(TimingViolation) as obj_exc:
-            getattr(obj, command)(*args)
-        with pytest.raises(TimingViolation) as arr_exc:
-            getattr(arr, command)(*args)
-        assert str(arr_exc.value) == str(obj_exc.value)
+    def _assert_same_violation(self, reference, device, op, cycle, row=0):
+        expected = on_reference(reference, op, row, cycle)
+        assert expected[0] == "violation"
+        assert on_device(device, op, row, cycle) == expected
 
     def test_activate_on_open_bank(self, open_pair):
-        obj, arr = open_pair
-        self._assert_same_violation(obj, arr, "activate", 6, TIMING.tRC + 10)
+        self._assert_same_violation(*open_pair, "act", TIMING.tRC + 10, row=6)
 
     def test_activate_too_early(self, open_pair):
-        obj, arr = open_pair
-        obj.precharge(TIMING.tRAS)
-        arr.precharge(TIMING.tRAS)
+        reference, device = open_pair
+        reference.precharge(TIMING.tRAS)
+        device.precharge(0, TIMING.tRAS)
         # The bank is idle but tRP has not elapsed yet.
-        self._assert_same_violation(obj, arr, "activate", 6, TIMING.tRAS + 1)
+        self._assert_same_violation(
+            reference, device, "act", TIMING.tRAS + 1, row=6
+        )
 
     def test_precharge_on_idle_bank(self):
-        obj, arr = make_pair()
-        self._assert_same_violation(obj, arr, "precharge", 100)
+        self._assert_same_violation(*make_pair(), "pre", 100)
 
     def test_precharge_too_early(self, open_pair):
-        obj, arr = open_pair
-        self._assert_same_violation(obj, arr, "precharge", 1)  # < tRAS
+        self._assert_same_violation(*open_pair, "pre", 1)  # < tRAS
 
     def test_read_on_idle_bank(self):
-        obj, arr = make_pair()
-        self._assert_same_violation(obj, arr, "read", 100)
+        self._assert_same_violation(*make_pair(), "rd", 100)
 
     def test_read_too_early(self, open_pair):
-        obj, arr = open_pair
-        self._assert_same_violation(obj, arr, "read", 1)  # < tRCD
+        self._assert_same_violation(*open_pair, "rd", 1)  # < tRCD
 
     def test_write_on_idle_bank(self):
-        obj, arr = make_pair()
-        self._assert_same_violation(obj, arr, "write", 100)
+        self._assert_same_violation(*make_pair(), "wr", 100)
 
     def test_write_too_early(self, open_pair):
-        obj, arr = open_pair
-        self._assert_same_violation(obj, arr, "write", 1)  # < tRCD
+        self._assert_same_violation(*open_pair, "wr", 1)  # < tRCD
 
     def test_block_on_open_bank(self, open_pair):
-        obj, arr = open_pair
-        self._assert_same_violation(obj, arr, "block", 100, 32)
+        self._assert_same_violation(*open_pair, "block", 100)
+
+    def test_block_too_early(self):
+        reference, device = make_pair()
+        reference.block(0, TIMING.tRFM)
+        device.rfm([0], 0)
+        self._assert_same_violation(reference, device, "block", TIMING.tRFM - 1)
+
+    def test_refresh_on_open_bank(self, open_pair):
+        self._assert_same_violation(*open_pair, "ref", 100)
 
     def test_victim_refresh_on_open_bank(self, open_pair):
-        obj, arr = open_pair
-        self._assert_same_violation(obj, arr, "victim_refresh", 100)
+        self._assert_same_violation(*open_pair, "vrr", 100)
+
+    def test_victim_refresh_too_early(self, open_pair):
+        reference, device = open_pair
+        reference.precharge(TIMING.tRAS)
+        device.precharge(0, TIMING.tRAS)
+        self._assert_same_violation(reference, device, "vrr", TIMING.tRAS + 1)
+
+    def test_violation_names_bank_command_state_and_register(self, open_pair):
+        _, device = open_pair
+        with pytest.raises(TimingViolation) as excinfo:
+            device.read(0, 1)
+        assert str(excinfo.value) == (
+            f"bank 0: RD at cycle 1 illegal (state=active, next_rd={TIMING.tRCD})"
+        )
 
     def test_violation_is_runtime_error(self):
-        _, arr = make_pair()
+        _, device = make_pair()
         with pytest.raises(RuntimeError):
-            arr.read(0)
+            device.read(0, 0)
 
 
-class TestBankStatsAcrossBackends:
-    """Stats counting and merge totals match the reference."""
+class TestCountsMatchReference:
+    """Command counts after a mixed legal stream match the reference stats."""
 
-    def _run_mixed_stream(self, bank):
+    def test_totals_identical(self):
+        reference, device = make_pair()
+
+        def issue(op, cycle):
+            assert on_reference(reference, op, 4, cycle)[0] != "violation"
+            assert on_device(device, op, 4, cycle)[0] != "violation"
+
         cycle = 0
         for _ in range(3):
-            bank.activate(4, cycle)
+            issue("act", cycle)
             cycle += TIMING.tRCD
-            bank.read(cycle)
+            issue("rd", cycle)
             cycle += TIMING.tCCD
-            bank.write(cycle)
-            cycle = max(
-                bank.ready_cycle_for_precharge(), cycle + TIMING.tCCD
-            )
-            bank.precharge(cycle)
-            cycle = bank.ready_cycle_for_activate()
-            bank.victim_refresh(cycle, rows=2)
-            cycle = bank.ready_cycle_for_activate()
-            bank.block(cycle, 16)
-            cycle = bank.ready_cycle_for_activate()
-
-    def test_merge_totals_identical(self):
-        obj, arr = make_pair()
-        self._run_mixed_stream(obj)
-        self._run_mixed_stream(arr)
-        totals = {}
-        for name, bank in (("object", obj), ("array", arr)):
-            merged = BankStats()
-            merged.merge(bank.stats)
-            merged.merge(bank.stats)
-            totals[name] = (
-                merged.activations,
-                merged.precharges,
-                merged.reads,
-                merged.writes,
-                merged.victim_refreshes,
-            )
-        assert totals["object"] == totals["array"]
-        # The stream is deterministic: pin the actual totals too.
-        assert totals["array"] == (6, 6, 6, 6, 12)
-
-
-class TestPlaneAdoption:
-    """Shared planes: slot binding and the required slot index."""
-
-    def test_shared_plane_view(self):
-        plane = BankArrayTiming(4)
-        bank = Bank(2, TIMING, plane=plane, index=2)
-        bank.activate(9, 0)
-        assert int(plane.open_row[2]) == 9
-
-    def test_shared_plane_requires_index(self):
-        with pytest.raises(ValueError, match="slot index"):
-            Bank(0, TIMING, plane=BankArrayTiming(4))
-
-
-class TestTimingPlane:
-    """The plane container itself: memoryview twins and size checks."""
-
-    def test_memoryview_twins_share_storage(self):
-        plane = BankArrayTiming(4)
-        plane.next_rd_mv[1] = 77
-        assert int(plane.next_rd[1]) == 77
-        plane.open_row[2] = 5
-        assert plane.open_row_mv[2] == 5
-
-    def test_rejects_non_positive_size(self):
-        with pytest.raises(ValueError, match="num_banks"):
-            BankArrayTiming(0)
+            issue("wr", cycle)
+            cycle = max(reference.ready_cycle_for_precharge(), cycle + TIMING.tCCD)
+            issue("pre", cycle)
+            issue("vrr", reference.ready_cycle_for_activate())
+            issue("block", reference.ready_cycle_for_activate())
+            cycle = reference.ready_cycle_for_activate()
+        observed = device_observables(device, cycle)["counts"]
+        assert observed == reference_observables(reference, cycle)["counts"]
+        # The stream is deterministic: pin the actual totals too (the VRRs
+        # refresh 1 + 4 % 3 = 2 rows each).
+        assert observed == (3, 3, 3, 3, 6)
+        assert device.command_counts["RFM"] == 3

@@ -200,7 +200,7 @@ class TestWakeHintAfterIssue:
         issued, hint = controller.tick(0)
         assert device.command_counts["ACT"] == 1
         assert (issued, hint) == (True, 26)
-        assert hint == device.banks[request.bank_id].ready_cycle_for_read()
+        assert hint == device.next_rd[request.bank_id]
 
     def test_open_bank_with_only_hits_waits_for_the_column_release(self):
         """A legal precharge is no event while FR-FCFS would keep the row
@@ -209,10 +209,9 @@ class TestWakeHintAfterIssue:
         request = read_request(0x1000)
         controller.enqueue(request)
         bank = request.bank_id
-        plane = device.timing_plane
-        plane.open_row_mv[bank] = request.dram.row
-        plane.next_pre_mv[bank] = 0
-        plane.next_rd_mv[bank] = 100
+        device.open_rows[bank] = request.dram.row
+        device.next_pre[bank] = 0
+        device.next_rd[bank] = 100
         assert controller._demand_ready_cycle(50) == 100
         assert not controller._demand_ready_now
 

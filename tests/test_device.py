@@ -5,7 +5,7 @@ from typing import List
 import pytest
 
 from repro.core.mitigation import OnDieMitigation
-from repro.dram.bank import TimingViolation
+from repro.dram import TimingViolation
 from repro.dram.device import DramDevice
 from repro.dram.organization import DramOrganization
 from repro.dram.timing import ddr5_3200an
@@ -151,6 +151,35 @@ class TestRefreshAndRfm:
     def test_victim_refresh_counts_rows(self, device):
         device.victim_refresh(2, num_rows=4, cycle=0)
         assert device.command_counts["VRR"] == 4
+
+
+class TestVictimRefreshLegality:
+    """A VRR is an internal ACT+PRE: it needs a bank that could take an ACT."""
+
+    def test_vrr_one_cycle_after_precharge_raises(self, device):
+        t = device.timing
+        device.activate(0, 1, 0)
+        device.precharge(0, t.tRAS)
+        # Precharged, but the bank cannot ACT before max(tRAS + tRP, tRC).
+        assert not device.can_activate(0, t.tRAS + 1)
+        with pytest.raises(TimingViolation, match="VRR at cycle"):
+            device.victim_refresh(0, num_rows=1, cycle=t.tRAS + 1)
+        assert device.command_counts["VRR"] == 0
+
+    def test_vrr_during_refresh_raises(self, device):
+        device.refresh(0, 0)
+        with pytest.raises(TimingViolation, match="next_act"):
+            device.victim_refresh(0, num_rows=1, cycle=1)
+        assert device.next_act[0] == device.timing.tRFC
+
+    def test_vrr_at_release_blocks_for_rows_times_trc(self, device):
+        t = device.timing
+        device.refresh(0, 0)
+        done = device.victim_refresh(0, num_rows=3, cycle=t.tRFC)
+        assert done == t.tRFC + 3 * t.tRC
+        assert device.next_act[0] == done
+        assert not device.can_activate(0, done - 1)
+        assert device.can_activate(0, done)
 
 
 class TestMitigationHooks:

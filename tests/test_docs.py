@@ -14,21 +14,58 @@ CHECKER = REPO_ROOT / "tools" / "check_links.py"
 
 
 class TestMarkdownLinks:
-    def test_all_relative_links_resolve(self):
-        completed = subprocess.run(
-            [sys.executable, str(CHECKER), str(REPO_ROOT)],
+    def run_checker(self, root):
+        return subprocess.run(
+            [sys.executable, str(CHECKER), str(root)],
             capture_output=True, text=True,
         )
+
+    def test_all_relative_links_resolve(self):
+        completed = self.run_checker(REPO_ROOT)
         assert completed.returncode == 0, completed.stdout + completed.stderr
 
     def test_checker_detects_broken_links(self, tmp_path):
         (tmp_path / "doc.md").write_text("see [missing](nowhere.md)")
-        completed = subprocess.run(
-            [sys.executable, str(CHECKER), str(tmp_path)],
-            capture_output=True, text=True,
-        )
+        completed = self.run_checker(tmp_path)
         assert completed.returncode == 1
         assert "nowhere.md" in completed.stdout
+
+    def test_checker_detects_broken_anchors(self, tmp_path):
+        (tmp_path / "target.md").write_text("# Bank timing registers\n")
+        (tmp_path / "doc.md").write_text(
+            "# Intro\n"
+            "see [gone](target.md#structure-of-arrays-bank-timing)\n"
+            "and [here](#intro), [nowhere](#outro)\n"
+        )
+        completed = self.run_checker(tmp_path)
+        assert completed.returncode == 1
+        assert "target.md#structure-of-arrays-bank-timing" in completed.stdout
+        assert "#outro" in completed.stdout
+        assert "#intro" not in completed.stdout
+        assert "2 broken link(s)" in completed.stdout
+
+    def test_checker_accepts_github_slugs(self, tmp_path):
+        (tmp_path / "target.md").write_text(
+            "# Bank timing registers\n"
+            "## The `_demand_ready_cycle` scan (v2.0)!\n"
+            "## Notes\n"
+            "```\n"
+            "# Notes\n"
+            "```\n"
+            "## Notes\n"
+            "### See [the oracle](doc.md)\n"
+        )
+        (tmp_path / "doc.md").write_text(
+            "[a](target.md#bank-timing-registers) "
+            "[b](target.md#the-_demand_ready_cycle-scan-v20) "
+            "[c](target.md#notes) [d](target.md#notes-1) "
+            "[e](target.md#see-the-oracle)\n"
+        )
+        completed = self.run_checker(tmp_path)
+        assert completed.returncode == 0, completed.stdout
+        # The heading inside the fence is not a heading: no third "Notes".
+        (tmp_path / "doc.md").write_text("[f](target.md#notes-2)\n")
+        assert self.run_checker(tmp_path).returncode == 1
 
 
 class TestEntryDocuments:
@@ -123,13 +160,17 @@ class TestEntryDocuments:
             encoding="utf-8"
         )
         for needle in (
-            "Structure-of-arrays bank timing", "BankArrayTiming",
-            "tests/bank_reference.py", "memoryview", "TimingViolation",
+            "### Bank timing registers", "`open_rows`", "`-1` (`NO_ROW`)",
+            "never rebinds them", "Why no NumPy", "The VRR rule",
+            "tests/bank_reference.py", "TimingViolation",
             "tests/test_bank_backends.py",
             "_demand_ready_cycle", "Wake-hint caches",
         ):
             assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
-        for removed in ("REPRO_BANK_BACKEND", "fast_kernels"):
+        for removed in (
+            "REPRO_BANK_BACKEND", "fast_kernels", "BankArrayTiming",
+            "dram/bank.py", "timing_plane",
+        ):
             assert removed not in architecture, f"ARCHITECTURE.md names {removed!r}"
 
     def test_architecture_doc_covers_counter_stores(self):
@@ -193,10 +234,11 @@ class TestEntryDocuments:
         )
         for needle in (
             "_demand_ready_cycle", "readiness_scan",
-            "structure-of-arrays-bank-timing",
+            "ARCHITECTURE.md#bank-timing-registers",
         ):
             assert needle in experiments, f"EXPERIMENTS.md is missing {needle!r}"
-        assert "REPRO_BANK_BACKEND" not in experiments
+        for removed in ("REPRO_BANK_BACKEND", "structure-of-arrays-bank-timing"):
+            assert removed not in experiments, f"EXPERIMENTS.md names {removed!r}"
 
     def test_experiment_and_attack_docs_mention_channels_knob(self):
         experiments = (REPO_ROOT / "docs" / "EXPERIMENTS.md").read_text(

@@ -748,37 +748,25 @@ def write_tree(root, files):
 
 
 CLEAN_TREE = {
-    # The committed manifest registers Bank's per-command path in this
-    # file, so the clean fixture must define every registered qualname
+    # The committed manifest registers the device's per-command path in
+    # this file, so the clean fixture must define every registered qualname
     # (else the stale-entry detection fires, by design).
-    "src/repro/dram/bank.py": """\
-        class Bank:
+    "src/repro/dram/device.py": """\
+        class DramDevice:
             def __init__(self):
-                self.open_row = None
+                self.open_rows = [-1]
 
-            def activate(self, row, cycle):
+            def activate(self, bank_id, row, cycle):
                 return cycle
 
-            def precharge(self, cycle):
+            def precharge(self, bank_id, cycle):
                 return cycle
 
-            def read(self, cycle):
+            def read(self, bank_id, cycle):
                 return cycle
 
-            def write(self, cycle):
+            def write(self, bank_id, cycle):
                 return cycle
-
-            def can_activate(self, cycle):
-                return True
-
-            def can_precharge(self, cycle):
-                return True
-
-            def can_read(self, cycle):
-                return True
-
-            def can_write(self, cycle):
-                return True
         """,
 }
 
@@ -857,7 +845,7 @@ class TestCliExitCodes:
         write_tree(tmp_path, VIOLATIONS["determinism"])
         assert repro_main(["lint", "--root", str(tmp_path)]) == 1
         assert repro_main(
-            ["lint", "--root", str(tmp_path), "src/repro/dram/bank.py"]
+            ["lint", "--root", str(tmp_path), "src/repro/dram/device.py"]
         ) == 0
         capsys.readouterr()
 

@@ -2,12 +2,15 @@
 
 ``setup.py`` has always claimed "the pyproject.toml metadata is
 authoritative" -- these tests make that claim true and keep it true: the
-file must exist, parse, agree with the package's ``__version__``, declare
-the NumPy dependency the bank timing plane imports, and expose a console
-entry point that actually resolves.
+file must exist, parse, agree with the package's ``__version__`` and
+expose a console entry point that actually resolves.  The package is pure
+Python: a simulation runs with NumPy unimportable.
 """
 
+import os
+import subprocess
 import sys
+import textwrap
 import tomllib
 from pathlib import Path
 
@@ -37,13 +40,33 @@ class TestPyprojectMetadata:
         project = load_pyproject()["project"]
         assert project["version"] == repro.__version__
 
-    def test_numpy_dependency_declared(self):
-        project = load_pyproject()["project"]
-        dependencies = project["dependencies"]
-        assert any(
-            dep.partition(">")[0].partition("=")[0].strip() == "numpy"
-            for dep in dependencies
-        ), f"numpy missing from dependencies: {dependencies}"
+    def test_simulates_without_numpy(self):
+        # A fresh interpreter in which ``import numpy`` fails: a wave attack
+        # on PRAC-1 at N_RH=20 must still simulate its REFs and its
+        # back-off RFMs.
+        script = textwrap.dedent(
+            """\
+            import sys
+            sys.modules["numpy"] = None
+            from repro.attacks.patterns import AttackSpec
+            from repro.experiments.sweep import attack_search_job, execute_job
+            from repro.system.config import paper_system_config
+            spec = AttackSpec.create(
+                "wave", {"num_rows": 16, "rounds": 20, "row_stride": 4}
+            )
+            job = attack_search_job(paper_system_config(), "PRAC-1", 20, spec)
+            counts = execute_job(job).command_counts
+            print(counts["REF"], counts["RFM"])
+            """
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert completed.returncode == 0, completed.stderr
+        refreshes, rfms = (int(count) for count in completed.stdout.split())
+        assert refreshes > 0 and rfms > 0
 
     def test_requires_python_matches_running_interpreter(self):
         # The suite runs on the interpreter CI provisions; the floor must

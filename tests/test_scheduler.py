@@ -144,7 +144,7 @@ class TestRowClosureResetsStreak:
             buckets.setdefault(request.bank_id, []).append(request)
         for streak in range(4):
             assert flat.choose(requests, device) is bucketed.choose_from_buckets(
-                buckets, device.timing_plane.open_row_mv
+                buckets, device.open_rows
             )
             flat.on_scheduled(make_request(0, 5), was_row_hit=True)
             bucketed.on_scheduled(make_request(0, 5), was_row_hit=True)
