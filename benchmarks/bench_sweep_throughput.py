@@ -1,30 +1,22 @@
 #!/usr/bin/env python3
-"""Sweep-throughput benchmark: single-run speed and worker-pool scaling.
+"""Sweep-throughput benchmark: cold-sweep worker-pool scaling.
 
-Two quantities, maintained in ``BENCH_sweep_throughput.json``:
-
-* **single-run speed** -- the bench_hotpath *reference workload set* (all
-  twelve mechanisms on one and two channels) timed end to end on the live
-  simulator and compared against the committed PR 4 engine anchor (the
-  ``reference.workloads`` wall-clock recorded in ``BENCH_hotpath.json``
-  when the event-horizon engine landed).  This is the data-plane speedup
-  trajectory: the allocation-free request path and wake gating must keep
-  it >= 1.4x over that anchor.
-* **cold-sweep scaling** -- one declarative sweep executed twice from a
-  cold cache: serially, then across the persistent work-stealing pool.
-  Wall-clock for both, plus the warm re-run (which must be 100 % cached).
+One declarative sweep executed twice from a cold cache: serially, then
+across the persistent work-stealing pool.  Wall-clock for both, plus the
+warm re-run (which must be 100 % cached), maintained in
+``BENCH_sweep_throughput.json``.  Single-run simulator speed is measured by
+the repository benchmark, ``benchmarks/e2e/run.py``.
 
 Machine-independent gating (CI): absolute wall-clock depends on the runner,
-so the CI gate is the *same-run* relative speedup ``--min-parallel-speedup``
-(like bench_hotpath's ``--relative-gate``), with the honest caveat that
-parallel speedup is bounded by the physical core count -- the recorded
-``cpu_count`` travels with every measurement.  On single-CPU machines,
-where no pool speedup is physically possible, the gate is skipped with a
-note.
+so the CI gate is the *same-run* relative speedup ``--min-parallel-speedup``,
+with the honest caveat that parallel speedup is bounded by the physical core
+count -- the recorded ``cpu_count`` travels with every measurement.  On
+single-CPU machines, where no pool speedup is physically possible, the gate
+is skipped with a note.
 
 Usage::
 
-    python benchmarks/bench_sweep_throughput.py            # full set + checks
+    python benchmarks/bench_sweep_throughput.py            # full sweep + checks
     python benchmarks/bench_sweep_throughput.py --quick    # CI smoke subset
     python benchmarks/bench_sweep_throughput.py --update   # re-record the JSON
 """
@@ -43,8 +35,6 @@ from typing import Dict, List, Optional
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
-
-import bench_hotpath  # noqa: E402  (sibling module: the single-run reference set)
 
 from repro.experiments.cache import ResultCache  # noqa: E402
 from repro.experiments.sweep import SweepEngine, SweepSpec  # noqa: E402
@@ -101,46 +91,11 @@ def run_cold_sweep(spec: SweepSpec, workers: int) -> Dict[str, object]:
     }
 
 
-def measure_single_run(repeats: int = 3) -> Dict[str, object]:
-    """Time the bench_hotpath reference set (the PR 4 anchor's workload).
-
-    Per-workload minimum over ``repeats`` passes: the shared machines these
-    numbers are recorded on jitter by tens of percent, and the minimum is
-    the standard noise-floor estimate for a deterministic workload.
-    """
-    best: Dict[str, float] = {}
-    for _ in range(repeats):
-        seconds, _ = bench_hotpath.run_set(quick=False)
-        for key, value in seconds.items():
-            if key not in best or value < best[key]:
-                best[key] = value
-    return {
-        "total_seconds": sum(best.values()),
-        "workloads": best,
-        "repeats": repeats,
-    }
-
-
-def pr4_anchor() -> Dict[str, object]:
-    """The committed PR 4 engine wall-clock from BENCH_hotpath.json."""
-    with open(bench_hotpath.BENCH_JSON) as handle:
-        hotpath = json.load(handle)
-    reference = hotpath.get("reference", {})
-    workloads = reference.get("workloads", {})
-    return {
-        "source": "BENCH_hotpath.json reference (recorded at PR 4)",
-        "total_seconds": sum(workloads.values()),
-        "recorded_on": reference.get("recorded_on"),
-        "recorded_at": reference.get("recorded_at"),
-    }
-
-
 def load_bench() -> Dict[str, object]:
     if not os.path.exists(BENCH_JSON):
         return {
             "description": (
-                "Sweep-throughput trajectory: single-run speed vs the PR 4 "
-                "engine anchor plus cold-sweep worker-pool scaling "
+                "Sweep-throughput trajectory: cold-sweep worker-pool scaling "
                 "(see benchmarks/bench_sweep_throughput.py)"
             )
         }
@@ -152,8 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke subset: small cold sweep only (skips the single-run "
-             "reference set)",
+        help="CI smoke subset: a small cold sweep",
     )
     parser.add_argument(
         "--update", action="store_true",
@@ -173,43 +127,11 @@ def main(argv: Optional[List[str]] = None) -> int:
              "is at least X times faster than the serial one measured in the "
              "same run (skipped with a note on single-CPU machines)",
     )
-    parser.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="single-run passes; the per-workload minimum is recorded "
-             "(default 3)",
-    )
-    parser.add_argument(
-        "--min-single-run-speedup", type=float, default=None, metavar="X",
-        help="gate: fail unless the single-run reference set is at least X "
-             "times faster than the committed PR 4 anchor (same-machine "
-             "trajectories only; not meaningful in CI)",
-    )
     args = parser.parse_args(argv)
 
     cpu_count = os.cpu_count() or 1
     failures: List[str] = []
     bench = load_bench()
-
-    single_run = None
-    if not args.quick:
-        anchor = pr4_anchor()
-        print(
-            f"single run: timing the bench_hotpath reference set "
-            f"(PR 4 anchor: {anchor['total_seconds']:.2f}s)..."
-        )
-        single_run = measure_single_run(repeats=max(1, args.repeats))
-        speedup = anchor["total_seconds"] / single_run["total_seconds"]
-        single_run["speedup_vs_pr4_anchor"] = speedup
-        print(
-            f"single run: {single_run['total_seconds']:.2f}s "
-            f"({speedup:.2f}x vs the PR 4 anchor)"
-        )
-        if args.min_single_run_speedup is not None and not args.no_check:
-            if speedup < args.min_single_run_speedup:
-                failures.append(
-                    f"single-run speedup {speedup:.2f}x below the "
-                    f"{args.min_single_run_speedup:.2f}x floor"
-                )
 
     spec = sweep_spec(args.quick)
     label = "quick" if args.quick else "full"
@@ -245,17 +167,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
 
     if args.update:
-        bench["pr4_anchor"] = pr4_anchor()
-        if single_run is not None:
-            bench["single_run"] = {
-                "total_seconds": round(single_run["total_seconds"], 3),
-                "speedup_vs_pr4_anchor": round(
-                    single_run["speedup_vs_pr4_anchor"], 3
-                ),
-                "recorded_on": platform.platform(),
-                "python": platform.python_version(),
-                "recorded_at": time.strftime("%Y-%m-%d"),
-            }
         bench["cold_sweep"] = {
             "spec": "full" if not args.quick else "quick",
             "jobs": serial["jobs"],
@@ -273,13 +184,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         bench.setdefault("trajectory", []).append(
             {
                 "date": time.strftime("%Y-%m-%d"),
-                "single_run_seconds": (
-                    round(single_run["total_seconds"], 3) if single_run else None
-                ),
-                "speedup_vs_pr4_anchor": (
-                    round(single_run["speedup_vs_pr4_anchor"], 3)
-                    if single_run else None
-                ),
                 "cold_sweep_speedup": round(parallel_speedup, 3),
                 "cpu_count": cpu_count,
                 "python": platform.python_version(),

@@ -29,8 +29,7 @@ and the benchmarks all draw from:
     the §11 memory performance attack (few rows, few banks, back-to-back).
 
 The historical entry points (``wave_attack_addresses``, ``wave_attack_trace``
-and ``performance_attack_trace``) live here now; ``repro.workloads.attacker``
-re-exports them with a :class:`DeprecationWarning`.
+and ``performance_attack_trace``) live here too.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def retarget_channel(trace: Trace, mapping: AddressMapping, channel: int) -> Tra
 
 
 # --------------------------------------------------------------------------- #
-# Historical entry points (migrated from repro.workloads.attacker)
+# Historical entry points
 # --------------------------------------------------------------------------- #
 
 def _wave_rows(

@@ -7,14 +7,11 @@ refresh management (RFM) and the ``alert_n`` back-off signal used by
 on-DRAM-die read-disturbance mitigation mechanisms.
 """
 
-from repro.dram.commands import Command, CommandKind
 from repro.dram.organization import DramAddress, DramOrganization
 from repro.dram.timing import TimingParams, ddr5_3200an
 from repro.dram.device import DramDevice, TimingViolation
 
 __all__ = [
-    "Command",
-    "CommandKind",
     "DramAddress",
     "DramOrganization",
     "TimingParams",

@@ -33,12 +33,6 @@ to disk from the worker process (see
 :meth:`~repro.experiments.sweep.SweepEngine.run_jobs`); the parent then
 :meth:`~ResultCache.absorb`\\ s the result into its memory layer without
 re-serialising anything.
-
-A legacy *monolithic* cache file (``<cache-dir>/cache.json`` holding every
-entry in one JSON object) is migrated into the sharded per-key layout the
-first time the directory is opened; the original file is kept as
-``cache.json.migrated`` for post-mortems.  Keys and
-:data:`CACHE_SCHEMA_VERSION` are unchanged by the migration.
 """
 
 from __future__ import annotations
@@ -65,9 +59,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Default on-disk cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-#: Name of the legacy monolithic store migrated on first open.
-LEGACY_MONOLITHIC_NAME = "cache.json"
 
 
 def default_cache_dir() -> str:
@@ -131,9 +122,6 @@ class ResultCache:
         #: Results inserted memory-only via :meth:`absorb` (already written
         #: to disk by a worker process).
         self.absorbed = 0
-        self.migrated_entries = 0
-        if self.directory is not None:
-            self._migrate_monolithic()
 
     # ------------------------------------------------------------------ #
     # Lookup / store
@@ -215,46 +203,6 @@ class ResultCache:
         """
         self._memory[key] = result
         self.absorbed += 1
-
-    # ------------------------------------------------------------------ #
-    # Legacy monolithic-store migration
-    # ------------------------------------------------------------------ #
-    def _migrate_monolithic(self) -> None:
-        """Split a legacy ``cache.json`` monolith into per-key shard files.
-
-        Entries whose schema no longer matches are dropped (the standard
-        self-healing rule); existing per-key files are never overwritten.
-        The monolith is renamed to ``cache.json.migrated`` afterwards, so
-        the migration runs exactly once even across concurrent openers
-        (``os.replace`` is atomic; a racing loser simply finds nothing left
-        to do).
-        """
-        assert self.directory is not None
-        path = os.path.join(self.directory, LEGACY_MONOLITHIC_NAME)
-        if not os.path.exists(path):
-            return
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                monolith = json.load(handle)
-        except (OSError, ValueError):
-            monolith = None
-        if isinstance(monolith, dict):
-            for key, entry in monolith.items():
-                if not isinstance(entry, dict):
-                    continue
-                if entry.get("schema") != CACHE_SCHEMA_VERSION:
-                    continue
-                try:
-                    result = result_from_dict(entry["result"])
-                except (ValueError, TypeError, KeyError):
-                    continue
-                if not os.path.exists(self._entry_path(key)):
-                    self._write_entry(key, result, entry.get("job"))
-                    self.migrated_entries += 1
-        try:
-            os.replace(path, path + ".migrated")
-        except OSError:
-            pass
 
     def contains(self, key: str) -> bool:
         """True if ``key`` is cached; never mutates the hit/miss counters."""

@@ -136,7 +136,7 @@ class SweepCancelled(RuntimeError):
 
     def __init__(self, report: "RunReport") -> None:
         super().__init__(
-            f"sweep cancelled after {len(report.shards)} unit(s) of work"
+            f"sweep cancelled after {report.executed_jobs} executed job(s)"
         )
         self.report = report
 
@@ -387,10 +387,10 @@ def execute_job(job: SimJob) -> SimulationResult:
 # Cost model, shards and the worker entry point
 # --------------------------------------------------------------------------- #
 
-#: Relative per-access weight of each mechanism family, measured on the
-#: bench_hotpath reference set (PRAC-timing mechanisms simulate more cycles
-#: per access; PARA/PRFM serve extra maintenance traffic).  The estimate
-#: only needs to *rank* jobs so that long ones are dispatched first.
+#: Relative per-access weight of each mechanism family, measured on a fixed
+#: two-core mix (PRAC-timing mechanisms simulate more cycles per access;
+#: PARA/PRFM serve extra maintenance traffic).  The estimate only needs to
+#: *rank* jobs so that long ones are dispatched first.
 _MECHANISM_COST = {
     "None": 1.0,
     "Chronus": 1.05,
@@ -497,17 +497,14 @@ class RunReport:
 
     total_jobs: int = 0
     cached_jobs: int = 0
+    #: Jobs finished so far: per job when serial, per shard when pooled.
     executed_jobs: int = 0
     workers: int = 0
+    #: How the missing jobs run: ``cached`` (none missing), ``serial`` or
+    #: ``pool`` -- the ``mode`` of the run's ``plan`` event.
+    mode: str = "cached"
     wall_seconds: float = 0.0
     shards: List[ShardReport] = field(default_factory=list)
-
-    @property
-    def engine_mode(self) -> str:
-        """Which execution mode ran the missing jobs."""
-        if self.executed_jobs == 0:
-            return "cached"
-        return "pool" if self.workers >= 2 else "serial"
 
     @property
     def cache_hit_rate(self) -> float:
@@ -528,7 +525,7 @@ class RunReport:
             "cached_jobs": self.cached_jobs,
             "executed_jobs": self.executed_jobs,
             "workers": self.workers,
-            "engine": self.engine_mode,
+            "engine": self.mode,
             "wall_seconds": self.wall_seconds,
             "cache_hit_rate": self.cache_hit_rate,
             "shards": [dataclasses.asdict(shard) for shard in self.shards],
@@ -779,16 +776,16 @@ class SweepEngine:
                 results[key] = cached
             else:
                 missing.append(job)
+        mode = "cached"
+        if missing:
+            mode = "pool" if self.workers >= 2 and len(missing) > 1 else "serial"
         report = RunReport(
             total_jobs=len(unique),
             cached_jobs=len(unique) - len(missing),
             workers=self.workers,
+            mode=mode,
         )
-        pooled = self.workers >= 2 and len(missing) > 1
         if progress is not None:
-            mode = "cached"
-            if missing:
-                mode = "pool" if pooled else "serial"
             progress(
                 {
                     "event": "plan",
@@ -799,14 +796,16 @@ class SweepEngine:
                     "workers": self.workers,
                 }
             )
-        if missing:
-            self._check_cancel(cancel, report)
-            if pooled:
-                self._run_sharded(missing, results, report, progress, cancel)
-            else:
-                self._run_serial(missing, results, report, progress, cancel)
-            report.executed_jobs = len(missing)
-        report.wall_seconds = time.perf_counter() - start
+        try:
+            if missing:
+                self._check_cancel(cancel, report)
+                if mode == "pool":
+                    self._run_sharded(missing, results, report, progress, cancel)
+                else:
+                    self._run_serial(missing, results, report, progress, cancel)
+        finally:
+            # Also on a cancel: the partial report travels on the exception.
+            report.wall_seconds = time.perf_counter() - start
         self.last_run_report = report
         if progress is not None:
             progress({"event": "report", "report": report.as_dict()})
@@ -862,7 +861,6 @@ class SweepEngine:
         cancel: Optional[CancelToken] = None,
     ) -> None:
         shard_start = time.perf_counter()
-        done = 0
         for job in missing:
             self._check_cancel(cancel, report)
             job_start = time.perf_counter()
@@ -870,9 +868,10 @@ class SweepEngine:
             self.executed_jobs += 1
             self.cache.put(job.key, result, job.cache_payload())
             results[job.key] = result
-            done += 1
+            report.executed_jobs += 1
             self._emit_job(
-                progress, job, time.perf_counter() - job_start, done, len(missing)
+                progress, job, time.perf_counter() - job_start,
+                report.executed_jobs, len(missing),
             )
         shard = ShardReport(
             shard=0,
@@ -881,7 +880,7 @@ class SweepEngine:
             seconds=time.perf_counter() - shard_start,
         )
         report.shards.append(shard)
-        self._emit_shard(progress, shard, done, len(missing))
+        self._emit_shard(progress, shard, report.executed_jobs, len(missing))
 
     def _run_sharded(
         self,
@@ -899,7 +898,6 @@ class SweepEngine:
             for index, shard in enumerate(shards)
         }
         stream_to_disk = cache_dir is not None
-        done_jobs = 0
         while pending:
             if cancel is not None and cancel.cancelled:
                 # Cooperative: shards that never started are dropped; shards
@@ -920,7 +918,7 @@ class SweepEngine:
                     else:
                         self.cache.put(job.key, result, job.cache_payload())
                     results[job.key] = result
-                done_jobs += len(shard)
+                report.executed_jobs += len(shard)
                 shard_report = ShardReport(
                     shard=index,
                     jobs=len(shard),
@@ -930,7 +928,9 @@ class SweepEngine:
                     seconds=elapsed,
                 )
                 report.shards.append(shard_report)
-                self._emit_shard(progress, shard_report, done_jobs, len(missing))
+                self._emit_shard(
+                    progress, shard_report, report.executed_jobs, len(missing)
+                )
 
     def run(
         self,

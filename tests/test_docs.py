@@ -5,6 +5,7 @@ and the user-facing entry documents must exist and mention the subsystems
 they promise to cover.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -233,8 +234,7 @@ class TestEntryDocuments:
             encoding="utf-8"
         )
         for needle in (
-            "_demand_ready_cycle", "readiness_scan",
-            "ARCHITECTURE.md#bank-timing-registers",
+            "_demand_ready_cycle", "ARCHITECTURE.md#bank-timing-registers",
         ):
             assert needle in experiments, f"EXPERIMENTS.md is missing {needle!r}"
         for removed in ("REPRO_BANK_BACKEND", "structure-of-arrays-bank-timing"):
@@ -247,4 +247,16 @@ class TestEntryDocuments:
         attacks = (REPO_ROOT / "docs" / "ATTACKS.md").read_text(encoding="utf-8")
         assert "--channels" in experiments
         assert "--channel" in attacks
-        assert "repro.workloads.attacker" in attacks  # deprecation shim note
+
+    def test_docs_name_no_retired_bench_or_shim(self):
+        """The hot-path bench, its record and knobs, and the attacker shim
+        are gone; any spelling of their names in the docs is stale."""
+        retired = re.compile(
+            r"bench_hot_?path|REPRO_BENCH_(TOLERANCE|REPEATS)"
+            r"|repro\.workloads\.attacker",
+            re.IGNORECASE,
+        )
+        docs = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
+        for path in docs:
+            match = retired.search(path.read_text(encoding="utf-8"))
+            assert match is None, f"{path.name} names {match.group(0)!r}"

@@ -12,6 +12,9 @@ the constants and bump `repro.experiments.cache.CACHE_SCHEMA_VERSION` so
 stale on-disk cache entries are invalidated too.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.security import (
@@ -27,7 +30,14 @@ from repro.analysis.security import (
     secure_prac_backoff_threshold,
     secure_prfm_threshold,
 )
-from repro.experiments.sweep import SweepEngine, alone_job, baseline_job, mechanism_job
+from repro.core.factory import MECHANISM_NAMES
+from repro.experiments.sweep import (
+    SweepEngine,
+    alone_job,
+    baseline_job,
+    execute_job,
+    mechanism_job,
+)
 from repro.system.config import paper_system_config
 from repro.system.metrics import (
     geometric_mean,
@@ -36,6 +46,11 @@ from repro.system.metrics import (
     normalized_weighted_speedup,
     standard_error,
     weighted_speedup,
+)
+
+#: Fingerprints of the reference set (see TestReferenceSetGoldens).
+REFERENCE_SET = json.loads(
+    (Path(__file__).parent / "golden_reference_set.json").read_text(encoding="utf-8")
 )
 
 
@@ -181,3 +196,46 @@ class TestSimulationGoldens:
         assert harmonic_speedup(mech.core_ipcs, alone) == pytest.approx(
             0.6703235946020838, rel=self.REL
         )
+
+
+class TestReferenceSetGoldens:
+    """Pinned fingerprints of the reference set, compared exactly.
+
+    A fixed two-core mix under every mechanism on one and two channels
+    (``tests/golden_reference_set.json``).  Besides cycles, IPCs and energy,
+    each row pins the reads served, REFs, RFMs and preventively refreshed
+    rows, so a change to what PRFM, PARA or Hydra do fails here.  At this
+    size no mechanism backs off; the acting paths are pinned on attack jobs
+    by tests/test_event_horizon.py and benchmarks/e2e/fingerprints.json.
+    """
+
+    def test_covers_every_mechanism_on_one_and_two_channels(self):
+        assert set(REFERENCE_SET["fingerprints"]) == {
+            f"{mechanism}/ch{channels}"
+            for channels in (1, 2)
+            for mechanism in MECHANISM_NAMES
+        }
+
+    @pytest.mark.parametrize("workload", sorted(REFERENCE_SET["fingerprints"]))
+    def test_fingerprint(self, workload):
+        mechanism, channels = workload.split("/ch")
+        base = paper_system_config().with_overrides(channels=int(channels))
+        result = execute_job(
+            mechanism_job(
+                base,
+                tuple(REFERENCE_SET["applications"]),
+                mechanism,
+                REFERENCE_SET["nrh"],
+                REFERENCE_SET["accesses_per_core"],
+            )
+        )
+        stats = result.controller_stats
+        assert {
+            "cycles": result.cycles,
+            "core_ipcs": result.core_ipcs,
+            "energy_nj": result.energy_nj,
+            "reads_served": stats["reads_served"],
+            "refreshes": stats["refreshes"],
+            "rfms": stats["rfms"],
+            "preventive_refresh_rows": stats["preventive_refresh_rows"],
+        } == REFERENCE_SET["fingerprints"][workload]

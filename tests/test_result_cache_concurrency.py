@@ -1,4 +1,4 @@
-"""ResultCache concurrency, legacy migration, and the sharded sweep tier.
+"""ResultCache concurrency and the sharded sweep tier.
 
 The concurrent-writer regression is the PR 5 satellite fix: a monolithic
 single-JSON store loses entries when two workers read-modify-write it at the
@@ -8,13 +8,10 @@ real concurrent writer *processes* against one directory to pin that.
 """
 
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 
 from repro.experiments.cache import (
-    CACHE_SCHEMA_VERSION,
-    LEGACY_MONOLITHIC_NAME,
     ResultCache,
     result_to_dict,
 )
@@ -95,76 +92,6 @@ class TestConcurrentWriters:
         result = ResultCache(directory).get("shared-key")
         assert result is not None
         assert result.cycles in (101, 102)
-
-
-class TestMonolithicMigration:
-    def _write_monolith(self, directory, entries):
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, LEGACY_MONOLITHIC_NAME)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(entries, handle)
-        return path
-
-    def test_entries_migrate_to_sharded_files(self, tmp_path):
-        directory = str(tmp_path / "cache")
-        entries = {
-            f"legacy-{i}": {
-                "schema": CACHE_SCHEMA_VERSION,
-                "key": f"legacy-{i}",
-                "job": {"tag": i},
-                "result": result_to_dict(make_result(i)),
-            }
-            for i in range(3)
-        }
-        path = self._write_monolith(directory, entries)
-        cache = ResultCache(directory)
-        assert cache.migrated_entries == 3
-        assert not os.path.exists(path)
-        assert os.path.exists(path + ".migrated")
-        assert cache.disk_entry_count() == 3
-        # Migration must not warm the memory layer or the hit statistics.
-        assert cache.stores == 0
-        for i in range(3):
-            result = cache.get(f"legacy-{i}")
-            assert result is not None and result.cycles == 100 + i
-        assert cache.disk_hits == 3
-
-    def test_stale_schema_entries_are_dropped(self, tmp_path):
-        directory = str(tmp_path / "cache")
-        entries = {
-            "stale": {
-                "schema": CACHE_SCHEMA_VERSION - 1,
-                "key": "stale",
-                "result": result_to_dict(make_result(1)),
-            },
-            "good": {
-                "schema": CACHE_SCHEMA_VERSION,
-                "key": "good",
-                "result": result_to_dict(make_result(2)),
-            },
-        }
-        self._write_monolith(directory, entries)
-        cache = ResultCache(directory)
-        assert cache.migrated_entries == 1
-        assert cache.get("stale") is None
-        assert cache.get("good") is not None
-
-    def test_migration_runs_once(self, tmp_path):
-        directory = str(tmp_path / "cache")
-        self._write_monolith(directory, {})
-        ResultCache(directory)
-        second = ResultCache(directory)
-        assert second.migrated_entries == 0
-
-    def test_corrupt_monolith_is_parked_not_fatal(self, tmp_path):
-        directory = str(tmp_path / "cache")
-        os.makedirs(directory)
-        path = os.path.join(directory, LEGACY_MONOLITHIC_NAME)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{ not json")
-        cache = ResultCache(directory)
-        assert cache.migrated_entries == 0
-        assert os.path.exists(path + ".migrated")
 
 
 class TestAbsorb:

@@ -65,6 +65,15 @@ class TestProgressEvents:
         assert events[0]["missing_jobs"] == 0
         assert events[-1]["report"]["engine"] == "cached"
 
+    def test_single_missing_job_on_a_pool_engine_reports_serial(self):
+        """One missing job never starts the pool, and the report says so."""
+        engine = SweepEngine(workers=2)
+        events = []
+        engine.run_jobs(SPEC.expand()[:1], progress=events.append)
+        assert events[0]["mode"] == "serial"
+        assert engine.last_run_report.as_dict()["engine"] == "serial"
+        assert engine._pool is None
+
 
 class TestRunReportAsDict:
     def test_as_dict_is_json_round_trippable(self):
@@ -106,9 +115,12 @@ class TestCancellation:
             if event["event"] == "job":
                 token.cancel()
 
-        with pytest.raises(SweepCancelled):
+        with pytest.raises(SweepCancelled) as excinfo:
             engine.run(SPEC, progress=cancel_after_first, cancel=token)
         assert engine.executed_jobs == 1
+        assert excinfo.value.report.executed_jobs == 1
+        assert "after 1 executed job(s)" in str(excinfo.value)
+        assert excinfo.value.report.wall_seconds > 0.0
         # The finished job survives in the cache: resubmission resumes.
         events = []
         results = engine.run(SPEC, progress=events.append)

@@ -11,8 +11,9 @@ hot spots, so "where does the time go?" has a one-command answer::
     PYTHONPATH=src python -m tools.profile_run --json --top 10 > hotspots.json
 
 Mechanism names are matched case-insensitively against the factory registry
-(``prac`` resolves to ``PRAC-4``); the workload is the bench_hotpath
-reference mix, so profiles line up with the committed wall-clock numbers.
+(``prac`` resolves to ``PRAC-4``); the workload is the reference mix of
+``tests/golden_reference_set.json``, so a profile runs a job whose simulated
+numbers are pinned.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.experiments.sweep import build_job_traces, mechanism_job  # noqa: E40
 from repro.system.config import paper_system_config  # noqa: E402
 from repro.system.simulator import simulate  # noqa: E402
 
-#: The bench_hotpath reference mix (keep in sync with benchmarks/bench_hotpath.py).
+#: The reference mix (keep in sync with tests/golden_reference_set.json).
 APPS = ("429.mcf", "401.bzip2")
 
 #: Shorthand aliases accepted on top of the exact registry names.
@@ -94,11 +95,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--nrh", type=int, default=64, metavar="N",
-        help="RowHammer threshold (default: 64, the bench_hotpath value)",
+        help="RowHammer threshold (default: 64, the reference-set value)",
     )
     parser.add_argument(
         "--accesses", type=int, default=1500, metavar="N",
-        help="memory accesses per core (default: 1500, the bench_hotpath value)",
+        help="memory accesses per core (default: 1500, the reference-set value)",
     )
     parser.add_argument(
         "--top", type=int, default=20, metavar="N",
