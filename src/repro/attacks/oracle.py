@@ -159,10 +159,6 @@ class DisturbanceOracle:
         """Peak activation count ever reached by any row of ``channel``."""
         return self._channel_peaks.get(channel, 0)
 
-    def activations_in_channel(self, channel: int) -> int:
-        """Activations currently accumulated against rows of ``channel``."""
-        return sum(self._counts.get(channel, {}).values())
-
     def stats_dict(self) -> Dict[str, int]:
         """Integer stats merged into ``SimulationResult.mitigation_stats``.
 

@@ -24,18 +24,19 @@ Hot-path design (the event-horizon engine):
   incrementally on enqueue/dequeue, so neither the FR-FCFS scan, the
   first-ready fallback, nor the wake-hint computation ever rescans the flat
   queue per candidate.
-* Readiness is read straight from the device's per-bank timing registers
-  (plain lists indexed by flat bank id), hoisted once at construction.
-* The wake hint (:meth:`next_event_cycle`) is *precise*: it covers every
-  event source that can unblock the controller -- per-bank command readiness,
-  rank-level tRRD/tFAW release, the earliest periodic-refresh due cycle
-  (a time skip must never jump past a tREFI boundary), the back-off recovery
-  deadline, pending preventive refreshes and pending RFMs, and in-flight
-  read completions.  The demand part is exact: it covers only the queue the
-  next demand service will serve, and a bank only at the release of a
-  command FR-FCFS+Cap can issue there.  A hint that fires early merely costs
-  a wasted wake; a hint that fires late would silently change simulated
-  behaviour, which the strict-tick determinism harness guards against.
+* Readiness is read straight from the device's per-bank and per-rank timing
+  registers (plain lists), hoisted once at construction.
+* The wake hint ``tick`` returns (:meth:`_next_event_hint`) is *precise*: it
+  covers every event source that can unblock the controller -- per-bank
+  command readiness, rank-level tRRD/tFAW release, the earliest
+  periodic-refresh due cycle (a time skip must never jump past a tREFI
+  boundary), the back-off recovery deadline, pending preventive refreshes
+  and pending RFMs, and in-flight read completions.  The demand part is
+  exact: it covers only the queue the next demand service will serve, and a
+  bank only at the release of a command FR-FCFS+Cap can issue there.  A hint
+  that fires early merely costs a wasted wake; a hint that fires late would
+  silently change simulated behaviour, which the strict-tick determinism
+  harness guards against.
 """
 
 from __future__ import annotations
@@ -121,16 +122,17 @@ class MemoryController:
         # the controller side (where it is None).
         self._on_die = device.mitigation
 
-        # The device's bank timing registers, hoisted onto the controller:
-        # every readiness check indexes these once per register access, and
-        # caching them here turns each ``device.next_*`` attribute chain
-        # into a single hop.  Safe because the device mutates the lists in
-        # place and never rebinds them.
+        # The device's bank and rank timing registers, hoisted onto the
+        # controller: every readiness check indexes these once per register
+        # access, and caching them here turns each ``device.next_*``
+        # attribute chain into a single hop.  Safe because the device
+        # mutates the lists in place and never rebinds them.
         self._open_rows = device.open_rows
         self._next_act = device.next_act
         self._next_pre = device.next_pre
         self._next_rd = device.next_rd
         self._next_wr = device.next_wr
+        self._rank_next_act = device.rank_next_act
 
         # The demand queues live *only* as per-bank FIFO buckets, maintained
         # incrementally on enqueue/dequeue (empty buckets are pruned); the
@@ -323,20 +325,6 @@ class MemoryController:
             self._mech_scan_hint = None
             return True, self._next_event_hint(cycle, True)
         return False, self._next_event_hint(cycle)
-
-    def next_event_cycle(self, cycle: int) -> int:
-        """Earliest future cycle at which this controller may make progress.
-
-        Public alias of the wake hint ``tick`` returns, for callers that
-        need the hint without attempting to issue.  Not a pure getter: it
-        accrues refresh debt up to ``cycle`` first (the hint is only precise
-        with an up-to-date due cycle), exactly as ``tick`` would.
-        """
-        self.refresh.tick(cycle)
-        self._refresh_scan_hint = None
-        # An enqueue since the last tick may have flipped the active queue.
-        self._demand_hint = None
-        return self._next_event_hint(cycle)
 
     def _backoff_blocks_traffic(self, cycle: int) -> bool:
         """True once the window of normal traffic after a back-off has ended.
@@ -624,9 +612,7 @@ class MemoryController:
         # the probe is one containment check per ACT candidate.
         if rank in self.refresh.urgent_ranks():
             return False
-        if cycle >= self._next_act[bank_id] and self.device._rank_act_allowed(
-            rank, cycle
-        ):
+        if cycle >= self._next_act[bank_id] and cycle >= self._rank_next_act[rank]:
             self.device.activate(bank_id, target_row, cycle)
             self.stats.row_misses += 1
             request.row_hit = False
@@ -853,16 +839,8 @@ class MemoryController:
         """
         if self._open_rows[bank_id] < 0:
             ready = self._next_act[bank_id]
-            state = self.device._ranks[bank_id // self._banks_per_rank]
-            rank_ready = state.last_act_cycle + self.timing.tRRD
-            if rank_ready > ready:
-                ready = rank_ready
-            window = state.act_window
-            if len(window) == window.maxlen:
-                faw_ready = window[0] + self.timing.tFAW
-                if faw_ready > ready:
-                    ready = faw_ready
-            return ready
+            rank_ready = self._rank_next_act[bank_id // self._banks_per_rank]
+            return rank_ready if rank_ready > ready else ready
         col = (
             self._next_rd[bank_id] if is_read else self._next_wr[bank_id]
         )
@@ -874,14 +852,13 @@ class MemoryController:
 
         Walks only the buckets of the queue the next ``_service_demand``
         serves (recorded in ``_demand_drains``) and applies the rules under
-        which ``_serve_request`` issues: a closed bank at its ACT release,
-        with the rank-level tRRD / tFAW release inlined (the call overhead
-        dominates otherwise); an open bank at its column release if its
-        bucket holds a hit to the open row, and at its precharge release if
-        the bucket holds a conflict that ``_preserve_open_row`` would not
-        hold back (no hit queued, or the bank's cap is reached).  Also
-        records in ``_demand_ready_now`` whether a queued bank can issue at
-        or before ``cycle`` (see ``__init__``).
+        which ``_serve_request`` issues: a closed bank at the later of its
+        own and its rank's ACT release; an open bank at its column release
+        if its bucket holds a hit to the open row, and at its precharge
+        release if the bucket holds a conflict that ``_preserve_open_row``
+        would not hold back (no hit queued, or the bank's cap is reached).
+        Also records in ``_demand_ready_now`` whether a queued bank can issue
+        at or before ``cycle`` (see ``__init__``).
         """
         drains = self._demand_drains = self._write_drain()
         if drains:
@@ -895,23 +872,15 @@ class MemoryController:
         next_pre = self._next_pre
         open_row = self._open_rows
         banks_per_rank = self._banks_per_rank
-        rank_states = self.device._ranks
-        tRRD = self.timing.tRRD
-        tFAW = self.timing.tFAW
+        rank_next_act = self._rank_next_act
         ready_now = False
         for bank_id, bucket in buckets.items():
             row = open_row[bank_id]
             if row < 0:
                 ready = next_act[bank_id]
-                state = rank_states[bank_id // banks_per_rank]
-                rank_ready = state.last_act_cycle + tRRD
+                rank_ready = rank_next_act[bank_id // banks_per_rank]
                 if rank_ready > ready:
                     ready = rank_ready
-                window = state.act_window
-                if len(window) == window.maxlen:
-                    faw_ready = window[0] + tFAW
-                    if faw_ready > ready:
-                        ready = faw_ready
             else:
                 head_is_hit = bucket[0].dram.row == row
                 for request in bucket:

@@ -37,10 +37,6 @@ class FrFcfsCapScheduler:
         #: Consecutive row hits scheduled over an older conflict, per bank.
         self._hit_streak: Dict[int, int] = {}
 
-    def reset(self) -> None:
-        """Clear all per-bank streak state."""
-        self._hit_streak.clear()
-
     def choose(
         self, queue: Sequence[MemoryRequest], device: DramDevice
     ) -> Optional[MemoryRequest]:

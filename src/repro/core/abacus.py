@@ -22,6 +22,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
+from repro.core.graphene import (
+    DEFAULT_RESET_WINDOW_ACTIVATIONS,
+    graphene_table_entries,
+    graphene_trigger_threshold,
+)
 from repro.core.mitigation import (
     DEFAULT_BLAST_RADIUS,
     ControllerMitigation,
@@ -60,8 +65,8 @@ class ABACuS(ControllerMitigation):
             nrh: RowHammer threshold.
             num_banks: number of banks sharing the sibling counters.
             reset_window_activations: maximum activations per bank within the
-                table reset window (defaults to half a refresh window of
-                back-to-back activations).
+                table reset window (defaults to Graphene's
+                :data:`~repro.core.graphene.DEFAULT_RESET_WINDOW_ACTIVATIONS`).
             table_entries: number of sibling counters (defaults to the
                 Misra-Gries bound ``window / threshold``).
             blast_radius: victim rows on each side of an aggressor.
@@ -71,13 +76,11 @@ class ABACuS(ControllerMitigation):
             raise ValueError("num_banks must be positive")
         self.num_banks = num_banks
         if reset_window_activations is None:
-            reset_window_activations = int(32_000_000 / 2 / 47)
+            reset_window_activations = DEFAULT_RESET_WINDOW_ACTIVATIONS
         self.reset_window_activations = reset_window_activations
-        self.trigger_threshold = max(1, nrh // 2)
+        self.trigger_threshold = graphene_trigger_threshold(nrh)
         if table_entries is None:
-            table_entries = max(
-                1, math.ceil(reset_window_activations / self.trigger_threshold) + 1
-            )
+            table_entries = graphene_table_entries(nrh, reset_window_activations)
         self.table_entries = table_entries
         self._spillover = 0
         self._table: Dict[int, SiblingEntry] = {}
@@ -136,9 +139,6 @@ class ABACuS(ControllerMitigation):
         entry.rav = set()
 
     def on_refresh_window(self, cycle: int) -> None:
-        self._reset_table()
-
-    def _reset_table(self) -> None:
         self._spillover = 0
         self._table.clear()
 
@@ -159,11 +159,5 @@ class ABACuS(ControllerMitigation):
         row_bits = max(1, math.ceil(math.log2(rows_per_bank)))
         count_bits = max(1, math.ceil(math.log2(max(2, self.trigger_threshold)))) + 1
         entry_bits = row_bits + count_bits + num_banks  # RAV bitvector
-        entries = max(
-            1, math.ceil(self.reset_window_activations / self.trigger_threshold) + 1
-        )
+        entries = graphene_table_entries(self.nrh, self.reset_window_activations)
         return {"cam_bits": entries * entry_bits}
-
-    def reset(self) -> None:
-        super().reset()
-        self._reset_table()

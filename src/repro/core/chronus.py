@@ -91,7 +91,6 @@ class Chronus(OnDieMitigation):
             raise ValueError("num_banks must be positive")
         self.num_banks = num_banks
         self.security_params = security_params
-        self.is_secure = True
         if nbo is None:
             nbo = chronus_secure_backoff_threshold(nrh, security_params)
         self.nbo = nbo
@@ -211,16 +210,6 @@ class Chronus(OnDieMitigation):
         """Chronus keeps one counter per row in the DRAM counter subarray."""
         counter_bits = counter_width_bits(self.nrh)
         return {"dram_bits": num_banks * rows_per_bank * counter_bits}
-
-    def reset(self) -> None:
-        super().reset()
-        self.counters.reset_all()
-        for att in self.att:
-            att.clear()
-        for hot in self._hot_rows:
-            hot.clear()
-        self._hot_total = 0
-        self._borrow_toggle = False
 
 
 class ChronusPB(PRAC):

@@ -6,9 +6,10 @@ name and a RowHammer threshold, it returns a :class:`MechanismSetup` with
 
 * the on-DRAM-die component (PRAC / Chronus), if any,
 * the memory-controller component (PRFM / Graphene / Hydra / PARA / ABACuS),
-  if any,
-* whether the PRAC timing parameters must be applied, and
-* whether the resulting configuration is secure against the wave attack.
+  if any.
+
+The setup derives from its parts whether the PRAC timing parameters must be
+applied and whether the configuration is secure against the wave attack.
 
 ``PRAC+PRFM`` is the composite configuration from the specification: PRAC-4
 on the DRAM die plus a controller-side periodic RFM with ``RFMth = 75``.
@@ -58,18 +59,21 @@ class MechanismSetup:
     name: str
     on_die: Optional[OnDieMitigation]
     controller: Optional[ControllerMitigation]
-    use_prac_timings: bool
-    is_secure: bool
+
+    @property
+    def use_prac_timings(self) -> bool:
+        """True if any installed part needs the PRAC timings (Table 1)."""
+        return any(part.requires_prac_timings for part in self.mechanisms())
+
+    @property
+    def is_secure(self) -> bool:
+        """True if every installed part is configured securely."""
+        return all(part.is_secure for part in self.mechanisms())
 
     @property
     def act_energy_multiplier(self) -> float:
         """Row-access energy multiplier of the installed mechanism(s)."""
-        multiplier = 1.0
-        if self.on_die is not None:
-            multiplier = max(multiplier, self.on_die.act_energy_multiplier)
-        if self.controller is not None:
-            multiplier = max(multiplier, self.controller.act_energy_multiplier)
-        return multiplier
+        return max([1.0] + [part.act_energy_multiplier for part in self.mechanisms()])
 
     def mechanisms(self):
         """Iterate over the installed mechanism objects."""
@@ -107,58 +111,45 @@ def build_mechanism(
         ValueError: for an unknown mechanism name.
     """
     if name == "None":
-        return MechanismSetup(name, None, None, use_prac_timings=False, is_secure=True)
+        return MechanismSetup(name, None, None)
 
     if name == "PRFM":
         prfm = PRFM(nrh, num_banks, security_params=security_params,
                     allow_insecure=allow_insecure)
-        return MechanismSetup(name, None, prfm, use_prac_timings=False,
-                              is_secure=prfm.is_secure)
+        return MechanismSetup(name, None, prfm)
 
     if name in ("PRAC-1", "PRAC-2", "PRAC-4"):
         nref = int(name.split("-")[1])
         prac = PRAC(nrh, num_banks, nref=nref, security_params=security_params,
                     allow_insecure=allow_insecure)
-        return MechanismSetup(name, prac, None, use_prac_timings=True,
-                              is_secure=prac.is_secure)
+        return MechanismSetup(name, prac, None)
 
     if name == "PRAC+PRFM":
         prac = PRAC(nrh, num_banks, nref=4, security_params=security_params,
                     allow_insecure=allow_insecure)
         prfm = PRFM(nrh, num_banks, rfm_threshold=PRAC_PRFM_RFM_THRESHOLD,
                     security_params=security_params)
-        return MechanismSetup(name, prac, prfm, use_prac_timings=True,
-                              is_secure=prac.is_secure)
+        return MechanismSetup(name, prac, prfm)
 
     if name == "Chronus":
         chronus = Chronus(nrh, num_banks, security_params=security_params)
-        return MechanismSetup(name, chronus, None, use_prac_timings=False,
-                              is_secure=True)
+        return MechanismSetup(name, chronus, None)
 
     if name == "Chronus-PB":
         chronus_pb = ChronusPB(nrh, num_banks, security_params=security_params,
                                allow_insecure=allow_insecure)
-        return MechanismSetup(name, chronus_pb, None, use_prac_timings=False,
-                              is_secure=chronus_pb.is_secure)
+        return MechanismSetup(name, chronus_pb, None)
 
     if name == "Graphene":
-        graphene = Graphene(nrh, num_banks)
-        return MechanismSetup(name, None, graphene, use_prac_timings=False,
-                              is_secure=True)
+        return MechanismSetup(name, None, Graphene(nrh, num_banks))
 
     if name == "Hydra":
-        hydra = Hydra(nrh, num_banks)
-        return MechanismSetup(name, None, hydra, use_prac_timings=False,
-                              is_secure=True)
+        return MechanismSetup(name, None, Hydra(nrh, num_banks))
 
     if name == "PARA":
-        para = PARA(nrh, num_banks, seed=seed)
-        return MechanismSetup(name, None, para, use_prac_timings=False,
-                              is_secure=True)
+        return MechanismSetup(name, None, PARA(nrh, num_banks, seed=seed))
 
     if name == "ABACuS":
-        abacus = ABACuS(nrh, num_banks)
-        return MechanismSetup(name, None, abacus, use_prac_timings=False,
-                              is_secure=True)
+        return MechanismSetup(name, None, ABACuS(nrh, num_banks))
 
     raise ValueError(f"unknown mechanism {name!r}; expected one of {MECHANISM_NAMES}")

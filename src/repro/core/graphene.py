@@ -20,10 +20,17 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.analysis.security import DEFAULT_PARAMETERS
 from repro.core.mitigation import (
     DEFAULT_BLAST_RADIUS,
     ControllerMitigation,
     PreventiveRefresh,
+)
+
+#: Activations one bank can receive within a table reset window: half a
+#: refresh window of back-to-back activations (tREFW / 2 / tRC).
+DEFAULT_RESET_WINDOW_ACTIVATIONS = int(
+    DEFAULT_PARAMETERS.trefw_ns / 2 / DEFAULT_PARAMETERS.trc_ns
 )
 
 
@@ -138,9 +145,9 @@ class Graphene(ControllerMitigation):
             nrh: RowHammer threshold.
             num_banks: number of banks (one table per bank).
             reset_window_activations: maximum activations a bank can receive
-                within one table reset window; defaults to half a refresh
-                window of back-to-back activations (tREFW / 2 / tRC), the
-                provisioning the storage model also uses.
+                within one table reset window; defaults to
+                :data:`DEFAULT_RESET_WINDOW_ACTIVATIONS`, the provisioning
+                the storage model also uses.
             table_entries: override the table size (otherwise derived from
                 ``nrh`` and the reset window).
             blast_radius: victim rows on each side of an aggressor.
@@ -150,7 +157,7 @@ class Graphene(ControllerMitigation):
             raise ValueError("num_banks must be positive")
         self.num_banks = num_banks
         if reset_window_activations is None:
-            reset_window_activations = int(32_000_000 / 2 / 47)
+            reset_window_activations = DEFAULT_RESET_WINDOW_ACTIVATIONS
         self.reset_window_activations = reset_window_activations
         self.trigger_threshold = graphene_trigger_threshold(nrh)
         if table_entries is None:
@@ -183,8 +190,3 @@ class Graphene(ControllerMitigation):
         entry_bits = row_bits + count_bits
         entries = graphene_table_entries(self.nrh, self.reset_window_activations)
         return {"cam_bits": num_banks * entries * entry_bits}
-
-    def reset(self) -> None:
-        super().reset()
-        for table in self.tables:
-            table.reset()

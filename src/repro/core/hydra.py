@@ -160,13 +160,10 @@ class Hydra(ControllerMitigation):
             )
 
     def on_refresh_window(self, cycle: int) -> None:
-        self._reset_tables()
-        self.rcc.clear()
-
-    def _reset_tables(self) -> None:
         self._gct.clear()
         self._tracked_groups.clear()
         self._rct.clear()
+        self.rcc.clear()
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -185,9 +182,3 @@ class Hydra(ControllerMitigation):
         row_bits = max(1, math.ceil(math.log2(rows_per_bank * num_banks)))
         rcc_bits = self.rcc.capacity * (row_bits + count_bits)
         return {"dram_bits": dram_bits, "sram_bits": gct_bits + rcc_bits}
-
-    def reset(self) -> None:
-        super().reset()
-        self._reset_tables()
-        self.rcc.clear()
-        self.rct_dram_accesses = 0

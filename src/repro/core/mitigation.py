@@ -79,12 +79,14 @@ class MitigationMechanism(abc.ABC):
     #: Human-readable mechanism name (e.g. ``"PRAC-4"``).
     name: str = "base"
 
-    #: Either ``"controller"`` or ``"dram"``.
-    side: str = "controller"
-
     #: If True, the mechanism requires the PRAC timing parameters (Table 1)
     #: because counters are updated while the row closes.
     requires_prac_timings: bool = False
+
+    #: False when no configuration of the mechanism is secure against the
+    #: wave attack at its ``nrh`` and it fell back to its most aggressive one
+    #: (§5, §8).
+    is_secure: bool = True
 
     #: Multiplier applied to the energy of a row access (ACT+PRE pair) to
     #: account for in-DRAM counter maintenance (e.g. Chronus' counter
@@ -100,8 +102,7 @@ class MitigationMechanism(abc.ABC):
         self.blast_radius = blast_radius
         self.stats = MitigationStats()
         #: External observers of victim-refresh events (e.g. the red-team
-        #: :class:`~repro.attacks.oracle.DisturbanceOracle`).  Not reset by
-        #: :meth:`reset` -- listeners outlive mechanism state.
+        #: :class:`~repro.attacks.oracle.DisturbanceOracle`).
         self._mitigation_listeners: List[MitigationListener] = []
 
     # ------------------------------------------------------------------ #
@@ -124,10 +125,6 @@ class MitigationMechanism(abc.ABC):
 
     def on_refresh_window(self, cycle: int) -> None:
         """Called once per refresh window (tREFW); resets activation state."""
-
-    def reset(self) -> None:
-        """Reset all mechanism state (used between simulations)."""
-        self.stats = MitigationStats()
 
     # ------------------------------------------------------------------ #
     # Victim-refresh observation
@@ -178,10 +175,8 @@ class ControllerMitigation(MitigationMechanism):
     Controller-side mechanisms queue :class:`PreventiveRefresh` actions; the
     memory controller drains the queue by blocking the target bank for the
     duration of the victim refreshes.  They may also request RFM commands
-    (PRFM) via :meth:`rfm_needed`.
+    (PRFM) via :meth:`rfm_pending_banks`.
     """
-
-    side = "controller"
 
     def __init__(self, nrh: int, blast_radius: int = DEFAULT_BLAST_RADIUS) -> None:
         super().__init__(nrh, blast_radius)
@@ -236,27 +231,16 @@ class ControllerMitigation(MitigationMechanism):
         return sum(r.num_rows for queue in self._pending.values() for r in queue)
 
     # -- RFM interface (used by PRFM) ------------------------------------ #
-    def rfm_needed(self, bank_id: int) -> bool:
-        """Return True if the controller should issue an RFM to ``bank_id``."""
-        return False
-
     def rfm_pending_banks(self) -> Sequence[int]:
         """Banks that currently need an RFM, in ascending bank order.
 
-        The memory controller iterates this instead of probing
-        :meth:`rfm_needed` for every bank every tick; mechanisms that
-        override :meth:`rfm_needed` must override this consistently.  The
-        returned sequence may be live internal state -- callers must treat
-        it as read-only.
+        The returned sequence may be live internal state -- callers must
+        treat it as read-only.
         """
         return ()
 
     def acknowledge_rfm(self, bank_id: int, cycle: int) -> None:
         """Called after the controller issues the RFM requested for a bank."""
-
-    def reset(self) -> None:
-        super().reset()
-        self._pending = {}
 
 
 class OnDieMitigation(MitigationMechanism):
@@ -266,8 +250,6 @@ class OnDieMitigation(MitigationMechanism):
     through the ``alert_n`` back-off signal and RFM commands, as specified by
     PRAC in JESD79-5c.
     """
-
-    side = "dram"
 
     @abc.abstractmethod
     def backoff_asserted(self) -> bool:

@@ -93,7 +93,3 @@ class PARA(ControllerMitigation):
     def storage_overhead_bits(self, num_banks: int, rows_per_bank: int) -> Dict[str, int]:
         """PARA is stateless; it only needs a random number generator."""
         return {}
-
-    def reset(self) -> None:
-        super().reset()
-        self._rng = random.Random(0)

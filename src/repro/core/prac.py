@@ -93,7 +93,6 @@ class PRAC(OnDieMitigation):
         self.ndelay = nref if ndelay is None else ndelay
         self.borrowed_refresh = borrowed_refresh
         self.security_params = security_params
-        self.is_secure = True
 
         if nbo is None:
             try:
@@ -221,16 +220,6 @@ class PRAC(OnDieMitigation):
         """PRAC keeps one counter per row in DRAM (width scales with N_RH)."""
         counter_bits = counter_width_bits(self.nrh)
         return {"dram_bits": num_banks * rows_per_bank * counter_bits}
-
-    def reset(self) -> None:
-        super().reset()
-        self.counters.reset_all()
-        for att in self.att:
-            att.clear()
-        self._backoff = False
-        self._rfms_in_recovery = 0
-        self._delay_acts_remaining = 0
-        self._borrow_toggle = False
 
 
 def counter_width_bits(nrh: int) -> int:

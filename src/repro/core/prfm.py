@@ -61,7 +61,6 @@ class PRFM(ControllerMitigation):
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
         self.num_banks = num_banks
-        self.is_secure = True
         if rfm_threshold is None:
             try:
                 rfm_threshold = secure_prfm_threshold(nrh, params=security_params)
@@ -74,9 +73,8 @@ class PRFM(ControllerMitigation):
             raise ValueError("rfm_threshold must be positive")
         self.rfm_threshold = rfm_threshold
         self._bank_counters: List[int] = [0] * num_banks
-        self._rfm_pending: List[bool] = [False] * num_banks
-        # Banks with _rfm_pending set, kept sorted for deterministic service
-        # order (mirrors the ascending-bank probe the controller used to do).
+        # The banks that owe an RFM, each at most once, sorted so the
+        # controller serves them in ascending bank order.
         self._rfm_pending_banks: List[int] = []
 
     # ------------------------------------------------------------------ #
@@ -85,17 +83,15 @@ class PRFM(ControllerMitigation):
     def on_activate(self, bank_id: int, row: int, cycle: int) -> None:
         self.stats.tracked_activations += 1
         self._bank_counters[bank_id] += 1
-        if self._bank_counters[bank_id] >= self.rfm_threshold:
-            if not self._rfm_pending[bank_id]:
-                self._rfm_pending[bank_id] = True
-                bisect.insort(self._rfm_pending_banks, bank_id)
+        if (
+            self._bank_counters[bank_id] >= self.rfm_threshold
+            and bank_id not in self._rfm_pending_banks
+        ):
+            bisect.insort(self._rfm_pending_banks, bank_id)
 
     # ------------------------------------------------------------------ #
     # RFM interface
     # ------------------------------------------------------------------ #
-    def rfm_needed(self, bank_id: int) -> bool:
-        return self._rfm_pending[bank_id]
-
     def rfm_pending_banks(self) -> List[int]:
         # Live internal state (read-only contract): the controller consults
         # this every tick while RFMs are owed, so no copy is made.
@@ -118,9 +114,8 @@ class PRFM(ControllerMitigation):
                 own refreshes -- including refreshing nothing -- so no
                 phantom refresh may be credited here.
         """
-        if self._rfm_pending[bank_id]:
+        if bank_id in self._rfm_pending_banks:
             self._rfm_pending_banks.remove(bank_id)
-        self._rfm_pending[bank_id] = False
         self._bank_counters[bank_id] = 0
         self.stats.rfm_commands += 1
         self.stats.preventive_refresh_rows += self.victim_rows_per_aggressor
@@ -140,9 +135,3 @@ class PRFM(ControllerMitigation):
         """PRFM keeps a single activation counter per bank in the controller."""
         counter_bits = max(1, math.ceil(math.log2(self.nrh))) + 1
         return {"sram_bits": num_banks * counter_bits}
-
-    def reset(self) -> None:
-        super().reset()
-        self._bank_counters = [0] * self.num_banks
-        self._rfm_pending = [False] * self.num_banks
-        self._rfm_pending_banks = []

@@ -1,11 +1,11 @@
 """DRAM device model.
 
-:class:`DramDevice` holds the per-bank timing registers, enforces the
-rank-level activation constraints (tRRD, tFAW), counts commands for the
-energy model, and hosts an optional *on-DRAM-die* mitigation mechanism
-(PRAC or Chronus).  On-die mechanisms observe activations and precharges,
-assert the ``alert_n`` back-off signal, and perform victim refreshes when the
-memory controller grants them time with an RFM command.
+:class:`DramDevice` holds the per-bank timing registers and the per-rank
+ACT register (tRRD, tFAW), counts commands for the energy model, and hosts
+an optional *on-DRAM-die* mitigation mechanism (PRAC or Chronus).  On-die
+mechanisms observe activations and precharges, assert the ``alert_n``
+back-off signal, and perform victim refreshes when the memory controller
+grants them time with an RFM command.
 
 Each bank is a small state machine: it is either *precharged* or has one
 *open* row in its row buffer.  The device records, per bank, the earliest
@@ -24,8 +24,7 @@ tested against.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.core.mitigation import OnDieMitigation
 from repro.dram.organization import DramOrganization
@@ -39,18 +38,6 @@ class TimingViolation(RuntimeError):
     """Raised when a command is issued before the device allows it."""
 
 
-@dataclass(slots=True)
-class RankState:
-    """Rank-level activation window state (tRRD / tFAW)."""
-
-    last_act_cycle: int = -(10**9)
-    act_window: Deque[int] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.act_window is None:
-            self.act_window = deque(maxlen=4)
-
-
 class DramDevice:
     """A single-channel DRAM device (all ranks and banks of the channel)."""
 
@@ -60,7 +47,7 @@ class DramDevice:
         timing: TimingParams,
         mitigation: Optional[OnDieMitigation] = None,
     ) -> None:
-        if mitigation is not None and mitigation.side != "dram":
+        if mitigation is not None and not isinstance(mitigation, OnDieMitigation):
             raise ValueError(
                 f"DramDevice only hosts on-die mechanisms, got {mitigation.name!r}"
             )
@@ -78,9 +65,13 @@ class DramDevice:
         self.next_pre: List[int] = [0] * banks
         self.next_rd: List[int] = [0] * banks
         self.next_wr: List[int] = [0] * banks
-        self._ranks: Dict[int, RankState] = {
-            rank: RankState() for rank in range(organization.ranks)
-        }
+        #: Earliest cycle an ACT may be issued to each rank (tRRD / tFAW),
+        #: under the same in-place contract as the bank registers.
+        self.rank_next_act: List[int] = [0] * organization.ranks
+        # The cycles of each rank's last four ACTs (the tFAW window).
+        self._rank_acts: List[Deque[int]] = [
+            deque(maxlen=4) for _ in range(organization.ranks)
+        ]
         # Flat bank ids per rank, cached (the hot path asks every tick).
         # Tuples: the cache is handed out by banks_in_rank, so it must be
         # immutable -- a caller mutating it would corrupt the rank geometry.
@@ -136,31 +127,13 @@ class DramDevice:
         return self._rank_bank_ids[rank]
 
     # ------------------------------------------------------------------ #
-    # Rank-level activation constraints
-    # ------------------------------------------------------------------ #
-    def _rank_act_allowed(self, rank: int, cycle: int) -> bool:
-        state = self._ranks[rank]
-        if cycle < state.last_act_cycle + self.timing.tRRD:
-            return False
-        if len(state.act_window) == state.act_window.maxlen:
-            oldest = state.act_window[0]
-            if cycle < oldest + self.timing.tFAW:
-                return False
-        return True
-
-    def _record_rank_act(self, rank: int, cycle: int) -> None:
-        state = self._ranks[rank]
-        state.last_act_cycle = cycle
-        state.act_window.append(cycle)
-
-    # ------------------------------------------------------------------ #
     # Command legality
     # ------------------------------------------------------------------ #
     def can_activate(self, bank_id: int, cycle: int) -> bool:
         return (
             self.open_rows[bank_id] < 0
             and cycle >= self.next_act[bank_id]
-            and self._rank_act_allowed(self.rank_of_bank(bank_id), cycle)
+            and cycle >= self.rank_next_act[self.rank_of_bank(bank_id)]
         )
 
     def can_precharge(self, bank_id: int, cycle: int) -> bool:
@@ -220,7 +193,7 @@ class DramDevice:
     def activate(self, bank_id: int, row: int, cycle: int) -> None:
         """Issue an ACT to ``bank_id`` opening ``row``."""
         rank = self.rank_of_bank(bank_id)
-        if not self._rank_act_allowed(rank, cycle):
+        if cycle < self.rank_next_act[rank]:
             raise TimingViolation(
                 f"rank {rank}: ACT at cycle {cycle} violates tRRD/tFAW"
             )
@@ -241,7 +214,17 @@ class DramDevice:
         act = cycle + t.tRC
         if act > next_act[bank_id]:
             next_act[bank_id] = act
-        self._record_rank_act(rank, cycle)
+        # The window only changes on an ACT, so the rank's next ACT release
+        # is fixed here: tRRD after this ACT, and tFAW after the oldest of
+        # the last four.
+        window = self._rank_acts[rank]
+        window.append(cycle)
+        rank_act = cycle + t.tRRD
+        if len(window) == 4:
+            faw = window[0] + t.tFAW
+            if faw > rank_act:
+                rank_act = faw
+        self.rank_next_act[rank] = rank_act
         self.command_counts["ACT"] += 1
         if self._act_hooks:
             for hook in self._act_hooks:
@@ -361,7 +344,3 @@ class DramDevice:
     def total_activations(self) -> int:
         """Total ACT commands issued to the device."""
         return self.command_counts["ACT"]
-
-    def command_count(self, mnemonic: str) -> int:
-        """Command count for the given mnemonic (``"ACT"``, ``"RD"``, ...)."""
-        return self.command_counts[mnemonic]

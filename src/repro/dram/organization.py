@@ -80,16 +80,6 @@ class DramOrganization:
         """Total channel capacity in bytes."""
         return self.total_rows * self.row_size_bytes
 
-    @property
-    def system_banks(self) -> int:
-        """Banks across the whole system (all channels)."""
-        return self.channels * self.total_banks
-
-    @property
-    def system_capacity_bytes(self) -> int:
-        """Total system capacity in bytes (all channels)."""
-        return self.channels * self.capacity_bytes
-
     def with_channels(self, channels: int) -> "DramOrganization":
         """Return a copy of this geometry scaled to ``channels`` channels.
 

@@ -34,7 +34,6 @@ class RankRefreshState:
 
     next_due_cycle: int = 0
     pending: int = 0
-    issued: int = 0
 
 
 class RefreshScheduler:
@@ -91,14 +90,6 @@ class RefreshScheduler:
         """Number of REF commands currently owed to ``rank``."""
         return self._ranks[rank].pending
 
-    def refresh_urgent(self, rank: int) -> bool:
-        """True if the rank has exhausted its postpone budget."""
-        return self._ranks[rank].pending >= self.MAX_POSTPONED
-
-    def refresh_needed(self, rank: int) -> bool:
-        """True if at least one REF is owed to ``rank``."""
-        return self._ranks[rank].pending > 0
-
     def ranks_needing_refresh(self) -> Tuple[int, ...]:
         """Ranks that currently owe at least one REF (cached tuple).
 
@@ -134,13 +125,8 @@ class RefreshScheduler:
         if state.pending <= 0:
             raise RuntimeError(f"rank {rank} has no pending refresh to issue")
         state.pending -= 1
-        state.issued += 1
         # Issuing can drop the rank below MAX_POSTPONED (and to zero), so
         # both cached tuples may be stale now.
         self._urgent_ranks = None  # type: ignore[assignment]
         if state.pending == 0:
             self._pending_ranks = None  # type: ignore[assignment]
-
-    def total_issued(self) -> int:
-        """Total REF commands issued across all ranks."""
-        return sum(state.issued for state in self._ranks.values())

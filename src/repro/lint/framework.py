@@ -382,12 +382,3 @@ def run_rules(
         files_scanned=len(project.files),
         rules=tuple(sorted(known_rules)),
     )
-
-
-def parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    """child -> parent links for rules that need enclosing-scope context."""
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents

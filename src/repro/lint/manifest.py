@@ -119,7 +119,6 @@ HINT_METHOD_PATTERN = r"(?:^|_)next_(?:event_(?:hint|cycle)|due_cycle)$"
 #: event-horizon section -- the doc *is* the contract's specification.
 HINT_EVENT_SOURCES = frozenset({
     ("src/repro/controller/controller.py", "MemoryController", "_next_event_hint"),
-    ("src/repro/controller/controller.py", "MemoryController", "next_event_cycle"),
     ("src/repro/cpu/core.py", "Core", "next_event_cycle"),
     ("src/repro/dram/refresh.py", "RefreshScheduler", "next_due_cycle"),
 })

@@ -7,7 +7,7 @@ from repro.system.metrics import (
     normalized_weighted_speedup,
     max_slowdown,
 )
-from repro.system.simulator import SystemSimulator, simulate
+from repro.system.simulator import SimulationTruncated, SystemSimulator, simulate
 
 __all__ = [
     "SystemConfig",
@@ -17,6 +17,7 @@ __all__ = [
     "weighted_speedup",
     "normalized_weighted_speedup",
     "max_slowdown",
+    "SimulationTruncated",
     "SystemSimulator",
     "simulate",
 ]

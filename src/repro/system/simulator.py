@@ -53,6 +53,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (attacks -> sweep)
 FAR_FUTURE = 1 << 62
 
 
+class SimulationTruncated(RuntimeError):
+    """A run reached ``config.max_cycles`` before every core finished.
+
+    Raised rather than returned: an unfinished core reports an IPC of 0, so
+    a truncated result would read as a 100% slowdown and must never be
+    cached as a finished one.
+    """
+
+
 class SystemSimulator:
     """One simulated multi-core system running one workload."""
 
@@ -195,6 +204,9 @@ class SystemSimulator:
     def run(self) -> SimulationResult:
         """Run the simulation until every core retires its target.
 
+        Raises :class:`SimulationTruncated` if ``config.max_cycles`` comes
+        first.
+
         Time is event-driven: after every iteration, the loop advances to
         the exact minimum of every component's next-event hint (controller
         command readiness, refresh due cycles, back-off deadlines, core
@@ -264,7 +276,10 @@ class SystemSimulator:
             if finished_all:
                 break
             if cycle >= max_cycles:
-                break
+                raise SimulationTruncated(
+                    f"simulation reached max_cycles={max_cycles} with unfinished "
+                    f"cores ({self.workload_name}, {self.config.mechanism})"
+                )
 
             prev_issued = issued
             if completed and not issued:

@@ -3,6 +3,11 @@
 import pytest
 
 from repro.core.abacus import ABACuS
+from repro.core.graphene import (
+    DEFAULT_RESET_WINDOW_ACTIVATIONS,
+    graphene_table_entries,
+    graphene_trigger_threshold,
+)
 
 
 def make_abacus(nrh=16, num_banks=4, table_entries=8):
@@ -63,6 +68,15 @@ class TestTableManagement:
         abacus.on_refresh_window(100)
         assert not abacus._table
         assert abacus._spillover == 0
+
+    @pytest.mark.parametrize("nrh", (20, 64, 1024))
+    def test_default_provisioning_is_graphenes(self, nrh):
+        abacus = ABACuS(nrh=nrh, num_banks=64)
+        assert abacus.reset_window_activations == DEFAULT_RESET_WINDOW_ACTIVATIONS
+        assert abacus.trigger_threshold == graphene_trigger_threshold(nrh)
+        assert abacus.table_entries == graphene_table_entries(
+            nrh, DEFAULT_RESET_WINDOW_ACTIVATIONS
+        )
 
     def test_default_table_size_grows_as_nrh_shrinks(self):
         small_nrh = ABACuS(nrh=20, num_banks=64)

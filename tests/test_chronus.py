@@ -132,13 +132,6 @@ class TestBorrowedRefreshAndReset:
         assert not chronus.backoff_asserted()
         assert chronus.counters.get(0, 1) == 0
 
-    def test_reset(self):
-        chronus = make_chronus(nbo=1)
-        chronus.on_activate(0, 1, 0)
-        chronus.reset()
-        assert not chronus.backoff_asserted()
-        assert chronus.stats.tracked_activations == 0
-
     def test_storage_same_as_prac(self):
         chronus = Chronus(nrh=256, num_banks=4)
         prac = PRAC(nrh=256, num_banks=4, nbo=4)

@@ -3,7 +3,10 @@
 from typing import List
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.controller.address_mapping import mop_mapping
+from repro.controller.controller import MemoryController
 from repro.core.mitigation import OnDieMitigation
 from repro.dram import TimingViolation
 from repro.dram.device import DramDevice
@@ -105,6 +108,84 @@ class TestRankLevelConstraints:
         device.activate(0, 1, 0)
         with pytest.raises(TimingViolation):
             device.activate(1, 1, 0)
+
+
+#: Two ranks of eight banks; tFAW stretched so that it, not tRRD, binds.
+RANK_ORG = DramOrganization(ranks=2, bankgroups=4, banks_per_group=2, rows=512, columns=32)
+RANK_TIMING = ddr5_3200an().with_overrides(tFAW=200)
+#: Six banks of rank 0 and the first bank of rank 1.
+RANK_BANKS = (0, 1, 2, 3, 4, 5, RANK_ORG.banks_per_rank)
+
+
+def reference_rank_next_act(acts: List[int]) -> int:
+    """The earliest next ACT to a rank whose ACT cycles are ``acts``."""
+    if not acts:
+        return 0
+    ready = acts[-1] + RANK_TIMING.tRRD
+    if len(acts) >= 4:
+        ready = max(ready, acts[-4] + RANK_TIMING.tFAW)
+    return ready
+
+
+class TestRankActRegister:
+    """``rank_next_act`` against a per-rank list of ACT cycles.
+
+    One bank cannot reach the rank limits (same-bank ACTs are tRC apart),
+    so the streams spread ACTs and PREs over several banks of one rank and
+    one bank of the other.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        stream=st.lists(
+            st.tuples(
+                st.sampled_from(("act", "act", "pre")),
+                st.sampled_from(RANK_BANKS),
+                st.integers(0, 60),  # cycle gap before the command
+            ),
+            min_size=1,
+            max_size=150,
+        )
+    )
+    def test_register_matches_reference(self, stream):
+        device = DramDevice(RANK_ORG, RANK_TIMING)
+        controller = MemoryController(device, mop_mapping(RANK_ORG))
+        per_rank = RANK_ORG.banks_per_rank
+        acts: List[List[int]] = [[] for _ in range(RANK_ORG.ranks)]
+        cycle = 0
+        for op, bank, gap in stream:
+            cycle += gap
+            rank = bank // per_rank
+            before = list(device.rank_next_act)
+            if op == "act":
+                last = acts[rank]
+                rank_ok = (not last or cycle >= last[-1] + RANK_TIMING.tRRD) and (
+                    len(last) < 4 or cycle >= last[-4] + RANK_TIMING.tFAW
+                )
+                bank_ok = device.open_rows[bank] < 0 and cycle >= device.next_act[bank]
+                assert device.can_activate(bank, cycle) == (rank_ok and bank_ok)
+                if rank_ok and bank_ok:
+                    device.activate(bank, 1, cycle)
+                    last.append(cycle)
+                else:
+                    # The rank is checked before the bank.
+                    culprit = f"rank {rank}:" if not rank_ok else f"bank {bank}:"
+                    with pytest.raises(TimingViolation, match=culprit):
+                        device.activate(bank, 1, cycle)
+            elif device.can_precharge(bank, cycle):
+                device.precharge(bank, cycle)
+            for r in range(RANK_ORG.ranks):
+                assert device.rank_next_act[r] == reference_rank_next_act(acts[r])
+                if r != rank:
+                    assert device.rank_next_act[r] == before[r]
+            for b in RANK_BANKS:
+                if device.open_rows[b] < 0:
+                    expected = max(
+                        device.next_act[b], reference_rank_next_act(acts[b // per_rank])
+                    )
+                    assert controller._bank_demand_ready(b, True) == expected
+        # The controller hoisted the register, so it must never be rebound.
+        assert controller._rank_next_act is device.rank_next_act
 
 
 class TestCommandsAndCounts:

@@ -375,9 +375,8 @@ class TestRefreshSkipFidelity:
         assert not issued
         assert hint <= controller.refresh.next_due_cycle()
         assert hint > 0
-        # The public hint accessor agrees with what tick just returned (an
-        # idle tick has no side effects besides refresh accrual, which
-        # next_event_cycle performs too).
-        assert controller.next_event_cycle(0) == hint
+        # An idle tick has no side effects besides refresh accrual, so a
+        # second one returns the same hint.
+        assert controller.tick(0) == (False, hint)
         # On a fully idle controller the only event is the tREFI boundary.
         assert hint == controller.refresh.next_due_cycle()

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.chronus import Chronus, ChronusPB
-from repro.core.factory import MECHANISM_NAMES, PRAC_PRFM_RFM_THRESHOLD, build_mechanism
+from repro.core.factory import (
+    MECHANISM_NAMES,
+    PRAC_PRFM_RFM_THRESHOLD,
+    MechanismSetup,
+    build_mechanism,
+)
 from repro.core.graphene import Graphene
 from repro.core.hydra import Hydra
 from repro.core.para import PARA
@@ -73,3 +78,20 @@ class TestBuildMechanism:
         for nrh in (1024, 512, 256, 128, 64, 32, 20):
             setup = build_mechanism("Chronus", nrh=nrh, num_banks=8)
             assert setup.is_secure
+
+
+class TestDerivedFacts:
+    """The setup asks its parts; the factory restates nothing."""
+
+    def test_prac_timings_when_any_part_requires_them(self):
+        prfm = PRFM(nrh=1024, num_banks=8)
+        assert not MechanismSetup("PRFM", None, prfm).use_prac_timings
+        prac = PRAC(nrh=1024, num_banks=8)
+        assert MechanismSetup("PRAC+PRFM", prac, prfm).use_prac_timings
+
+    def test_secure_only_when_every_part_is(self):
+        chronus = Chronus(nrh=1024, num_banks=8)
+        insecure = PRFM(nrh=4, num_banks=8, allow_insecure=True)
+        assert MechanismSetup("Chronus", chronus, None).is_secure
+        assert MechanismSetup("None", None, None).is_secure
+        assert not MechanismSetup("mixed", chronus, insecure).is_secure

@@ -43,17 +43,9 @@ class TestPreventiveRefreshQueue:
         assert mech.total_pending_rows() == 5
         assert mech.stats.preventive_refresh_rows == 5
 
-    def test_reset_clears_queue_and_stats(self):
-        mech = QueueOnly(nrh=100)
-        mech.on_activate(0, 1, 0)
-        mech.queue_refresh(PreventiveRefresh(bank_id=0, aggressor_row=1, num_rows=4))
-        mech.reset()
-        assert mech.total_pending_rows() == 0
-        assert mech.stats.tracked_activations == 0
-
     def test_default_rfm_interface(self):
         mech = QueueOnly(nrh=100)
-        assert not mech.rfm_needed(0)
+        assert not mech.rfm_pending_banks()
         mech.acknowledge_rfm(0, 10)  # no-op by default
 
 

@@ -4,15 +4,19 @@
 authoritative" -- these tests make that claim true and keep it true: the
 file must exist, parse, agree with the package's ``__version__`` and
 expose a console entry point that actually resolves.  The package is pure
-Python: a simulation runs with NumPy unimportable.
+Python: a simulation runs with NumPy unimportable.  ``tomllib`` is new in
+Python 3.11, so on the 3.10 leg of the CI matrix only the tests that read
+``pyproject.toml`` skip.
 """
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
-import tomllib
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -21,6 +25,7 @@ PYPROJECT = REPO_ROOT / "pyproject.toml"
 
 
 def load_pyproject():
+    tomllib = pytest.importorskip("tomllib")
     with PYPROJECT.open("rb") as handle:
         return tomllib.load(handle)
 
@@ -75,6 +80,20 @@ class TestPyprojectMetadata:
         floor = project["requires-python"].removeprefix(">=")
         major, minor = (int(part) for part in floor.split("."))
         assert sys.version_info[:2] >= (major, minor)
+
+    def test_python_floor_agrees_everywhere(self):
+        # The declared floor, the oldest interpreter CI tests and the
+        # README's stated requirement must be the same version.
+        floor = load_pyproject()["project"]["requires-python"].removeprefix(">=")
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        matrix = re.search(r"matrix:\s*\n\s*python-version:\s*\[([^\]]*)\]", workflow)
+        assert matrix, "ci.yml has no python-version test matrix"
+        versions = [v.strip().strip("\"'") for v in matrix.group(1).split(",")]
+        oldest = min(versions, key=lambda v: tuple(int(p) for p in v.split(".")))
+        readme_text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        readme = re.search(r"Python ≥ (\d+\.\d+)", readme_text)
+        assert readme, "README.md does not state a Python floor"
+        assert floor == oldest == readme.group(1)
 
     def test_console_script_resolves(self):
         project = load_pyproject()["project"]

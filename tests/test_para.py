@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.factory import build_mechanism
 from repro.core.para import PARA, para_refresh_probability
 
 
@@ -68,3 +69,18 @@ class TestPara:
             low.on_activate(0, cycle, cycle)
             high.on_activate(0, cycle, cycle)
         assert low.total_pending_rows() > high.total_pending_rows()
+
+
+def test_factory_seed_selects_the_stream():
+    """A built PARA draws the stream of ``PARA(seed=...)`` for its seed."""
+
+    def trace(para: PARA) -> list:
+        pending = []
+        for cycle in range(300):
+            para.on_activate(0, cycle, cycle)
+            pending.append(para.total_pending_rows())
+        return pending
+
+    built = trace(build_mechanism("PARA", nrh=64, num_banks=1, seed=5).controller)
+    assert built == trace(PARA(nrh=64, num_banks=1, seed=5))
+    assert built != trace(PARA(nrh=64, num_banks=1, seed=6))

@@ -162,14 +162,6 @@ class TestHousekeeping:
         assert prac.counters.get(0, 1) == 0
         assert prac.att[0].max_entry() is None
 
-    def test_reset(self):
-        prac = make_prac(nbo=1)
-        prac.on_precharge(0, 1, 0)
-        prac.reset()
-        assert not prac.backoff_asserted()
-        assert prac.stats.backoffs == 0
-        assert prac.counters.get(0, 1) == 0
-
     def test_storage_overhead_scales_with_rows(self):
         prac = make_prac(nrh=1024)
         bits = prac.storage_overhead_bits(num_banks=64, rows_per_bank=131072)

@@ -1,6 +1,7 @@
 """Tests for PRFM (periodic refresh management)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.prfm import PRFM
 
@@ -37,21 +38,39 @@ class TestRfmRequests:
         prfm = PRFM(nrh=1024, num_banks=2, rfm_threshold=3)
         for cycle in range(2):
             prfm.on_activate(0, cycle, cycle)
-        assert not prfm.rfm_needed(0)
+        assert prfm.rfm_pending_banks() == []
         prfm.on_activate(0, 99, 2)
-        assert prfm.rfm_needed(0)
-        assert not prfm.rfm_needed(1)
+        assert prfm.rfm_pending_banks() == [0]
+        # Activations past the threshold do not list the bank twice.
+        prfm.on_activate(0, 99, 3)
+        assert prfm.rfm_pending_banks() == [0]
 
     def test_acknowledge_resets_counter(self):
         prfm = PRFM(nrh=1024, num_banks=1, rfm_threshold=2)
         prfm.on_activate(0, 1, 0)
         prfm.on_activate(0, 2, 1)
-        assert prfm.rfm_needed(0)
+        assert prfm.rfm_pending_banks() == [0]
         prfm.acknowledge_rfm(0, 10)
-        assert not prfm.rfm_needed(0)
+        assert prfm.rfm_pending_banks() == []
         assert prfm.bank_counter(0) == 0
         assert prfm.stats.rfm_commands == 1
         assert prfm.stats.preventive_refresh_rows == prfm.victim_rows_per_aggressor
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=200))
+    def test_pending_banks_match_counter_model(self, ops):
+        """The sorted list is the one record: banks at RFMth, each once."""
+        prfm = PRFM(nrh=1024, num_banks=4, rfm_threshold=3)
+        counters = [0] * 4
+        for cycle, (acknowledge, bank) in enumerate(ops):
+            if acknowledge:
+                prfm.acknowledge_rfm(bank, cycle)
+                counters[bank] = 0
+            else:
+                prfm.on_activate(bank, 7, cycle)
+                counters[bank] += 1
+            expected = [b for b, count in enumerate(counters) if count >= 3]
+            assert prfm.rfm_pending_banks() == expected
 
     def test_counters_per_bank_independent(self):
         prfm = PRFM(nrh=1024, num_banks=2, rfm_threshold=5)
@@ -59,13 +78,6 @@ class TestRfmRequests:
         prfm.on_activate(1, 1, 0)
         assert prfm.bank_counter(0) == 1
         assert prfm.bank_counter(1) == 1
-
-    def test_reset(self):
-        prfm = PRFM(nrh=1024, num_banks=1, rfm_threshold=1)
-        prfm.on_activate(0, 1, 0)
-        prfm.reset()
-        assert not prfm.rfm_needed(0)
-        assert prfm.bank_counter(0) == 0
 
 
 class TestStorage:

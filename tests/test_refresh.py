@@ -14,7 +14,7 @@ def scheduler():
 class TestRefreshScheduler:
     def test_nothing_pending_initially(self, scheduler):
         scheduler.tick(0)
-        assert not scheduler.refresh_needed(0)
+        assert scheduler.pending_refreshes(0) == 0
         assert scheduler.ranks_needing_refresh() == ()
 
     def test_pending_after_trefi(self, scheduler):
@@ -32,16 +32,16 @@ class TestRefreshScheduler:
     def test_urgent_after_postpone_budget(self, scheduler):
         trefi = scheduler.timing.tREFI
         scheduler.tick(3 * trefi)
-        assert not scheduler.refresh_urgent(0)
+        assert scheduler.urgent_ranks() == ()
         scheduler.tick(4 * trefi)
-        assert scheduler.refresh_urgent(0)
+        assert scheduler.urgent_ranks() == (0, 1)
 
     def test_issue_decrements_pending(self, scheduler):
         trefi = scheduler.timing.tREFI
         scheduler.tick(2 * trefi)
         scheduler.refresh_issued(0)
         assert scheduler.pending_refreshes(0) == 1
-        assert scheduler.total_issued() == 1
+        assert scheduler.pending_refreshes(1) == 2
 
     def test_issue_without_pending_raises(self, scheduler):
         with pytest.raises(RuntimeError):

@@ -82,12 +82,6 @@ class TestChoose:
         with pytest.raises(ValueError):
             FrFcfsCapScheduler(cap=0)
 
-    def test_reset(self):
-        scheduler = FrFcfsCapScheduler(cap=1)
-        scheduler.on_scheduled(make_request(0, 5), was_row_hit=True)
-        scheduler.reset()
-        assert scheduler.hit_streak(0) == 0
-
 
 class TestRowClosureResetsStreak:
     """The reordering budget belongs to the open row, not the bank.

@@ -8,6 +8,9 @@ evaluation rests on.
 import pytest
 
 from repro.core.factory import MECHANISM_NAMES
+from repro.experiments.cache import ResultCache
+from repro.experiments.sweep import SweepEngine, execute_job, mechanism_job
+from repro.system import SimulationTruncated
 from repro.system.config import appendix_e_system_config, paper_system_config
 from repro.attacks.patterns import performance_attack_trace
 from repro.system.simulator import SystemSimulator, simulate
@@ -153,3 +156,27 @@ class TestAppendixEConfiguration:
     def test_appendix_config_has_eight_cores(self):
         config = appendix_e_system_config(mechanism="PRAC-4", nrh=1024)
         assert config.num_cores == 8
+
+
+class TestTruncatedRun:
+    """A run stopped by ``max_cycles`` is an error, never a finished result."""
+
+    @pytest.fixture()
+    def truncated_job(self):
+        return mechanism_job(
+            paper_system_config(max_cycles=2_000),
+            ("429.mcf", "401.bzip2"),
+            "PRAC-4",
+            64,
+            300,
+        )
+
+    def test_run_raises(self, truncated_job):
+        with pytest.raises(SimulationTruncated, match="max_cycles=2000"):
+            execute_job(truncated_job)
+
+    def test_truncated_job_is_not_cached(self, truncated_job, tmp_path):
+        engine = SweepEngine(cache=ResultCache(str(tmp_path)), workers=0)
+        with pytest.raises(SimulationTruncated):
+            engine.run_jobs([truncated_job])
+        assert not ResultCache(str(tmp_path)).contains(truncated_job.key)
