@@ -39,6 +39,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FAR_FUTURE = 1 << 62
 
 
+def _shifts_exactly(gap_cycles: list[float], end_cycle: int) -> bool:
+    """True if ``cycle + g`` rounds alike for every whole ``cycle <= end_cycle``.
+
+    The replay reads a front-end ready cycle ``cycle + g`` only through
+    ``> cycle`` and ``ceil``; both shift with ``cycle`` by whole cycles when
+    the float sum never rounds across an integer: ``g`` is integral, or
+    farther from the nearest integer than the sum's unit in the last place.
+    """
+    return all(
+        g.is_integer() or abs(g - round(g)) > math.ulp(end_cycle + g)
+        for g in set(gap_cycles)
+    )
+
+
 @dataclass(slots=True)
 class _OutstandingAccess:
     """A dispatched memory access occupying the instruction window."""
@@ -442,12 +456,26 @@ class Core:
         against, loses most of parking's end-to-end gain
         (docs/ARCHITECTURE.md, "Parked cores").  A probe that misses means
         the parking rule was wrong and raises ``RuntimeError``.
+
+        The replay is periodic: at each trace-pass boundary the loop keys
+        the instruction window relative to the current cycle and position,
+        and once a key repeats it jumps over every whole period that ends
+        by ``end_cycle`` -- shifting the cycle, the position, the window
+        entries and the hit and write counters -- and steps the rest.  It
+        jumps only when shifting time by whole cycles leaves every
+        front-end rounding unchanged (:func:`_shifts_exactly`); the docs
+        give the argument that the jump leaves exactly the state stepping
+        leaves, LLC contents and LRU order included.
         """
         if self.bypass_llc or not self.quiet:
             raise RuntimeError(f"core {self.core_id} is not parkable")
         cycle = self._wake_cycle
         if cycle > end_cycle:
             return
+        # Window keys seen at trace-pass boundaries -> the boundary's
+        # (cycle, position, hits, writes); None once the replay jumped or
+        # when it may not jump at all.
+        boundaries = {} if _shifts_exactly(self._gap_cycles, end_cycle) else None
         probe = self._probe_hit
         outstanding = self._outstanding
         access_pool = self._access_pool
@@ -499,6 +527,36 @@ class Core:
                     index += 1
                     if index >= trace_len:
                         index = 0
+                        if boundaries is not None:
+                            # At a boundary front == cycle and index == 0,
+                            # so the window alone decides what follows.
+                            # reprolint: disable=hot-path-alloc -- one key
+                            # per trace pass, and only until the first repeat.
+                            key = tuple(
+                                (entry.position - position, entry.completion_cycle - cycle)
+                                for entry in outstanding
+                            )
+                            seen = boundaries.get(key)
+                            if seen is None:
+                                boundaries[key] = (cycle, position, hits, writes)
+                            else:
+                                # Jump every whole period that ends by
+                                # end_cycle; the rest is shorter than one.
+                                then_cycle, then_position, then_hits, then_writes = seen
+                                periods = (end_cycle - cycle) // (cycle - then_cycle)
+                                shift = periods * (cycle - then_cycle)
+                                advance = periods * (position - then_position)
+                                for entry in outstanding:
+                                    entry.position += advance
+                                    entry.completion_cycle += shift
+                                cycle += shift
+                                position += advance
+                                front = float(cycle)
+                                skipped = periods * (hits - then_hits)
+                                self.llc.stats.hits += skipped
+                                hits += skipped
+                                writes += periods * (writes - then_writes)
+                                boundaries = None
                     ready = front + gap_cycles[index]
                     continue
             if wake > end_cycle:

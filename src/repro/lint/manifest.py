@@ -90,8 +90,10 @@ HOT_PATH_FUNCTIONS = {
         "RefreshScheduler.next_due_cycle",
     }),
     "src/repro/cpu/core.py": frozenset({
-        # The per-dispatch path, and the parked-core replay loop that runs
-        # most dispatches of a finished core.
+        # The per-dispatch path, and the parked-core replay loop, which
+        # steps a finished core's dispatches until its window state at a
+        # trace-pass boundary repeats and then jumps whole periods (its
+        # per-pass key is suppressed inline: one per pass, up to a repeat).
         "Core.try_issue",
         "Core.notify_completion",
         "Core._retire",

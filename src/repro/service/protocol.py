@@ -70,7 +70,15 @@ REASON_PHRASES = {
 
 
 class ProtocolError(ValueError):
-    """A malformed HTTP request or WebSocket frame."""
+    """A malformed HTTP request or WebSocket frame.
+
+    ``status`` is the HTTP status a malformed request answers: 400, or 413
+    for a body over the cap.
+    """
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 # --------------------------------------------------------------------------- #
@@ -110,10 +118,12 @@ async def read_request(reader, max_body: int = MAX_BODY_BYTES) -> Optional[HttpR
     """Read one HTTP request from an asyncio stream.
 
     Returns ``None`` on a clean EOF before any bytes (client closed an idle
-    connection); raises :class:`ProtocolError` on anything malformed.
+    connection); raises :class:`ProtocolError` on anything malformed, a line
+    longer than the stream's buffer limit included.  A body cut short by EOF
+    raises :class:`asyncio.IncompleteReadError` (a dropped connection).
     """
     try:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
     except (ConnectionError, OSError):
         return None
     if not request_line:
@@ -124,9 +134,13 @@ async def read_request(reader, max_body: int = MAX_BODY_BYTES) -> Optional[HttpR
         raise ProtocolError(f"malformed request line: {request_line!r}")
     if not version.startswith("HTTP/1."):
         raise ProtocolError(f"unsupported HTTP version: {version}")
+    try:
+        split = urlsplit(target)
+    except ValueError as error:  # e.g. an unbalanced "[" in the authority
+        raise ProtocolError(f"malformed request target {target!r}: {error}") from None
     headers: Dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, separator, value = line.decode("latin-1").partition(":")
@@ -135,22 +149,34 @@ async def read_request(reader, max_body: int = MAX_BODY_BYTES) -> Optional[HttpR
         headers[name.strip().lower()] = value.strip()
     body = b""
     length_text = headers.get("content-length", "0")
+    # ASCII digits only: int() also takes "+5" and "1_0", isdigit() "\xb2".
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise ProtocolError(f"bad Content-Length: {length_text!r}")
     try:
         length = int(length_text)
-    except ValueError:
-        raise ProtocolError(f"bad Content-Length: {length_text!r}")
-    if length < 0:
-        raise ProtocolError(f"bad Content-Length: {length_text!r}")
+    except ValueError:  # more digits than int() converts
+        raise ProtocolError(
+            f"Content-Length of {len(length_text)} digits exceeds {max_body}", 413
+        ) from None
     if length > max_body:
-        raise ProtocolError(f"request body of {length} bytes exceeds {max_body}")
+        raise ProtocolError(f"request body of {length} bytes exceeds {max_body}", 413)
     if length:
         body = await reader.readexactly(length)
-    split = urlsplit(target)
     query = dict(parse_qsl(split.query))
     return HttpRequest(
         method=method.upper(), path=split.path, query=query,
         headers=headers, body=body,
     )
+
+
+async def _read_line(reader) -> bytes:
+    """One line of the request head; :class:`ProtocolError` when it is
+    longer than the stream's buffer limit (64 KiB by default), where
+    asyncio raises a bare ``ValueError``."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise ProtocolError("request line or header line too long") from None
 
 
 def http_response(

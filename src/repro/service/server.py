@@ -323,8 +323,7 @@ class SimulationService:
             try:
                 request = await protocol.read_request(reader)
             except protocol.ProtocolError as error:
-                status = 413 if "exceeds" in str(error) else 400
-                writer.write(protocol.error_response(status, str(error)))
+                writer.write(protocol.error_response(error.status, str(error)))
                 await writer.drain()
                 return
             if request is None:

@@ -210,7 +210,9 @@ class _NoController:
         pytest.fail("a core replaying LLC hits reached the memory controller")
 
 
-def finished_core_over_resident_lines(entries, window_size=128, llc_hit_latency=16):
+def finished_core_over_resident_lines(
+    entries, window_size=128, llc_hit_latency=16, clock_ratio=2.625
+):
     """A core that has just finished, every line of its trace in its LLC.
 
     ``entries`` are ``(gap_instructions, line, is_write)``; each line lands
@@ -224,7 +226,10 @@ def finished_core_over_resident_lines(entries, window_size=128, llc_hit_latency=
     ])
     for entry in trace.entries:
         llc.access(entry.address, False)
-    core = Core(0, trace, llc, window_size=window_size, llc_hit_latency=llc_hit_latency)
+    core = Core(
+        0, trace, llc, clock_ratio=clock_ratio, window_size=window_size,
+        llc_hit_latency=llc_hit_latency,
+    )
     controller = _NoController()
     while not core.finished:
         cycle = core._wake_cycle
@@ -242,7 +247,21 @@ def step_wake_cycles(core, end_cycle):
             pass
 
 
+def count_probes(core):
+    """Count ``core``'s LLC probes; returns the one-element list holding the count."""
+    calls = [0]
+    probe = core._probe_hit
+
+    def counting(address, is_write):
+        calls[0] += 1
+        return probe(address, is_write)
+
+    core._probe_hit = counting
+    return calls
+
+
 def replay_state(core):
+    """Everything a replay moves; each set's lines in LRU order."""
     llc = core.llc
     return {
         "llc_stats": llc.stats,
@@ -251,6 +270,8 @@ def replay_state(core):
         "mem_writes": core.mem_writes,
         "position": core._position,
         "index": core._index,
+        "front_cycle": core._front_cycle,
+        "window": [(entry.position, entry.completion_cycle) for entry in core._outstanding],
         "wake_cycle": core._wake_cycle,
         "ready_cycle": core._ready_cycle,
     }
@@ -277,7 +298,8 @@ class TestParkedReplay:
         ),
         window_size=st.sampled_from((4, 16, 128)),
         llc_hit_latency=st.integers(1, 40),
-        horizon=st.integers(0, 3000),
+        # The long branch crosses many trace periods, so the replay jumps.
+        horizon=st.one_of(st.integers(0, 3000), st.integers(10_000, 40_000)),
     )
     def test_replay_matches_stepping_try_issue(
         self, entries, window_size, llc_hit_latency, horizon
@@ -289,6 +311,37 @@ class TestParkedReplay:
         step_wake_cycles(stepped, end_cycle)
         assert replay_state(replayed) == replay_state(stepped)
         assert replayed._wake_cycle > end_cycle
+
+    def test_replay_jumps_whole_periods(self):
+        """Over hundreds of trace passes the replay probes only until the
+        window state at a pass boundary repeats, then jumps."""
+        entries = [
+            (21, 1, False), (42, 2, True), (0, 3, False),
+            (105, 4, False), (5, 5, True), (63, 6, False),
+        ]
+        replayed = finished_core_over_resident_lines(entries)
+        stepped = finished_core_over_resident_lines(entries)
+        probes = count_probes(replayed)
+        hits_before = replayed.llc_hits
+        end_cycle = replayed.finish_cycle + 10_000
+        replayed.replay_hits(end_cycle)
+        step_wake_cycles(stepped, end_cycle)
+        assert replay_state(replayed) == replay_state(stepped)
+        assert replayed.llc_hits - hits_before >= 100 * len(entries)
+        assert probes[0] <= 3 * len(entries)
+
+    def test_replay_steps_where_a_shift_rounds_differently(self):
+        """Near the paper's clock a 210-instruction gap is 20 cycles plus
+        less than an ulp of a late cycle count, so ``cycle + gap`` rounds
+        up early in the run and not late: the replay must not jump (a
+        jump makes 911 hits here where stepping makes 937)."""
+        entries = [(210, 1, False), (231, 2, False)]
+        replayed = finished_core_over_resident_lines(entries, clock_ratio=2.6249999999999)
+        stepped = finished_core_over_resident_lines(entries, clock_ratio=2.6249999999999)
+        end_cycle = replayed.finish_cycle + 20_000
+        replayed.replay_hits(end_cycle)
+        step_wake_cycles(stepped, end_cycle)
+        assert replay_state(replayed) == replay_state(stepped)
 
     def test_replay_raises_on_a_miss(self):
         core = finished_core_over_resident_lines([(10, 1, False), (10, 2, False)])

@@ -15,7 +15,9 @@ properties that make the skipping *safe*:
    Each of these runs parks a finished core (it leaves the main loop and
    replays its LLC hits when the loop exits), so the harness also compares
    what parking defers beyond the payload: LLC statistics and contents, and
-   every core's progress.
+   every core's progress.  In the acting-mechanism cases each parked core
+   replays more hits than it probes the LLC for, so the comparison covers
+   the replay's jump over whole trace periods.
 
 2. **Refresh fidelity** -- a time skip can never jump past a tREFI boundary:
    at every observed cycle the per-rank postponed-REF debt stays within the
@@ -24,6 +26,8 @@ properties that make the skipping *safe*:
 """
 
 import json
+from dataclasses import dataclass
+from typing import Dict
 
 import pytest
 
@@ -55,19 +59,45 @@ def _payload(result) -> str:
     return json.dumps(result_to_dict(result), sort_keys=True)
 
 
-def _spy_parking(sim) -> list:
-    """Record the id of every core of ``sim`` that parks, in parking order."""
-    parked_ids = []
+@dataclass
+class _Replay:
+    """A parked core, its LLC hits when it parked and its LLC probes since."""
+
+    core: object
+    hits_at_park: int
+    probes: int = 0
+
+    @property
+    def hits(self) -> int:
+        """The hits the core made after it parked."""
+        return self.core.llc_hits - self.hits_at_park
+
+    def count_probes(self) -> None:
+        """Wrap the core's LLC probe so that each call counts."""
+        probe = self.core._probe_hit
+
+        def counting(address, is_write):
+            self.probes += 1
+            return probe(address, is_write)
+
+        self.core._probe_hit = counting
+
+
+def _spy_parking(sim) -> Dict[int, _Replay]:
+    """Record every core of ``sim`` that parks, by id in parking order."""
+    replays: Dict[int, _Replay] = {}
     park = sim._park_cores
 
     def spy(live, parked):
         before = len(parked)
         parking = park(live, parked)
-        parked_ids.extend(core.core_id for core in parked[before:])
+        for core in parked[before:]:
+            replay = replays[core.core_id] = _Replay(core, core.llc_hits)
+            replay.count_probes()
         return parking
 
     sim._park_cores = spy
-    return parked_ids
+    return replays
 
 
 def _deferred_state(sim) -> dict:
@@ -99,7 +129,7 @@ def _event_matches_strict(config, traces, oracle=None):
 
     ``oracle``, when given, builds a fresh disturbance oracle for each run,
     so the ``oracle_*`` statistics are compared too.  Returns the
-    event-driven simulator, its result and the ids of its parked cores.
+    event-driven simulator, its result and its parked cores' replays by id.
     """
     runs = []
     for strict in (False, True):
@@ -110,7 +140,7 @@ def _event_matches_strict(config, traces, oracle=None):
         parked = _spy_parking(sim)
         runs.append((sim, sim.run(), parked))
     (event_sim, event, parked), (strict_sim, strict, strict_parked) = runs
-    assert strict_parked == []  # the oracle never parks
+    assert not strict_parked  # the oracle never parks
     assert _payload(event) == _payload(strict)
     assert _deferred_state(event_sim) == _deferred_state(strict_sim)
     return event_sim, event, parked
@@ -152,6 +182,8 @@ class TestStrictTickDeterminism:
         _, event, parked = _event_matches_strict(job.config, build_job_traces(job))
         assert event.controller_stats[action] > 0
         assert parked, "no core parked, so the replay path went unchecked"
+        for replay in parked.values():
+            assert replay.probes < replay.hits, "a parked core's replay did not jump"
 
     @pytest.mark.parametrize(
         "mechanism, action",
@@ -173,7 +205,7 @@ class TestStrictTickDeterminism:
         )
         assert event.controller_stats[action] > 0
         assert any(key.startswith("oracle_") for key in event.mitigation_stats)
-        assert parked == []  # the attacker bypasses the LLC
+        assert not parked  # the attacker bypasses the LLC
 
     @pytest.mark.parametrize(
         "mechanism, channels",
@@ -215,7 +247,7 @@ class TestParkedCores:
         )
         event_sim, _, parked = _event_matches_strict(job.config, build_job_traces(job))
         assert event_sim.llc.stats.writebacks > 0
-        assert parked == []
+        assert not parked
 
     def test_resident_core_does_not_park_when_llc_can_evict(self):
         """Lines resident when a core finishes can still be evicted later.
@@ -230,7 +262,7 @@ class TestParkedCores:
         event_sim, _, parked = _event_matches_strict(config, [small, stream])
         assert event_sim.cores[0].finish_cycle < event_sim.cores[1].finish_cycle
         assert event_sim.llc.stats.misses > 4 + 392  # core 0's lines were evicted
-        assert parked == []
+        assert not parked
 
     def test_core_owing_posted_writes_stays_live(self):
         """A finished core whose write-allocate fills bounced off a full
@@ -273,7 +305,7 @@ class TestParkedCores:
         parked = _spy_parking(sim)
         with pytest.raises(RuntimeError, match="parked core 1 missed the LLC"):
             sim.run()
-        assert parked == [1]  # the benign core; core 0 is the attacker
+        assert list(parked) == [1]  # the benign core; core 0 is the attacker
 
     def test_stall_after_parking_is_a_deadlock(self):
         """A parked core does not keep a stalled run alive until max_cycles.

@@ -13,10 +13,12 @@ cancellation token the way the real engine does between jobs.
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments.sweep import (
     RunReport,
@@ -88,6 +90,161 @@ class TestWebSocketCodec:
         assert b"secret" not in masked
         _, payload, _ = protocol.decode_frame(masked)
         assert payload == b"secret"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        buffer=st.one_of(
+            st.binary(max_size=80),
+            # Real frames, cut short or trailed by garbage, and headers that
+            # declare 16- and 64-bit lengths the buffer does not hold.
+            st.builds(
+                lambda payload, opcode, mask, cut, tail: (
+                    protocol.encode_frame(payload, opcode, mask=mask)[:cut] + tail
+                ),
+                st.binary(max_size=300), st.integers(0, 15), st.booleans(),
+                st.integers(0, 320), st.binary(max_size=8),
+            ),
+            st.builds(
+                lambda first, mask, marker, length, tail: (
+                    bytes([first, mask | marker]) + length + tail
+                ),
+                st.integers(0, 255), st.sampled_from((0x00, 0x80)),
+                st.sampled_from((126, 127)), st.binary(min_size=0, max_size=8),
+                st.binary(max_size=16),
+            ),
+        )
+    )
+    def test_decode_frame_never_overreads(self, buffer):
+        """Any buffer decodes to nothing yet, one frame it holds, or a
+        ProtocolError."""
+        try:
+            frame = protocol.decode_frame(buffer)
+        except protocol.ProtocolError:
+            return
+        if frame is not None:
+            _, payload, consumed = frame
+            assert len(payload) <= consumed <= len(buffer)
+
+
+#: asyncio's default stream buffer limit, as ``asyncio.start_server`` and a
+#: bare ``asyncio.StreamReader()`` both use.
+STREAM_LIMIT = 1 << 16
+
+
+def read_request_from(data: bytes):
+    """``protocol.read_request`` over ``data`` followed by EOF."""
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await protocol.read_request(reader)
+
+    return asyncio.run(read())
+
+
+def assert_parses_or_rejects(data: bytes) -> None:
+    """The codec's contract on any input: a request, ``None``, or a typed
+    error; a body cut short by EOF reads as a dropped connection."""
+    try:
+        request = read_request_from(data)
+    except (protocol.ProtocolError, asyncio.IncompleteReadError):
+        return
+    assert request is None or isinstance(request, protocol.HttpRequest)
+
+
+#: Request targets, with brackets, ``%``-escapes and authority forms.
+TARGETS = st.one_of(
+    st.sampled_from(("/", "//[", "//[::1", "http://[::1/x", "/jobs?a=1&b=%zz", "/%", "/a%2")),
+    st.text(alphabet="/[]%?#:@a1", max_size=12),
+).map(lambda target: target.encode("latin-1"))
+
+#: Content-Length values, poisoned ones included.
+LENGTHS = st.one_of(
+    st.sampled_from((
+        "0", "3", "+3", "1_0", " 3", "-1", "", "0x3", "\xb2", "3 3",
+        "9" * 5000, "99999999999999999999",
+    )),
+    st.integers(0, 40).map(str),
+).map(lambda value: b"Content-Length: " + value.encode("latin-1"))
+
+#: A line one byte past the stream limit, with no newline in reach.
+OVERSIZED_LINE = b"x" * (STREAM_LIMIT + 1)
+
+LINES_WITHOUT_NEWLINE = st.binary(max_size=24).map(lambda line: line.replace(b"\n", b""))
+
+REQUEST_LINES = st.one_of(
+    st.builds(
+        lambda method, target, version: b" ".join((method, target, version)),
+        st.sampled_from((b"GET", b"post", b"DELETE")), TARGETS,
+        st.sampled_from((b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2")),
+    ),
+    LINES_WITHOUT_NEWLINE,
+    st.just(OVERSIZED_LINE),
+)
+
+HEADER_LINES = st.one_of(
+    LENGTHS,
+    st.sampled_from((b"Host: x", b"no-colon", b": empty", b"X-Pad: " + OVERSIZED_LINE)),
+    LINES_WITHOUT_NEWLINE,
+)
+
+
+@st.composite
+def http_requests(draw):
+    """A request head built line by line, then a body."""
+    newline = draw(st.sampled_from((b"\r\n", b"\n")))
+    lines = [draw(REQUEST_LINES)] + draw(st.lists(HEADER_LINES, max_size=4))
+    head = newline.join(lines) + newline
+    if draw(st.booleans()):
+        head += newline
+    return head + draw(st.binary(max_size=12))
+
+
+class TestReadRequest:
+    """``read_request`` answers malformed input with a typed error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=200))
+    def test_any_bytes_then_eof(self, data):
+        assert_parses_or_rejects(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=http_requests())
+    def test_structured_requests_then_eof(self, data):
+        assert_parses_or_rejects(data)
+
+    def test_unbalanced_bracket_target_is_400(self):
+        with pytest.raises(protocol.ProtocolError, match="malformed request target") as info:
+            read_request_from(b"GET //[ HTTP/1.1\r\n\r\n")
+        assert info.value.status == 400
+
+    @pytest.mark.parametrize("head", (
+        OVERSIZED_LINE,
+        b"GET / HTTP/1.1\r\nX-Pad: " + OVERSIZED_LINE + b"\r\n\r\n",
+    ), ids=("request-line", "header-line"))
+    def test_line_past_the_stream_limit_is_400(self, head):
+        with pytest.raises(protocol.ProtocolError, match="too long") as info:
+            read_request_from(head)
+        assert info.value.status == 400
+
+    @pytest.mark.parametrize("length", ("+3", "1_0"))
+    def test_content_length_takes_ascii_digits_only(self, length):
+        head = f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        with pytest.raises(protocol.ProtocolError, match="bad Content-Length"):
+            read_request_from(head.encode("latin-1") + b"{}{}{}{}{}")
+
+    def test_content_length_past_int_conversion_is_413(self):
+        head = "POST /jobs HTTP/1.1\r\nContent-Length: " + "9" * 5000 + "\r\n\r\n"
+        with pytest.raises(protocol.ProtocolError) as info:
+            read_request_from(head.encode("latin-1"))
+        assert info.value.status == 413
+
+    def test_status_does_not_depend_on_the_message(self):
+        """A malformed header line that echoes "exceeds" is still a 400."""
+        with pytest.raises(protocol.ProtocolError, match="exceeds") as info:
+            read_request_from(b"GET / HTTP/1.1\r\nexceeds\r\n\r\n")
+        assert info.value.status == 400
 
 
 # --------------------------------------------------------------------------- #
@@ -408,6 +565,23 @@ class TestHttpSurface:
         with pytest.raises(ServiceError) as excinfo:
             harness.client().submit(spec)
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("head", (
+        b"GET //[ HTTP/1.1\r\n\r\n",
+        # Exactly one byte past the limit, so the server has read all of
+        # it when it answers and closes.
+        OVERSIZED_LINE,
+    ), ids=("bracket-target", "oversized-request-line"))
+    def test_malformed_request_head_is_400(self, harness, head):
+        with socket.create_connection(("127.0.0.1", harness.service.port), timeout=10) as sock:
+            sock.sendall(head)
+            response = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
 
     def test_websocket_route_without_upgrade_is_426(self, harness):
         client = harness.client()
