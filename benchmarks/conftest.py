@@ -4,8 +4,9 @@ Every benchmark regenerates one table or figure of the paper.  The
 simulations are scaled down (few mixes, a few thousand memory accesses per
 core) so the whole suite runs on a laptop; the *shape* of each figure -- which
 mechanism wins, how overheads scale with the RowHammer threshold -- is what
-the benchmarks reproduce and print.  docs/EXPERIMENTS.md records the output
-of a full run next to the paper's numbers.
+the benchmarks reproduce, print and assert.  docs/EXPERIMENTS.md ("How the
+figure benchmarks map onto the engine") lists the sweep behind each one; no
+run's output is recorded next to the paper's numbers yet.
 
 All simulation-backed benchmarks share one session-scoped
 :class:`~repro.experiments.sweep.SweepEngine` whose results persist in an

@@ -24,7 +24,7 @@ simulator's clock discretisation (matching the paper, which works in ns).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -317,6 +317,25 @@ DEFAULT_RFM_THRESHOLDS: Tuple[int, ...] = (2, 3, 4, 8, 16, 32, 64, 80, 128, 256)
 DEFAULT_BACKOFF_THRESHOLDS: Tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64, 128, 256)
 
 
+def _largest_secure(
+    nrh: int,
+    candidates: Sequence[int],
+    row_set_sizes: Sequence[int],
+    max_activations: Callable[[int, int], int],
+) -> Optional[int]:
+    """The largest candidate whose wave attack stays below ``nrh``, or None.
+
+    A candidate is secure when ``max_activations(candidate, r1) < nrh`` for
+    every starting row-set size ``r1``.  The scan runs from the largest
+    candidate down and stops at the first secure one, which is the maximum
+    of the secure candidates by definition -- no monotonicity is assumed.
+    """
+    for candidate in sorted(candidates, reverse=True):
+        if all(max_activations(candidate, r1) < nrh for r1 in row_set_sizes):
+            return candidate
+    return None
+
+
 def secure_prfm_threshold(
     nrh: int,
     candidate_thresholds: Sequence[int] = DEFAULT_RFM_THRESHOLDS,
@@ -327,16 +346,13 @@ def secure_prfm_threshold(
 
     Raises ``ValueError`` if no candidate threshold is secure.
     """
-    secure = [
-        rfm_th
-        for rfm_th in candidate_thresholds
-        if all(
-            prfm_max_activations(rfm_th, r1, params) < nrh for r1 in row_set_sizes
-        )
-    ]
-    if not secure:
+    threshold = _largest_secure(
+        nrh, candidate_thresholds, row_set_sizes,
+        lambda rfm_th, r1: prfm_max_activations(rfm_th, r1, params),
+    )
+    if threshold is None:
         raise ValueError(f"PRFM cannot be configured securely for N_RH={nrh}")
-    return max(secure)
+    return threshold
 
 
 def secure_prac_backoff_threshold(
@@ -351,19 +367,15 @@ def secure_prac_backoff_threshold(
     Raises ``ValueError`` if no candidate threshold is secure (e.g. PRAC-1 at
     very low ``N_RH`` values, as the paper reports).
     """
-    secure = [
-        nbo
-        for nbo in candidate_thresholds
-        if all(
-            prac_max_activations(nbo, nref, r1, params=params) < nrh
-            for r1 in row_set_sizes
-        )
-    ]
-    if not secure:
+    nbo = _largest_secure(
+        nrh, candidate_thresholds, row_set_sizes,
+        lambda candidate, r1: prac_max_activations(candidate, nref, r1, params=params),
+    )
+    if nbo is None:
         raise ValueError(
             f"PRAC-{nref} cannot be configured securely for N_RH={nrh}"
         )
-    return max(secure)
+    return nbo
 
 
 def minimum_secure_nrh_prac(

@@ -1,6 +1,6 @@
 """Memory controller substrate.
 
-Implements the request queues, FR-FCFS+Cap scheduling policy, DRAM address
+Implements the request queues, the FR-FCFS+Cap scheduling policy, DRAM address
 mappings, periodic refresh management, the RFM / back-off protocol handling,
 and the hosting of controller-side mitigation mechanisms -- i.e. everything
 Table 2 of the paper configures on the memory-controller side.  Multi-channel
@@ -18,7 +18,6 @@ from repro.controller.address_mapping import (
     row_interleaved,
     mapping_by_name,
 )
-from repro.controller.scheduler import FrFcfsCapScheduler
 from repro.controller.controller import MemoryController
 from repro.controller.router import ChannelRouter
 
@@ -32,7 +31,6 @@ __all__ = [
     "abacus_mapping",
     "row_interleaved",
     "mapping_by_name",
-    "FrFcfsCapScheduler",
     "MemoryController",
     "ChannelRouter",
 ]

@@ -1,8 +1,8 @@
 """The memory controller.
 
 The controller owns the DRAM device, the demand request queues, the FR-FCFS
-scheduler, periodic refresh, and all read-disturbance management on the
-controller side:
++ Cap scheduling policy, periodic refresh, and all read-disturbance
+management on the controller side:
 
 * it hosts controller-side mitigation mechanisms (PRFM / Graphene / Hydra /
   PARA / ABACuS) and serves their preventive refreshes and RFM requests, and
@@ -21,9 +21,10 @@ idle tick.
 Hot-path design (the event-horizon engine):
 
 * Demand queues are **bucketed per bank** and the buckets are maintained
-  incrementally on enqueue/dequeue, so neither the FR-FCFS scan, the
-  first-ready fallback, nor the wake-hint computation ever rescans the flat
-  queue per candidate.
+  incrementally on enqueue/dequeue.  One pass over the buckets of the
+  active queue yields both the FR-FCFS+Cap pick and the first-ready
+  candidates it falls back to, and the wake-hint computation walks them
+  once more per recompute; nothing rescans the flat queue per candidate.
 * Readiness is read straight from the device's per-bank and per-rank timing
   registers (plain lists), hoisted once at construction.
 * The wake hint ``tick`` returns (:meth:`_next_event_hint`) is *precise*: it
@@ -47,15 +48,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.controller.address_mapping import AddressMapping
 from repro.controller.request import MemoryRequest, RequestType
-from repro.controller.scheduler import FrFcfsCapScheduler
 from repro.core.mitigation import ControllerMitigation
 from repro.dram.device import DramDevice
 from repro.dram.refresh import RefreshScheduler
+from repro.dram.timing import FAR_FUTURE
 
-#: Sentinel "no event" hint.
-FAR_FUTURE = 1 << 62
-
-#: Arrival-order sort key of the demand candidate scan, hoisted so the
+#: Arrival-order sort key of the first-ready candidates, hoisted so the
 #: per-issue hot path does not build a closure per call.
 _BY_REQUEST_ID = operator.attrgetter("request_id")
 
@@ -86,7 +84,14 @@ class MemoryController:
 
     Multi-channel systems instantiate one controller per channel behind a
     :class:`~repro.controller.router.ChannelRouter`; each controller owns its
-    own device, queues, scheduler, refresh state and back-off protocol.
+    own device, queues, FR-FCFS+Cap state, refresh state and back-off
+    protocol.
+
+    Demand is scheduled with FR-FCFS and a cap on column-over-row reordering
+    (``scheduler_cap``, 4 in Table 2 of the paper): row hits go before older
+    row conflicts, but at most ``scheduler_cap`` consecutive hits may bypass
+    an older conflict of the same bank.  That bounds the starvation an
+    open-row-friendly stream (the performance attack of §11) can inflict.
     """
 
     def __init__(
@@ -107,7 +112,9 @@ class MemoryController:
         self.organization = device.organization
         self.read_queue_size = read_queue_size
         self.write_queue_size = write_queue_size
-        self.scheduler = FrFcfsCapScheduler(cap=scheduler_cap)
+        if scheduler_cap <= 0:
+            raise ValueError("scheduler_cap must be positive")
+        self.scheduler_cap = scheduler_cap
         self.refresh = RefreshScheduler(self.organization.ranks, self.timing)
         if not 0 <= write_drain_low < write_drain_high:
             # The hysteresis then only ever drains a non-empty write queue,
@@ -133,6 +140,10 @@ class MemoryController:
         self._next_rd = device.next_rd
         self._next_wr = device.next_wr
         self._rank_next_act = device.rank_next_act
+        # Consecutive row hits served per bank, the streak the cap bounds.
+        # It belongs to the open row: every row closure (``_precharge``)
+        # and every column command that was no row hit zeroes it.
+        self._hit_streak: List[int] = [0] * self.organization.total_banks
 
         # The demand queues live *only* as per-bank FIFO buckets, maintained
         # incrementally on enqueue/dequeue (empty buckets are pruned); the
@@ -158,39 +169,28 @@ class MemoryController:
         self._rfm_due_cycle: Optional[int] = None
         self._in_recovery = False
 
-        # Incremental wake-hint caches (see docs/ARCHITECTURE.md, "Wake-hint
-        # caches").  Each one only ever errs early -- a stale value costs a
-        # wasted no-op wake, never a missed event -- and a cached value at or
-        # below the current cycle is stale by definition and recomputed.
+        # The demand wake-hint cache (see docs/ARCHITECTURE.md, "Wake-hint
+        # cache").  It only ever errs early -- a stale value costs a wasted
+        # no-op wake, never a missed event -- and a cached value at or below
+        # the current cycle is stale by definition and recomputed.
         #
-        # * ``_demand_hint``: the earliest strictly-future cycle at which a
-        #   bank of the queue the next ``_service_demand`` serves can issue
-        #   (``_demand_ready_cycle``); ``_demand_drains`` records which queue
-        #   that was.  Every issued command drops it, and the hint after the
-        #   issue recomputes it; ``enqueue`` folds the new request's bank in.
-        #   The queue can only flip when a count changes: on an issue, which
-        #   recomputes the hint, or on an enqueue, which marks the channel
-        #   dirty -- ``_service_demand`` then drops a hint computed for the
-        #   other queue.  While the hint lies in the future,
-        #   ``_service_demand`` skips the FR-FCFS scan outright -- unless
-        #   ``_demand_ready_now`` is set: a bank that could already issue at
-        #   the last recompute is excluded from the strictly-future minimum.
-        #   After an issue that means the command bus was taken, so the next
-        #   cycle is a wake; after a failed tick it only means an urgent
-        #   refresh blocks the bank's ACT.
-        # * ``_refresh_scan_hint``: the refresh-pending bank scan.  Its inputs
-        #   only change on refresh accrual, an issued command (both drop it)
-        #   or an enqueue that raises a rank's demand, which can only
-        #   *remove* scan events.
-        # * ``_mech_scan_hint``: the mechanism-pending bank scan.  Its inputs
-        #   -- the mechanism's pending sets and bank readiness -- change only
-        #   on an issued command, which drops it; pruning stale pending
-        #   entries can only remove events.
+        # ``_demand_hint`` is the earliest strictly-future cycle at which a
+        # bank of the queue the next ``_service_demand`` serves can issue
+        # (``_demand_ready_cycle``); ``_demand_drains`` records which queue
+        # that was.  Every issued command drops it, and the hint after the
+        # issue recomputes it; ``enqueue`` folds the new request's bank in.
+        # The queue can only flip when a count changes: on an issue, which
+        # recomputes the hint, or on an enqueue, which marks the channel
+        # dirty -- ``_service_demand`` then drops a hint computed for the
+        # other queue.  While the hint lies in the future, ``_service_demand``
+        # skips its pass outright -- unless ``_demand_ready_now`` is set: a
+        # bank that could already issue at the last recompute is excluded
+        # from the strictly-future minimum.  After an issue that means the
+        # command bus was taken, so the next cycle is a wake; after a failed
+        # tick it only means an urgent refresh blocks the bank's ACT.
         self._demand_hint: Optional[int] = None
         self._demand_drains = False
         self._demand_ready_now = True
-        self._refresh_scan_hint: Optional[int] = None
-        self._mech_scan_hint: Optional[int] = None
 
         self.stats = ControllerStats()
 
@@ -287,9 +287,6 @@ class MemoryController:
         refresh = self.refresh
         if cycle >= refresh._next_accrual:
             refresh.tick(cycle)
-            # Accrual changes pending counts / urgency: the cached
-            # refresh-pending bank scan is void.
-            self._refresh_scan_hint = None
         reads = self._inflight_reads
         if reads and reads[0].completion_cycle <= cycle:
             self._retire_inflight(cycle)
@@ -318,11 +315,9 @@ class MemoryController:
             if not issued:
                 issued = self._service_demand(cycle)
         if issued:
-            # Any command changes bank/rank readiness: drop the cached hints,
-            # which the hint below recomputes.
+            # Any command changes bank/rank readiness: drop the cached demand
+            # hint, which the hint below recomputes.
             self._demand_hint = None
-            self._refresh_scan_hint = None
-            self._mech_scan_hint = None
             return True, self._next_event_hint(cycle, True)
         return False, self._next_event_hint(cycle)
 
@@ -371,13 +366,14 @@ class MemoryController:
     def _precharge(self, bank_id: int, cycle: int) -> None:
         """Issue a PRE and reset the bank's column-over-row streak.
 
-        Every row closure goes through here: the scheduler's reordering
-        budget belongs to the open row, so closing it (for a demand
-        conflict, a periodic refresh, an RFM or back-off recovery) resets
-        the bank's hit streak.
+        Every row closure goes through here: the reordering budget belongs
+        to the open row, so closing it (for a demand conflict, a periodic
+        refresh, an RFM or back-off recovery) resets the bank's hit streak.
+        A streak run up against a closed row must not throttle the first
+        hits to the next one.
         """
         self.device.precharge(bank_id, cycle)
-        self.scheduler.on_row_closed(bank_id)
+        self._hit_streak[bank_id] = 0
 
     # ------------------------------------------------------------------ #
     # Periodic refresh
@@ -501,8 +497,8 @@ class MemoryController:
         is_read = self._active_queue_is_reads()
         # The cached demand hint is the exact minimum readiness over the
         # queued banks of the active queue, so a strictly-future hint proves
-        # no candidate can issue -- the whole FR-FCFS scan (pure on failure)
-        # is skipped.  The hysteresis above still ran, so the drain flag's
+        # no candidate can issue -- the whole pass (pure on failure) is
+        # skipped.  The hysteresis above still ran, so the drain flag's
         # trajectory is unchanged.  Disabled while a bank that could issue
         # at the last recompute exists (see __init__); a hint computed for
         # the other queue (an enqueue flipped it) is dropped.
@@ -516,127 +512,119 @@ class MemoryController:
             if not self._read_count:
                 return False
             buckets = self._read_buckets
+            next_col = self._next_rd
         else:
             buckets = self._write_buckets
+            next_col = self._next_wr
+        # One pass over the queued banks.  Per bank only three requests can
+        # differ in outcome -- the head, the oldest row hit and the oldest
+        # row conflict; in an open bank the head is one of the other two.
+        # The pass finds the oldest hit overall, and it collects as
+        # first-ready candidates the requests whose next command the timing
+        # allows: a closed bank's head at its own and its rank's ACT
+        # release, the oldest hit at the column release, and the oldest
+        # conflict at the precharge release unless FR-FCFS keeps the row
+        # open for a queued hit (until the bank's streak reaches the cap).
         open_rows = self._open_rows
-        request = self.scheduler.choose_from_buckets(buckets, open_rows)
-        if request is not None and self._serve_request(request, is_read, buckets, cycle):
-            return True
-        # First-ready fallback: try any request whose next command is legal.
-        # Per bank only three requests can differ in outcome -- the bucket
-        # head, the oldest row hit and the oldest row conflict (legality of a
-        # column command or a precharge does not depend on which queued
-        # request triggers it) -- so trying those in global FCFS order is
-        # equivalent to a full-queue rescan.  Candidates whose bank timing
-        # already rules the command out are dropped here (pure pre-filter:
-        # _serve_request would reject them identically).
-        next_col = self._next_rd if is_read else self._next_wr
         next_act = self._next_act
         next_pre = self._next_pre
+        rank_next_act = self._rank_next_act
+        banks_per_rank = self._banks_per_rank
+        streaks = self._hit_streak
+        cap = self.scheduler_cap
         candidates: List[MemoryRequest] = []
+        best_hit: Optional[MemoryRequest] = None
         for bank_id, bucket in buckets.items():
-            open_row = open_rows[bank_id]
             head = bucket[0]
-            if open_row < 0:
-                if cycle >= next_act[bank_id]:
+            row = open_rows[bank_id]
+            if row < 0:
+                if (
+                    cycle >= next_act[bank_id]
+                    and cycle >= rank_next_act[bank_id // banks_per_rank]
+                ):
                     candidates.append(head)
                 continue
-            head_is_hit = head.dram.row == open_row
-            second: Optional[MemoryRequest] = None
-            for r in bucket:
-                if (r.dram.row == open_row) != head_is_hit:
-                    second = r
-                    break
-            hit_ready = cycle >= next_col[bank_id]
-            pre_ready = cycle >= next_pre[bank_id]
-            if head_is_hit:
-                if hit_ready:
-                    candidates.append(head)
-                if second is not None and pre_ready:
-                    candidates.append(second)
+            if head.dram.row == row:
+                hit = head
             else:
-                if pre_ready:
+                hit = None
+                for request in bucket:
+                    if request.dram.row == row:
+                        hit = request
+                        break
+                if hit is None:
+                    if cycle >= next_pre[bank_id]:
+                        candidates.append(head)
+                    continue
+            if best_hit is None or hit.request_id < best_hit.request_id:
+                best_hit = hit
+            if cycle >= next_col[bank_id]:
+                candidates.append(hit)
+            if cycle >= next_pre[bank_id] and streaks[bank_id] >= cap:
+                if hit is not head:
                     candidates.append(head)
-                if second is not None and hit_ready:
-                    candidates.append(second)
+                else:
+                    for request in bucket:
+                        if request.dram.row != row:
+                            candidates.append(request)
+                            break
+        # FR-FCFS+Cap: the oldest hit goes first unless an older request of
+        # its own bank waits and the bank's streak has reached the cap.  Any
+        # other pick is the oldest request, which leads the candidates in
+        # arrival order when it can issue at all.
+        if best_hit is not None:
+            bank_id = best_hit.bank_id
+            if cycle >= next_col[bank_id] and (
+                buckets[bank_id][0].request_id >= best_hit.request_id
+                or streaks[bank_id] < cap
+            ):
+                return self._serve_request(best_hit, is_read, cycle)
         candidates.sort(key=_BY_REQUEST_ID)
         for request in candidates:
-            if self._serve_request(request, is_read, buckets, cycle):
+            if self._serve_request(request, is_read, cycle):
                 return True
         return False
 
     def _serve_request(
-        self,
-        request: MemoryRequest,
-        is_read: bool,
-        buckets: Dict[int, List[MemoryRequest]],
-        cycle: int,
+        self, request: MemoryRequest, is_read: bool, cycle: int
     ) -> bool:
+        """Issue the next command of ``request``, a candidate of the pass.
+
+        ``_service_demand`` has checked the releases for the command and
+        the cap rule, so a column command or a precharge always issues.  An
+        ACT can still be refused by an urgent refresh of its rank, and then
+        nothing changes.
+        """
         bank_id = request.bank_id
         open_row = self._open_rows[bank_id]
         target_row = request.dram.row
-
+        if open_row == target_row:
+            hit = request.row_hit if request.row_hit is not None else True
+            if is_read:
+                done = self.device.read(bank_id, cycle)
+            else:
+                done = self.device.write(bank_id, cycle)
+            self._complete_column(request, is_read, cycle, done, row_hit=hit)
+            return True
         if open_row >= 0:
-            if open_row == target_row:
-                hit = request.row_hit if request.row_hit is not None else True
-                if is_read:
-                    if cycle >= self._next_rd[bank_id]:
-                        ready = self.device.read(bank_id, cycle)
-                        self._complete_column(
-                            request, is_read, cycle, ready, row_hit=hit
-                        )
-                        return True
-                elif cycle >= self._next_wr[bank_id]:
-                    done = self.device.write(bank_id, cycle)
-                    self._complete_column(request, is_read, cycle, done, row_hit=hit)
-                    return True
-                return False
-            if self._preserve_open_row(bank_id, open_row, buckets):
-                # A pending request still targets the open row and the
-                # column-over-row reordering cap has not been exhausted, so
-                # the conflicting request must wait (FR-FCFS row-hit-first).
-                return False
-            if cycle >= self._next_pre[bank_id]:
-                self._precharge(bank_id, cycle)
-                self.stats.row_conflicts += 1
-                request.row_hit = False
-                # The older row-conflict request finally makes progress, so
-                # the bank's column-over-row reordering budget resets.
-                self.scheduler.on_scheduled(request, was_row_hit=False)
-                return True
-            return False
+            # The row conflict makes progress, and the PRE zeroes the bank's
+            # streak.
+            self._precharge(bank_id, cycle)
+            self.stats.row_conflicts += 1
+            request.row_hit = False
+            return True
 
-        rank = bank_id // self._banks_per_rank
         # The rank must drain for an overdue periodic refresh first.  The
         # urgent set is cached (almost always the shared empty tuple), so
         # the probe is one containment check per ACT candidate.
-        if rank in self.refresh.urgent_ranks():
+        if bank_id // self._banks_per_rank in self.refresh.urgent_ranks():
             return False
-        if cycle >= self._next_act[bank_id] and cycle >= self._rank_next_act[rank]:
-            self.device.activate(bank_id, target_row, cycle)
-            self.stats.row_misses += 1
-            request.row_hit = False
-            if self.mechanism is not None:
-                self.mechanism.on_activate(bank_id, target_row, cycle)
-            return True
-        return False
-
-    def _preserve_open_row(
-        self,
-        bank_id: int,
-        open_row: int,
-        buckets: Dict[int, List[MemoryRequest]],
-    ) -> bool:
-        """True if the open row should be kept open for a pending row hit."""
-        if self.scheduler.cap_reached(bank_id):
-            return False
-        bucket = buckets.get(bank_id)
-        if not bucket:
-            return False
-        for request in bucket:
-            if request.dram.row == open_row:
-                return True
-        return False
+        self.device.activate(bank_id, target_row, cycle)
+        self.stats.row_misses += 1
+        request.row_hit = False
+        if self.mechanism is not None:
+            self.mechanism.on_activate(bank_id, target_row, cycle)
+        return True
 
     def _complete_column(
         self,
@@ -650,9 +638,11 @@ class MemoryController:
         request.completion_cycle = completion
         request.row_hit = row_hit
         self._dequeue(request, is_read)
-        self.scheduler.on_scheduled(request, row_hit)
         if row_hit:
+            self._hit_streak[request.bank_id] += 1
             self.stats.row_hits += 1
+        else:
+            self._hit_streak[request.bank_id] = 0
         if is_read:
             self.stats.reads_served += 1
             self.stats.total_read_latency += completion - request.arrival_cycle
@@ -695,10 +685,10 @@ class MemoryController:
         prologue probe would move ``_rfm_due_cycle``), when the issue moved
         the write-drain flag (see below), or when a source can issue now: a
         queued bank, a bank of a rank whose REF is actionable, or a bank
-        owing a preventive refresh or an RFM.  The scans record that in the
-        same pass.  Demand goes first: a busy multi-bank run often issues
-        again on the next cycle, and then the refresh and mechanism scans
-        are not needed.
+        owing a preventive refresh or an RFM.  The scans check that in the
+        same pass that folds their banks into the minimum.  Demand goes
+        first: a busy multi-bank run often issues again on the next cycle,
+        and then the refresh and mechanism scans are not needed.
         """
         if issued:
             # A recovery due by ``cycle + 1`` is running already, or is the
@@ -754,72 +744,49 @@ class MemoryController:
                 if cycle < ready < best:
                     best = ready
         else:
-            scan = self._refresh_scan_hint
-            if scan is not None and scan > cycle:
-                if scan < best:
-                    best = scan
-            else:
-                scan = FAR_FUTURE
-                ready_now = False
-                pending_ranks = self.refresh.ranks_needing_refresh()
-                if pending_ranks:
-                    rank_demand = self._rank_demand
-                    urgent_ranks = self.refresh.urgent_ranks()
-                    device = self.device
-                    for rank in pending_ranks:
-                        # A postponed REF is only actionable when urgent or
-                        # when the rank is idle; otherwise the next refresh
-                        # event is the accrual boundary already covered
-                        # above.
-                        if rank not in urgent_ranks and rank_demand[rank]:
-                            continue
-                        for bank_id in device.banks_in_rank(rank):
-                            ready = (
-                                next_pre[bank_id]
-                                if open_row[bank_id] >= 0
-                                else next_act[bank_id]
-                            )
-                            if ready <= cycle:
-                                ready_now = True
-                            elif ready < scan:
-                                scan = ready
-                self._refresh_scan_hint = scan
-                if issued and ready_now:
-                    return cycle + 1
-                if scan < best:
-                    best = scan
+            pending_ranks = self.refresh.ranks_needing_refresh()
+            if pending_ranks:
+                rank_demand = self._rank_demand
+                urgent_ranks = self.refresh.urgent_ranks()
+                device = self.device
+                for rank in pending_ranks:
+                    # A postponed REF is only actionable when urgent or when
+                    # the rank is idle; otherwise the next refresh event is
+                    # the accrual boundary already covered above.
+                    if rank not in urgent_ranks and rank_demand[rank]:
+                        continue
+                    for bank_id in device.banks_in_rank(rank):
+                        ready = (
+                            next_pre[bank_id]
+                            if open_row[bank_id] >= 0
+                            else next_act[bank_id]
+                        )
+                        if ready > cycle:
+                            if ready < best:
+                                best = ready
+                        elif issued:
+                            return cycle + 1
 
         mechanism = self.mechanism
         if mechanism is not None:
-            mech = self._mech_scan_hint
-            if mech is None or mech <= cycle:
-                mech = FAR_FUTURE
-                ready_now = False
-                for bank_id in mechanism._pending:
-                    ready = (
-                        next_pre[bank_id]
-                        if open_row[bank_id] >= 0
-                        else next_act[bank_id]
-                    )
-                    if ready <= cycle:
-                        ready_now = True
-                    elif ready < mech:
-                        mech = ready
-                for bank_id in mechanism.rfm_pending_banks():
-                    ready = (
-                        next_pre[bank_id]
-                        if open_row[bank_id] >= 0
-                        else next_act[bank_id]
-                    )
-                    if ready <= cycle:
-                        ready_now = True
-                    elif ready < mech:
-                        mech = ready
-                self._mech_scan_hint = mech
-                if issued and ready_now:
+            for bank_id in mechanism._pending:
+                ready = (
+                    next_pre[bank_id] if open_row[bank_id] >= 0 else next_act[bank_id]
+                )
+                if ready > cycle:
+                    if ready < best:
+                        best = ready
+                elif issued:
                     return cycle + 1
-            if mech < best:
-                best = mech
+            for bank_id in mechanism.rfm_pending_banks():
+                ready = (
+                    next_pre[bank_id] if open_row[bank_id] >= 0 else next_act[bank_id]
+                )
+                if ready > cycle:
+                    if ready < best:
+                        best = ready
+                elif issued:
+                    return cycle + 1
 
         reads = self._inflight_reads
         if reads:
@@ -855,8 +822,8 @@ class MemoryController:
         which ``_serve_request`` issues: a closed bank at the later of its
         own and its rank's ACT release; an open bank at its column release
         if its bucket holds a hit to the open row, and at its precharge
-        release if the bucket holds a conflict that ``_preserve_open_row``
-        would not hold back (no hit queued, or the bank's cap is reached).
+        release if the bucket holds a conflict that FR-FCFS would not hold
+        back (no hit queued, or the bank's cap is reached).
         Also records in ``_demand_ready_now`` whether a queued bank can issue
         at or before ``cycle`` (see ``__init__``).
         """
@@ -873,6 +840,8 @@ class MemoryController:
         open_row = self._open_rows
         banks_per_rank = self._banks_per_rank
         rank_next_act = self._rank_next_act
+        streaks = self._hit_streak
+        cap = self.scheduler_cap
         ready_now = False
         for bank_id, bucket in buckets.items():
             row = open_row[bank_id]
@@ -888,7 +857,7 @@ class MemoryController:
                         # Hits and conflicts queued: the conflict's
                         # precharge waits until the cap stops the hits.
                         ready = col[bank_id]
-                        if self.scheduler.cap_reached(bank_id):
+                        if streaks[bank_id] >= cap:
                             pre = next_pre[bank_id]
                             if pre < ready:
                                 ready = pre

@@ -19,8 +19,9 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.controller.address_mapping import AddressMapping
-from repro.controller.controller import FAR_FUTURE, MemoryController
+from repro.controller.controller import MemoryController
 from repro.controller.request import MemoryRequest
+from repro.dram.timing import FAR_FUTURE
 
 #: Shared immutable "nothing completed" result (callers only iterate it).
 _NO_REQUESTS: List[MemoryRequest] = []

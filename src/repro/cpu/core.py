@@ -31,12 +31,10 @@ from typing import Deque, Optional, TYPE_CHECKING
 from repro.controller.request import MemoryRequest, RequestPool, RequestType
 from repro.cpu.cache import Cache, CacheAccessResult
 from repro.cpu.trace import Trace
+from repro.dram.timing import FAR_FUTURE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.controller import MemoryController
-
-#: Sentinel "no event" hint.
-FAR_FUTURE = 1 << 62
 
 
 def _shifts_exactly(gap_cycles: list[float], end_cycle: int) -> bool:

@@ -13,12 +13,14 @@ cycle at which each class of command may legally be issued, derived from the
 timing parameters in :mod:`repro.dram.timing`.
 
 The device exposes explicit, type-safe methods (``activate``, ``precharge``,
-``read`` ...) rather than a single opaque command entry point; the memory
-controller is responsible for consulting the ``can_*`` predicates before
-issuing, and the device raises :class:`TimingViolation` if a command is
-illegal, which the test-suite relies on.  ``tests/bank_reference.py`` holds
-the attribute-per-register reference bank the device is differentially
-tested against.
+``read`` ...) rather than a single opaque command entry point.  The memory
+controller decides legality from the register lists, which it hoists once,
+before it issues; the ``can_*`` predicates state the same rules for the
+tests (and ``can_refresh``/``can_rfm`` for the controller's REF and RFM).
+The device raises :class:`TimingViolation` if a command is illegal, which
+the test-suite relies on.  ``tests/bank_reference.py`` holds the
+attribute-per-register reference bank the device is differentially tested
+against.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class DramDevice:
         self.mitigation = mitigation
         # The bank timing registers, indexed by flat bank id.  The device
         # mutates these lists in place and never rebinds them, which is what
-        # lets the controller and scheduler hoist them once at construction.
+        # lets the controller hoist them once at construction.
         banks = organization.total_banks
         #: Open row per bank (:data:`NO_ROW` = precharged).
         self.open_rows: List[int] = [NO_ROW] * banks
@@ -84,8 +86,6 @@ class DramDevice:
         self.command_counts: Counter = Counter()
         #: Victim rows refreshed internally by the on-die mechanism.
         self.internal_victim_rows = 0
-        #: Cycle at which the back-off signal was last asserted (or None).
-        self._backoff_observed_cycle: Optional[int] = None
         #: External ACT observers ``(bank_id, row, cycle)`` (e.g. the
         #: red-team disturbance oracle); independent of any mitigation.
         self._activation_listeners: List[Callable[[int, int, int], None]] = []

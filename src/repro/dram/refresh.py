@@ -22,10 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.dram.timing import TimingParams
-
-#: Sentinel "no event" value (matches the simulator's FAR_FUTURE).
-_FAR_FUTURE = 1 << 62
+from repro.dram.timing import FAR_FUTURE, TimingParams
 
 
 @dataclass(slots=True)
@@ -63,7 +60,7 @@ class RefreshScheduler:
         if cycle < self._next_accrual:
             return
         tREFI = self.timing.tREFI
-        next_accrual = _FAR_FUTURE
+        next_accrual = FAR_FUTURE
         for state in self._states:
             due = state.next_due_cycle
             if cycle >= due:

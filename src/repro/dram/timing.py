@@ -28,6 +28,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict
 
+#: The "no event" cycle of every wake hint: the refresh scheduler's, the
+#: controller's, each core's and the simulator's, whose deadlock check
+#: compares against it.
+FAR_FUTURE = 1 << 62
+
 
 def ns_to_cycles(ns: float, tck_ns: float) -> int:
     """Convert a duration in nanoseconds to a (rounded-up) cycle count."""

@@ -50,6 +50,8 @@ DETERMINISM_TARGETS = (
 #: Maps file -> frozenset of dotted qualnames within that file.
 HOT_PATH_FUNCTIONS = {
     "src/repro/controller/controller.py": frozenset({
+        # The per-tick path: the FR-FCFS+Cap demand pass and the command it
+        # issues, the write-drain hysteresis and the wake hint.
         "MemoryController.tick",
         "MemoryController._next_event_hint",
         "MemoryController._bank_demand_ready",
@@ -63,14 +65,6 @@ HOT_PATH_FUNCTIONS = {
         # The per-cycle fan-out: one call per main-loop iteration.
         "ChannelRouter.tick",
         "ChannelRouter._tick_single",
-    }),
-    "src/repro/controller/scheduler.py": frozenset({
-        "FrFcfsCapScheduler.choose",
-        "FrFcfsCapScheduler.choose_from_buckets",
-        "FrFcfsCapScheduler._arbitrate",
-        "FrFcfsCapScheduler._arbitrate_bucketed",
-        "FrFcfsCapScheduler.on_scheduled",
-        "FrFcfsCapScheduler.on_row_closed",
     }),
     "src/repro/dram/device.py": frozenset({
         # The per-command path: one list indexing operation per register

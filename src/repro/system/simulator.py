@@ -37,7 +37,7 @@ from repro.cpu.cache import Cache
 from repro.cpu.core import Core
 from repro.cpu.trace import Trace
 from repro.dram.device import DramDevice
-from repro.dram.timing import ddr5_3200an
+from repro.dram.timing import FAR_FUTURE, ddr5_3200an
 from repro.energy.drampower import DEFAULT_ENERGY_MODEL, EnergyModel
 from repro.system.config import SystemConfig
 from repro.system.metrics import (
@@ -48,9 +48,6 @@ from repro.system.metrics import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (attacks -> sweep)
     from repro.attacks.oracle import DisturbanceOracle
-
-#: Sentinel "no event" value used by the event hints.
-FAR_FUTURE = 1 << 62
 
 
 class SimulationTruncated(RuntimeError):

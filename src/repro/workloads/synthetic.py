@@ -9,7 +9,9 @@ memory intensity, working-set size (and therefore LLC hit rate), row-buffer
 locality, bank-level parallelism, and read/write mix -- matches each
 application's published character.  The relative overheads of the mitigation
 mechanisms depend on exactly these statistics, which is why the substitution
-preserves the paper's trends (see DESIGN.md).
+preserves the paper's trends.  A profile has no per-row hotness parameter:
+the only skew is a fixed hot eighth of the working set, so a benign trace
+does not concentrate its activations on a few rows the way an aggressor does.
 
 Each application is described by an :class:`AppProfile`; ``generate_trace``
 turns a profile into a :class:`~repro.cpu.trace.Trace` with a configurable

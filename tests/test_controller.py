@@ -14,6 +14,7 @@ from repro.core.prfm import PRFM
 from repro.dram.device import DramDevice
 from repro.dram.organization import DramAddress, DramOrganization
 from repro.dram.timing import ddr5_3200an
+from scheduler_reference import first_ready_request
 
 
 ORG = DramOrganization(ranks=1, bankgroups=2, banks_per_group=2, rows=512, columns=32)
@@ -190,6 +191,150 @@ class TestBackoffIntegration:
         assert controller._backoff_blocks_traffic(0)
 
 
+#: The cycle the FR-FCFS+Cap tests tick at, before the first tREFI, so no
+#: refresh is due or urgent.
+CYCLE = 100
+#: One bank's state: open row (-1 = precharged), hit streak, and the ACT,
+#: PRE and RD releases as offsets from CYCLE (ready at offsets <= 0).
+_RELEASE = st.sampled_from((-1, 0, 1))
+BANK_STATE = st.tuples(
+    st.integers(-1, 2), st.integers(0, 5), _RELEASE, _RELEASE, _RELEASE
+)
+#: A precharged bank with every release passed.
+CLOSED = (-1, 0, 0, 0, 0)
+
+
+def OPEN(row, streak=0):
+    """An open bank with every release passed."""
+    return (row, streak, 0, 0, 0)
+
+
+def lone_controller(cap, banks, rank_release=0):
+    """A controller with ``banks`` (one ``BANK_STATE`` per bank) set on its
+    device registers and its hit streaks."""
+    device = DramDevice(ORG, ddr5_3200an())
+    controller = MemoryController(device, mop_mapping(ORG), scheduler_cap=cap)
+    for bank, (row, streak, act, pre, rd) in enumerate(banks):
+        device.open_rows[bank] = row
+        controller._hit_streak[bank] = streak
+        device.next_act[bank] = CYCLE + act
+        device.next_pre[bank] = CYCLE + pre
+        device.next_rd[bank] = CYCLE + rd
+    device.rank_next_act[0] = CYCLE + rank_release
+    return controller, device
+
+
+def queue_reads(controller, queue):
+    """Enqueue one read per ``(bank, row)`` of ``queue``, oldest first."""
+    requests = []
+    for bank, row in queue:
+        request = read_request(controller.mapping.encode(
+            DramAddress(0, 0, bank // 2, bank % 2, row, len(requests) % 32)
+        ))
+        assert controller.enqueue(request) and request.bank_id == bank
+        requests.append(request)
+    return requests
+
+
+def tick_once(controller, requests):
+    """Tick at CYCLE; return the served request (or None) and the commands."""
+    issued, _ = controller.tick(CYCLE)
+    served = [
+        request for request in requests
+        if request.issued_cycle is not None or request.row_hit is not None
+    ]
+    assert len(served) == int(issued)
+    return (served[0] if served else None), dict(controller.device.command_counts)
+
+
+def expected_command(device, request):
+    row = device.open_rows[request.bank_id]
+    if row == request.dram.row:
+        return "RD"
+    return "PRE" if row >= 0 else "ACT"
+
+
+class TestFrFcfsCap:
+    """The controller applies FR-FCFS+Cap, checked against a flat rescan.
+
+    ``tests/scheduler_reference.py`` states the rule over a flat queue: the
+    FR-FCFS+Cap pick, else the first request in arrival order whose command
+    can issue.  The controller looks at three requests per bank in one pass;
+    these tests hold it to the full rescan.
+    """
+
+    def check(self, cap, banks, queue, rank_release=0):
+        """One tick serves what the reference names, and moves the streaks
+        as the command says; return the served request's queue index."""
+        controller, device = lone_controller(cap, banks, rank_release)
+        requests = queue_reads(controller, queue)
+        streaks = list(controller._hit_streak)
+        expected = first_ready_request(requests, CYCLE, device, streaks, cap)
+        command = expected and expected_command(device, expected)
+        served, commands = tick_once(controller, requests)
+        assert served is expected
+        if expected is None:
+            assert commands == {}
+            assert controller._hit_streak == streaks
+            return None
+        assert commands == {command: 1}
+        # The streak counts the hits served to the open row; a PRE zeroes it.
+        bank = expected.bank_id
+        streaks[bank] = {"RD": streaks[bank] + 1, "PRE": 0, "ACT": streaks[bank]}[command]
+        assert controller._hit_streak == streaks
+        return requests.index(expected)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        cap=st.sampled_from((1, 2, 4)),
+        banks=st.lists(BANK_STATE, min_size=4, max_size=4),
+        rank_release=st.sampled_from((0, 1)),
+        queue=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=10),
+    )
+    def test_one_tick_serves_what_the_flat_rescan_names(
+        self, cap, banks, rank_release, queue
+    ):
+        self.check(cap, banks, queue, rank_release)
+
+    def test_empty_queue_issues_nothing(self):
+        assert self.check(4, [OPEN(0)] * 4, []) is None
+
+    def test_younger_hit_goes_before_an_older_conflict(self):
+        banks = [OPEN(5), CLOSED, CLOSED, CLOSED]
+        assert self.check(2, banks, [(0, 9), (0, 5)]) == 1
+
+    def test_conflict_waits_for_a_queued_hit_below_the_cap(self):
+        # The hit's column release has not passed, so nothing issues: the
+        # older conflict may not close the row the hit is waiting for.
+        banks = [(5, 0, 0, 0, 1), CLOSED, CLOSED, CLOSED]
+        assert self.check(4, banks, [(0, 9), (0, 5)]) is None
+
+    def test_fcfs_when_no_request_hits(self):
+        assert self.check(4, [CLOSED] * 4, [(0, 5), (1, 6)]) == 0
+
+    def test_cap_reached_serves_the_older_conflict(self):
+        banks = [OPEN(5, streak=2), CLOSED, CLOSED, CLOSED]
+        assert self.check(2, banks, [(0, 9), (0, 5)]) == 0
+
+    def test_cap_only_binds_against_an_older_request_of_the_same_bank(self):
+        # Bank 1's streak is at the cap, but the older request waits on
+        # bank 0, so the hit still goes first.
+        banks = [CLOSED, OPEN(7, streak=1), CLOSED, CLOSED]
+        assert self.check(1, banks, [(0, 9), (1, 7)]) == 1
+
+    def test_row_closure_resets_the_streak(self):
+        """The PRE of a capped conflict zeroes its bank's streak and no
+        other (``check`` compares every bank's streak), so the next row's
+        hits may bypass older conflicts again."""
+        banks = [OPEN(5, streak=1), OPEN(7, streak=1), CLOSED, CLOSED]
+        assert self.check(1, banks, [(0, 9), (0, 5), (1, 7)]) == 0
+
+    def test_non_positive_cap_is_rejected(self):
+        device = DramDevice(ORG, ddr5_3200an())
+        with pytest.raises(ValueError):
+            MemoryController(device, mop_mapping(ORG), scheduler_cap=0)
+
+
 class TestWakeHintAfterIssue:
     """``tick`` returns a real wake hint after an issued command."""
 
@@ -298,9 +443,9 @@ def drive(controller, requests, end, strict):
 
     Requests enqueue in order once they have arrived; a refused one holds
     back those behind it.  ``strict`` ticks every cycle and drops the
-    wake-hint caches before each tick, so the reference relies on no cached
-    value either (each cache only ever errs early, so dropping it must
-    change nothing).  Otherwise the controller is ticked only at its
+    demand wake-hint cache before each tick, so the reference relies on no
+    cached value either (the cache only ever errs early, so dropping it
+    must change nothing).  Otherwise the controller is ticked only at its
     returned wake hint and at cycles with an enqueue (the router's gating),
     time jumps to the next of those, and a refused enqueue is retried on the
     cycle after an issued command (queue space only frees on an issue).
@@ -319,7 +464,6 @@ def drive(controller, requests, end, strict):
         issued = False
         if strict:
             controller._demand_hint = None
-            controller._refresh_scan_hint = controller._mech_scan_hint = None
         if strict or enqueued or cycle >= wake:
             issued, wake = controller.tick(cycle)
             assert wake > cycle, "a wake hint must lie in the future"

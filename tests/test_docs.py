@@ -165,14 +165,26 @@ class TestEntryDocuments:
             "never rebinds them", "Why no NumPy", "The VRR rule",
             "tests/bank_reference.py", "TimingViolation",
             "tests/test_bank_backends.py",
-            "_demand_ready_cycle", "Wake-hint caches",
+            "_demand_ready_cycle", "Wake-hint cache",
         ):
             assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
         for removed in (
             "REPRO_BANK_BACKEND", "fast_kernels", "BankArrayTiming",
-            "dram/bank.py", "timing_plane",
+            "dram/bank.py", "timing_plane", "FrFcfsCapScheduler",
+            "_refresh_scan_hint", "_mech_scan_hint", "Wake-hint caches",
         ):
             assert removed not in architecture, f"ARCHITECTURE.md names {removed!r}"
+
+    def test_architecture_doc_covers_demand_scheduling(self):
+        architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
+            encoding="utf-8"
+        )
+        for needle in (
+            "## Demand scheduling (FR-FCFS+Cap)", "_hit_streak",
+            "oldest hit, oldest conflict", "tests/scheduler_reference.py",
+            "TestFrFcfsCap", "The streak.",
+        ):
+            assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
 
     def test_architecture_doc_covers_counter_stores(self):
         architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text(
@@ -203,10 +215,11 @@ class TestEntryDocuments:
         )
         for needle in (
             "### The hint after an issue", "_demand_ready_now", "_write_drain",
-            "_preserve_open_row", "not yet observed", "TestWakeContract",
+            "FR-FCFS would not hold back", "not yet observed", "TestWakeContract",
             "89,163",
         ):
             assert needle in architecture, f"ARCHITECTURE.md is missing {needle!r}"
+        assert "_preserve_open_row" not in architecture
         # The old rule stepped one cycle after every issued command.
         assert "issued a command this cycle (or `strict_tick=True`)" not in architecture
 

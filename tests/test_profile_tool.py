@@ -5,69 +5,42 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TOOLS = os.path.join(REPO_ROOT, "tools")
 
 
-sys.path.insert(0, TOOLS)
-from profile_run import resolve_mechanism  # noqa: E402
-
-
-class TestMechanismResolution:
-    def test_case_insensitive_and_aliases(self):
-        assert resolve_mechanism("prac") == "PRAC-4"
-        assert resolve_mechanism("chronus") == "Chronus"
-        assert resolve_mechanism("GRAPHENE") == "Graphene"
-        assert resolve_mechanism("prac+prfm") == "PRAC+PRFM"
-
-    def test_unknown_mechanism_raises(self):
-        with pytest.raises(ValueError):
-            resolve_mechanism("not-a-mechanism")
+def run_tool(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + REPO_ROOT
+    return subprocess.run(
+        [sys.executable, "-m", "tools.profile_run", *args],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env=env,
+    )
 
 
 def test_cli_prints_top_hotspots():
-    """`python -m tools.profile_run` runs a sim and prints a pstats table."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + REPO_ROOT
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "tools.profile_run",
-            "--mechanism", "prac", "--channels", "2",
-            "--accesses", "120", "--top", "5",
-        ],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        env=env,
-    )
+    """`python -m tools.profile_run` profiles a benchmark job and prints a
+    pstats table."""
+    result = run_tool("--workload", "benign-4core", "--job", "PRAC-4/ch2", "--top", "5")
     assert result.returncode == 0, result.stderr
-    assert "profiling PRAC-4" in result.stdout
+    assert "profiling benign-4core job PRAC-4/ch2" in result.stdout
     assert "cumulative" in result.stdout  # the pstats sort header
-    assert "simulated" in result.stdout
+    assert "simulated" in result.stdout and "0 back-offs" in result.stdout
 
 
-def test_cli_json_summary():
-    """`--json` emits a machine-readable top-N summary and nothing else."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + REPO_ROOT
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "tools.profile_run",
-            "--mechanism", "none", "--accesses", "120",
-            "--json", "--sort", "tottime", "--top", "7",
-        ],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        env=env,
-    )
+def test_cli_json_summary_of_the_default_job():
+    """`--json` emits a machine-readable top-N summary and nothing else, and
+    the default job (perf-attack's PRAC-4) runs the back-off protocol."""
+    result = run_tool("--json", "--sort", "tottime", "--top", "7")
     assert result.returncode == 0, result.stderr
     summary = json.loads(result.stdout)  # pure JSON: no banner, no table
-    assert summary["mechanism"] == "None"
+    assert (summary["workload"], summary["job"]) == ("perf-attack", "PRAC-4")
+    assert summary["mechanism"] == "PRAC-4" and summary["nrh"] == 20
     assert summary["sort"] == "tottime"
-    assert summary["cycles"] > 0 and summary["reads_served"] > 0
+    assert summary["cycles"] > 0 and summary["commands"] > 0
+    assert summary["backoffs"] > 0 and summary["rfms"] > 0
     top = summary["top"]
     assert 0 < len(top) <= 7
     for row in top:
@@ -79,15 +52,17 @@ def test_cli_json_summary():
     assert tottimes == sorted(tottimes, reverse=True)
 
 
-def test_cli_rejects_unknown_mechanism():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + REPO_ROOT
-    result = subprocess.run(
-        [sys.executable, "-m", "tools.profile_run", "--mechanism", "bogus"],
-        capture_output=True,
-        text=True,
-        cwd=REPO_ROOT,
-        env=env,
-    )
+def test_cli_rejects_unknown_workload():
+    result = run_tool("--workload", "bogus")
     assert result.returncode == 2
-    assert "unknown mechanism" in result.stderr
+    assert "unknown workload 'bogus'" in result.stderr
+    for name in ("benign-4core", "perf-attack", "wave", "fig-sweep"):
+        assert name in result.stderr
+
+
+def test_cli_rejects_unknown_job():
+    result = run_tool("--workload", "wave", "--job", "bogus")
+    assert result.returncode == 2
+    assert "unknown job 'bogus' of wave" in result.stderr
+    for job in ("PRAC-1", "Chronus-PB", "PRFM", "Graphene"):
+        assert job in result.stderr

@@ -3,8 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.analysis.security as security
 from repro.analysis.security import (
+    DEFAULT_BACKOFF_THRESHOLDS,
     DEFAULT_PARAMETERS,
+    DEFAULT_RFM_THRESHOLDS,
+    DEFAULT_ROW_SET_SIZES,
     SecurityParameters,
     att_required_entries,
     chronus_max_activations,
@@ -145,6 +149,82 @@ class TestCrossMechanismClaims:
         chronus_nbo = chronus_secure_backoff_threshold(nrh)
         prac_nbo = secure_prac_backoff_threshold(nrh, 4)
         assert chronus_nbo > 2 * prac_nbo
+
+
+SEARCH_NRH = (4, 8, 16, 20, 32, 64, 128, 256, 1024)
+
+
+def max_of_secure(candidates, bound, nrh):
+    """The largest secure candidate by evaluating all of them, and the
+    number of bound evaluations that takes; the candidate is None if no
+    candidate is secure."""
+    secure, evaluations = [], 0
+    for candidate in candidates:
+        for r1 in DEFAULT_ROW_SET_SIZES:
+            evaluations += 1
+            if bound(candidate, r1) >= nrh:
+                break
+        else:
+            secure.append(candidate)
+    return (max(secure) if secure else None), evaluations
+
+
+def searched(function, counted, monkeypatch, *args):
+    """``function(*args)`` (None for a ValueError) and the number of calls
+    it made to the bound named ``counted``."""
+    calls = []
+    bound = getattr(security, counted)
+
+    def counting(*bound_args, **kwargs):
+        calls.append(bound_args)
+        return bound(*bound_args, **kwargs)
+
+    monkeypatch.setattr(security, counted, counting)
+    try:
+        result = function(*args)
+    except ValueError:
+        result = None
+    return result, len(calls)
+
+
+class TestLargestFirstSearch:
+    """Both secure-configuration searches scan from the largest candidate
+    down; they must return what evaluating every candidate returns, and
+    never evaluate more bounds to get there."""
+
+    @pytest.mark.parametrize("nrh", SEARCH_NRH)
+    def test_prfm_threshold_is_the_max_of_the_secure(self, nrh, monkeypatch):
+        expected, full_scan = max_of_secure(
+            DEFAULT_RFM_THRESHOLDS, prfm_max_activations, nrh
+        )
+        result, evaluations = searched(
+            secure_prfm_threshold, "prfm_max_activations", monkeypatch, nrh
+        )
+        assert result == expected
+        assert evaluations <= full_scan
+
+    @pytest.mark.parametrize("nref", (1, 2, 4))
+    @pytest.mark.parametrize("nrh", SEARCH_NRH)
+    def test_prac_threshold_is_the_max_of_the_secure(self, nrh, nref, monkeypatch):
+        expected, full_scan = max_of_secure(
+            DEFAULT_BACKOFF_THRESHOLDS,
+            lambda nbo, r1: prac_max_activations(nbo, nref, r1),
+            nrh,
+        )
+        result, evaluations = searched(
+            secure_prac_backoff_threshold, "prac_max_activations", monkeypatch,
+            nrh, nref,
+        )
+        assert result == expected
+        assert evaluations <= full_scan
+
+    def test_the_search_stops_at_the_largest_secure_candidate(self, monkeypatch):
+        # At N_RH=1024 the largest PRAC-4 candidate is secure: one
+        # candidate, all six row-set sizes.
+        assert searched(
+            secure_prac_backoff_threshold, "prac_max_activations", monkeypatch,
+            1024, 4,
+        ) == (256, len(DEFAULT_ROW_SET_SIZES))
 
 
 class TestBoundaryBehaviour:

@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""cProfile entry point for the simulator hot path.
+"""cProfile entry point for one job of the repository benchmark.
 
-Perf PRs should start from data, not intuition.  This tool runs one
-representative simulation under :mod:`cProfile` and prints the top cumulative
-hot spots, so "where does the time go?" has a one-command answer::
+Perf PRs should start from data, not intuition.  This tool runs one job of
+a ``benchmarks/e2e`` workload under :mod:`cProfile` and prints the top
+cumulative hot spots, so "where does the time go?" has a one-command
+answer on the very jobs the benchmark times::
 
-    PYTHONPATH=src python -m tools.profile_run --mechanism prac --channels 2
-    PYTHONPATH=src python -m tools.profile_run --mechanism graphene --sort tottime
-    PYTHONPATH=src python -m tools.profile_run --mechanism none --out prof.pstats
+    PYTHONPATH=src python -m tools.profile_run
+    PYTHONPATH=src python -m tools.profile_run --workload wave --job Chronus --sort tottime
+    PYTHONPATH=src python -m tools.profile_run --workload benign-4core --job PRAC-4/ch2
     PYTHONPATH=src python -m tools.profile_run --json --top 10 > hotspots.json
 
-Mechanism names are matched case-insensitively against the factory registry
-(``prac`` resolves to ``PRAC-4``); the workload is the reference mix of
-``tests/golden_reference_set.json``, so a profile runs a job whose simulated
-numbers are pinned.
+The default is the ``perf-attack`` workload's PRAC-4 job, where back-offs
+and RFMs fire.  Jobs are taken from ``harness.job_set(workload, 0)``, the
+seed the committed fingerprints were recorded with, and run the way the
+sweep's ``execute_job`` runs them: an attack job gets a
+``DisturbanceOracle``.
 """
 
 from __future__ import annotations
@@ -26,37 +28,14 @@ import pstats
 import sys
 from typing import Dict, List, Optional
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-)
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+sys.path.insert(0, os.path.join(_ROOT, "benchmarks", "e2e"))
 
-from repro.core.factory import MECHANISM_NAMES  # noqa: E402
-from repro.experiments.sweep import build_job_traces, mechanism_job  # noqa: E402
-from repro.system.config import paper_system_config  # noqa: E402
+import harness  # noqa: E402
+from repro.attacks.oracle import DisturbanceOracle  # noqa: E402
+from repro.experiments.sweep import build_job_traces  # noqa: E402
 from repro.system.simulator import simulate  # noqa: E402
-
-#: The reference mix (keep in sync with tests/golden_reference_set.json).
-APPS = ("429.mcf", "401.bzip2")
-
-#: Shorthand aliases accepted on top of the exact registry names.
-ALIASES = {
-    "prac": "PRAC-4",
-    "chronus-pb": "Chronus-PB",
-    "pb": "Chronus-PB",
-}
-
-
-def resolve_mechanism(name: str) -> str:
-    """Match ``name`` case-insensitively against the mechanism registry."""
-    lowered = name.lower()
-    if lowered in ALIASES:
-        return ALIASES[lowered]
-    for registered in MECHANISM_NAMES:
-        if registered.lower() == lowered:
-            return registered
-    raise ValueError(
-        f"unknown mechanism {name!r}; expected one of {', '.join(MECHANISM_NAMES)}"
-    )
 
 
 def top_functions(
@@ -86,20 +65,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         description=__doc__.splitlines()[0],
     )
     parser.add_argument(
-        "--mechanism", default="prac", metavar="NAME",
-        help="mechanism to profile (case-insensitive; 'prac' = PRAC-4)",
+        "--workload", default="perf-attack", metavar="NAME",
+        help="benchmark workload (default: perf-attack)",
     )
     parser.add_argument(
-        "--channels", type=int, default=1, metavar="N",
-        help="memory channels of the simulated system (default: 1)",
-    )
-    parser.add_argument(
-        "--nrh", type=int, default=64, metavar="N",
-        help="RowHammer threshold (default: 64, the reference-set value)",
-    )
-    parser.add_argument(
-        "--accesses", type=int, default=1500, metavar="N",
-        help="memory accesses per core (default: 1500, the reference-set value)",
+        "--job", default="PRAC-4", metavar="ID",
+        help="job id within the workload (default: PRAC-4)",
     )
     parser.add_argument(
         "--top", type=int, default=20, metavar="N",
@@ -125,40 +96,56 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    try:
-        mechanism = resolve_mechanism(args.mechanism)
-        base = paper_system_config().with_overrides(channels=args.channels)
-        job = mechanism_job(base, APPS, mechanism, args.nrh, args.accesses)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
+    if args.workload not in harness.WORKLOADS:
+        print(
+            f"error: unknown workload {args.workload!r}; expected one of "
+            f"{', '.join(harness.WORKLOADS)}",
+            file=sys.stderr,
+        )
         return 2
+    jobs = harness.job_set(args.workload, harness.FINGERPRINT_SEED)
+    if args.job not in jobs:
+        print(
+            f"error: unknown job {args.job!r} of {args.workload}; expected one "
+            f"of {', '.join(jobs)}",
+            file=sys.stderr,
+        )
+        return 2
+    job = jobs[args.job]
     traces = build_job_traces(job)
+    oracle = None
+    if job.attack is not None:
+        oracle = DisturbanceOracle(
+            nrh=job.config.nrh,
+            blast_radius=job.config.blast_radius,
+            num_channels=job.config.organization.channels,
+        )
 
     if not args.json:
-        print(
-            f"profiling {mechanism} @ N_RH={args.nrh}, {args.channels} "
-            f"channel(s), {args.accesses} accesses/core ({'+'.join(APPS)})"
-        )
+        print(f"profiling {args.workload} job {args.job} ({job.workload_name})")
     profiler = cProfile.Profile()
     profiler.enable()
     result = simulate(
-        job.config, traces,
-        workload_name=job.workload_name, strict_tick=args.strict_tick,
+        job.config, traces, workload_name=job.workload_name,
+        oracle=oracle, strict_tick=args.strict_tick,
     )
     profiler.disable()
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort)
+    counts = result.controller_stats
     if args.json:
         summary = {
-            "mechanism": mechanism,
-            "channels": args.channels,
-            "nrh": args.nrh,
-            "accesses": args.accesses,
+            "workload": args.workload,
+            "job": args.job,
+            "mechanism": job.config.mechanism,
+            "nrh": job.config.nrh,
             "strict_tick": args.strict_tick,
             "sort": args.sort,
             "cycles": result.cycles,
-            "reads_served": result.controller_stats["reads_served"],
+            "commands": sum(result.command_counts.values()),
+            "backoffs": counts["backoffs_observed"],
+            "rfms": counts["rfms"],
             "top": top_functions(stats, args.sort, args.top),
         }
         json.dump(summary, sys.stdout, indent=1)
@@ -167,7 +154,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         stats.print_stats(args.top)
         print(
             f"simulated {result.cycles} DRAM cycles, "
-            f"{result.controller_stats['reads_served']} reads served"
+            f"{sum(result.command_counts.values())} commands, "
+            f"{counts['backoffs_observed']} back-offs, {counts['rfms']} RFMs"
         )
     if args.out:
         stats.dump_stats(args.out)
