@@ -31,10 +31,18 @@ import pytest
 
 
 def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
+    """``$name`` as an integer, or ``default`` when it is unset.
+
+    Unparsable text raises instead of falling back, so a typo such as
+    ``REPRO_BENCH_ACCESSES=6k`` cannot silently run the default budget.
+    """
+    text = os.environ.get(name)
+    if text is None:
         return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 #: Memory accesses per core used by the scaled-down simulation benchmarks.

@@ -1,18 +1,17 @@
 """Signed, self-describing result artifacts with provenance.
 
-A streaming-appendable, indexed container every result producer in the
-repo can emit (sweeps, batch runs, red-team searches, service jobs,
-benches) and every consumer can verify byte-for-byte:
+A streaming, indexed container every result producer in the repo can
+emit (sweeps, red-team searches, service jobs, benches) and every consumer
+can verify byte-for-byte:
 
 * :mod:`repro.artifacts.spec` -- the format, its typed error hierarchy,
   and the whitelist header parsers (no reflection, no ``setattr``);
 * :mod:`repro.artifacts.integrity` -- SHA-256 / HMAC-SHA256 helpers, key
   files, constant-time verification;
 * :mod:`repro.artifacts.writer` -- :class:`ArtifactWriter` (streaming
-  append + resume) and :class:`ArtifactStore` (exclusive-file multi-writer
-  directory);
+  append) and :func:`write_artifact_bytes` (a whole artifact in memory);
 * :mod:`repro.artifacts.reader` -- :class:`ArtifactReader` (full
-  verification on open, index-seek random access);
+  verification on open, the index cross-checked against the record scan);
 * :mod:`repro.artifacts.diff` -- job-by-job artifact comparison;
 * :mod:`repro.artifacts.emit` -- record shapes the experiment / service /
   bench layers emit.
@@ -47,15 +46,9 @@ from repro.artifacts.spec import (
     FORMAT_VERSION,
     provenance,
 )
-from repro.artifacts.writer import (
-    ARTIFACT_SUFFIX,
-    ArtifactStore,
-    ArtifactWriter,
-    write_artifact_bytes,
-)
+from repro.artifacts.writer import ArtifactWriter, write_artifact_bytes
 
 __all__ = [
-    "ARTIFACT_SUFFIX",
     "ArtifactDiff",
     "ArtifactError",
     "ArtifactFormatError",
@@ -67,7 +60,6 @@ __all__ = [
     "ArtifactReader",
     "ArtifactRecord",
     "ArtifactSignatureError",
-    "ArtifactStore",
     "ArtifactTruncatedError",
     "ArtifactWriter",
     "FORMAT_VERSION",

@@ -1,4 +1,4 @@
-"""Artifact reader: full structural + integrity verification, index seeks.
+"""Artifact reader: full structural + integrity verification on open.
 
 The reader is deliberately paranoid: *opening* an artifact performs a full
 sequential parse that validates every structural rule of the format
@@ -8,22 +8,16 @@ checksum, and -- when a key is supplied -- the HMAC signature in constant
 time.  There is no lazy mode where a crafted file partially "works":
 either the whole container verifies or a typed :class:`ArtifactError`
 names what is wrong.
-
-:meth:`ArtifactReader.record_at` then serves random access the fast way --
-seek straight to the index offset, read exactly ``length`` bytes -- which
-is safe precisely because the offsets were validated up front.
 """
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.artifacts import integrity
 from repro.artifacts.spec import (
-    ArtifactError,
     ArtifactFormatError,
     ArtifactIndexError,
     ArtifactIntegrityError,
@@ -81,7 +75,7 @@ class ArtifactReader:
         self.magic: Optional[MagicHeader] = None
         self.footer: Optional[Footer] = None
         self.index_entries: Tuple[IndexEntry, ...] = ()
-        #: Byte offset of the ``#@index`` header line (resume truncates here).
+        #: Byte offset of the ``#@index`` header line (end of the records).
         self.index_offset = 0
         self._records: List[ArtifactRecord] = []
         self._parse()
@@ -227,7 +221,6 @@ class ArtifactReader:
             raise ArtifactIntegrityError("artifact content checksum mismatch")
         if self.key is not None:
             integrity.verify_signature(self.key, content, self.footer.signature)
-        self._content_length = content_length
 
     def _validate_index(self, entries: Tuple[IndexEntry, ...]) -> None:
         """Bounds-check every offset, then cross-check against the scan."""
@@ -282,43 +275,6 @@ class ArtifactReader:
 
     def records_of_kind(self, kind: str) -> List[ArtifactRecord]:
         return [record for record in self._records if record.kind == kind]
-
-    def content_bytes(self) -> bytes:
-        return self._data
-
-    def record_at(self, seq: int) -> ArtifactRecord:
-        """Random access through the index: seek, read, re-verify.
-
-        This intentionally goes back to the raw bytes (not the parsed list)
-        so the index offsets themselves are what is exercised.
-        """
-        if not 0 <= seq < len(self.index_entries):
-            raise ArtifactIndexError(
-                f"no record {seq} (artifact holds {len(self.index_entries)})"
-            )
-        entry = self.index_entries[seq]
-        if self.path is not None:
-            with open(self.path, "rb") as handle:
-                handle.seek(entry.offset)
-                blob = handle.read(entry.length)
-        else:
-            stream = io.BytesIO(self._data)
-            stream.seek(entry.offset)
-            blob = stream.read(entry.length)
-        if len(blob) != entry.length:
-            raise ArtifactTruncatedError(
-                f"seek to record {seq} at offset {entry.offset} ran off the "
-                f"end of the artifact"
-            )
-        if integrity.sha256_hex(blob) != entry.sha256:
-            raise ArtifactIntegrityError(
-                f"record {seq} checksum mismatch after index seek"
-            )
-        return ArtifactRecord(
-            seq=seq, kind=entry.kind,
-            payload=parse_payload(blob, f"record {seq}"),
-            offset=entry.offset, length=entry.length, sha256=entry.sha256,
-        )
 
     def verify_summary(self) -> Dict[str, object]:
         """What ``python -m repro artifact verify`` prints on success."""

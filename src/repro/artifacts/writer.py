@@ -2,18 +2,8 @@
 
 The writer is strictly append-only while open: every byte written feeds a
 running SHA-256 (and HMAC when signing), so :meth:`ArtifactWriter.close`
-can finalize without re-reading the file.  :meth:`ArtifactWriter.resume`
-reopens a *finalized* artifact for further appends: the existing content is
-fully re-verified, the old index + footer are truncated away, sequence
-numbering continues gaplessly, and closing re-finalizes -- the resumed file
-is byte-identical to one written in a single session.
-
-:class:`ArtifactStore` is the multi-writer answer: concurrent producers
-(processes, service jobs, distributed workers) each get their own
-exclusively-created artifact file in a shared directory, so no byte-level
-interleaving can ever occur and the no-lost-records property reduces to
-POSIX ``O_EXCL`` semantics -- mirroring the sharded
-:class:`~repro.experiments.cache.ResultCache` design.
+can finalize without re-reading the file.  A write session that raises
+deletes its half-written file rather than leave it to look finalized.
 """
 
 from __future__ import annotations
@@ -22,13 +12,11 @@ import hashlib
 import hmac as hmac_module
 import io
 import os
-import secrets
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.artifacts import integrity
 from repro.artifacts.spec import (
     ArtifactFormatError,
-    ArtifactSignatureError,
     END_MARKER,
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -41,9 +29,6 @@ from repro.artifacts.spec import (
     header_line,
     validate_kind,
 )
-
-#: File suffix :class:`ArtifactStore` members use.
-ARTIFACT_SUFFIX = ".artifact"
 
 
 class ArtifactWriter:
@@ -132,14 +117,6 @@ class ArtifactWriter:
         ))
         return seq
 
-    def extend(self, kind: str, payloads: Iterable[Dict[str, object]]) -> int:
-        """Append many records of one kind; returns how many were added."""
-        added = 0
-        for payload in payloads:
-            self.append(kind, payload)
-            added += 1
-        return added
-
     def close(self) -> None:
         """Finalize: write the index section and the integrity footer."""
         if self._closed:
@@ -182,44 +159,6 @@ class ArtifactWriter:
             except OSError:
                 pass
 
-    # ------------------------------------------------------------------ #
-    # Resume (append-then-reopen)
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def resume(
-        cls, path: Union[str, os.PathLike], key: Optional[bytes] = None
-    ) -> "ArtifactWriter":
-        """Reopen a finalized artifact and continue appending to it.
-
-        The whole file is re-verified first (a corrupted artifact can never
-        be silently "healed" by appending to it).  A signed artifact can
-        only be resumed with its key -- resuming without one would finalize
-        an unsigned footer, silently downgrading the integrity level.
-        """
-        from repro.artifacts.reader import ArtifactReader
-
-        reader = ArtifactReader(path, key=key if key is not None else None)
-        if reader.signed and key is None:
-            raise ArtifactSignatureError(
-                f"cannot resume signed artifact {path!s} without its key"
-            )
-        content = reader.content_bytes()[:reader.index_offset]
-        writer = cls.__new__(cls)
-        writer.path = os.fspath(path)
-        writer.key = key
-        writer._hasher = hashlib.sha256(content)
-        writer._signer = (
-            hmac_module.new(key, content, hashlib.sha256)
-            if key is not None else None
-        )
-        writer._offset = len(content)
-        writer._entries = list(reader.index_entries)
-        writer._closed = False
-        writer._file = open(writer.path, "r+b")
-        writer._file.truncate(reader.index_offset)
-        writer._file.seek(reader.index_offset)
-        return writer
-
 
 def write_artifact_bytes(
     meta: Optional[Dict[str, object]],
@@ -233,81 +172,3 @@ def write_artifact_bytes(
         writer.append(kind, payload)
     writer.close()
     return buffer.getvalue()
-
-
-class ArtifactStore:
-    """A directory of independently-written artifacts (one file per writer).
-
-    Concurrent producers never share a file descriptor: :meth:`create`
-    allocates a fresh member via ``O_CREAT | O_EXCL``, so two processes
-    appending "to the same store" can drop records only if the filesystem
-    loses a whole exclusively-created file.  Reading the store is the union
-    of reading every member.
-    """
-
-    def __init__(
-        self, directory: Union[str, os.PathLike], key: Optional[bytes] = None
-    ) -> None:
-        self.directory = os.fspath(directory)
-        self.key = key
-        os.makedirs(self.directory, exist_ok=True)
-
-    def _allocate(self, name: str) -> Tuple[str, io.BufferedIOBase]:
-        for _ in range(64):
-            filename = (
-                f"{name}-{os.getpid()}-{secrets.token_hex(6)}{ARTIFACT_SUFFIX}"
-            )
-            path = os.path.join(self.directory, filename)
-            try:
-                descriptor = os.open(
-                    path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
-                )
-            except FileExistsError:
-                continue
-            return path, os.fdopen(descriptor, "wb")
-        raise ArtifactFormatError(
-            f"could not allocate a unique artifact name under {self.directory}"
-        )
-
-    def create(
-        self, name: str = "run", meta: Optional[Dict[str, object]] = None
-    ) -> ArtifactWriter:
-        """A writer on a freshly (exclusively) created member file."""
-        validate_kind(name)
-        path, fileobj = self._allocate(name)
-        writer = ArtifactWriter(None, meta=meta, key=self.key, fileobj=fileobj)
-        writer.path = path  # context-manager cleanup + callers see the member
-        return writer
-
-    def append_records(
-        self,
-        kind: str,
-        payloads: Iterable[Dict[str, object]],
-        name: str = "run",
-        meta: Optional[Dict[str, object]] = None,
-    ) -> str:
-        """Write one batch of records as a new member; returns its path."""
-        with self.create(name=name, meta=meta) as writer:
-            writer.extend(kind, payloads)
-        return writer.path
-
-    def paths(self) -> List[str]:
-        return sorted(
-            os.path.join(self.directory, entry)
-            for entry in os.listdir(self.directory)
-            if entry.endswith(ARTIFACT_SUFFIX)
-        )
-
-    def records(self) -> List[Tuple[str, object]]:
-        """Every (member-path, record) across the store, members verified."""
-        from repro.artifacts.reader import ArtifactReader
-
-        collected: List[Tuple[str, object]] = []
-        for path in self.paths():
-            reader = ArtifactReader(path, key=self.key)
-            for record in reader.records():
-                collected.append((path, record))
-        return collected
-
-    def record_count(self) -> int:
-        return len(self.records())

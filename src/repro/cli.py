@@ -36,7 +36,7 @@ Subcommands:
     (:mod:`repro.lint`): six AST rules enforce the no-reflection,
     hot-path-allocation, determinism, canonical-JSON, cache-key and
     event-source invariants documented in docs/LINTING.md.  Exit 0 means
-    clean against the committed baseline; any *new* finding exits 1.
+    no findings; any finding exits 1.
 
 ``serve``
     Run the long-lived simulation service (:mod:`repro.service`): clients

@@ -6,18 +6,11 @@ canonical-JSON-only payloads, cache-key completeness and the
 event-horizon hint registry -- are enforced at review time by AST rules
 instead of (only) probabilistically by runtime tests.
 
-Run it as ``python -m repro lint`` (or ``python tools/reprolint.py`` in
-CI).  See docs/LINTING.md for the rule catalogue, the suppression policy
-(``# reprolint: disable=RULE -- reason``) and the baseline workflow.
+Run it as ``python -m repro lint``.  See docs/LINTING.md for the rule
+catalogue and the suppression policy: the one way to accept a finding is
+an inline ``# reprolint: disable=RULE -- reason`` directive.
 """
 
-from repro.lint.baseline import (
-    BaselineEntry,
-    BaselineError,
-    load_baseline,
-    partition,
-    write_baseline,
-)
 from repro.lint.framework import (
     FileContext,
     Finding,
@@ -31,8 +24,6 @@ from repro.lint.framework import (
 from repro.lint.rules import default_rules
 
 __all__ = [
-    "BaselineEntry",
-    "BaselineError",
     "FileContext",
     "Finding",
     "LintResult",
@@ -40,9 +31,6 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "default_rules",
-    "load_baseline",
     "parse_project",
-    "partition",
     "run_rules",
-    "write_baseline",
 ]

@@ -1,15 +1,13 @@
-"""The ``python -m repro lint`` command (and ``tools/reprolint.py``).
+"""The ``python -m repro lint`` command.
 
 Exit codes follow the CI contract:
 
-* ``0`` -- no findings beyond the committed baseline,
-* ``1`` -- at least one new finding (or a parse error),
-* ``2`` -- usage/configuration error (bad root, malformed baseline).
+* ``0`` -- no findings,
+* ``1`` -- at least one finding (or a parse error),
+* ``2`` -- usage error (nothing to lint under the root).
 
-``--write-baseline`` regenerates the baseline from the current findings,
-carrying over the written reasons of entries that still match; brand-new
-entries get a placeholder reason the next load *rejects*, so accepting a
-finding always requires writing down why.
+A finding is accepted only by an inline
+``# reprolint: disable=RULE -- reason`` directive next to the code.
 """
 
 from __future__ import annotations
@@ -18,22 +16,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
 
 from repro.lint import manifest
-from repro.lint.baseline import (
-    BaselineError,
-    load_baseline,
-    partition,
-    write_baseline,
-)
 from repro.lint.framework import parse_project, run_rules
 from repro.lint.reporters import render_human, render_json
 from repro.lint.rules import default_rules
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``lint`` options (shared by repro.cli and tools/reprolint.py)."""
+    """The ``lint`` subcommand's options."""
     parser.add_argument(
         "paths", nargs="*", default=None,
         help=(
@@ -48,19 +39,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "(default: the current directory)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help=f"baseline file (default: <root>/{manifest.DEFAULT_BASELINE}; "
-             f"a missing file is an empty baseline)",
-    )
-    parser.add_argument(
         "--format", choices=["human", "json"], default="human",
         help="report format (json is what CI uploads)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept the current findings into the baseline (reasons of "
-             "still-matching entries are carried over; new entries get a "
-             "placeholder that must be edited before the baseline loads)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -85,47 +65,12 @@ def run_lint(args: argparse.Namespace) -> int:
         )
         return 2
 
-    baseline_path = (
-        Path(args.baseline)
-        if args.baseline is not None
-        else root / manifest.DEFAULT_BASELINE
-    )
-
     project, parse_errors = parse_project(root, paths)
     result = run_rules(project, rules, parse_errors)
 
-    if args.write_baseline:
-        try:
-            previous = load_baseline(baseline_path)
-        except BaselineError:
-            previous = []  # a malformed baseline is rebuilt from scratch
-        count = write_baseline(baseline_path, result.findings, previous)
-        print(f"baseline written to {baseline_path}: {count} entr(y/ies)")
-        return 0
-
-    try:
-        baseline = load_baseline(baseline_path)
-    except BaselineError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    split = partition(result.findings, baseline)
-
-    shown_baseline = str(baseline_path)
     if args.format == "json":
-        print(json.dumps(render_json(result, split, shown_baseline),
-                         indent=2, sort_keys=True))
+        print(json.dumps(render_json(result), indent=2, sort_keys=True))
     else:
-        for line in render_human(result, split, shown_baseline):
+        for line in render_human(result):
             print(line)
-    return 1 if split.new else 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Standalone entry point (``tools/reprolint.py``)."""
-    parser = argparse.ArgumentParser(
-        prog="reprolint",
-        description="Project-aware static contract checker for the "
-                    "Chronus reproduction (see docs/LINTING.md).",
-    )
-    add_lint_arguments(parser)
-    return run_lint(parser.parse_args(argv))
+    return 1 if result.findings else 0

@@ -6,9 +6,7 @@ the allocation-free hot path, run-to-run determinism, canonical-JSON-only
 payloads, cache-key completeness, the event-horizon hint registry) that
 generic linters cannot know about.  The framework is deliberately small:
 
-* :class:`Finding` -- one diagnostic, identified for baseline matching by
-  its ``(rule, path, message)`` fingerprint (line numbers shift too easily
-  to key on).
+* :class:`Finding` -- one diagnostic: a rule firing at a source location.
 * :class:`Rule` -- an AST-visitor rule.  Subclasses declare ``name`` /
   ``description`` and implement ``visit_<NodeType>`` methods; the engine
   parses each file once and dispatches every node to every applicable
@@ -16,10 +14,11 @@ generic linters cannot know about.  The framework is deliberately small:
 * :class:`ProjectRule` -- a whole-tree rule (cross-file invariants such as
   the cache-key completeness check) run once over the parsed project.
 * Inline suppressions -- ``# reprolint: disable=RULE -- reason`` silences
-  the named rule(s) on that line, ``disable-file=RULE -- reason`` for the
-  whole file.  The reason text is **mandatory**: a reasonless or unknown
-  suppression is itself a finding (rule ``bad-suppression``), so every
-  accepted exception carries its justification in the source.
+  the named rule(s) on that line (or, on a comment-only line, on the next
+  statement), and is the only way to accept a finding.  The reason text is
+  **mandatory**: a reasonless or unknown suppression is itself a finding
+  (rule ``bad-suppression``), so every accepted exception carries its
+  justification in the source.
 
 The engine never imports the code it checks -- everything is
 ``ast.parse`` -- so linting cannot execute side effects and works on trees
@@ -36,15 +35,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: Rules the engine itself emits (not suppressible, not baselineable by
-#: accident -- they guard the suppression mechanism).
+#: Rules the engine itself emits (not suppressible -- they guard the
+#: suppression mechanism).
 META_RULE_BAD_SUPPRESSION = "bad-suppression"
 META_RULE_PARSE_ERROR = "parse-error"
 
 #: Directive grammar (in a comment): ``reprolint: disable=RULE[,RULE...]
-#: -- reason`` for one line, ``disable-file=`` for the whole file.
+#: -- reason``.
 _SUPPRESS_RE = re.compile(
-    r"#\s*reprolint:\s*(?P<scope>disable|disable-file)\s*=\s*"
+    r"#\s*reprolint:\s*disable\s*=\s*"
     r"(?P<rules>[A-Za-z0-9_,-]+)"
     r"(?:\s*--\s*(?P<reason>\S.*))?"
 )
@@ -62,11 +61,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Baseline identity: line numbers shift, messages rarely do."""
-        return (self.rule, self.path, self.message)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -92,7 +86,6 @@ class Suppression:
 
     line: int
     applies_to: int
-    scope: str  #: "disable" | "disable-file"
     rules: Tuple[str, ...]
     reason: str
 
@@ -107,23 +100,16 @@ class FileContext:
         self.suppressions: List[Suppression] = _parse_suppressions(source)
         #: line -> set of rule names disabled on that line
         self.line_disables: Dict[int, set] = {}
-        #: rule names disabled for the whole file
-        self.file_disables: set = set()
         for directive in self.suppressions:
             if not directive.reason:
                 continue  # reasonless directives are findings, not suppressions
-            if directive.scope == "disable-file":
-                self.file_disables.update(directive.rules)
-            else:
-                self.line_disables.setdefault(directive.applies_to, set()).update(
-                    directive.rules
-                )
+            self.line_disables.setdefault(directive.applies_to, set()).update(
+                directive.rules
+            )
 
     def suppressed(self, finding: Finding) -> bool:
         if finding.rule in (META_RULE_BAD_SUPPRESSION, META_RULE_PARSE_ERROR):
             return False
-        if finding.rule in self.file_disables:
-            return True
         return finding.rule in self.line_disables.get(finding.line, set())
 
 
@@ -169,7 +155,6 @@ def _parse_suppressions(source: str) -> List[Suppression]:
             Suppression(
                 line=lineno,
                 applies_to=applies_to,
-                scope=match.group("scope"),
                 rules=rules,
                 reason=(match.group("reason") or "").strip(),
             )
@@ -255,7 +240,7 @@ class ProjectRule(Rule):
 
 @dataclass
 class LintResult:
-    """Everything a lint run produced (pre-baseline)."""
+    """Everything a lint run produced."""
 
     root: Path
     findings: List[Finding] = field(default_factory=list)

@@ -131,6 +131,3 @@ PAYLOAD_FUNCTION = "config_payload"
 
 #: Default scan scope of ``python -m repro lint``.
 DEFAULT_SCAN_PATHS = ("src/repro",)
-
-#: Default committed baseline location.
-DEFAULT_BASELINE = "tools/reprolint_baseline.json"

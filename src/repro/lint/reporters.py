@@ -4,52 +4,25 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.lint.baseline import Partition
 from repro.lint.framework import LintResult
 
 
-def render_human(
-    result: LintResult, split: Partition, baseline_path: str
-) -> List[str]:
+def render_human(result: LintResult) -> List[str]:
     """The terminal report, one line per finding plus a summary."""
-    lines: List[str] = []
-    for finding in split.new:
-        lines.append(finding.render())
-    if split.accepted:
-        lines.append(
-            f"{len(split.accepted)} baselined finding(s) accepted "
-            f"(see {baseline_path})"
-        )
-    for entry in split.stale:
-        lines.append(
-            f"stale baseline entry: {entry.rule} in {entry.path} "
-            f"({entry.message!r}) no longer fires -- prune it from "
-            f"{baseline_path}"
-        )
+    lines = [finding.render() for finding in result.findings]
     lines.append(
         f"reprolint: {result.files_scanned} file(s), "
         f"{len(result.rules)} rule(s), "
-        f"{len(split.new)} new finding(s), "
-        f"{len(split.accepted)} baselined, {len(split.stale)} stale"
+        f"{len(result.findings)} finding(s)"
     )
     return lines
 
 
-def render_json(
-    result: LintResult, split: Partition, baseline_path: str
-) -> Dict[str, object]:
+def render_json(result: LintResult) -> Dict[str, object]:
     """The machine-readable report CI uploads as an artifact."""
     return {
-        "version": 1,
+        "version": 2,
         "files_scanned": result.files_scanned,
         "rules": list(result.rules),
-        "baseline": baseline_path,
-        "new": [finding.as_dict() for finding in split.new],
-        "baselined": [finding.as_dict() for finding in split.accepted],
-        "stale_baseline": [entry.as_dict() for entry in split.stale],
-        "summary": {
-            "new": len(split.new),
-            "baselined": len(split.accepted),
-            "stale": len(split.stale),
-        },
+        "findings": [finding.as_dict() for finding in result.findings],
     }

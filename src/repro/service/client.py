@@ -79,6 +79,11 @@ class ServiceClient:
             payload = None
             headers = self._base_headers()
             if body is not None:
+                # reprolint: disable=canonical-json -- the blocking stdlib
+                # client encodes request bodies it just built from user
+                # flags/files; the server re-parses and strictly re-validates
+                # every byte (service/specs.py whitelist), so canonical byte
+                # form on the request wire buys nothing.
                 payload = json.dumps(body).encode("utf-8")
                 headers["Content-Type"] = "application/json"
             connection.request(method, path, body=payload, headers=headers)

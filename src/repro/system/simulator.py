@@ -97,6 +97,7 @@ class SystemSimulator:
                 nrh=config.nrh,
                 num_banks=organization.total_banks,
                 seed=config.seed + channel,
+                blast_radius=config.blast_radius,
             )
             for channel in range(self.num_channels)
         ]

@@ -122,14 +122,26 @@ class TestEntryDocuments:
             encoding="utf-8"
         )
         for needle in (
-            "python -m repro lint", "tools/reprolint.py",
+            "python -m repro lint",
             "no-reflection", "hot-path-alloc", "determinism",
             "canonical-json", "cache-key-completeness",
             "event-source-registry", "bad-suppression",
-            "reprolint: disable=", "--write-baseline",
-            "tools/reprolint_baseline.json", "ruff",
+            "reprolint: disable=", "ruff",
         ):
             assert needle in linting, f"LINTING.md is missing {needle!r}"
+
+    def test_docs_name_no_removed_lint_or_artifact_path(self):
+        """The lint baseline, its file-wide scope and second entry point,
+        and the artifact store, resume and index seek are gone."""
+        docs = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
+        for path in docs:
+            text = path.read_text(encoding="utf-8")
+            for removed in (
+                "tools/reprolint.py", "--write-baseline",
+                "tools/reprolint_baseline.json", "disable-file",
+                "ArtifactStore", "ArtifactWriter.resume", "record_at",
+            ):
+                assert removed not in text, f"{path.name} names {removed!r}"
 
     def test_readme_and_architecture_mention_linting(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")

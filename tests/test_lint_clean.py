@@ -1,11 +1,13 @@
 """The committed tree is lint-clean: reprolint (and ruff, when present)
-report nothing beyond the committed baseline.
+report nothing.
 
 This is the test-suite mirror of the CI lint gate: a change that
-introduces a new finding fails here *locally*, before CI, with the same
-exit-code contract.  Ruff is a CI-installed extra (the hermetic test
-container does not ship it), so the ruff check skips when the binary is
-absent rather than failing.
+introduces a finding fails here *locally*, before CI, with the same
+exit-code contract.  The one way to accept a finding is an inline
+``# reprolint: disable=RULE -- reason`` directive, so every directive
+under ``src/`` must carry a written reason.  Ruff is a CI-installed extra
+(the hermetic test container does not ship it), so the ruff check skips
+when the binary is absent rather than failing.
 """
 
 from __future__ import annotations
@@ -21,59 +23,67 @@ import pytest
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.cli import main as repro_main  # noqa: E402
 from repro.lint import manifest  # noqa: E402
-from repro.lint.baseline import load_baseline, partition  # noqa: E402
-from repro.lint.cli import main as lint_main  # noqa: E402
 from repro.lint.framework import parse_project, run_rules  # noqa: E402
 from repro.lint.rules import default_rules  # noqa: E402
 
 
+def full_reason(ctx, directive):
+    """A directive's reason plus the comment lines continuing it.
+
+    A comment-only directive covers the next statement, so its reason may
+    run on over the comment lines in between.
+    """
+    lines = ctx.source.splitlines()
+    parts = [directive.reason]
+    for lineno in range(directive.line + 1, directive.applies_to):
+        parts.append(lines[lineno - 1].strip().lstrip("#"))
+    return " ".join(parts)
+
+
 class TestRepoIsLintClean:
-    def test_no_new_findings_against_committed_baseline(self):
+    def test_committed_tree_has_no_findings(self):
         project, parse_errors = parse_project(
             REPO_ROOT, manifest.DEFAULT_SCAN_PATHS
         )
         assert project.files, "default scan paths found no files"
         result = run_rules(project, default_rules(), parse_errors)
-        baseline = load_baseline(REPO_ROOT / manifest.DEFAULT_BASELINE)
-        split = partition(result.findings, baseline)
-        assert split.new == [], "\n".join(f.render() for f in split.new)
-
-    def test_no_stale_baseline_entries(self):
-        """Fixed findings must be pruned from the baseline, not hoarded."""
-        project, parse_errors = parse_project(
-            REPO_ROOT, manifest.DEFAULT_SCAN_PATHS
+        assert result.findings == [], "\n".join(
+            f.render() for f in result.findings
         )
-        result = run_rules(project, default_rules(), parse_errors)
-        baseline = load_baseline(REPO_ROOT / manifest.DEFAULT_BASELINE)
-        split = partition(result.findings, baseline)
-        assert split.stale == [], [
-            f"{e.rule} in {e.path}" for e in split.stale
-        ]
 
     def test_cli_exit_code_is_zero(self, capsys):
-        assert lint_main(["--root", str(REPO_ROOT)]) == 0
+        assert repro_main(["lint", "--root", str(REPO_ROOT)]) == 0
         capsys.readouterr()
 
     def test_json_report_is_well_formed(self, capsys):
-        assert lint_main(
-            ["--root", str(REPO_ROOT), "--format", "json"]
+        assert repro_main(
+            ["lint", "--root", str(REPO_ROOT), "--format", "json"]
         ) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["version"] == 1
-        assert report["summary"]["new"] == 0
+        assert report["version"] == 2
+        assert report["findings"] == []
         assert sorted(report["rules"]) == sorted(
             rule.name for rule in default_rules()
         )
 
-    def test_every_baseline_entry_has_a_real_reason(self):
-        # load_baseline already rejects placeholders; pin the stronger
-        # property that reasons are substantive, not one-word stubs.
-        baseline = load_baseline(REPO_ROOT / manifest.DEFAULT_BASELINE)
-        for entry in baseline:
-            assert len(entry.reason.split()) >= 5, (
-                f"baseline entry {entry.rule} in {entry.path} needs a "
-                f"written justification, not a stub: {entry.reason!r}"
+    def test_every_inline_suppression_has_a_real_reason(self):
+        # A reasonless directive is already a bad-suppression finding; pin
+        # the stronger property that reasons are substantive, not stubs.
+        project, _ = parse_project(REPO_ROOT, manifest.DEFAULT_SCAN_PATHS)
+        directives = [
+            (ctx, directive)
+            for ctx in project.files.values()
+            for directive in ctx.suppressions
+        ]
+        assert directives, "expected the committed inline suppressions"
+        for ctx, directive in directives:
+            reason = full_reason(ctx, directive)
+            assert len(reason.split()) >= 5, (
+                f"{ctx.rel_path}:{directive.line}: suppression of "
+                f"{', '.join(directive.rules)} needs a written "
+                f"justification, not a stub: {reason!r}"
             )
 
 

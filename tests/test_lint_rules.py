@@ -1,6 +1,6 @@
 """reprolint unit tests: every rule fires on a violation AND stays quiet
-on conforming code, plus the suppression grammar, the baseline partition
-logic and the CLI exit-code contract.
+on conforming code, plus the suppression grammar and the CLI exit-code
+contract.
 
 The rules are constructed with small fixture manifests so the tests pin
 the *mechanics* (what each rule detects) independently of the committed
@@ -21,23 +21,15 @@ import pytest
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.lint.baseline import (  # noqa: E402
-    BaselineError,
-    BaselineEntry,
-    load_baseline,
-    partition,
-    write_baseline,
-)
+from repro.cli import main as repro_main  # noqa: E402
 from repro.lint.framework import (  # noqa: E402
     META_RULE_BAD_SUPPRESSION,
     META_RULE_PARSE_ERROR,
     FileContext,
-    Finding,
     Project,
     parse_project,
     run_rules,
 )
-from repro.lint.cli import main as lint_main  # noqa: E402
 from repro.lint.rules import (  # noqa: E402
     CacheKeyCompletenessRule,
     CanonicalJsonRule,
@@ -587,7 +579,9 @@ class TestSuppressions:
         )
         assert findings == []
 
-    def test_file_scope_suppression(self):
+    def test_file_scope_directive_suppresses_nothing(self):
+        # Inline directives are the only suppression: a file-wide one is
+        # not part of the grammar, so every finding below it is reported.
         findings = lint_source(
             NoReflectionRule(),
             """\
@@ -597,7 +591,7 @@ class TestSuppressions:
             """,
             rel_path=self.PATH,
         )
-        assert findings == []
+        assert rule_names(findings) == ["no-reflection", "no-reflection"]
 
     def test_reasonless_suppression_is_a_finding_and_does_not_silence(self):
         findings = lint_source(
@@ -662,78 +656,6 @@ class TestSuppressions:
         assert rule_names(errors) == [META_RULE_PARSE_ERROR]
         result = run_rules(project, [NoReflectionRule()], errors)
         assert rule_names(result.findings) == [META_RULE_PARSE_ERROR]
-
-
-# --------------------------------------------------------------------------- #
-# baseline
-# --------------------------------------------------------------------------- #
-
-def finding(rule="canonical-json", path="src/repro/service/x.py",
-            line=1, message="msg"):
-    return Finding(rule=rule, path=path, line=line, col=0, message=message)
-
-
-class TestBaseline:
-    def test_partition_new_accepted_stale(self):
-        baseline = [
-            BaselineEntry(rule="canonical-json", path="src/repro/service/x.py",
-                          message="msg", reason="why"),
-            BaselineEntry(rule="determinism", path="src/repro/dram/y.py",
-                          message="gone", reason="why"),
-        ]
-        split = partition([finding(), finding(message="fresh")], baseline)
-        assert [f.message for f in split.accepted] == ["msg"]
-        assert [f.message for f in split.new] == ["fresh"]
-        assert [e.message for e in split.stale] == ["gone"]
-
-    def test_matching_ignores_line_numbers_but_counts_multiplicity(self):
-        baseline = [
-            BaselineEntry(rule="canonical-json", path="src/repro/service/x.py",
-                          message="msg", reason="why", line=10),
-        ]
-        # Two identical findings, one baseline entry: one accepted, one new.
-        split = partition([finding(line=99), finding(line=120)], baseline)
-        assert len(split.accepted) == 1
-        assert len(split.new) == 1
-        assert split.stale == []
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == []
-
-    def test_load_rejects_placeholder_and_empty_reasons(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        for reason in ("", "   ", "TODO: justify or fix"):
-            path.write_text(json.dumps({
-                "version": 1,
-                "entries": [{"rule": "r", "path": "p", "message": "m",
-                             "reason": reason}],
-            }), encoding="utf-8")
-            with pytest.raises(BaselineError, match="no\\s+justification"):
-                load_baseline(path)
-
-    def test_load_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "entries": []}', encoding="utf-8")
-        with pytest.raises(BaselineError, match="version"):
-            load_baseline(path)
-
-    def test_write_carries_reasons_and_stamps_placeholders(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        previous = [
-            BaselineEntry(rule="canonical-json", path="src/repro/service/x.py",
-                          message="msg", reason="kept reason"),
-        ]
-        count = write_baseline(path, [finding(), finding(message="fresh")],
-                               previous)
-        assert count == 2
-        data = json.loads(path.read_text(encoding="utf-8"))
-        reasons = {e["message"]: e["reason"] for e in data["entries"]}
-        assert reasons["msg"] == "kept reason"
-        assert reasons["fresh"] == "TODO: justify or fix"
-        # The stamped placeholder makes the written baseline unloadable
-        # until a human writes the justification.
-        with pytest.raises(BaselineError):
-            load_baseline(path)
 
 
 # --------------------------------------------------------------------------- #
@@ -827,20 +749,18 @@ VIOLATIONS = {
 class TestCliExitCodes:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         write_tree(tmp_path, CLEAN_TREE)
-        assert lint_main(["--root", str(tmp_path)]) == 0
-        assert "0 new finding(s)" in capsys.readouterr().out
+        assert repro_main(["lint", "--root", str(tmp_path)]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("rule_name", sorted(VIOLATIONS))
     def test_each_rule_violation_exits_nonzero(self, rule_name, tmp_path,
                                                capsys):
         write_tree(tmp_path, CLEAN_TREE)
         write_tree(tmp_path, VIOLATIONS[rule_name])
-        assert lint_main(["--root", str(tmp_path)]) == 1
+        assert repro_main(["lint", "--root", str(tmp_path)]) == 1
         assert rule_name in capsys.readouterr().out
 
     def test_repro_cli_subcommand_wiring(self, tmp_path, capsys):
-        from repro.cli import main as repro_main
-
         write_tree(tmp_path, CLEAN_TREE)
         write_tree(tmp_path, VIOLATIONS["determinism"])
         assert repro_main(["lint", "--root", str(tmp_path)]) == 1
@@ -849,41 +769,39 @@ class TestCliExitCodes:
         ) == 0
         capsys.readouterr()
 
-    def test_json_format_reports_new_findings(self, tmp_path, capsys):
+    def test_json_format_reports_findings(self, tmp_path, capsys):
         write_tree(tmp_path, CLEAN_TREE)
         write_tree(tmp_path, VIOLATIONS["canonical-json"])
-        assert lint_main(["--root", str(tmp_path), "--format", "json"]) == 1
+        assert repro_main(
+            ["lint", "--root", str(tmp_path), "--format", "json"]
+        ) == 1
         report = json.loads(capsys.readouterr().out)
-        assert report["summary"]["new"] == 1
-        assert report["new"][0]["rule"] == "canonical-json"
-        assert report["new"][0]["path"] == "src/repro/service/evil.py"
+        assert [f["rule"] for f in report["findings"]] == ["canonical-json"]
+        assert report["findings"][0]["path"] == "src/repro/service/evil.py"
 
-    def test_baseline_accepts_reviewed_findings(self, tmp_path, capsys):
+    def test_json_format_on_a_clean_tree_exits_zero(self, tmp_path, capsys):
         write_tree(tmp_path, CLEAN_TREE)
-        write_tree(tmp_path, VIOLATIONS["canonical-json"])
-        baseline = tmp_path / "tools" / "reprolint_baseline.json"
-
-        # --write-baseline stamps a placeholder the next load rejects ...
-        assert lint_main(
-            ["--root", str(tmp_path), "--write-baseline"]
+        assert repro_main(
+            ["lint", "--root", str(tmp_path), "--format", "json"]
         ) == 0
-        assert lint_main(["--root", str(tmp_path)]) == 2  # usage error
+        report = json.loads(capsys.readouterr().out)
+        assert report["findings"] == []
+        assert report["files_scanned"] == 1
 
-        # ... and editing in a real reason makes the run clean.
-        data = json.loads(baseline.read_text(encoding="utf-8"))
-        for entry in data["entries"]:
-            entry["reason"] = "reviewed in a test fixture"
-        baseline.write_text(json.dumps(data), encoding="utf-8")
-        assert lint_main(["--root", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
+    @pytest.mark.parametrize("option", ["--baseline=x.json", "--write-baseline"])
+    def test_baseline_options_are_gone(self, option, tmp_path, capsys):
+        write_tree(tmp_path, CLEAN_TREE)
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(["lint", "--root", str(tmp_path), option])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_root_exits_two(self, tmp_path, capsys):
-        assert lint_main(["--root", str(tmp_path / "nowhere")]) == 2
+        assert repro_main(["lint", "--root", str(tmp_path / "nowhere")]) == 2
         capsys.readouterr()
 
     def test_list_rules_names_all_six(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
+        assert repro_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in default_rules():
             assert rule.name in out

@@ -7,9 +7,16 @@ evaluation rests on.
 
 import pytest
 
+from repro.attacks import AttackSpec
 from repro.core.factory import MECHANISM_NAMES
+from repro.experiments import sweep
 from repro.experiments.cache import ResultCache
-from repro.experiments.sweep import SweepEngine, execute_job, mechanism_job
+from repro.experiments.sweep import (
+    SweepEngine,
+    attack_search_job,
+    execute_job,
+    mechanism_job,
+)
 from repro.system import SimulationTruncated
 from repro.system.config import appendix_e_system_config, paper_system_config
 from repro.attacks.patterns import performance_attack_trace
@@ -180,3 +187,40 @@ class TestTruncatedRun:
         with pytest.raises(SimulationTruncated):
             engine.run_jobs([truncated_job])
         assert not ResultCache(str(tmp_path)).contains(truncated_job.key)
+
+
+class TestBlastRadius:
+    """``SystemConfig.blast_radius`` reaches every mechanism part, so the
+    mechanisms refresh as many victims as the oracle counts."""
+
+    @pytest.mark.parametrize(
+        "mechanism", [name for name in MECHANISM_NAMES if name != "None"]
+    )
+    def test_every_part_uses_the_config_radius(self, mechanism, mix_traces):
+        config = paper_system_config(
+            mechanism=mechanism, nrh=1024, blast_radius=1, num_cores=2
+        )
+        sim = SystemSimulator(config, mix_traces)
+        parts = list(sim.setups[0].mechanisms())
+        assert parts
+        assert [part.victim_rows_per_aggressor for part in parts] == [2] * len(parts)
+
+    @pytest.mark.parametrize("mechanism", ["Chronus", "PRAC+PRFM", "PARA"])
+    def test_attack_job_oracle_and_mechanism_agree(self, mechanism, monkeypatch):
+        built = []
+
+        def build_only(config, traces, workload_name=None, oracle=None):
+            built.append(SystemSimulator(
+                config, traces, workload_name=workload_name, oracle=oracle
+            ))
+
+        monkeypatch.setattr(sweep, "simulate", build_only)
+        job = attack_search_job(
+            paper_system_config(blast_radius=1), mechanism, 64,
+            AttackSpec(pattern="single_sided"),
+        )
+        execute_job(job)
+        (sim,) = built
+        assert sim.oracle.victims_per_aggressor == 2
+        for part in sim.setup.mechanisms():
+            assert part.victim_rows_per_aggressor == sim.oracle.victims_per_aggressor
