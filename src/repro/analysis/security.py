@@ -43,8 +43,6 @@ class SecurityParameters:
     trefw_ns: float = 32_000_000.0
     #: Window of normal traffic after a back-off is observed (ns).
     taboact_ns: float = 180.0
-    #: Blast radius (victim rows on each side of an aggressor).
-    blast_radius: int = 2
 
     @property
     def normal_traffic_activations(self) -> int:

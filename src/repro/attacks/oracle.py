@@ -39,11 +39,15 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.core.mitigation import DEFAULT_BLAST_RADIUS
+
 
 class DisturbanceOracle:
     """Tracks ground-truth per-row disturbance during one simulation."""
 
-    def __init__(self, nrh: int, blast_radius: int = 2, num_channels: int = 1) -> None:
+    def __init__(
+        self, nrh: int, blast_radius: int = DEFAULT_BLAST_RADIUS, num_channels: int = 1
+    ) -> None:
         if nrh <= 0:
             raise ValueError("nrh must be positive")
         if blast_radius <= 0:

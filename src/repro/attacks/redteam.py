@@ -210,7 +210,6 @@ class RedTeamEngine:
                 num_banks=self.base_config.organization.total_banks,
                 seed=self.seed,
                 allow_insecure=True,
-                blast_radius=self.base_config.blast_radius,
             )
             return True
         except ValueError:

@@ -25,11 +25,7 @@ from repro.core.abacus import ABACuS
 from repro.core.chronus import Chronus, ChronusPB
 from repro.core.graphene import Graphene
 from repro.core.hydra import Hydra
-from repro.core.mitigation import (
-    DEFAULT_BLAST_RADIUS,
-    ControllerMitigation,
-    OnDieMitigation,
-)
+from repro.core.mitigation import ControllerMitigation, OnDieMitigation
 from repro.core.para import PARA
 from repro.core.prac import PRAC
 from repro.core.prfm import PRFM
@@ -94,7 +90,6 @@ def build_mechanism(
     seed: int = 0,
     security_params: SecurityParameters = DEFAULT_PARAMETERS,
     allow_insecure: bool = True,
-    blast_radius: int = DEFAULT_BLAST_RADIUS,
 ) -> MechanismSetup:
     """Build the mechanism configuration named ``name`` for threshold ``nrh``.
 
@@ -108,8 +103,6 @@ def build_mechanism(
             securely at ``nrh`` fall back to their most aggressive
             configuration and are flagged insecure (mirroring the paper's
             red-edged bars); if False, a ``ValueError`` propagates.
-        blast_radius: victim rows on each side of an aggressor, given to
-            every part the setup holds.
 
     Returns:
         A :class:`MechanismSetup`.
@@ -121,57 +114,42 @@ def build_mechanism(
         return MechanismSetup(name, None, None)
 
     if name == "PRFM":
-        prfm = PRFM(nrh, num_banks, blast_radius=blast_radius,
-                    security_params=security_params,
+        prfm = PRFM(nrh, num_banks, security_params=security_params,
                     allow_insecure=allow_insecure)
         return MechanismSetup(name, None, prfm)
 
     if name in ("PRAC-1", "PRAC-2", "PRAC-4"):
         nref = int(name.split("-")[1])
-        prac = PRAC(nrh, num_banks, nref=nref, blast_radius=blast_radius,
-                    security_params=security_params,
+        prac = PRAC(nrh, num_banks, nref=nref, security_params=security_params,
                     allow_insecure=allow_insecure)
         return MechanismSetup(name, prac, None)
 
     if name == "PRAC+PRFM":
-        prac = PRAC(nrh, num_banks, nref=4, blast_radius=blast_radius,
-                    security_params=security_params,
+        prac = PRAC(nrh, num_banks, nref=4, security_params=security_params,
                     allow_insecure=allow_insecure)
         prfm = PRFM(nrh, num_banks, rfm_threshold=PRAC_PRFM_RFM_THRESHOLD,
-                    blast_radius=blast_radius,
                     security_params=security_params)
         return MechanismSetup(name, prac, prfm)
 
     if name == "Chronus":
-        chronus = Chronus(nrh, num_banks, blast_radius=blast_radius,
-                          security_params=security_params)
+        chronus = Chronus(nrh, num_banks, security_params=security_params)
         return MechanismSetup(name, chronus, None)
 
     if name == "Chronus-PB":
-        chronus_pb = ChronusPB(nrh, num_banks, blast_radius=blast_radius,
-                               security_params=security_params,
+        chronus_pb = ChronusPB(nrh, num_banks, security_params=security_params,
                                allow_insecure=allow_insecure)
         return MechanismSetup(name, chronus_pb, None)
 
     if name == "Graphene":
-        return MechanismSetup(
-            name, None, Graphene(nrh, num_banks, blast_radius=blast_radius)
-        )
+        return MechanismSetup(name, None, Graphene(nrh, num_banks))
 
     if name == "Hydra":
-        return MechanismSetup(
-            name, None, Hydra(nrh, num_banks, blast_radius=blast_radius)
-        )
+        return MechanismSetup(name, None, Hydra(nrh, num_banks))
 
     if name == "PARA":
-        return MechanismSetup(
-            name, None,
-            PARA(nrh, num_banks, blast_radius=blast_radius, seed=seed),
-        )
+        return MechanismSetup(name, None, PARA(nrh, num_banks, seed=seed))
 
     if name == "ABACuS":
-        return MechanismSetup(
-            name, None, ABACuS(nrh, num_banks, blast_radius=blast_radius)
-        )
+        return MechanismSetup(name, None, ABACuS(nrh, num_banks))
 
     raise ValueError(f"unknown mechanism {name!r}; expected one of {MECHANISM_NAMES}")

@@ -372,7 +372,6 @@ def execute_job(job: SimJob) -> SimulationResult:
     if job.attack is not None:
         oracle = DisturbanceOracle(
             nrh=job.config.nrh,
-            blast_radius=job.config.blast_radius,
             num_channels=job.config.organization.channels,
         )
     return simulate(

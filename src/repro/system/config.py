@@ -51,7 +51,6 @@ class SystemConfig:
     # --- read-disturbance mitigation ----------------------------------------
     mechanism: str = "None"
     nrh: int = 1024
-    blast_radius: int = 2
 
     #: Core indices that bypass the LLC (used for the §11 performance-attack
     #: study, where the malicious core flushes its own lines).

@@ -97,7 +97,6 @@ class SystemSimulator:
                 nrh=config.nrh,
                 num_banks=organization.total_banks,
                 seed=config.seed + channel,
-                blast_radius=config.blast_radius,
             )
             for channel in range(self.num_channels)
         ]

@@ -154,22 +154,24 @@ class TestChannelsKnob:
             paper_system_config().with_channels(channels)
 
     def test_single_channel_cache_keys_are_byte_identical(self):
-        """Golden keys recorded from the pre-scale-out implementation."""
+        """Golden keys recorded from the pre-scale-out implementation, then
+        re-recorded once when ``blast_radius`` left ``SystemConfig`` (putting
+        ``"blast_radius": 2`` back into the config payload gives the old keys)."""
         base = paper_system_config()
         apps = ("429.mcf", "401.bzip2")
         assert baseline_job(base, apps, 400).key == (
-            "5239fed1c48e88574b86d6891d6ab903c2ca6425e46af5a04244ca22ed457747"
+            "be2126071aca97d7cae1d9e546458c38f231a465e2cee838365651110536da46"
         )
         assert mechanism_job(base, apps, "PRAC-4", 64, 400).key == (
-            "9e1c9705e0e74ddcae68e0de65098b640db6f91b0730697f6bb84b45da851adc"
+            "9d4ad512857207c24af445561f6ed9c4a8f74e9245835a27bd03d7b1343f16c9"
         )
         assert alone_job(base, "429.mcf", 400).key == (
-            "468ac4505f9b9dc56bb1d770b320f4397c28c19e8b69c5946d982b38ed74da22"
+            "f82113b19c8d1539cf2012e7839e789b0b0f7ecf4d9cd34034e237a4cc73e460"
         )
         assert attack_search_job(
             base, "Chronus", 64, AttackSpec(pattern="single_sided")
         ).key == (
-            "b5ae395ca146177fb1e233090e107cafa5b676786dc681aa763ac22d0f03b35b"
+            "288c576f996eeca1c293c9bf26c280d48bfc2c704afae5566491bf1cf949e0b7"
         )
 
     def test_channel_count_changes_cache_keys(self):

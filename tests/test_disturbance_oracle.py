@@ -87,7 +87,7 @@ def run_attack(mechanism, nrh, spec=None, oracle_nrh=None):
     config = paper_system_config(
         mechanism=mechanism, nrh=nrh, num_cores=1, attacker_cores=(0,)
     )
-    oracle = DisturbanceOracle(nrh=oracle_nrh or nrh, blast_radius=config.blast_radius)
+    oracle = DisturbanceOracle(nrh=oracle_nrh or nrh)
     result = simulate(config, [spec.compile()], oracle=oracle)
     return result, oracle
 

@@ -119,7 +119,6 @@ def _job_oracle(job) -> DisturbanceOracle:
     """A fresh disturbance oracle for ``job``, built as ``execute_job`` does."""
     return DisturbanceOracle(
         nrh=job.config.nrh,
-        blast_radius=job.config.blast_radius,
         num_channels=job.config.organization.channels,
     )
 

@@ -769,24 +769,20 @@ class TestCliExitCodes:
         ) == 0
         capsys.readouterr()
 
-    def test_json_format_reports_findings(self, tmp_path, capsys):
+    @pytest.mark.parametrize("violation, exit_code, findings", [
+        (None, 0, []),
+        ("canonical-json", 1, [("canonical-json", "src/repro/service/evil.py")]),
+    ], ids=["clean", "canonical-json"])
+    def test_json_format_reports_findings(self, violation, exit_code, findings,
+                                          tmp_path, capsys):
         write_tree(tmp_path, CLEAN_TREE)
-        write_tree(tmp_path, VIOLATIONS["canonical-json"])
+        if violation is not None:
+            write_tree(tmp_path, VIOLATIONS[violation])
         assert repro_main(
             ["lint", "--root", str(tmp_path), "--format", "json"]
-        ) == 1
+        ) == exit_code
         report = json.loads(capsys.readouterr().out)
-        assert [f["rule"] for f in report["findings"]] == ["canonical-json"]
-        assert report["findings"][0]["path"] == "src/repro/service/evil.py"
-
-    def test_json_format_on_a_clean_tree_exits_zero(self, tmp_path, capsys):
-        write_tree(tmp_path, CLEAN_TREE)
-        assert repro_main(
-            ["lint", "--root", str(tmp_path), "--format", "json"]
-        ) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["findings"] == []
-        assert report["files_scanned"] == 1
+        assert [(f["rule"], f["path"]) for f in report["findings"]] == findings
 
     @pytest.mark.parametrize("option", ["--baseline=x.json", "--write-baseline"])
     def test_baseline_options_are_gone(self, option, tmp_path, capsys):

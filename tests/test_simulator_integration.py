@@ -189,23 +189,13 @@ class TestTruncatedRun:
         assert not ResultCache(str(tmp_path)).contains(truncated_job.key)
 
 
-class TestBlastRadius:
-    """``SystemConfig.blast_radius`` reaches every mechanism part, so the
-    mechanisms refresh as many victims as the oracle counts."""
+class TestVictimsPerAggressor:
+    """An attack-search job's oracle counts as many victims per aggressor as
+    every mechanism part refreshes: both take ``DEFAULT_BLAST_RADIUS``."""
 
     @pytest.mark.parametrize(
         "mechanism", [name for name in MECHANISM_NAMES if name != "None"]
     )
-    def test_every_part_uses_the_config_radius(self, mechanism, mix_traces):
-        config = paper_system_config(
-            mechanism=mechanism, nrh=1024, blast_radius=1, num_cores=2
-        )
-        sim = SystemSimulator(config, mix_traces)
-        parts = list(sim.setups[0].mechanisms())
-        assert parts
-        assert [part.victim_rows_per_aggressor for part in parts] == [2] * len(parts)
-
-    @pytest.mark.parametrize("mechanism", ["Chronus", "PRAC+PRFM", "PARA"])
     def test_attack_job_oracle_and_mechanism_agree(self, mechanism, monkeypatch):
         built = []
 
@@ -216,11 +206,11 @@ class TestBlastRadius:
 
         monkeypatch.setattr(sweep, "simulate", build_only)
         job = attack_search_job(
-            paper_system_config(blast_radius=1), mechanism, 64,
-            AttackSpec(pattern="single_sided"),
+            paper_system_config(), mechanism, 64, AttackSpec(pattern="single_sided"),
         )
         execute_job(job)
         (sim,) = built
-        assert sim.oracle.victims_per_aggressor == 2
-        for part in sim.setup.mechanisms():
+        parts = list(sim.setup.mechanisms())
+        assert parts
+        for part in parts:
             assert part.victim_rows_per_aggressor == sim.oracle.victims_per_aggressor

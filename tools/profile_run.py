@@ -117,7 +117,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if job.attack is not None:
         oracle = DisturbanceOracle(
             nrh=job.config.nrh,
-            blast_radius=job.config.blast_radius,
             num_channels=job.config.organization.channels,
         )
 
