@@ -14,7 +14,6 @@ These modules implement the closed-form / iterative analyses of the paper:
 """
 
 from repro.analysis.security import (
-    SecurityParameters,
     chronus_max_activations,
     chronus_secure_backoff_threshold,
     minimum_secure_nrh_chronus,
@@ -36,7 +35,6 @@ from repro.analysis.bandwidth import (
 from repro.analysis.storage import storage_overhead_bytes, storage_overhead_table
 
 __all__ = [
-    "SecurityParameters",
     "prfm_max_activations",
     "prac_max_activations",
     "chronus_max_activations",

@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.security import (
-    DEFAULT_PARAMETERS,
-    SecurityParameters,
     chronus_secure_backoff_threshold,
     secure_prac_backoff_threshold,
 )
+from repro.dram.timing import BASE_NS, PRAC_NS
 
 
 def dram_bandwidth_consumption(
@@ -45,35 +44,28 @@ def dram_bandwidth_consumption(
     return refresh_time / (refresh_time + trigger_time)
 
 
-def prac_max_bandwidth_consumption(
-    nrh: int = 20,
-    nref: int = 4,
-    params: SecurityParameters = DEFAULT_PARAMETERS,
-) -> float:
+def prac_max_bandwidth_consumption(nrh: int = 20, nref: int = 4) -> float:
     """Theoretical DRAM-throughput loss under PRAC (§11).
 
     Uses PRAC's secure back-off threshold for the given ``N_RH`` (``NBO = 1``
     at ``N_RH = 20``) and PRAC's timing parameters.
     """
-    nbo = secure_prac_backoff_threshold(nrh, nref, params=params)
+    nbo = secure_prac_backoff_threshold(nrh, nref)
     return dram_bandwidth_consumption(
-        nref=nref, nbo=nbo, trfm_ns=params.trfm_ns, trc_ns=params.trc_prac_ns
+        nref=nref, nbo=nbo, trfm_ns=BASE_NS["tRFM"], trc_ns=PRAC_NS["tRC"]
     )
 
 
-def chronus_max_bandwidth_consumption(
-    nrh: int = 20,
-    params: SecurityParameters = DEFAULT_PARAMETERS,
-) -> float:
+def chronus_max_bandwidth_consumption(nrh: int = 20) -> float:
     """Theoretical DRAM-throughput loss under Chronus (§11).
 
     Chronus triggers one RFM per back-off (footnote: additional RFMs per
     back-off only help the defender) and can be configured with the much
     larger secure threshold ``NBO = min(N_RH - Anormal - 1, 256)``.
     """
-    nbo = chronus_secure_backoff_threshold(nrh, params=params)
+    nbo = chronus_secure_backoff_threshold(nrh)
     return dram_bandwidth_consumption(
-        nref=1, nbo=nbo, trfm_ns=params.trfm_ns, trc_ns=params.trc_ns
+        nref=1, nbo=nbo, trfm_ns=BASE_NS["tRFM"], trc_ns=BASE_NS["tRC"]
     )
 
 
@@ -88,13 +80,11 @@ class BandwidthAttackBound:
     consumption: float
 
 
-def bandwidth_attack_table(
-    nrh_values=(128, 20), params: SecurityParameters = DEFAULT_PARAMETERS
-) -> list[BandwidthAttackBound]:
+def bandwidth_attack_table(nrh_values=(128, 20)) -> list[BandwidthAttackBound]:
     """Tabulate the theoretical bounds for PRAC-4 and Chronus."""
     rows = []
     for nrh in nrh_values:
-        prac_nbo = secure_prac_backoff_threshold(nrh, 4, params=params)
+        prac_nbo = secure_prac_backoff_threshold(nrh, 4)
         rows.append(
             BandwidthAttackBound(
                 mechanism="PRAC-4",
@@ -102,11 +92,11 @@ def bandwidth_attack_table(
                 nbo=prac_nbo,
                 nref=4,
                 consumption=dram_bandwidth_consumption(
-                    4, prac_nbo, params.trfm_ns, params.trc_prac_ns
+                    4, prac_nbo, BASE_NS["tRFM"], PRAC_NS["tRC"]
                 ),
             )
         )
-        chronus_nbo = chronus_secure_backoff_threshold(nrh, params=params)
+        chronus_nbo = chronus_secure_backoff_threshold(nrh)
         rows.append(
             BandwidthAttackBound(
                 mechanism="Chronus",
@@ -114,7 +104,7 @@ def bandwidth_attack_table(
                 nbo=chronus_nbo,
                 nref=1,
                 consumption=dram_bandwidth_consumption(
-                    1, chronus_nbo, params.trfm_ns, params.trc_ns
+                    1, chronus_nbo, BASE_NS["tRFM"], BASE_NS["tRC"]
                 ),
             )
         )

@@ -17,57 +17,32 @@ This module implements:
   (largest RFMth / NBO that keeps the attacker below ``N_RH``), and
 * the Aggressor Tracking Table sizing rule (``Anormal + 1`` entries).
 
-All durations are taken in nanoseconds so the analysis is independent of the
-simulator's clock discretisation (matching the paper, which works in ns).
+All durations are the Table 1 nanosecond values of :mod:`repro.dram.timing`
+(``BASE_NS`` and ``PRAC_NS``), the same numbers the simulator converts to
+cycles, so the analysis is independent of the simulator's clock
+discretisation (matching the paper, which works in ns).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from repro.core.counters import CounterSubarray
+from repro.dram.timing import BASE_NS, PRAC_NS
 
-@dataclass(frozen=True)
-class SecurityParameters:
-    """Physical parameters of the security analysis (§5, "Key Parameters")."""
+#: ``Anormal``: activations to a single row during the tABOACT window of
+#: normal traffic, at PRAC's tRC.
+ANORMAL_PRAC = int(BASE_NS["tABOACT"] // PRAC_NS["tRC"])
 
-    #: Row cycle time without PRAC (ns).
-    trc_ns: float = 47.0
-    #: Row cycle time with PRAC timings (ns).
-    trc_prac_ns: float = 52.0
-    #: Refresh-management latency: time to refresh the victims of one
-    #: aggressor row (ns).
-    trfm_ns: float = 350.0
-    #: Refresh window (ns); victims are periodically refreshed once per
-    #: window, so the attack must complete within it.
-    trefw_ns: float = 32_000_000.0
-    #: Window of normal traffic after a back-off is observed (ns).
-    taboact_ns: float = 180.0
-
-    @property
-    def normal_traffic_activations(self) -> int:
-        """``Anormal``: activations to a single row during tABOACT (PRAC timings)."""
-        return int(self.taboact_ns // self.trc_prac_ns)
-
-    @property
-    def normal_traffic_activations_chronus(self) -> int:
-        """``Anormal`` with Chronus (CCU restores the non-PRAC tRC)."""
-        return int(self.taboact_ns // self.trc_ns)
-
-
-DEFAULT_PARAMETERS = SecurityParameters()
+#: ``Anormal`` with Chronus, whose CCU restores the non-PRAC tRC.
+ANORMAL_CHRONUS = int(BASE_NS["tABOACT"] // BASE_NS["tRC"])
 
 
 # ---------------------------------------------------------------------------
 # PRFM (periodic RFM) -- Eq. 1
 # ---------------------------------------------------------------------------
 
-def prfm_max_activations(
-    rfm_threshold: int,
-    initial_rows: int,
-    params: SecurityParameters = DEFAULT_PARAMETERS,
-    max_rounds: int = 1 << 16,
-) -> int:
+def prfm_max_activations(rfm_threshold: int, initial_rows: int) -> int:
     """Maximum activations a single row can receive under PRFM (Eq. 1).
 
     The attacker hammers every row of the starting set once per round.  The
@@ -78,8 +53,6 @@ def prfm_max_activations(
     Args:
         rfm_threshold: bank activation threshold to issue an RFM (``RFMth``).
         initial_rows: starting row-set size ``|R1|``.
-        params: physical parameters (timings, refresh window).
-        max_rounds: safety bound on the number of simulated rounds.
 
     Returns:
         The highest activation count any single row reaches before its
@@ -89,22 +62,21 @@ def prfm_max_activations(
         raise ValueError("rfm_threshold must be positive")
     if initial_rows <= 0:
         raise ValueError("initial_rows must be positive")
+    trc, trfm, trefw = BASE_NS["tRC"], BASE_NS["tRFM"], BASE_NS["tREFW"]
 
     remaining = initial_rows
     cumulative_acts = 0
     elapsed_ns = 0.0
     rounds_survived = 0
 
-    for _ in range(max_rounds):
-        if remaining <= 0:
-            break
+    while remaining > 0:
         # One round: each remaining row is activated once.
         round_acts = remaining
         rfms_this_round = (cumulative_acts + round_acts) // rfm_threshold - (
             cumulative_acts // rfm_threshold
         )
-        round_time = round_acts * params.trc_ns + rfms_this_round * params.trfm_ns
-        if elapsed_ns + round_time > params.trefw_ns:
+        round_time = round_acts * trc + rfms_this_round * trfm
+        if elapsed_ns + round_time > trefw:
             # The refresh window closes before the round completes: victims
             # are periodically refreshed, ending the attack.
             break
@@ -120,16 +92,13 @@ def prfm_max_activations(
 def prfm_security_sweep(
     rfm_thresholds: Sequence[int],
     initial_row_sizes: Sequence[int],
-    params: SecurityParameters = DEFAULT_PARAMETERS,
 ) -> Dict[int, Dict[int, int]]:
     """Reproduce Fig. 3a: max activations vs ``RFMth`` for several ``|R1|``.
 
     Returns ``{rfm_threshold: {initial_rows: max_acts}}``.
     """
     return {
-        rfm_th: {
-            r1: prfm_max_activations(rfm_th, r1, params) for r1 in initial_row_sizes
-        }
+        rfm_th: {r1: prfm_max_activations(rfm_th, r1) for r1 in initial_row_sizes}
         for rfm_th in rfm_thresholds
     }
 
@@ -138,14 +107,7 @@ def prfm_security_sweep(
 # PRAC-N back-off -- Eq. 2
 # ---------------------------------------------------------------------------
 
-def prac_max_activations(
-    nbo: int,
-    nref: int,
-    initial_rows: int,
-    ndelay: Optional[int] = None,
-    params: SecurityParameters = DEFAULT_PARAMETERS,
-    max_rounds: int = 1 << 16,
-) -> int:
+def prac_max_activations(nbo: int, nref: int, initial_rows: int) -> int:
     """Maximum activations a single row can receive under PRAC-N (Eq. 2).
 
     The attacker first brings every row of the starting set to ``NBO - 1``
@@ -153,17 +115,14 @@ def prac_max_activations(
     row stays above ``NBO`` across rounds, so the device asserts back-offs as
     frequently as it can; each back-off period allows
     ``NDelay + tABOACT / tRC`` attacker activations and mitigates ``NRef``
-    rows.  The surviving row additionally receives ``Anormal`` activations
-    during the final window of normal traffic.
+    rows, where ``NDelay = NRef`` as the DDR5 specification ties them
+    together.  The surviving row additionally receives ``Anormal``
+    activations during the final window of normal traffic.
 
     Args:
         nbo: back-off threshold (absolute activation count).
         nref: RFM commands issued per back-off (PRAC-1/2/4).
         initial_rows: starting row-set size ``|R1|``.
-        ndelay: activations required before a new back-off (defaults to
-            ``nref``, as the DDR5 specification ties them together).
-        params: physical parameters.
-        max_rounds: safety bound on the number of simulated rounds.
 
     Returns:
         The highest activation count any single row reaches before its
@@ -175,37 +134,29 @@ def prac_max_activations(
         raise ValueError("nref must be positive")
     if initial_rows <= 0:
         raise ValueError("initial_rows must be positive")
-    if ndelay is None:
-        ndelay = nref
-
-    trc = params.trc_prac_ns
-    window_acts = ndelay + params.taboact_ns / trc
+    trc, trfm, trefw = PRAC_NS["tRC"], BASE_NS["tRFM"], BASE_NS["tREFW"]
+    window_acts = nref + BASE_NS["tABOACT"] / trc
 
     # Phase 0: initialise every row to NBO - 1 activations.
     init_acts = initial_rows * (nbo - 1)
     elapsed_ns = init_acts * trc
-    if elapsed_ns > params.trefw_ns:
+    if elapsed_ns > trefw:
         # The attacker cannot even complete initialisation before the
         # refresh window closes; scale the row set down implicitly by
         # reporting what the time budget allows.
-        return min(nbo - 1 + params.normal_traffic_activations,
-                   int(params.trefw_ns // trc))
+        return min(nbo - 1 + ANORMAL_PRAC, int(trefw // trc))
 
     remaining = initial_rows
     cumulative_acts = 0
     rounds_survived = 0
 
-    for _ in range(max_rounds):
-        if remaining <= 0:
-            break
+    while remaining > 0:
         round_acts = remaining
         prev_backoffs = int(cumulative_acts / window_acts)
         new_backoffs = int((cumulative_acts + round_acts) / window_acts)
         backoffs_this_round = new_backoffs - prev_backoffs
-        round_time = (
-            round_acts * trc + backoffs_this_round * nref * params.trfm_ns
-        )
-        if elapsed_ns + round_time > params.trefw_ns:
+        round_time = round_acts * trc + backoffs_this_round * nref * trfm
+        if elapsed_ns + round_time > trefw:
             break
         elapsed_ns += round_time
         cumulative_acts += round_acts
@@ -213,14 +164,13 @@ def prac_max_activations(
         mitigated_total = nref * int(cumulative_acts / window_acts)
         remaining = initial_rows - mitigated_total
 
-    return (nbo - 1) + rounds_survived + params.normal_traffic_activations
+    return (nbo - 1) + rounds_survived + ANORMAL_PRAC
 
 
 def prac_security_sweep(
     backoff_thresholds: Sequence[int],
     nrefs: Sequence[int],
     initial_row_sizes: Sequence[int],
-    params: SecurityParameters = DEFAULT_PARAMETERS,
 ) -> Dict[int, Dict[int, int]]:
     """Reproduce Fig. 3b: worst-case max activations vs ``NBO`` per PRAC-N.
 
@@ -235,8 +185,7 @@ def prac_security_sweep(
         sweep[nbo] = {}
         for nref in nrefs:
             sweep[nbo][nref] = max(
-                prac_max_activations(nbo, nref, r1, params=params)
-                for r1 in initial_row_sizes
+                prac_max_activations(nbo, nref, r1) for r1 in initial_row_sizes
             )
     return sweep
 
@@ -245,9 +194,7 @@ def prac_security_sweep(
 # Chronus -- §8 closed form
 # ---------------------------------------------------------------------------
 
-def chronus_max_activations(
-    nbo: int, params: SecurityParameters = DEFAULT_PARAMETERS
-) -> int:
+def chronus_max_activations(nbo: int) -> int:
     """Upper bound on activations to a single row under Chronus (§8).
 
     Chronus accurately tracks every row (P1), can trigger a back-off at any
@@ -257,47 +204,35 @@ def chronus_max_activations(
     """
     if nbo <= 0:
         raise ValueError("nbo must be positive")
-    return nbo + params.normal_traffic_activations_chronus
+    return nbo + ANORMAL_CHRONUS
 
 
-def chronus_secure_backoff_threshold(
-    nrh: int,
-    params: SecurityParameters = DEFAULT_PARAMETERS,
-    counter_width_bits: int = 8,
-) -> int:
+def chronus_secure_backoff_threshold(nrh: int) -> int:
     """Largest secure back-off threshold for Chronus at a given ``N_RH``.
 
     Chronus is secure whenever ``NBO < N_RH - Anormal`` (§8).  The counter
-    subarray stores ``counter_width_bits``-bit counters, so the threshold is
-    additionally capped at ``2**counter_width_bits``.
+    subarray stores ``CounterSubarray.counter_width_bits``-bit counters, so
+    the threshold is additionally capped at ``2**counter_width_bits``.
     """
     if nrh <= 0:
         raise ValueError("nrh must be positive")
-    anormal = params.normal_traffic_activations_chronus
-    nbo = min(nrh - anormal - 1, 2 ** counter_width_bits)
+    nbo = min(nrh - ANORMAL_CHRONUS - 1, 2 ** CounterSubarray.counter_width_bits)
     if nbo < 1:
         raise ValueError(
             f"Chronus cannot be configured securely for N_RH={nrh} "
-            f"(Anormal={anormal})"
+            f"(Anormal={ANORMAL_CHRONUS})"
         )
     return nbo
 
 
-def att_required_entries(
-    params: SecurityParameters = DEFAULT_PARAMETERS, prac_timings: bool = False
-) -> int:
+def att_required_entries(prac_timings: bool = False) -> int:
     """Minimum Aggressor Tracking Table size (§8).
 
     An attacker can force at most ``Anormal + 1`` rows to reach ``NBO``
     activations before the recovery period starts, so the ATT must hold at
     least that many entries.
     """
-    anormal = (
-        params.normal_traffic_activations
-        if prac_timings
-        else params.normal_traffic_activations_chronus
-    )
-    return anormal + 1
+    return (ANORMAL_PRAC if prac_timings else ANORMAL_CHRONUS) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -318,56 +253,42 @@ DEFAULT_BACKOFF_THRESHOLDS: Tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 6
 def _largest_secure(
     nrh: int,
     candidates: Sequence[int],
-    row_set_sizes: Sequence[int],
     max_activations: Callable[[int, int], int],
 ) -> Optional[int]:
     """The largest candidate whose wave attack stays below ``nrh``, or None.
 
     A candidate is secure when ``max_activations(candidate, r1) < nrh`` for
-    every starting row-set size ``r1``.  The scan runs from the largest
-    candidate down and stops at the first secure one, which is the maximum
-    of the secure candidates by definition -- no monotonicity is assumed.
+    every starting row-set size ``r1`` of :data:`DEFAULT_ROW_SET_SIZES`.
+    The scan runs from the largest candidate down and stops at the first
+    secure one, which is the maximum of the secure candidates by definition
+    -- no monotonicity is assumed.
     """
     for candidate in sorted(candidates, reverse=True):
-        if all(max_activations(candidate, r1) < nrh for r1 in row_set_sizes):
+        if all(max_activations(candidate, r1) < nrh for r1 in DEFAULT_ROW_SET_SIZES):
             return candidate
     return None
 
 
-def secure_prfm_threshold(
-    nrh: int,
-    candidate_thresholds: Sequence[int] = DEFAULT_RFM_THRESHOLDS,
-    row_set_sizes: Sequence[int] = DEFAULT_ROW_SET_SIZES,
-    params: SecurityParameters = DEFAULT_PARAMETERS,
-) -> int:
+def secure_prfm_threshold(nrh: int) -> int:
     """Largest ``RFMth`` that keeps the wave attack below ``N_RH``.
 
     Raises ``ValueError`` if no candidate threshold is secure.
     """
-    threshold = _largest_secure(
-        nrh, candidate_thresholds, row_set_sizes,
-        lambda rfm_th, r1: prfm_max_activations(rfm_th, r1, params),
-    )
+    threshold = _largest_secure(nrh, DEFAULT_RFM_THRESHOLDS, prfm_max_activations)
     if threshold is None:
         raise ValueError(f"PRFM cannot be configured securely for N_RH={nrh}")
     return threshold
 
 
-def secure_prac_backoff_threshold(
-    nrh: int,
-    nref: int,
-    candidate_thresholds: Sequence[int] = DEFAULT_BACKOFF_THRESHOLDS,
-    row_set_sizes: Sequence[int] = DEFAULT_ROW_SET_SIZES,
-    params: SecurityParameters = DEFAULT_PARAMETERS,
-) -> int:
+def secure_prac_backoff_threshold(nrh: int, nref: int) -> int:
     """Largest ``NBO`` that keeps the wave attack below ``N_RH`` for PRAC-N.
 
     Raises ``ValueError`` if no candidate threshold is secure (e.g. PRAC-1 at
     very low ``N_RH`` values, as the paper reports).
     """
     nbo = _largest_secure(
-        nrh, candidate_thresholds, row_set_sizes,
-        lambda candidate, r1: prac_max_activations(candidate, nref, r1, params=params),
+        nrh, DEFAULT_BACKOFF_THRESHOLDS,
+        lambda candidate, r1: prac_max_activations(candidate, nref, r1),
     )
     if nbo is None:
         raise ValueError(
@@ -376,46 +297,34 @@ def secure_prac_backoff_threshold(
     return nbo
 
 
-def minimum_secure_nrh_prac(
-    nref: int,
-    params: SecurityParameters = DEFAULT_PARAMETERS,
-    row_set_sizes: Sequence[int] = DEFAULT_ROW_SET_SIZES,
-) -> int:
+def minimum_secure_nrh_prac(nref: int) -> int:
     """Smallest ``N_RH`` at which PRAC-N can be configured securely.
 
     The paper reports this value to be 20 for PRAC-4 (a row can receive at
     most 19 activations when ``NBO = 1``).
     """
-    worst = max(
-        prac_max_activations(1, nref, r1, params=params) for r1 in row_set_sizes
-    )
+    worst = max(prac_max_activations(1, nref, r1) for r1 in DEFAULT_ROW_SET_SIZES)
     return worst + 1
 
 
-def minimum_secure_nrh_prfm(
-    params: SecurityParameters = DEFAULT_PARAMETERS,
-    candidate_thresholds: Sequence[int] = DEFAULT_RFM_THRESHOLDS,
-    row_set_sizes: Sequence[int] = DEFAULT_ROW_SET_SIZES,
-) -> int:
+def minimum_secure_nrh_prfm() -> int:
     """Smallest ``N_RH`` at which PRFM can be configured securely.
 
     PRFM's most aggressive candidate configuration is the smallest RFM
     threshold; the wave attack's worst case under that threshold plus one is
     the lowest ``N_RH`` for which :func:`secure_prfm_threshold` succeeds.
     """
-    most_aggressive = min(candidate_thresholds)
+    most_aggressive = min(DEFAULT_RFM_THRESHOLDS)
     worst = max(
-        prfm_max_activations(most_aggressive, r1, params) for r1 in row_set_sizes
+        prfm_max_activations(most_aggressive, r1) for r1 in DEFAULT_ROW_SET_SIZES
     )
     return worst + 1
 
 
-def minimum_secure_nrh_chronus(
-    params: SecurityParameters = DEFAULT_PARAMETERS,
-) -> int:
+def minimum_secure_nrh_chronus() -> int:
     """Smallest ``N_RH`` at which Chronus can be configured securely.
 
     Chronus needs ``NBO >= 1`` with ``NBO < N_RH - Anormal`` (§8), so the
     smallest workable threshold is ``Anormal + 2``.
     """
-    return params.normal_traffic_activations_chronus + 2
+    return ANORMAL_CHRONUS + 2

@@ -60,8 +60,7 @@ def storage_overhead_bytes(
     # repro.analysis.security for their secure-configuration defaults.
     from repro.core.factory import build_mechanism
 
-    setup = build_mechanism(mechanism, nrh=nrh, num_banks=organization.total_banks,
-                            allow_insecure=True)
+    setup = build_mechanism(mechanism, nrh=nrh, num_banks=organization.total_banks)
     dram_bits = 0
     sram_bits = 0
     cam_bits = 0

@@ -39,26 +39,23 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.mitigation import DEFAULT_BLAST_RADIUS
+from repro.core.mitigation import MitigationMechanism
 
 
 class DisturbanceOracle:
     """Tracks ground-truth per-row disturbance during one simulation."""
 
-    def __init__(
-        self, nrh: int, blast_radius: int = DEFAULT_BLAST_RADIUS, num_channels: int = 1
-    ) -> None:
+    #: Victim rows refreshed when an aggressor is fully mitigated: both
+    #: neighbours within the blast radius, as every mechanism refreshes.
+    victims_per_aggressor = MitigationMechanism.victim_rows_per_aggressor
+
+    def __init__(self, nrh: int, num_channels: int = 1) -> None:
         if nrh <= 0:
             raise ValueError("nrh must be positive")
-        if blast_radius <= 0:
-            raise ValueError("blast_radius must be positive")
         if num_channels <= 0:
             raise ValueError("num_channels must be positive")
         self.nrh = nrh
-        self.blast_radius = blast_radius
         self.num_channels = num_channels
-        #: Victim rows refreshed when an aggressor is fully mitigated.
-        self.victims_per_aggressor = 2 * blast_radius
 
         #: channel -> (bank, row) -> activations since the victims were
         #: refreshed.  One dict per channel keeps every scan (hottest-row

@@ -424,6 +424,9 @@ class AttackPattern:
         name: registry key (also the compiled trace's name).
         summary: one-line human-readable description for ``attack list``.
         builder: callable ``(organization, mapping, seed, **params) -> Trace``.
+        length: callable ``(organization, params) -> int``, the number of
+            accesses ``builder`` produces for the full parameter set
+            ``params``, computed without building the trace.
         defaults: full default parameter set, as sorted (name, value) pairs.
         search_variants: parameter overrides (beyond the defaults) that the
             red-team search additionally tries; the defaults are always the
@@ -433,6 +436,7 @@ class AttackPattern:
     name: str
     summary: str
     builder: Callable[..., Trace]
+    length: Callable[[DramOrganization, Mapping[str, int]], int]
     defaults: Tuple[Tuple[str, int], ...]
     search_variants: Tuple[Tuple[Tuple[str, int], ...], ...] = ()
 
@@ -452,6 +456,7 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="single_sided",
             summary="one aggressor row interleaved with a far dummy row",
             builder=build_single_sided,
+            length=lambda organization, p: 2 * p["hammer_count"],
             defaults=_params(
                 hammer_count=1200, row=100, dummy_distance=512, bank_index=0
             ),
@@ -461,12 +466,14 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="double_sided",
             summary="both immediate neighbours of one victim row",
             builder=build_double_sided,
+            length=lambda organization, p: 2 * p["pair_rounds"],
             defaults=_params(pair_rounds=1200, victim_row=100, bank_index=0),
         ),
         AttackPattern(
             name="many_sided",
             summary="N aggressor rows hammered round-robin",
             builder=build_many_sided,
+            length=lambda organization, p: p["num_sides"] * p["rounds"],
             defaults=_params(
                 num_sides=8, rounds=300, first_row=64, stride=2, bank_index=0
             ),
@@ -476,6 +483,7 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="wave",
             summary="balanced decoy row set (the paper's §4 wave attack)",
             builder=build_wave,
+            length=lambda organization, p: 2 * p["num_rows"] * p["rounds"],
             defaults=_params(
                 num_rows=48, rounds=25, row_stride=4, first_row=0, bank_index=0
             ),
@@ -485,6 +493,10 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="rfm_dodge",
             summary="round-robin over banks to dodge per-bank RFM thresholds",
             builder=build_rfm_dodge,
+            length=lambda organization, p: (
+                min(p["num_banks"], organization.total_banks)
+                * p["rows_per_bank"] * p["rounds"]
+            ),
             defaults=_params(
                 num_banks=8, rows_per_bank=2, rounds=150, stride=4, first_row=32
             ),
@@ -493,6 +505,7 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="refresh_sync",
             summary="hammer bursts separated by refresh-aligned quiet gaps",
             builder=build_refresh_sync,
+            length=lambda organization, p: 2 * p["burst_pairs"] * p["num_bursts"],
             defaults=_params(
                 burst_pairs=120,
                 num_bursts=10,
@@ -506,6 +519,7 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="perf_attack",
             summary="the §11 memory performance attack (few rows, few banks)",
             builder=build_perf_attack,
+            length=lambda organization, p: p["num_accesses"],
             defaults=_params(num_banks=4, rows_per_bank=8, num_accesses=2400),
         ),
     )
@@ -613,6 +627,10 @@ class AttackSpec:
         suffix = f"({overrides})" if overrides else ""
         target = f"@ch{self.channel}" if self.channel else ""
         return f"{self.pattern}{suffix}{target}"
+
+    def trace_length(self, organization: DramOrganization = PAPER_ORGANIZATION) -> int:
+        """Accesses :meth:`compile` produces, without building the trace."""
+        return pattern_by_name(self.pattern).length(organization, self.resolved_params)
 
     def compile(
         self,

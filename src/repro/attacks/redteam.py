@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.security import (
-    DEFAULT_PARAMETERS,
-    SecurityParameters,
     minimum_secure_nrh_chronus,
     minimum_secure_nrh_prac,
     minimum_secure_nrh_prfm,
@@ -52,9 +50,7 @@ DEFAULT_NRH_GRID: Tuple[int, ...] = (1, 2, 4, 8, 16, 32)
 MAX_REFINEMENT_STEPS = 12
 
 
-def analytical_min_secure_nrh(
-    mechanism: str, params: SecurityParameters = DEFAULT_PARAMETERS
-) -> Optional[int]:
+def analytical_min_secure_nrh(mechanism: str) -> Optional[int]:
     """Smallest analytically secure ``N_RH`` for a factory mechanism.
 
     Returns ``None`` for mechanisms the paper's wave-attack analysis does not
@@ -62,17 +58,17 @@ def analytical_min_secure_nrh(
     baseline (which is never secure).
     """
     if mechanism in ("PRAC-1", "PRAC-2", "PRAC-4"):
-        return minimum_secure_nrh_prac(int(mechanism.split("-")[1]), params=params)
+        return minimum_secure_nrh_prac(int(mechanism.split("-")[1]))
     if mechanism in ("PRAC+PRFM",):
         # The composite inherits PRAC-4's configurability limit.
-        return minimum_secure_nrh_prac(4, params=params)
+        return minimum_secure_nrh_prac(4)
     if mechanism == "Chronus":
-        return minimum_secure_nrh_chronus(params)
+        return minimum_secure_nrh_chronus()
     if mechanism == "Chronus-PB":
         # CCU with PRAC-4's back-off policy: configured via the PRAC analysis.
-        return minimum_secure_nrh_prac(4, params=params)
+        return minimum_secure_nrh_prac(4)
     if mechanism == "PRFM":
-        return minimum_secure_nrh_prfm(params)
+        return minimum_secure_nrh_prfm()
     return None
 
 
@@ -190,9 +186,9 @@ class RedTeamEngine:
             seed: seed for trace generation and the mechanisms' RNGs.
 
         The analytical comparison and the configurability pre-check both use
-        :data:`~repro.analysis.security.DEFAULT_PARAMETERS` -- the same
-        parameters the simulator's mechanism factory is built with, so the
-        pre-check always agrees with what the executed jobs would do.
+        the Table 1 timings of :mod:`repro.dram.timing` -- the same values the
+        simulator's mechanism factory is built with, so the pre-check always
+        agrees with what the executed jobs would do.
         """
         self.engine = engine if engine is not None else SweepEngine()
         self.base_config = base_config or paper_system_config()
@@ -209,7 +205,6 @@ class RedTeamEngine:
                 nrh=nrh,
                 num_banks=self.base_config.organization.total_banks,
                 seed=self.seed,
-                allow_insecure=True,
             )
             return True
         except ValueError:

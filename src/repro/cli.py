@@ -723,20 +723,13 @@ def _cmd_attack_search(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
         cache = redteam.engine.cache
-        # A spec's access count is independent of N_RH: compile each distinct
-        # spec once instead of once per grid point.  Compile against the
-        # probed organization, or channel-targeted specs cannot encode.
         organization = redteam.base_config.organization
-        accesses = {
-            spec: spec.compile(organization=organization).memory_accesses
-            for spec in {job.attack for job in jobs}
-        }
         rows = [
             {
                 "job": index,
                 "workload": job.workload_name,
                 "nrh": job.config.nrh,
-                "accesses": accesses[job.attack],
+                "accesses": job.attack.trace_length(organization),
                 "cached": "yes" if cache.contains(job.key) else "no",
                 "key": job.key[:12],
             }

@@ -22,16 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from repro.core.graphene import (
-    DEFAULT_RESET_WINDOW_ACTIVATIONS,
-    graphene_table_entries,
-    graphene_trigger_threshold,
-)
-from repro.core.mitigation import (
-    DEFAULT_BLAST_RADIUS,
-    ControllerMitigation,
-    PreventiveRefresh,
-)
+from repro.core.graphene import graphene_table_entries, graphene_trigger_threshold
+from repro.core.mitigation import ControllerMitigation, PreventiveRefresh
 
 
 @dataclass
@@ -55,32 +47,24 @@ class ABACuS(ControllerMitigation):
         self,
         nrh: int,
         num_banks: int,
-        reset_window_activations: Optional[int] = None,
         table_entries: Optional[int] = None,
-        blast_radius: int = DEFAULT_BLAST_RADIUS,
     ) -> None:
         """Create an ABACuS instance.
 
         Args:
             nrh: RowHammer threshold.
             num_banks: number of banks sharing the sibling counters.
-            reset_window_activations: maximum activations per bank within the
-                table reset window (defaults to Graphene's
-                :data:`~repro.core.graphene.DEFAULT_RESET_WINDOW_ACTIVATIONS`).
             table_entries: number of sibling counters (defaults to the
-                Misra-Gries bound ``window / threshold``).
-            blast_radius: victim rows on each side of an aggressor.
+                Misra-Gries bound ``window / threshold`` over Graphene's
+                :data:`~repro.core.graphene.DEFAULT_RESET_WINDOW_ACTIVATIONS`).
         """
-        super().__init__(nrh, blast_radius)
+        super().__init__(nrh)
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
         self.num_banks = num_banks
-        if reset_window_activations is None:
-            reset_window_activations = DEFAULT_RESET_WINDOW_ACTIVATIONS
-        self.reset_window_activations = reset_window_activations
         self.trigger_threshold = graphene_trigger_threshold(nrh)
         if table_entries is None:
-            table_entries = graphene_table_entries(nrh, reset_window_activations)
+            table_entries = graphene_table_entries(nrh)
         self.table_entries = table_entries
         self._spillover = 0
         self._table: Dict[int, SiblingEntry] = {}
@@ -159,5 +143,5 @@ class ABACuS(ControllerMitigation):
         row_bits = max(1, math.ceil(math.log2(rows_per_bank)))
         count_bits = max(1, math.ceil(math.log2(max(2, self.trigger_threshold)))) + 1
         entry_bits = row_bits + count_bits + num_banks  # RAV bitvector
-        entries = graphene_table_entries(self.nrh, self.reset_window_activations)
+        entries = graphene_table_entries(self.nrh)
         return {"cam_bits": entries * entry_bits}

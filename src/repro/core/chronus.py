@@ -27,17 +27,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.security import (
-    DEFAULT_PARAMETERS,
-    SecurityParameters,
     att_required_entries,
     chronus_secure_backoff_threshold,
 )
-from repro.core.counters import (
-    AggressorTrackingTable,
-    CounterSubarray,
-    PerRowCounters,
-)
-from repro.core.mitigation import DEFAULT_BLAST_RADIUS, OnDieMitigation
+from repro.core.counters import AggressorTrackingTable, PerRowCounters
+from repro.core.mitigation import OnDieMitigation
 from repro.core.prac import PRAC, counter_width_bits
 
 
@@ -57,52 +51,33 @@ class Chronus(OnDieMitigation):
 
     name = "Chronus"
 
-    def __init__(
-        self,
-        nrh: int,
-        num_banks: int,
-        nbo: Optional[int] = None,
-        att_entries: Optional[int] = None,
-        blast_radius: int = DEFAULT_BLAST_RADIUS,
-        borrowed_refresh: bool = True,
-        counter_subarray: Optional[CounterSubarray] = None,
-        security_params: SecurityParameters = DEFAULT_PARAMETERS,
-    ) -> None:
+    def __init__(self, nrh: int, num_banks: int, nbo: Optional[int] = None) -> None:
         """Create a Chronus instance.
+
+        The Aggressor Tracking Table holds the secure minimum of
+        ``Anormal + 1`` entries, and the device refreshes the victims of one
+        tracked aggressor per bank every other periodic REF.
 
         Args:
             nrh: RowHammer threshold the device must defend against.
             num_banks: number of banks in the channel.
             nbo: back-off threshold.  Defaults to the largest secure value,
                 ``min(N_RH - Anormal - 1, 256)`` (§8; the cap comes from the
-                8-bit counters in the counter subarray).
-            att_entries: Aggressor Tracking Table size (defaults to the
-                secure minimum ``Anormal + 1``).
-            blast_radius: victim rows on each side of an aggressor.
-            borrowed_refresh: refresh the victims of one tracked aggressor
-                per bank every other periodic REF.
-            counter_subarray: counter-subarray geometry (for storage
-                accounting); defaults to the paper's reference configuration.
-            security_params: physical parameters used for the default
-                configuration.
+                8-bit counters in the counter subarray); raises
+                ``ValueError`` below ``N_RH = Anormal + 2``.
         """
-        super().__init__(nrh, blast_radius)
+        super().__init__(nrh)
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
         self.num_banks = num_banks
-        self.security_params = security_params
         if nbo is None:
-            nbo = chronus_secure_backoff_threshold(nrh, security_params)
+            nbo = chronus_secure_backoff_threshold(nrh)
         self.nbo = nbo
-        if att_entries is None:
-            att_entries = att_required_entries(security_params, prac_timings=False)
-        self.att_entries = att_entries
-        self.counter_subarray = counter_subarray or CounterSubarray()
-        self.borrowed_refresh = borrowed_refresh
+        self.att_entries = att_required_entries(prac_timings=False)
 
         self.counters = PerRowCounters(num_banks)
         self.att: List[AggressorTrackingTable] = [
-            AggressorTrackingTable(att_entries) for _ in range(num_banks)
+            AggressorTrackingTable(self.att_entries) for _ in range(num_banks)
         ]
         #: Rows whose activation count reached the back-off threshold and
         #: whose victims have not been refreshed yet, per bank.
@@ -134,8 +109,6 @@ class Chronus(OnDieMitigation):
         """No work on precharge: the counter was already updated (CCU)."""
 
     def on_periodic_refresh(self, bank_ids: List[int], cycle: int) -> None:
-        if not self.borrowed_refresh:
-            return
         self._borrow_toggle = not self._borrow_toggle
         if not self._borrow_toggle:
             return
@@ -225,12 +198,6 @@ class ChronusPB(PRAC):
     requires_prac_timings = False
     act_energy_multiplier = 1.0 + CCU_ROW_ACCESS_ENERGY_OVERHEAD
 
-    def __init__(
-        self,
-        nrh: int,
-        num_banks: int,
-        nref: int = 4,
-        **kwargs,
-    ) -> None:
-        super().__init__(nrh, num_banks, nref=nref, **kwargs)
+    def __init__(self, nrh: int, num_banks: int, nbo: Optional[int] = None) -> None:
+        super().__init__(nrh, num_banks, nref=4, nbo=nbo)
         self.name = "Chronus-PB"

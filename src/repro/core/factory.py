@@ -8,8 +8,11 @@ name and a RowHammer threshold, it returns a :class:`MechanismSetup` with
 * the memory-controller component (PRFM / Graphene / Hydra / PARA / ABACuS),
   if any.
 
-The setup derives from its parts whether the PRAC timing parameters must be
-applied and whether the configuration is secure against the wave attack.
+Every part derives its configuration from ``N_RH`` alone.  A part that has
+no configuration secure against the wave attack at ``N_RH`` falls back to its
+most aggressive one and says so; the setup derives from its parts whether the
+PRAC timing parameters must be applied and whether the configuration is
+secure (mirroring the paper's red-edged bars).
 
 ``PRAC+PRFM`` is the composite configuration from the specification: PRAC-4
 on the DRAM die plus a controller-side periodic RFM with ``RFMth = 75``.
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.analysis.security import DEFAULT_PARAMETERS, SecurityParameters
 from repro.core.abacus import ABACuS
 from repro.core.chronus import Chronus, ChronusPB
 from repro.core.graphene import Graphene
@@ -88,8 +90,6 @@ def build_mechanism(
     nrh: int,
     num_banks: int,
     seed: int = 0,
-    security_params: SecurityParameters = DEFAULT_PARAMETERS,
-    allow_insecure: bool = True,
 ) -> MechanismSetup:
     """Build the mechanism configuration named ``name`` for threshold ``nrh``.
 
@@ -98,47 +98,34 @@ def build_mechanism(
         nrh: RowHammer threshold.
         num_banks: number of banks in the simulated channel.
         seed: random seed (used by PARA).
-        security_params: physical parameters for secure-configuration search.
-        allow_insecure: if True, mechanisms that cannot be configured
-            securely at ``nrh`` fall back to their most aggressive
-            configuration and are flagged insecure (mirroring the paper's
-            red-edged bars); if False, a ``ValueError`` propagates.
 
     Returns:
         A :class:`MechanismSetup`.
 
     Raises:
-        ValueError: for an unknown mechanism name.
+        ValueError: for an unknown mechanism name, and for Chronus below
+            ``N_RH = Anormal + 2``, where no back-off threshold exists.
     """
     if name == "None":
         return MechanismSetup(name, None, None)
 
     if name == "PRFM":
-        prfm = PRFM(nrh, num_banks, security_params=security_params,
-                    allow_insecure=allow_insecure)
-        return MechanismSetup(name, None, prfm)
+        return MechanismSetup(name, None, PRFM(nrh, num_banks))
 
     if name in ("PRAC-1", "PRAC-2", "PRAC-4"):
         nref = int(name.split("-")[1])
-        prac = PRAC(nrh, num_banks, nref=nref, security_params=security_params,
-                    allow_insecure=allow_insecure)
-        return MechanismSetup(name, prac, None)
+        return MechanismSetup(name, PRAC(nrh, num_banks, nref=nref), None)
 
     if name == "PRAC+PRFM":
-        prac = PRAC(nrh, num_banks, nref=4, security_params=security_params,
-                    allow_insecure=allow_insecure)
-        prfm = PRFM(nrh, num_banks, rfm_threshold=PRAC_PRFM_RFM_THRESHOLD,
-                    security_params=security_params)
+        prac = PRAC(nrh, num_banks, nref=4)
+        prfm = PRFM(nrh, num_banks, rfm_threshold=PRAC_PRFM_RFM_THRESHOLD)
         return MechanismSetup(name, prac, prfm)
 
     if name == "Chronus":
-        chronus = Chronus(nrh, num_banks, security_params=security_params)
-        return MechanismSetup(name, chronus, None)
+        return MechanismSetup(name, Chronus(nrh, num_banks), None)
 
     if name == "Chronus-PB":
-        chronus_pb = ChronusPB(nrh, num_banks, security_params=security_params,
-                               allow_insecure=allow_insecure)
-        return MechanismSetup(name, chronus_pb, None)
+        return MechanismSetup(name, ChronusPB(nrh, num_banks), None)
 
     if name == "Graphene":
         return MechanismSetup(name, None, Graphene(nrh, num_banks))

@@ -20,18 +20,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.security import DEFAULT_PARAMETERS
-from repro.core.mitigation import (
-    DEFAULT_BLAST_RADIUS,
-    ControllerMitigation,
-    PreventiveRefresh,
-)
+from repro.core.mitigation import ControllerMitigation, PreventiveRefresh
+from repro.dram.timing import BASE_NS
 
 #: Activations one bank can receive within a table reset window: half a
-#: refresh window of back-to-back activations (tREFW / 2 / tRC).
-DEFAULT_RESET_WINDOW_ACTIVATIONS = int(
-    DEFAULT_PARAMETERS.trefw_ns / 2 / DEFAULT_PARAMETERS.trc_ns
-)
+#: refresh window of back-to-back activations (tREFW / 2 / tRC, Table 1 ns).
+DEFAULT_RESET_WINDOW_ACTIVATIONS = int(BASE_NS["tREFW"] / 2 / BASE_NS["tRC"])
 
 
 @dataclass(slots=True)
@@ -110,15 +104,16 @@ class MisraGriesTable:
         self.spillover = 0
 
 
-def graphene_table_entries(nrh: int, reset_window_activations: int) -> int:
+def graphene_table_entries(nrh: int) -> int:
     """Number of Misra-Gries entries Graphene needs per bank.
 
     Graphene guarantees that any row activated ``threshold`` times within the
-    reset window is tracked as long as the table has at least
-    ``window / threshold`` entries (Misra-Gries error bound).
+    reset window (:data:`DEFAULT_RESET_WINDOW_ACTIVATIONS`) is tracked as
+    long as the table has at least ``window / threshold`` entries
+    (Misra-Gries error bound).
     """
     threshold = graphene_trigger_threshold(nrh)
-    return max(1, math.ceil(reset_window_activations / threshold) + 1)
+    return max(1, math.ceil(DEFAULT_RESET_WINDOW_ACTIVATIONS / threshold) + 1)
 
 
 def graphene_trigger_threshold(nrh: int) -> int:
@@ -135,33 +130,24 @@ class Graphene(ControllerMitigation):
         self,
         nrh: int,
         num_banks: int,
-        reset_window_activations: Optional[int] = None,
         table_entries: Optional[int] = None,
-        blast_radius: int = DEFAULT_BLAST_RADIUS,
     ) -> None:
         """Create a Graphene instance.
 
         Args:
             nrh: RowHammer threshold.
             num_banks: number of banks (one table per bank).
-            reset_window_activations: maximum activations a bank can receive
-                within one table reset window; defaults to
-                :data:`DEFAULT_RESET_WINDOW_ACTIVATIONS`, the provisioning
-                the storage model also uses.
             table_entries: override the table size (otherwise derived from
-                ``nrh`` and the reset window).
-            blast_radius: victim rows on each side of an aggressor.
+                ``nrh`` and the reset window, the provisioning the storage
+                model also uses).
         """
-        super().__init__(nrh, blast_radius)
+        super().__init__(nrh)
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
         self.num_banks = num_banks
-        if reset_window_activations is None:
-            reset_window_activations = DEFAULT_RESET_WINDOW_ACTIVATIONS
-        self.reset_window_activations = reset_window_activations
         self.trigger_threshold = graphene_trigger_threshold(nrh)
         if table_entries is None:
-            table_entries = graphene_table_entries(nrh, reset_window_activations)
+            table_entries = graphene_table_entries(nrh)
         self.table_entries = table_entries
         self.tables = [MisraGriesTable(table_entries) for _ in range(num_banks)]
 
@@ -188,5 +174,5 @@ class Graphene(ControllerMitigation):
         row_bits = max(1, math.ceil(math.log2(rows_per_bank)))
         count_bits = max(1, math.ceil(math.log2(max(2, self.trigger_threshold)))) + 1
         entry_bits = row_bits + count_bits
-        entries = graphene_table_entries(self.nrh, self.reset_window_activations)
+        entries = graphene_table_entries(self.nrh)
         return {"cam_bits": num_banks * entries * entry_bits}

@@ -21,13 +21,9 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.core.mitigation import (
-    DEFAULT_BLAST_RADIUS,
-    ControllerMitigation,
-    PreventiveRefresh,
-)
+from repro.core.mitigation import ControllerMitigation, PreventiveRefresh
 
 
 class RowCountCache:
@@ -79,32 +75,28 @@ class Hydra(ControllerMitigation):
         num_banks: int,
         group_size: int = DEFAULT_GROUP_SIZE,
         rcc_entries: int = DEFAULT_RCC_ENTRIES,
-        group_threshold: Optional[int] = None,
-        row_threshold: Optional[int] = None,
-        blast_radius: int = DEFAULT_BLAST_RADIUS,
     ) -> None:
         """Create a Hydra instance.
+
+        A group moves to per-row tracking after ``nrh / 4`` aggregate
+        activations (the group threshold), and a row's victims are refreshed
+        at a per-row count of ``nrh / 2`` (the row threshold).
 
         Args:
             nrh: RowHammer threshold.
             num_banks: number of banks.
             group_size: rows per Group Count Table entry.
             rcc_entries: Row Count Cache capacity (entries).
-            group_threshold: aggregate activations after which a group moves
-                to per-row tracking (defaults to ``nrh / 4``).
-            row_threshold: per-row count at which victims are refreshed
-                (defaults to ``nrh / 2``).
-            blast_radius: victim rows on each side of an aggressor.
         """
-        super().__init__(nrh, blast_radius)
+        super().__init__(nrh)
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
         if group_size <= 0:
             raise ValueError("group_size must be positive")
         self.num_banks = num_banks
         self.group_size = group_size
-        self.group_threshold = group_threshold if group_threshold is not None else max(1, nrh // 4)
-        self.row_threshold = row_threshold if row_threshold is not None else max(1, nrh // 2)
+        self.group_threshold = max(1, nrh // 4)
+        self.row_threshold = max(1, nrh // 2)
         self.rcc = RowCountCache(rcc_entries)
         #: Group Count Table: {(bank, group): aggregate count}.
         self._gct: Dict[Tuple[int, int], int] = {}

@@ -44,8 +44,9 @@ class PreventiveRefresh:
     Attributes:
         bank_id: flat bank index containing the aggressor row.
         aggressor_row: the row whose neighbours must be refreshed.
-        num_rows: how many victim rows must be refreshed (``2 * blast_radius``
-            unless the mechanism refreshes a single neighbour, e.g. PARA).
+        num_rows: how many victim rows must be refreshed
+            (``victim_rows_per_aggressor`` unless the mechanism refreshes a
+            single neighbour, e.g. PARA).
     """
 
     bank_id: int
@@ -93,13 +94,13 @@ class MitigationMechanism(abc.ABC):
     #: subarray adds 19.07 % per the paper's SPICE evaluation).
     act_energy_multiplier: float = 1.0
 
-    def __init__(self, nrh: int, blast_radius: int = DEFAULT_BLAST_RADIUS) -> None:
+    #: Victim rows refreshed when an aggressor is mitigated.
+    victim_rows_per_aggressor: int = 2 * DEFAULT_BLAST_RADIUS
+
+    def __init__(self, nrh: int) -> None:
         if nrh <= 0:
             raise ValueError(f"N_RH must be positive, got {nrh}")
-        if blast_radius <= 0:
-            raise ValueError(f"blast radius must be positive, got {blast_radius}")
         self.nrh = nrh
-        self.blast_radius = blast_radius
         self.stats = MitigationStats()
         #: External observers of victim-refresh events (e.g. the red-team
         #: :class:`~repro.attacks.oracle.DisturbanceOracle`).
@@ -151,11 +152,6 @@ class MitigationMechanism(abc.ABC):
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
-    @property
-    def victim_rows_per_aggressor(self) -> int:
-        """Victim rows refreshed when an aggressor is mitigated."""
-        return 2 * self.blast_radius
-
     def storage_overhead_bits(self, num_banks: int, rows_per_bank: int) -> Dict[str, int]:
         """Return storage overhead in bits, split by location.
 
@@ -178,8 +174,8 @@ class ControllerMitigation(MitigationMechanism):
     (PRFM) via :meth:`rfm_pending_banks`.
     """
 
-    def __init__(self, nrh: int, blast_radius: int = DEFAULT_BLAST_RADIUS) -> None:
-        super().__init__(nrh, blast_radius)
+    def __init__(self, nrh: int) -> None:
+        super().__init__(nrh)
         self._pending: Dict[int, List[PreventiveRefresh]] = {}
 
     # -- preventive refresh queue --------------------------------------- #
@@ -282,8 +278,8 @@ class NoMitigation(ControllerMitigation):
 
     name = "None"
 
-    def __init__(self, nrh: int = 10**9, blast_radius: int = DEFAULT_BLAST_RADIUS) -> None:
-        super().__init__(nrh, blast_radius)
+    def __init__(self, nrh: int = 10**9) -> None:
+        super().__init__(nrh)
 
     def on_activate(self, bank_id: int, row: int, cycle: int) -> None:
         self.stats.tracked_activations += 1

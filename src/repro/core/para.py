@@ -14,11 +14,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
-from repro.core.mitigation import (
-    DEFAULT_BLAST_RADIUS,
-    ControllerMitigation,
-    PreventiveRefresh,
-)
+from repro.core.mitigation import ControllerMitigation, PreventiveRefresh
 
 
 #: Target probability that an aggressor row escapes mitigation for ``N_RH``
@@ -53,29 +49,26 @@ class PARA(ControllerMitigation):
         nrh: int,
         num_banks: int,
         probability: Optional[float] = None,
-        blast_radius: int = DEFAULT_BLAST_RADIUS,
         seed: int = 0,
-        target_failure: float = TARGET_FAILURE_PROBABILITY,
     ) -> None:
         """Create a PARA policy.
+
+        PARA refreshes one neighbour per trigger, chosen at random.
 
         Args:
             nrh: RowHammer threshold.
             num_banks: number of banks (used only for bookkeeping).
             probability: per-activation refresh probability; derived from
-                ``nrh`` and ``target_failure`` when ``None``.
-            blast_radius: victim rows on each side of an aggressor (PARA
-                refreshes one neighbour per trigger, chosen at random).
+                ``nrh`` and :data:`TARGET_FAILURE_PROBABILITY` when ``None``.
             seed: seed of the private random number generator, so simulations
                 are reproducible.
-            target_failure: bitflip escape probability budget.
         """
-        super().__init__(nrh, blast_radius)
+        super().__init__(nrh)
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
         self.num_banks = num_banks
         if probability is None:
-            probability = para_refresh_probability(nrh, target_failure)
+            probability = para_refresh_probability(nrh)
         if not 0.0 < probability <= 1.0:
             raise ValueError("probability must be in (0, 1]")
         self.probability = probability

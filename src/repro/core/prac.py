@@ -27,14 +27,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from repro.analysis.security import (
-    DEFAULT_PARAMETERS,
-    SecurityParameters,
-    att_required_entries,
-    secure_prac_backoff_threshold,
-)
+from repro.analysis.security import att_required_entries, secure_prac_backoff_threshold
 from repro.core.counters import AggressorTrackingTable, PerRowCounters
-from repro.core.mitigation import DEFAULT_BLAST_RADIUS, OnDieMitigation
+from repro.core.mitigation import OnDieMitigation
 
 
 class PRAC(OnDieMitigation):
@@ -53,14 +48,14 @@ class PRAC(OnDieMitigation):
         num_banks: int,
         nref: int = 4,
         nbo: Optional[int] = None,
-        ndelay: Optional[int] = None,
-        att_entries: Optional[int] = None,
-        blast_radius: int = DEFAULT_BLAST_RADIUS,
-        borrowed_refresh: bool = True,
-        security_params: SecurityParameters = DEFAULT_PARAMETERS,
-        allow_insecure: bool = False,
     ) -> None:
         """Create a PRAC-N instance.
+
+        The delay period is ``nref`` activations (JESD79-5c ties ``NDelay``
+        to ``NRef``), the Aggressor Tracking Table holds the secure minimum
+        of ``Anormal + 1`` entries, and the device transparently refreshes
+        the victims of one tracked aggressor per bank every other periodic
+        REF (§5).
 
         Args:
             nrh: RowHammer threshold the device must defend against.
@@ -68,50 +63,31 @@ class PRAC(OnDieMitigation):
             nref: RFM commands issued per back-off (1, 2 or 4).
             nbo: back-off threshold (absolute activation count).  If ``None``
                 the largest threshold that is secure against the wave attack
-                (per the §5 analysis) is used.
-            ndelay: activations required before a new back-off may be
-                asserted; defaults to ``nref`` as in the specification.
-            att_entries: Aggressor Tracking Table size; defaults to the
-                secure minimum (``Anormal + 1``).
-            blast_radius: victim rows on each side of an aggressor.
-            borrowed_refresh: if True, the device transparently refreshes the
-                victims of one tracked aggressor per bank every other
-                periodic REF (§5).
-            security_params: physical parameters for the secure-configuration
-                search.
-            allow_insecure: if True and no secure ``NBO`` exists for ``nrh``,
-                fall back to the most aggressive configuration (``NBO = 1``)
-                and set :attr:`is_secure` to False instead of raising.
+                (per the §5 analysis) is used; if no threshold is secure at
+                ``nrh``, the most aggressive one (``NBO = 1``) is used and
+                :attr:`is_secure` is False.
         """
-        super().__init__(nrh, blast_radius)
+        super().__init__(nrh)
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
         if nref <= 0:
             raise ValueError("nref must be positive")
         self.num_banks = num_banks
         self.nref = nref
-        self.ndelay = nref if ndelay is None else ndelay
-        self.borrowed_refresh = borrowed_refresh
-        self.security_params = security_params
 
         if nbo is None:
             try:
-                nbo = secure_prac_backoff_threshold(nrh, nref, params=security_params)
+                nbo = secure_prac_backoff_threshold(nrh, nref)
             except ValueError:
-                if not allow_insecure:
-                    raise
                 nbo = 1
                 self.is_secure = False
         self.nbo = nbo
 
-        if att_entries is None:
-            att_entries = att_required_entries(security_params, prac_timings=True)
-        self.att_entries = att_entries
-
+        self.att_entries = att_required_entries(prac_timings=True)
         self.name = f"PRAC-{nref}"
         self.counters = PerRowCounters(num_banks)
         self.att: List[AggressorTrackingTable] = [
-            AggressorTrackingTable(att_entries) for _ in range(num_banks)
+            AggressorTrackingTable(self.att_entries) for _ in range(num_banks)
         ]
 
         # Back-off protocol state.
@@ -137,8 +113,6 @@ class PRAC(OnDieMitigation):
             self._assert_backoff()
 
     def on_periodic_refresh(self, bank_ids: List[int], cycle: int) -> None:
-        if not self.borrowed_refresh:
-            return
         self._borrow_toggle = not self._borrow_toggle
         if not self._borrow_toggle:
             return
@@ -207,7 +181,7 @@ class PRAC(OnDieMitigation):
             if self._rfms_in_recovery >= self.nref:
                 self._backoff = False
                 self._rfms_in_recovery = 0
-                self._delay_acts_remaining = self.ndelay
+                self._delay_acts_remaining = self.nref
         return refreshed_rows
 
     def activations_until_next_backoff(self) -> Optional[int]:

@@ -21,12 +21,8 @@ import bisect
 import math
 from typing import Dict, List, Optional
 
-from repro.analysis.security import (
-    DEFAULT_PARAMETERS,
-    SecurityParameters,
-    secure_prfm_threshold,
-)
-from repro.core.mitigation import DEFAULT_BLAST_RADIUS, ControllerMitigation
+from repro.analysis.security import secure_prfm_threshold
+from repro.core.mitigation import ControllerMitigation
 
 
 class PRFM(ControllerMitigation):
@@ -39,9 +35,6 @@ class PRFM(ControllerMitigation):
         nrh: int,
         num_banks: int,
         rfm_threshold: Optional[int] = None,
-        blast_radius: int = DEFAULT_BLAST_RADIUS,
-        security_params: SecurityParameters = DEFAULT_PARAMETERS,
-        allow_insecure: bool = False,
     ) -> None:
         """Create a PRFM policy.
 
@@ -50,23 +43,18 @@ class PRFM(ControllerMitigation):
             num_banks: number of banks tracked (one counter each).
             rfm_threshold: activations per bank between RFM commands.  When
                 ``None``, the largest wave-attack-secure threshold is chosen
-                from the §5 analysis.
-            blast_radius: victim rows on each side of an aggressor.
-            security_params: parameters for the secure-threshold search.
-            allow_insecure: if no secure threshold exists for ``nrh``, fall
-                back to the most aggressive candidate (``RFMth = 2``) and set
-                :attr:`is_secure` to False instead of raising.
+                from the §5 analysis; if no threshold is secure at ``nrh``,
+                the most aggressive candidate (``RFMth = 2``) is used and
+                :attr:`is_secure` is False.
         """
-        super().__init__(nrh, blast_radius)
+        super().__init__(nrh)
         if num_banks <= 0:
             raise ValueError("num_banks must be positive")
         self.num_banks = num_banks
         if rfm_threshold is None:
             try:
-                rfm_threshold = secure_prfm_threshold(nrh, params=security_params)
+                rfm_threshold = secure_prfm_threshold(nrh)
             except ValueError:
-                if not allow_insecure:
-                    raise
                 rfm_threshold = 2
                 self.is_secure = False
         if rfm_threshold <= 0:
@@ -108,18 +96,20 @@ class PRFM(ControllerMitigation):
             on_die_refreshed: victim rows an *on-die* mechanism refreshed
                 during this RFM, or ``None`` when the device hosts no on-die
                 mechanism at all.  Only in the ``None`` case does the plain
-                DRAM chip pick an aggressor itself, which listeners are told
-                about with an unknown (``None``) aggressor row; in composite
-                configurations (PRAC+PRFM) the on-die mechanism reports its
-                own refreshes -- including refreshing nothing -- so no
-                phantom refresh may be credited here.
+                DRAM chip pick an aggressor itself: PRFM then counts the RFM
+                and its refresh, and tells listeners about it with an
+                unknown (``None``) aggressor row.  In composite
+                configurations (PRAC+PRFM) the on-die mechanism serves the
+                RFM and counts and reports its own refreshes -- including
+                refreshing nothing -- so PRFM credits neither the command
+                nor a phantom refresh.
         """
         if bank_id in self._rfm_pending_banks:
             self._rfm_pending_banks.remove(bank_id)
         self._bank_counters[bank_id] = 0
-        self.stats.rfm_commands += 1
-        self.stats.preventive_refresh_rows += self.victim_rows_per_aggressor
         if on_die_refreshed is None:
+            self.stats.rfm_commands += 1
+            self.stats.preventive_refresh_rows += self.victim_rows_per_aggressor
             self.notify_victims_refreshed(
                 bank_id, None, self.victim_rows_per_aggressor, cycle
             )

@@ -18,8 +18,11 @@ Chronus' Concurrent Counter Update (CCU) restores the non-PRAC timings because
 the counter lives in a separate subarray and is updated in parallel with the
 data-row access.
 
-All parameters are stored internally in DRAM clock cycles.  The factory
-functions below convert from nanoseconds using the speed bin's clock period.
+The nanosecond tables ``BASE_NS`` and ``PRAC_NS`` are the one statement of
+these values: the simulator runs on :class:`TimingParams`, which the factory
+functions below convert to DRAM clock cycles with the speed bin's clock
+period, and the §5 security analysis (:mod:`repro.analysis.security`) reads
+the nanoseconds directly.
 """
 
 from __future__ import annotations
@@ -136,8 +139,9 @@ class TimingParams:
 DDR5_3200_TCK_NS = 0.625
 
 #: Baseline (non-PRAC) timing values in nanoseconds, per the paper (Table 1)
-#: and typical JESD79-5c values for parameters the paper does not list.
-_BASE_NS = {
+#: and typical JESD79-5c values for parameters the paper does not list.  The
+#: security analysis reads tRC, tRFM, tREFW and tABOACT from here.
+BASE_NS = {
     "tRAS": 32.0,
     "tRP": 15.0,
     "tRC": 47.0,
@@ -158,8 +162,9 @@ _BASE_NS = {
     "tBackOffLatency": 5.0,
 }
 
-#: Timing deltas when PRAC is enabled (Table 1 of the paper).
-_PRAC_NS = {
+#: Timing deltas when PRAC is enabled (Table 1 of the paper); the security
+#: analysis reads PRAC's tRC from here.
+PRAC_NS = {
     "tRAS": 16.0,
     "tRP": 36.0,
     "tRC": 52.0,
@@ -196,9 +201,9 @@ def ddr5_3200an(prac: bool = False, *, legacy_prac_timings: bool = False) -> Tim
     if not prac:
         if legacy_prac_timings:
             raise ValueError("legacy_prac_timings requires prac=True")
-        return _build(_BASE_NS, prac=False, name="DDR5-3200AN")
-    ns_values = dict(_BASE_NS)
-    ns_values.update(_PRAC_OLD_NS if legacy_prac_timings else _PRAC_NS)
+        return _build(BASE_NS, prac=False, name="DDR5-3200AN")
+    ns_values = dict(BASE_NS)
+    ns_values.update(_PRAC_OLD_NS if legacy_prac_timings else PRAC_NS)
     name = "DDR5-3200AN+PRAC(old)" if legacy_prac_timings else "DDR5-3200AN+PRAC"
     return _build(ns_values, prac=prac, name=name)
 
@@ -213,8 +218,8 @@ def timing_table_rows() -> list[dict]:
         rows.append(
             {
                 "parameter": param,
-                "no_prac_ns": _BASE_NS[param],
-                "prac_ns": _PRAC_NS[param],
+                "no_prac_ns": BASE_NS[param],
+                "prac_ns": PRAC_NS[param],
             }
         )
     return rows

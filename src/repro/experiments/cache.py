@@ -52,7 +52,9 @@ from repro.system.metrics import SimulationResult
 #: 2: event-horizon engine (PR 4) -- time skips honour tREFI/tRRD/tFAW
 #:    deadlines, the FR-FCFS cap resets on row closure, failed dispatches
 #:    no longer mutate the LLC, finished cores replay deterministically.
-CACHE_SCHEMA_VERSION = 2
+#: 3: PRAC+PRFM counts each PRFM-requested RFM once (in PRAC, which serves
+#:    it), not also in PRFM's ``rfm_commands`` / ``preventive_refresh_rows``.
+CACHE_SCHEMA_VERSION = 3
 
 #: Environment variable consulted for the default on-disk cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

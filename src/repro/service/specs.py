@@ -9,8 +9,9 @@ rules (the lessons of injection-style cache poisoning):
    attributes into :class:`~repro.experiments.sweep.SimJob` or the config.
 2. **Reject unknown keys** (400), instead of silently ignoring them: a
    typoed field would otherwise change what the client *thinks* it ran.
-3. **Bound everything**: access budgets, expanded job counts and list
-   lengths are capped so one submission cannot wedge the service.
+3. **Bound everything**: access budgets, attack trace lengths, expanded
+   job counts and list lengths (mixes included) are capped so one
+   submission cannot wedge the service.
 
 The output of :func:`parse_submission` is a :class:`Submission` whose
 ``payload`` is the *canonical* resolved description (defaults applied) --
@@ -29,6 +30,7 @@ from repro.experiments.runner import default_mixes
 from repro.experiments.sweep import SimJob, SweepSpec, attack_search_job
 from repro.system.config import paper_system_config
 from repro.workloads.mixes import MIX_TYPES
+from repro.workloads.synthetic import app_names
 
 #: Job kinds the service schedules.
 KIND_SWEEP = "sweep"
@@ -185,12 +187,20 @@ def _parse_sweep(spec: Mapping[str, object]) -> Tuple[Dict[str, object], Tuple[S
             raise SpecError("mixes must be a non-empty list of application lists")
         if len(raw_mixes) > MAX_LIST_LENGTH:
             raise SpecError(f"mixes holds {len(raw_mixes)} entries (max {MAX_LIST_LENGTH})")
+        known_apps = set(app_names())
         mixes: List[Tuple[str, ...]] = []
         for index, mix in enumerate(raw_mixes):
             if not isinstance(mix, list) or not mix:
                 raise SpecError(f"mixes[{index}] must be a non-empty list of strings")
-            if not all(isinstance(app, str) for app in mix):
-                raise SpecError(f"mixes[{index}] entries must be strings")
+            if len(mix) > MAX_LIST_LENGTH:
+                raise SpecError(
+                    f"mixes[{index}] holds {len(mix)} applications (max {MAX_LIST_LENGTH})"
+                )
+            for app in mix:
+                if not isinstance(app, str):
+                    raise SpecError(f"mixes[{index}] entries must be strings")
+                if app not in known_apps:
+                    raise SpecError(f"mixes[{index}] names unknown application {app!r}")
             mixes.append(tuple(mix))
     else:
         num_mixes = _read_int(spec, "num_mixes", 1, 1, MAX_LIST_LENGTH)
@@ -261,16 +271,24 @@ def _parse_attack_search(spec: Mapping[str, object]) -> Tuple[Dict[str, object],
     for name, value in params_raw.items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise SpecError(f"params[{name!r}] must be an integer")
+        if value < 0:
+            raise SpecError(f"params[{name!r}] must be non-negative, got {value}")
         params[name] = value
     try:
         attack = AttackSpec.create(pattern, params, seed=seed, channel=channel)
         base_config = paper_system_config().with_overrides(channels=channels)
+        length = attack.trace_length(base_config.organization)
         jobs = tuple(
             attack_search_job(base_config, mechanism, nrh, attack)
             for nrh in sorted(set(nrh_values))
         )
     except ValueError as error:
         raise SpecError(str(error))
+    if not 1 <= length <= MAX_ACCESSES:
+        raise SpecError(
+            f"{pattern} trace would hold {length} accesses "
+            f"(must be in [1, {MAX_ACCESSES}])"
+        )
     canonical: Dict[str, object] = {
         "mechanism": mechanism,
         "nrh": sorted(set(nrh_values)),

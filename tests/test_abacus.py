@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.abacus import ABACuS
 from repro.core.graphene import (
-    DEFAULT_RESET_WINDOW_ACTIVATIONS,
+    Graphene,
     graphene_table_entries,
     graphene_trigger_threshold,
 )
@@ -72,11 +72,11 @@ class TestTableManagement:
     @pytest.mark.parametrize("nrh", (20, 64, 1024))
     def test_default_provisioning_is_graphenes(self, nrh):
         abacus = ABACuS(nrh=nrh, num_banks=64)
-        assert abacus.reset_window_activations == DEFAULT_RESET_WINDOW_ACTIVATIONS
+        graphene = Graphene(nrh=nrh, num_banks=64)
+        assert abacus.trigger_threshold == graphene.trigger_threshold
         assert abacus.trigger_threshold == graphene_trigger_threshold(nrh)
-        assert abacus.table_entries == graphene_table_entries(
-            nrh, DEFAULT_RESET_WINDOW_ACTIVATIONS
-        )
+        assert abacus.table_entries == graphene.table_entries
+        assert abacus.table_entries == graphene_table_entries(nrh)
 
     def test_default_table_size_grows_as_nrh_shrinks(self):
         small_nrh = ABACuS(nrh=20, num_banks=64)
@@ -89,8 +89,6 @@ class TestTableManagement:
         assert big > 10 * small
 
     def test_storage_much_smaller_than_graphene(self):
-        from repro.core.graphene import Graphene
-
         abacus_bits = ABACuS(nrh=64, num_banks=64).storage_overhead_bits(64, 131072)["cam_bits"]
         graphene_bits = Graphene(nrh=64, num_banks=64).storage_overhead_bits(64, 131072)["cam_bits"]
         assert abacus_bits * 10 < graphene_bits

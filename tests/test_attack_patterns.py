@@ -221,6 +221,18 @@ class TestCompiledTraces:
         trace = spec.compile(organization=organization)
         assert trace_digest(trace) == SPEC_TRACE_DIGESTS[(spec.label, channels)]
 
+    @pytest.mark.parametrize(
+        "spec, channels", SPECS_BY_CHANNELS,
+        ids=[f"{spec.label}-{channels}ch" for spec, channels in SPECS_BY_CHANNELS],
+    )
+    def test_trace_length_matches_compiled_trace(self, spec, channels):
+        """The registry's length is what the builder produces, so bounds can
+        be checked without building the trace."""
+        organization = PAPER_ORGANIZATION.with_channels(channels)
+        assert spec.trace_length(organization) == len(
+            spec.compile(organization=organization)
+        )
+
     @pytest.mark.parametrize("num_accesses, seed", sorted(PERF_ATTACK_DIGESTS))
     def test_performance_attack_trace_digest(self, num_accesses, seed):
         trace = performance_attack_trace(num_accesses=num_accesses, seed=seed)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.analysis.security import DEFAULT_PARAMETERS
+from repro.analysis.security import ANORMAL_CHRONUS
 from repro.core.chronus import CCU_ROW_ACCESS_ENERGY_OVERHEAD, Chronus, ChronusPB
+from repro.core.counters import CounterSubarray
 from repro.core.prac import PRAC
 
 
@@ -22,8 +23,7 @@ class TestConfiguration:
 
     def test_default_nbo_is_secure_bound(self):
         chronus = Chronus(nrh=20, num_banks=4)
-        anormal = DEFAULT_PARAMETERS.normal_traffic_activations_chronus
-        assert chronus.nbo == min(20 - anormal - 1, 256)
+        assert chronus.nbo == min(20 - ANORMAL_CHRONUS - 1, 256)
 
     def test_default_nbo_capped_by_counter_width(self):
         chronus = Chronus(nrh=4096, num_banks=4)
@@ -31,8 +31,7 @@ class TestConfiguration:
 
     def test_att_sized_for_normal_traffic_window(self):
         chronus = Chronus(nrh=1024, num_banks=4)
-        anormal = DEFAULT_PARAMETERS.normal_traffic_activations_chronus
-        assert chronus.att_entries == anormal + 1
+        assert chronus.att_entries == ANORMAL_CHRONUS + 1
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -54,8 +53,10 @@ class TestConcurrentCounterUpdate:
         assert chronus.counters.get(0, 10) == 1
 
     def test_counter_subarray_capacity_overhead_small(self):
-        chronus = make_chronus()
-        assert chronus.counter_subarray.capacity_overhead < 0.001
+        """The counters that cap Chronus' NBO fit in under 0.1 % of a bank."""
+        chronus = Chronus(nrh=4096, num_banks=4)
+        assert chronus.nbo == 2 ** CounterSubarray.counter_width_bits
+        assert CounterSubarray().capacity_overhead < 0.001
 
 
 class TestChronusBackoff:

@@ -251,13 +251,13 @@ class TestOnDieMechanismStreams:
     @settings(max_examples=40, deadline=None)
     @given(stream=act_streams)
     def test_prac_counts_activations_since_victim_refresh(self, stream):
-        prac = PRAC(nrh=64, num_banks=NUM_BANKS, nbo=4, att_entries=3)
+        prac = PRAC(nrh=64, num_banks=NUM_BANKS, nbo=4)
         self._assert_counts_follow_stream(prac, stream, precharge=True)
 
     @settings(max_examples=40, deadline=None)
     @given(stream=act_streams)
     def test_chronus_counts_activations_since_victim_refresh(self, stream):
-        chronus = Chronus(nrh=64, num_banks=NUM_BANKS, nbo=4, att_entries=3)
+        chronus = Chronus(nrh=64, num_banks=NUM_BANKS, nbo=4)
         self._assert_counts_follow_stream(chronus, stream, precharge=False)
 
     def _assert_counts_follow_stream(self, mechanism, stream, precharge):

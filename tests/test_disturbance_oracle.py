@@ -30,7 +30,7 @@ class TestOracleUnit:
         assert oracle.first_escape_cycle == 20
 
     def test_full_refresh_resets_count(self):
-        oracle = DisturbanceOracle(nrh=100, blast_radius=2)
+        oracle = DisturbanceOracle(nrh=100)
         for _ in range(5):
             oracle.on_activate(0, 7, cycle=0)
         oracle.on_victims_refreshed(0, 7, num_rows=4, cycle=1)
@@ -39,7 +39,7 @@ class TestOracleUnit:
         assert oracle.max_disturbance == 5
 
     def test_partial_refresh_scales_count(self):
-        oracle = DisturbanceOracle(nrh=100, blast_radius=2)
+        oracle = DisturbanceOracle(nrh=100)
         for _ in range(8):
             oracle.on_activate(0, 7, cycle=0)
         # PARA-style: one of four victims refreshed -> 3/4 of the count stays.
@@ -78,7 +78,7 @@ class TestOracleUnit:
         with pytest.raises(ValueError):
             DisturbanceOracle(nrh=0)
         with pytest.raises(ValueError):
-            DisturbanceOracle(nrh=1, blast_radius=0)
+            DisturbanceOracle(nrh=1, num_channels=0)
 
 
 def run_attack(mechanism, nrh, spec=None, oracle_nrh=None):

@@ -132,7 +132,8 @@ class TestEntryDocuments:
 
     def test_docs_name_no_removed_lint_or_artifact_path(self):
         """The lint baseline, its file-wide scope and second entry point,
-        and the artifact store, resume and index seek are gone."""
+        the artifact store, resume and index seek, and the security
+        analysis' parameter object and override arguments are gone."""
         docs = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
         for path in docs:
             text = path.read_text(encoding="utf-8")
@@ -140,6 +141,7 @@ class TestEntryDocuments:
                 "tools/reprolint.py", "--write-baseline",
                 "tools/reprolint_baseline.json", "disable-file",
                 "ArtifactStore", "ArtifactWriter.resume", "record_at",
+                "SecurityParameters", "security_params", "allow_insecure",
             ):
                 assert removed not in text, f"{path.name} names {removed!r}"
 

@@ -63,12 +63,8 @@ class TestBuildMechanism:
             assert not setup.use_prac_timings
 
     def test_insecure_configurations_flagged(self):
-        setup = build_mechanism("PRAC-1", nrh=4, num_banks=8, allow_insecure=True)
+        setup = build_mechanism("PRAC-1", nrh=4, num_banks=8)
         assert not setup.is_secure
-
-    def test_insecure_raises_when_not_allowed(self):
-        with pytest.raises(ValueError):
-            build_mechanism("PRAC-1", nrh=4, num_banks=8, allow_insecure=False)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
@@ -91,7 +87,7 @@ class TestDerivedFacts:
 
     def test_secure_only_when_every_part_is(self):
         chronus = Chronus(nrh=1024, num_banks=8)
-        insecure = PRFM(nrh=4, num_banks=8, allow_insecure=True)
+        insecure = PRFM(nrh=4, num_banks=8)
         assert MechanismSetup("Chronus", chronus, None).is_secure
         assert MechanismSetup("None", None, None).is_secure
         assert not MechanismSetup("mixed", chronus, insecure).is_secure

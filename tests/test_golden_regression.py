@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.security import (
-    DEFAULT_PARAMETERS,
+    ANORMAL_CHRONUS,
+    ANORMAL_PRAC,
     att_required_entries,
     chronus_max_activations,
     chronus_secure_backoff_threshold,
@@ -91,8 +92,8 @@ class TestSecurityGoldens:
     """Pinned outputs of the §5 / §8 closed-form analysis."""
 
     def test_normal_traffic_activations(self):
-        assert DEFAULT_PARAMETERS.normal_traffic_activations == 3
-        assert DEFAULT_PARAMETERS.normal_traffic_activations_chronus == 3
+        assert ANORMAL_PRAC == 3
+        assert ANORMAL_CHRONUS == 3
 
     def test_prfm_max_activations(self):
         assert prfm_max_activations(32, 2048) == 259
@@ -114,12 +115,16 @@ class TestSecurityGoldens:
         assert secure_prfm_threshold(64) == 4
         assert secure_prac_backoff_threshold(1024, 4) == 256
         assert secure_prac_backoff_threshold(128, 4) == 64
+        # Moves to 7 if tRC is read from the cycle presets (52.5 ns).
+        assert secure_prac_backoff_threshold(32, 2) == 6
 
     def test_att_sizing_and_minimum_secure_nrh(self):
-        assert att_required_entries(DEFAULT_PARAMETERS, prac_timings=True) == 4
-        assert att_required_entries(DEFAULT_PARAMETERS, prac_timings=False) == 4
+        assert att_required_entries(prac_timings=True) == 4
+        assert att_required_entries(prac_timings=False) == 4
         assert minimum_secure_nrh_prac(4) == 18
         assert minimum_secure_nrh_prac(1) == 47
+        # Moves to 26 if tRC is read from the cycle presets (52.5 ns).
+        assert minimum_secure_nrh_prac(2) == 27
 
     def test_security_sweeps(self):
         assert prfm_security_sweep((2, 32), (2048,)) == {2: {2048: 13}, 32: {2048: 259}}

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.security import DEFAULT_PARAMETERS
+from repro.dram.timing import BASE_NS
 from repro.core.graphene import (
     DEFAULT_RESET_WINDOW_ACTIVATIONS,
     Graphene,
@@ -71,15 +71,16 @@ class TestGrapheneConfiguration:
         assert graphene_trigger_threshold(20) == 10
 
     def test_table_grows_as_nrh_shrinks(self):
-        window = 100_000
-        assert graphene_table_entries(20, window) > graphene_table_entries(1024, window)
+        assert graphene_table_entries(20) > graphene_table_entries(1024)
 
     def test_default_reset_window_is_half_a_refresh_window(self):
-        params = DEFAULT_PARAMETERS
-        assert DEFAULT_RESET_WINDOW_ACTIVATIONS == int(params.trefw_ns / 2 / params.trc_ns)
+        assert DEFAULT_RESET_WINDOW_ACTIVATIONS == int(
+            BASE_NS["tREFW"] / 2 / BASE_NS["tRC"]
+        )
         assert DEFAULT_RESET_WINDOW_ACTIVATIONS == 340_425
         graphene = Graphene(nrh=1024, num_banks=2)
-        assert graphene.reset_window_activations == DEFAULT_RESET_WINDOW_ACTIVATIONS
+        assert graphene.table_entries == graphene_table_entries(1024)
+        assert graphene.table_entries == -(-DEFAULT_RESET_WINDOW_ACTIVATIONS // 512) + 1
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.mitigation import (
+    DEFAULT_BLAST_RADIUS,
     ControllerMitigation,
+    MitigationMechanism,
     MitigationStats,
     NoMitigation,
     PreventiveRefresh,
@@ -54,13 +56,11 @@ class TestBaseValidation:
         with pytest.raises(ValueError):
             QueueOnly(nrh=0)
 
-    def test_invalid_blast_radius(self):
-        with pytest.raises(ValueError):
-            QueueOnly(nrh=10, blast_radius=0)
-
     def test_victim_rows_per_aggressor(self):
-        assert QueueOnly(nrh=10, blast_radius=2).victim_rows_per_aggressor == 4
-        assert QueueOnly(nrh=10, blast_radius=1).victim_rows_per_aggressor == 2
+        """Both neighbours within the paper's blast radius of 2: four rows."""
+        assert DEFAULT_BLAST_RADIUS == 2
+        assert QueueOnly(nrh=10).victim_rows_per_aggressor == 4
+        assert MitigationMechanism.victim_rows_per_aggressor == 4
 
     def test_default_storage_is_empty(self):
         assert QueueOnly(nrh=10).storage_overhead_bits(64, 1000) == {}

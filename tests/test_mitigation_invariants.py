@@ -27,6 +27,7 @@ from repro.core.factory import MECHANISM_NAMES, build_mechanism
 from repro.core.graphene import Graphene
 from repro.core.hydra import Hydra
 from repro.core.mitigation import (
+    DEFAULT_BLAST_RADIUS,
     ControllerMitigation,
     MitigationMechanism,
     OnDieMitigation,
@@ -201,11 +202,11 @@ def rearm_bound(mechanism: MitigationMechanism, nrh: int) -> int:
     """Activations needed to re-trigger after tracking state was cleared.
 
     PRAC-family mechanisms additionally enforce the delay period: after a
-    served back-off, ``NDelay`` activations must pass before the signal may
-    be re-asserted (the L3 weakness of the paper's Fig. 6).
+    served back-off, ``NDelay = NRef`` activations must pass before the
+    signal may be re-asserted (the L3 weakness of the paper's Fig. 6).
     """
     if isinstance(mechanism, PRAC):
-        return max(mechanism.nbo, mechanism.ndelay)
+        return max(mechanism.nbo, mechanism.nref)
     return trigger_bound(mechanism, nrh)
 
 
@@ -353,4 +354,4 @@ def test_factory_setup_is_well_formed(name):
     assert setup.act_energy_multiplier >= 1.0
     for mechanism in setup.mechanisms():
         assert mechanism.nrh > 0
-        assert mechanism.victim_rows_per_aggressor == 2 * mechanism.blast_radius
+        assert mechanism.victim_rows_per_aggressor == 2 * DEFAULT_BLAST_RADIUS

@@ -21,13 +21,9 @@ class TestConfiguration:
         assert low.nbo < high.nbo
 
     def test_insecure_fallback(self):
-        prac = PRAC(nrh=2, num_banks=4, nref=1, allow_insecure=True)
+        prac = PRAC(nrh=2, num_banks=4, nref=1)
         assert not prac.is_secure
         assert prac.nbo == 1
-
-    def test_insecure_raises_without_fallback(self):
-        with pytest.raises(ValueError):
-            PRAC(nrh=2, num_banks=4, nref=1, allow_insecure=False)
 
     def test_requires_prac_timings(self):
         assert PRAC.requires_prac_timings is True
@@ -35,9 +31,14 @@ class TestConfiguration:
     def test_name_includes_nref(self):
         assert make_prac(nref=2).name == "PRAC-2"
 
-    def test_ndelay_defaults_to_nref(self):
-        assert make_prac(nref=4).ndelay == 4
-        assert make_prac(nref=4, ndelay=2).ndelay == 2
+    def test_delay_period_is_nref(self):
+        """JESD79-5c ties the delay period (NDelay) to NRef."""
+        for nref in (1, 2, 4):
+            prac = make_prac(nbo=1, nref=nref)
+            prac.on_precharge(0, 1, 0)
+            for _ in range(nref):
+                prac.on_rfm([0], 5)
+            assert prac.activations_until_next_backoff() == nref
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -111,9 +112,10 @@ class TestBackoffProtocol:
         assert refreshed == 2 * prac.victim_rows_per_aggressor
 
     def test_delay_period_blocks_reassertion(self):
-        prac = make_prac(nbo=1, nref=1, ndelay=3)
+        prac = make_prac(nbo=1, nref=3)
         prac.on_precharge(0, 1, 0)
-        prac.on_rfm([0], 5)
+        for _ in range(3):
+            prac.on_rfm([0], 5)
         assert not prac.backoff_asserted()
         # A row above the threshold exists, but the delay period holds.
         prac.on_precharge(0, 2, 6)
@@ -128,7 +130,7 @@ class TestBackoffProtocol:
         assert prac.stats.backoffs == 2
 
     def test_no_reassert_when_nothing_hot(self):
-        prac = make_prac(nbo=10, nref=1, ndelay=1)
+        prac = make_prac(nbo=10, nref=1)
         prac._delay_acts_remaining = 1
         prac.on_activate(0, 3, 0)
         assert not prac.backoff_asserted()
@@ -145,13 +147,6 @@ class TestBorrowedRefresh:
         prac.on_precharge(0, 11, 200)
         prac.on_periodic_refresh([0, 1], 300)
         assert prac.counters.get(0, 11) == 1
-
-    def test_disabled_borrowed_refresh(self):
-        prac = make_prac(nbo=100, borrowed_refresh=False)
-        prac.on_precharge(0, 9, 0)
-        prac.on_periodic_refresh([0, 1], 100)
-        assert prac.stats.borrowed_refreshes == 0
-        assert prac.counters.get(0, 9) == 1
 
 
 class TestHousekeeping:

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.prfm import PRFM
+from repro.experiments.runner import default_mixes
+from repro.experiments.sweep import attack_job, execute_job
+from repro.system.config import paper_system_config
 
 
 class TestConfiguration:
@@ -19,7 +22,7 @@ class TestConfiguration:
         assert PRFM(nrh=1024, num_banks=4, rfm_threshold=75).rfm_threshold == 75
 
     def test_insecure_fallback(self):
-        prfm = PRFM(nrh=4, num_banks=4, allow_insecure=True)
+        prfm = PRFM(nrh=4, num_banks=4)
         assert not prfm.is_secure
         assert prfm.rfm_threshold == 2
 
@@ -91,3 +94,29 @@ class TestStorage:
         big = PRFM(nrh=1024, num_banks=64).storage_overhead_bits(64, 131072)["sram_bits"]
         small = PRFM(nrh=32, num_banks=64, rfm_threshold=3).storage_overhead_bits(64, 131072)["sram_bits"]
         assert small < big
+
+
+class TestRfmAccounting:
+    """Every RFM the controller issues is counted once by the mechanism.
+
+    In PRAC+PRFM the on-die PRAC part serves (and counts) the RFMs PRFM
+    requests, so PRFM must not count them again.  N_RH = 32 makes every
+    mechanism issue RFMs under the §11 attack.
+    """
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        ["PRFM", "PRAC+PRFM", "PRAC-1", "PRAC-2", "PRAC-4", "Chronus", "Chronus-PB"],
+    )
+    def test_rfm_commands_match_issued_rfms(self, mechanism):
+        benign = default_mixes(1)[0].applications[:3]
+        result = execute_job(
+            attack_job(paper_system_config(), benign, mechanism, 32, 200, 3000)
+        )
+        issued = result.command_counts["RFM"]
+        assert issued > 0
+        assert result.mitigation_stats["rfm_commands"] == issued
+        assert (
+            result.mitigation_stats["preventive_refresh_rows"]
+            == result.controller_stats["preventive_refresh_rows"]
+        )

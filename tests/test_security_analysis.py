@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 import repro.analysis.security as security
 from repro.analysis.security import (
+    ANORMAL_CHRONUS,
+    ANORMAL_PRAC,
     DEFAULT_BACKOFF_THRESHOLDS,
-    DEFAULT_PARAMETERS,
     DEFAULT_RFM_THRESHOLDS,
     DEFAULT_ROW_SET_SIZES,
-    SecurityParameters,
     att_required_entries,
     chronus_max_activations,
     chronus_secure_backoff_threshold,
@@ -23,17 +23,18 @@ from repro.analysis.security import (
     secure_prac_backoff_threshold,
     secure_prfm_threshold,
 )
+from repro.dram.timing import BASE_NS, PRAC_NS
 
 
 class TestParameters:
     def test_normal_traffic_activations(self):
-        params = DEFAULT_PARAMETERS
-        assert params.normal_traffic_activations == int(180 // 52)
-        assert params.normal_traffic_activations_chronus == int(180 // 47)
+        assert ANORMAL_PRAC == int(180 // 52)
+        assert ANORMAL_CHRONUS == int(180 // 47)
 
-    def test_custom_parameters(self):
-        params = SecurityParameters(taboact_ns=360.0, trc_prac_ns=60.0)
-        assert params.normal_traffic_activations == 6
+    def test_anormal_reads_the_table1_timings(self):
+        """Anormal is tABOACT // tRC of the ns tables the simulator uses."""
+        assert ANORMAL_PRAC == int(BASE_NS["tABOACT"] // PRAC_NS["tRC"])
+        assert ANORMAL_CHRONUS == int(BASE_NS["tABOACT"] // BASE_NS["tRC"])
 
 
 class TestPrfmAnalysis:
@@ -110,8 +111,7 @@ class TestPracAnalysis:
 
 class TestChronusAnalysis:
     def test_closed_form_bound(self):
-        anormal = DEFAULT_PARAMETERS.normal_traffic_activations_chronus
-        assert chronus_max_activations(16) == 16 + anormal
+        assert chronus_max_activations(16) == 16 + ANORMAL_CHRONUS
 
     def test_secure_threshold_at_nrh_20_matches_paper(self):
         """§11 configures Chronus with NBO = 16 at N_RH = 20."""
@@ -130,10 +130,8 @@ class TestChronusAnalysis:
             chronus_secure_backoff_threshold(3)
 
     def test_att_sizing(self):
-        assert att_required_entries() == DEFAULT_PARAMETERS.normal_traffic_activations_chronus + 1
-        assert att_required_entries(prac_timings=True) == (
-            DEFAULT_PARAMETERS.normal_traffic_activations + 1
-        )
+        assert att_required_entries() == ANORMAL_CHRONUS + 1
+        assert att_required_entries(prac_timings=True) == ANORMAL_PRAC + 1
 
 
 class TestCrossMechanismClaims:
@@ -255,7 +253,7 @@ class TestBoundaryBehaviour:
 
     def test_minimum_secure_nrh_chronus_is_tight(self):
         minimum = minimum_secure_nrh_chronus()
-        assert minimum == DEFAULT_PARAMETERS.normal_traffic_activations_chronus + 2
+        assert minimum == ANORMAL_CHRONUS + 2
         # The smallest workable configuration is NBO = 1...
         assert chronus_secure_backoff_threshold(minimum) == 1
         # ...and one threshold below it no configuration exists.
@@ -272,8 +270,7 @@ class TestBoundaryBehaviour:
 
     def test_chronus_counter_width_cap_boundary(self):
         """The 8-bit counter cap engages exactly at Anormal + 257."""
-        anormal = DEFAULT_PARAMETERS.normal_traffic_activations_chronus
-        cap_boundary = 256 + anormal + 1
+        cap_boundary = 256 + ANORMAL_CHRONUS + 1
         assert chronus_secure_backoff_threshold(cap_boundary) == 256
         assert chronus_secure_backoff_threshold(cap_boundary - 1) == 255
         assert chronus_secure_backoff_threshold(cap_boundary + 100) == 256
@@ -291,7 +288,7 @@ class TestBoundaryBehaviour:
         """A threshold larger than the window's activation budget never
         triggers an RFM: the refresh window is the only limit."""
         window_rounds = prfm_max_activations(1 << 30, 2048)
-        budget = DEFAULT_PARAMETERS.trefw_ns / (2048 * DEFAULT_PARAMETERS.trc_ns)
+        budget = BASE_NS["tREFW"] / (2048 * BASE_NS["tRC"])
         assert window_rounds == int(budget)
 
     @settings(max_examples=40, deadline=None)
@@ -330,4 +327,4 @@ def test_prac_attack_count_at_least_initialisation(nbo, nref, rows):
 )
 def test_prfm_attack_count_positive_and_bounded_by_window(threshold, rows):
     result = prfm_max_activations(threshold, rows)
-    assert 1 <= result <= DEFAULT_PARAMETERS.trefw_ns / DEFAULT_PARAMETERS.trc_ns
+    assert 1 <= result <= BASE_NS["tREFW"] / BASE_NS["tRC"]

@@ -36,7 +36,7 @@ from repro.service.queue import (
     TokenBucket,
 )
 from repro.service.server import SimulationService
-from repro.service.specs import SpecError, parse_submission
+from repro.service.specs import MAX_ACCESSES, SpecError, parse_submission
 
 TINY_SWEEP = {
     "mechanisms": ["Chronus"],
@@ -309,9 +309,13 @@ class TestParseSubmission:
         {"__class__": "exploit"},
         {"base_config": {"nrh": 1}},   # no field injection past the whitelist
         {"workload_name": "x"},
+        {"mixes": [["no.such.app"]]},
+        {"mixes": [["429.mcf"] * 5000], "accesses": 200_000},
     ])
     def test_malformed_sweep_spec_is_rejected(self, mutation):
         spec = dict(TINY_SWEEP)
+        if "mixes" in mutation:
+            del spec["num_mixes"]   # mixes and num_mixes exclude each other
         spec.update(mutation)
         with pytest.raises(SpecError):
             parse_submission({"kind": "sweep", "spec": spec})
@@ -323,6 +327,11 @@ class TestParseSubmission:
         {"params": {"not_a_param": 3}},
         {"channel": 1},                 # out of range for channels=1
         {"attack": {"pattern": "wave"}},
+        # Trace lengths past MAX_ACCESSES, and a negative parameter.
+        {"pattern": "perf_attack", "params": {"num_accesses": 10**12}},
+        {"pattern": "wave", "params": {"rounds": 10**9}},
+        {"pattern": "single_sided", "params": {"hammer_count": 2**62}},
+        {"pattern": "wave", "params": {"num_rows": -5}},
     ])
     def test_malformed_attack_spec_is_rejected(self, mutation):
         spec = {"mechanism": "Chronus", "nrh": [8], "pattern": "single_sided"}
@@ -330,10 +339,18 @@ class TestParseSubmission:
         with pytest.raises(SpecError):
             parse_submission({"kind": "attack_search", "spec": spec})
 
+    def test_attack_trace_length_bound_is_inclusive(self):
+        spec = {"mechanism": "Chronus", "nrh": [8], "pattern": "perf_attack",
+                "params": {"num_accesses": MAX_ACCESSES}}
+        assert parse_submission({"kind": "attack_search", "spec": spec}).jobs
+        spec["params"] = {"num_accesses": MAX_ACCESSES + 1}
+        with pytest.raises(SpecError, match="accesses"):
+            parse_submission({"kind": "attack_search", "spec": spec})
+
     def test_explicit_mixes_are_accepted(self):
         spec = dict(TINY_SWEEP)
         del spec["num_mixes"]
-        spec["mixes"] = [["blender", "gcc"]]
+        spec["mixes"] = [["526.blender", "403.gcc"]]
         submission = parse_submission({"kind": "sweep", "spec": spec})
         assert any(job.config.num_cores == 2 for job in submission.jobs)
 
