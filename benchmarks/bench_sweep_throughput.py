@@ -2,7 +2,7 @@
 """Sweep-throughput benchmark: cold-sweep worker-pool scaling.
 
 One declarative sweep executed twice from a cold cache: serially, then
-across the persistent work-stealing pool.  Wall-clock for both, plus the
+across the persistent pool, one task per job.  Wall-clock for both, plus the
 warm re-run (which must be 100 % cached), maintained in
 ``BENCH_sweep_throughput.json``.  Single-run simulator speed is measured by
 the repository benchmark, ``benchmarks/e2e/run.py``.
@@ -69,7 +69,7 @@ def sweep_spec(quick: bool) -> SweepSpec:
 
 
 def run_cold_sweep(spec: SweepSpec, workers: int) -> Dict[str, object]:
-    """Execute ``spec`` from a cold on-disk cache; return timing + report."""
+    """Execute ``spec`` from a cold on-disk cache; return timing + counts."""
     with tempfile.TemporaryDirectory(prefix="bench-sweep-") as tmp:
         engine = SweepEngine(cache=ResultCache(os.path.join(tmp, "cache")),
                              workers=workers)
@@ -77,7 +77,6 @@ def run_cold_sweep(spec: SweepSpec, workers: int) -> Dict[str, object]:
             start = time.perf_counter()
             results = engine.run(spec)
             elapsed = time.perf_counter() - start
-            cold_report = engine.last_run_report
             # Warm re-run: everything must come from the cache.
             engine.run(spec)
             warm_executed = engine.last_run_report.executed_jobs
@@ -87,7 +86,6 @@ def run_cold_sweep(spec: SweepSpec, workers: int) -> Dict[str, object]:
         "jobs": len(results),
         "seconds": elapsed,
         "warm_executed": warm_executed,
-        "shards": len(cold_report.shards),
     }
 
 

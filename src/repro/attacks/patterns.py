@@ -58,11 +58,20 @@ def _address_for(
     return mapping.encode(dram)
 
 
-def _check_row(organization: DramOrganization, row: int, what: str = "row") -> None:
-    if not 0 <= row < organization.rows:
-        raise ValueError(
-            f"{what} {row} out of range [0, {organization.rows}) for this organization"
-        )
+def _check(
+    organization: DramOrganization, p: Mapping[str, int], positive: Tuple[str, ...], **rows: int
+) -> None:
+    """Raise ``ValueError`` unless every ``positive`` parameter of ``p`` is
+    positive, ``p["bank_index"]`` (when the pattern has one) is a bank of a
+    channel and every row passed by keyword exists."""
+    for name in positive:
+        if p[name] <= 0:
+            raise ValueError(f"{name} must be positive, got {p[name]}")
+    if "bank_index" in p:
+        organization.unflatten_bank_index(p["bank_index"])
+    for what, row in rows.items():
+        if not 0 <= row < organization.rows:
+            raise ValueError(f"{what} {row} out of range [0, {organization.rows})")
 
 
 def retarget_channel(trace: Trace, mapping: AddressMapping, channel: int) -> Trace:
@@ -173,6 +182,17 @@ def wave_attack_trace(
     return Trace(name, one_round * rounds)
 
 
+#: Row spacing of the §11 performance attack's rows in each bank.
+_PERF_ROW_STRIDE = 4
+
+
+def _check_perf_attack(organization: DramOrganization, p: Mapping[str, int]) -> None:
+    # The seed picks the first row from the bank's lower half, so the row set
+    # fits for every seed when it fits from the highest first row.
+    last_row = organization.rows // 2 - 1 + _PERF_ROW_STRIDE * (p["rows_per_bank"] - 1)
+    _check(organization, p, ("num_banks", "rows_per_bank", "num_accesses"), last_row=last_row)
+
+
 def performance_attack_trace(
     num_banks: int = 4,
     rows_per_bank: int = 8,
@@ -190,13 +210,14 @@ def performance_attack_trace(
     bandwidth.  The paper found 8 rows x 4 banks to be the most damaging
     pattern for both Chronus and PRAC in its configuration.
     """
-    if num_banks <= 0 or rows_per_bank <= 0 or num_accesses <= 0:
-        raise ValueError("attack parameters must be positive")
+    _check_perf_attack(organization, dict(
+        num_banks=num_banks, rows_per_bank=rows_per_bank, num_accesses=num_accesses
+    ))
     mapping = mapping or mop_mapping(organization)
     rng = random.Random(seed)
     banks = list(range(min(num_banks, organization.total_banks)))
     base_row = rng.randrange(organization.rows // 2)
-    rows = [base_row + 4 * index for index in range(rows_per_bank)]
+    rows = [base_row + _PERF_ROW_STRIDE * index for index in range(rows_per_bank)]
     # One pass over every (row, bank) pair, encoded once, repeated and cut.
     pattern = [
         TraceEntry(
@@ -212,6 +233,7 @@ def performance_attack_trace(
 # --------------------------------------------------------------------------- #
 # Pattern builders (new synthesised attacks)
 # --------------------------------------------------------------------------- #
+# Builders take parameters that passed their pattern's ``check``.
 
 def _hammer_pair(
     organization: DramOrganization,
@@ -241,10 +263,6 @@ def build_single_sided(
     bank_index: int,
 ) -> Trace:
     """One aggressor row, interleaved with a far-away dummy row."""
-    if hammer_count <= 0:
-        raise ValueError("hammer_count must be positive")
-    _check_row(organization, row)
-    _check_row(organization, row + dummy_distance, "dummy row")
     entries = _hammer_pair(
         organization, mapping, bank_index, row, row + dummy_distance, hammer_count
     )
@@ -260,11 +278,6 @@ def build_double_sided(
     bank_index: int,
 ) -> Trace:
     """The two immediate neighbours of ``victim_row`` hammered alternately."""
-    if pair_rounds <= 0:
-        raise ValueError("pair_rounds must be positive")
-    if victim_row < 1:
-        raise ValueError("victim_row must have a lower neighbour")
-    _check_row(organization, victim_row + 1, "upper aggressor")
     entries = _hammer_pair(
         organization, mapping, bank_index, victim_row - 1, victim_row + 1, pair_rounds
     )
@@ -282,11 +295,6 @@ def build_many_sided(
     bank_index: int,
 ) -> Trace:
     """``num_sides`` aggressor rows hammered round-robin."""
-    if num_sides < 2:
-        raise ValueError("num_sides must be at least 2 (adjacent rows conflict)")
-    if rounds <= 0 or stride <= 0:
-        raise ValueError("rounds and stride must be positive")
-    _check_row(organization, first_row + (num_sides - 1) * stride, "last aggressor")
     addresses = [
         _address_for(mapping, organization, bank_index, first_row + index * stride)
         for index in range(num_sides)
@@ -339,9 +347,6 @@ def build_rfm_dodge(
     ``num_banks`` counters while every row still gains one activation per
     round.
     """
-    if num_banks <= 0 or rows_per_bank <= 0 or rounds <= 0 or stride <= 0:
-        raise ValueError("attack parameters must be positive")
-    _check_row(organization, first_row + (rows_per_bank - 1) * stride, "last row")
     banks = list(range(min(num_banks, organization.total_banks)))
     addresses = [
         _address_for(
@@ -375,12 +380,6 @@ def build_refresh_sync(
     cleanup that rides on them) pass while the aggressor is cold, then each
     burst re-applies maximum pressure.
     """
-    if burst_pairs <= 0 or num_bursts <= 0:
-        raise ValueError("burst_pairs and num_bursts must be positive")
-    if gap_instructions < 0:
-        raise ValueError("gap_instructions must be non-negative")
-    _check_row(organization, row)
-    _check_row(organization, row + dummy_distance, "dummy row")
     entries: List[TraceEntry] = []
     for burst in range(num_bursts):
         burst_entries = _hammer_pair(
@@ -412,6 +411,25 @@ def build_perf_attack(
     )
 
 
+def _check_many_sided(organization: DramOrganization, p: Mapping[str, int]) -> None:
+    if p["num_sides"] < 2:
+        raise ValueError("num_sides must be at least 2 (adjacent rows conflict)")
+    last_aggressor = p["first_row"] + (p["num_sides"] - 1) * p["stride"]
+    _check(organization, p, ("rounds", "stride"), last_aggressor=last_aggressor)
+
+
+def _check_wave(organization: DramOrganization, p: Mapping[str, int]) -> None:
+    _check(organization, p, ("rounds",))
+    _wave_rows(organization, p["num_rows"], p["row_stride"], p["first_row"])
+
+
+def _check_refresh_sync(organization: DramOrganization, p: Mapping[str, int]) -> None:
+    if p["gap_instructions"] < 0:
+        raise ValueError("gap_instructions must be non-negative")
+    dummy_row = p["row"] + p["dummy_distance"]
+    _check(organization, p, ("burst_pairs", "num_bursts"), row=p["row"], dummy_row=dummy_row)
+
+
 # --------------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------------- #
@@ -424,6 +442,11 @@ class AttackPattern:
         name: registry key (also the compiled trace's name).
         summary: one-line human-readable description for ``attack list``.
         builder: callable ``(organization, mapping, seed, **params) -> Trace``.
+        check: callable ``(organization, params)`` that raises ``ValueError``
+            unless the full parameter set ``params`` is valid on
+            ``organization``: counts positive, and every row and bank the
+            trace would touch present.  :class:`AttackSpec` runs it before
+            ``builder`` and ``length``.
         length: callable ``(organization, params) -> int``, the number of
             accesses ``builder`` produces for the full parameter set
             ``params``, computed without building the trace.
@@ -436,6 +459,7 @@ class AttackPattern:
     name: str
     summary: str
     builder: Callable[..., Trace]
+    check: Callable[[DramOrganization, Mapping[str, int]], None]
     length: Callable[[DramOrganization, Mapping[str, int]], int]
     defaults: Tuple[Tuple[str, int], ...]
     search_variants: Tuple[Tuple[Tuple[str, int], ...], ...] = ()
@@ -456,6 +480,10 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="single_sided",
             summary="one aggressor row interleaved with a far dummy row",
             builder=build_single_sided,
+            check=lambda organization, p: _check(
+                organization, p, ("hammer_count",),
+                row=p["row"], dummy_row=p["row"] + p["dummy_distance"],
+            ),
             length=lambda organization, p: 2 * p["hammer_count"],
             defaults=_params(
                 hammer_count=1200, row=100, dummy_distance=512, bank_index=0
@@ -466,6 +494,10 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="double_sided",
             summary="both immediate neighbours of one victim row",
             builder=build_double_sided,
+            check=lambda organization, p: _check(
+                organization, p, ("pair_rounds",),
+                lower_aggressor=p["victim_row"] - 1, upper_aggressor=p["victim_row"] + 1,
+            ),
             length=lambda organization, p: 2 * p["pair_rounds"],
             defaults=_params(pair_rounds=1200, victim_row=100, bank_index=0),
         ),
@@ -473,6 +505,7 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="many_sided",
             summary="N aggressor rows hammered round-robin",
             builder=build_many_sided,
+            check=_check_many_sided,
             length=lambda organization, p: p["num_sides"] * p["rounds"],
             defaults=_params(
                 num_sides=8, rounds=300, first_row=64, stride=2, bank_index=0
@@ -483,6 +516,7 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="wave",
             summary="balanced decoy row set (the paper's §4 wave attack)",
             builder=build_wave,
+            check=_check_wave,
             length=lambda organization, p: 2 * p["num_rows"] * p["rounds"],
             defaults=_params(
                 num_rows=48, rounds=25, row_stride=4, first_row=0, bank_index=0
@@ -493,6 +527,10 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="rfm_dodge",
             summary="round-robin over banks to dodge per-bank RFM thresholds",
             builder=build_rfm_dodge,
+            check=lambda organization, p: _check(
+                organization, p, ("num_banks", "rows_per_bank", "rounds", "stride"),
+                last_row=p["first_row"] + (p["rows_per_bank"] - 1) * p["stride"],
+            ),
             length=lambda organization, p: (
                 min(p["num_banks"], organization.total_banks)
                 * p["rows_per_bank"] * p["rounds"]
@@ -505,6 +543,7 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="refresh_sync",
             summary="hammer bursts separated by refresh-aligned quiet gaps",
             builder=build_refresh_sync,
+            check=_check_refresh_sync,
             length=lambda organization, p: 2 * p["burst_pairs"] * p["num_bursts"],
             defaults=_params(
                 burst_pairs=120,
@@ -519,6 +558,7 @@ ATTACK_PATTERNS: Dict[str, AttackPattern] = {
             name="perf_attack",
             summary="the §11 memory performance attack (few rows, few banks)",
             builder=build_perf_attack,
+            check=_check_perf_attack,
             length=lambda organization, p: p["num_accesses"],
             defaults=_params(num_banks=4, rows_per_bank=8, num_accesses=2400),
         ),
@@ -628,9 +668,18 @@ class AttackSpec:
         target = f"@ch{self.channel}" if self.channel else ""
         return f"{self.pattern}{suffix}{target}"
 
+    def _checked(self, organization: DramOrganization) -> Tuple[AttackPattern, Dict[str, int]]:
+        """The pattern and the resolved parameters, after the pattern's check."""
+        registered = pattern_by_name(self.pattern)
+        params = self.resolved_params
+        registered.check(organization, params)
+        return registered, params
+
     def trace_length(self, organization: DramOrganization = PAPER_ORGANIZATION) -> int:
-        """Accesses :meth:`compile` produces, without building the trace."""
-        return pattern_by_name(self.pattern).length(organization, self.resolved_params)
+        """Accesses :meth:`compile` produces, without building the trace (after
+        the same check, so a row or bank outside ``organization`` raises)."""
+        registered, params = self._checked(organization)
+        return registered.length(organization, params)
 
     def compile(
         self,
@@ -638,9 +687,9 @@ class AttackSpec:
         mapping: Optional[AddressMapping] = None,
     ) -> Trace:
         """Compile the spec into a memory-access trace."""
+        registered, params = self._checked(organization)
         mapping = mapping or mop_mapping(organization)
-        builder = pattern_by_name(self.pattern).builder
-        trace = builder(organization, mapping, self.seed, **self.resolved_params)
+        trace = registered.builder(organization, mapping, self.seed, **params)
         if self.channel:
             trace = retarget_channel(trace, mapping, self.channel)
         return trace

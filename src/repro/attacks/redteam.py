@@ -21,9 +21,10 @@ Search structure:
    and the smallest non-escaping one, a deterministic binary search narrows
    the empirical security boundary to consecutive integers.
 
-Everything is deterministic for a fixed seed: traces, PARA's RNG and the
-search path itself, so repeated runs replay entirely from the cache and
-serial and parallel execution agree.
+Everything is deterministic for a fixed seed: it is the seed of every
+probe job, which feeds both the trace and PARA's RNG, and the search path
+depends only on the results, so repeated runs replay entirely from the
+cache and serial and parallel execution agree.
 """
 
 from __future__ import annotations
@@ -183,7 +184,8 @@ class RedTeamEngine:
             engine: sweep engine used to execute (and cache) the probes; a
                 fresh memory-only engine when omitted.
             base_config: system configuration the probes derive from.
-            seed: seed for trace generation and the mechanisms' RNGs.
+            seed: the seed of every probe job, which feeds trace
+                generation and the mechanisms' RNGs.
 
         The analytical comparison and the configurability pre-check both use
         the Table 1 timings of :mod:`repro.dram.timing` -- the same values the

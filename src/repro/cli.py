@@ -541,8 +541,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     print(format_rows(rows))
     print()
-    for line in engine.last_run_report.summary_lines():
-        print(line)
+    print(engine.last_run_report.summary_line())
     print(f"{engine.executed_jobs} jobs simulated; {cache.summary()}")
     if args.report_json:
         with open(args.report_json, "w", encoding="utf-8") as handle:
@@ -1010,12 +1009,6 @@ def _print_event(event: Dict[str, object]) -> None:
     elif kind == "job":
         parts.append(
             f"{event.get('label')} ({event.get('done_jobs')}/{event.get('missing_jobs')})"
-        )
-    elif kind == "shard":
-        parts.append(
-            f"shard {event.get('shard')}: {event.get('jobs')} job(s) in "
-            f"{event.get('seconds', 0.0):.2f}s "
-            f"({event.get('done_jobs')}/{event.get('missing_jobs')})"
         )
     elif kind == "report":
         report = event.get("report", {})

@@ -33,14 +33,14 @@ order.
 from __future__ import annotations
 
 import atexit
-import dataclasses
 import os
 import threading
 import time
 import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import closing
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.attacks.oracle import DisturbanceOracle
 from repro.attacks.patterns import AttackSpec, performance_attack_trace
@@ -54,12 +54,6 @@ from repro.workloads.mixes import build_mix_traces
 
 #: Environment variable read for the default worker count (0/1 = serial).
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
-
-#: Target number of shards per worker: more shards than workers is what
-#: makes the pool self-balancing (an idle worker steals the next shard from
-#: the shared queue), while sharding at all amortises pickling and process
-#: dispatch for very cheap jobs.
-SHARDS_PER_WORKER = 4
 
 
 def auto_workers() -> int:
@@ -100,8 +94,8 @@ def default_workers(auto: bool = False) -> int:
 
 #: Progress callback: receives one JSON-serialisable event dict per
 #: milestone of a :meth:`SweepEngine.run_jobs` call (``plan`` / ``job`` /
-#: ``shard`` / ``report``).  Callbacks run on the engine's calling thread
-#: and must not raise.
+#: ``report``).  Callbacks run on the engine's calling thread and must not
+#: raise.
 ProgressFn = Callable[[Dict[str, object]], None]
 
 
@@ -109,10 +103,13 @@ class CancelToken:
     """Cooperative cancellation flag, safe to share across threads.
 
     The long-running consumer (:meth:`SweepEngine.run_jobs`) polls the
-    token between jobs / shard completions; any thread may :meth:`cancel`
-    it.  Cancellation is cooperative -- a simulation that is already
-    executing runs to completion and its result still lands in the cache,
-    so cancelled work is never wasted on resubmission.
+    token between simulations, serial or pooled; any thread may
+    :meth:`cancel` it.  Cancellation is cooperative -- a simulation that is
+    already executing runs to completion and its result still lands in the
+    on-disk cache, so cancelled work is never wasted on resubmission.  In
+    pool mode every job the executor has not yet handed to a worker is
+    dropped; only the jobs already handed over (one per worker, plus the
+    one call the executor queues ahead) still run.
     """
 
     def __init__(self) -> None:
@@ -154,7 +151,9 @@ class SimJob:
             ``num_cores`` already applied).
         applications: application name per benign core, in core order.
         accesses_per_core: memory accesses generated per benign core.
-        seed: base seed for trace generation (each core uses ``seed + slot``).
+        seed: the job's only seed: trace generation (each core uses
+            ``seed + slot``) and the mechanisms' RNGs (PARA; channel ``i``
+            uses ``seed + i``).
         workload_name: label recorded in the result; *not* part of the cache
             key, so cosmetically different names share one simulation.
         attack_accesses: when positive, core 0 runs the §11 memory
@@ -367,7 +366,7 @@ def build_job_traces(job: SimJob) -> List[Trace]:
 
 
 def execute_job(job: SimJob) -> SimulationResult:
-    """Run one job to completion (also the worker-process entry point)."""
+    """Run one job to completion."""
     oracle = None
     if job.attack is not None:
         oracle = DisturbanceOracle(
@@ -379,115 +378,30 @@ def execute_job(job: SimJob) -> SimulationResult:
         build_job_traces(job),
         workload_name=job.workload_name,
         oracle=oracle,
+        seed=job.seed,
     )
 
 
 # --------------------------------------------------------------------------- #
-# Cost model, shards and the worker entry point
+# The worker entry point and the run report
 # --------------------------------------------------------------------------- #
 
-#: Relative per-access weight of each mechanism family, measured on a fixed
-#: two-core mix (PRAC-timing mechanisms simulate more cycles per access;
-#: PARA/PRFM serve extra maintenance traffic).  The estimate only needs to
-#: *rank* jobs so that long ones are dispatched first.
-_MECHANISM_COST = {
-    "None": 1.0,
-    "Chronus": 1.05,
-    "Chronus-PB": 1.05,
-    "Graphene": 1.05,
-    "Hydra": 1.1,
-    "ABACuS": 1.05,
-    "PARA": 1.25,
-    "PRFM": 1.2,
-    "PRAC-1": 1.15,
-    "PRAC-2": 1.15,
-    "PRAC-4": 1.15,
-    "PRAC+PRFM": 1.3,
-}
+def execute_timed(
+    job: SimJob, cache_dir: Optional[str] = None
+) -> Tuple[float, SimulationResult]:
+    """Run one job, returning ``(seconds, result)`` with the simulation timed.
 
-
-def estimate_job_cost(job: SimJob) -> float:
-    """Relative wall-clock estimate of one job (unitless).
-
-    Dominated by the total access count across cores; attack-search probes
-    weigh extra because the compiled patterns hammer the row buffer (few
-    hits, many conflicts) and run under a disturbance oracle.
-    """
-    accesses = job.accesses_per_core * max(1, len(job.applications))
-    if job.attack_accesses:
-        accesses += job.attack_accesses
-    cost = float(max(1, accesses))
-    if job.attack is not None:
-        cost *= 4.0
-    cost *= _MECHANISM_COST.get(job.config.mechanism, 1.1)
-    cost *= job.config.organization.channels ** 0.5
-    return cost
-
-
-def build_shards(jobs: Sequence[SimJob], workers: int) -> List[List[SimJob]]:
-    """Split ``jobs`` into cost-balanced shards, most expensive first.
-
-    Longest-processing-time order: jobs are sorted by estimated cost
-    descending (key as a deterministic tie-break) and packed greedily into
-    shards of roughly ``total / (workers * SHARDS_PER_WORKER)`` cost.  Any
-    job at least that expensive gets a shard of its own, so a long
-    attack-search probe can never straggle behind a batch of cheap
-    baselines -- idle workers steal the remaining shards from the pool's
-    shared queue.
-    """
-    if not jobs:
-        return []
-    # Decorate once: the estimate is pure, so compute it one time per job.
-    costed = sorted(
-        ((estimate_job_cost(job), job) for job in jobs),
-        key=lambda pair: (-pair[0], pair[1].key),
-    )
-    total = sum(cost for cost, _ in costed)
-    target = total / max(1, workers * SHARDS_PER_WORKER)
-    shards: List[List[SimJob]] = []
-    current: List[SimJob] = []
-    current_cost = 0.0
-    for cost, job in costed:
-        if current and current_cost + cost > target:
-            shards.append(current)
-            current = []
-            current_cost = 0.0
-        current.append(job)
-        current_cost += cost
-    if current:
-        shards.append(current)
-    return shards
-
-
-def execute_shard(
-    jobs: Sequence[SimJob], cache_dir: Optional[str]
-) -> Tuple[float, List[SimulationResult]]:
-    """Worker-process entry point: run a shard, streaming results to disk.
-
-    Each finished result is written straight into the sharded per-key cache
-    from the worker (atomic per-entry files, so N workers never serialize
-    on a shared store); the parent only absorbs the returned objects into
-    its memory layer.  Returns ``(elapsed_seconds, results)`` in job order.
+    Also the pool's worker entry point: given ``cache_dir``, the worker
+    writes the job's entry straight into the sharded per-key cache (atomic
+    per-entry files, so N workers never serialise on a shared store) and
+    the parent only absorbs the returned result into its memory layer.
     """
     start = time.perf_counter()
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    results: List[SimulationResult] = []
-    for job in jobs:
-        result = execute_job(job)
-        if cache is not None:
-            cache.put(job.key, result, job.cache_payload())
-        results.append(result)
-    return time.perf_counter() - start, results
-
-
-@dataclass(frozen=True)
-class ShardReport:
-    """Timing record of one executed shard."""
-
-    shard: int
-    jobs: int
-    estimated_cost: float
-    seconds: float
+    result = execute_job(job)
+    seconds = time.perf_counter() - start
+    if cache_dir is not None:
+        ResultCache(cache_dir).put(job.key, result, job.cache_payload())
+    return seconds, result
 
 
 @dataclass
@@ -496,14 +410,13 @@ class RunReport:
 
     total_jobs: int = 0
     cached_jobs: int = 0
-    #: Jobs finished so far: per job when serial, per shard when pooled.
+    #: Jobs executed so far, counted one job at a time in both modes.
     executed_jobs: int = 0
     workers: int = 0
     #: How the missing jobs run: ``cached`` (none missing), ``serial`` or
     #: ``pool`` -- the ``mode`` of the run's ``plan`` event.
     mode: str = "cached"
     wall_seconds: float = 0.0
-    shards: List[ShardReport] = field(default_factory=list)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -527,22 +440,15 @@ class RunReport:
             "engine": self.mode,
             "wall_seconds": self.wall_seconds,
             "cache_hit_rate": self.cache_hit_rate,
-            "shards": [dataclasses.asdict(shard) for shard in self.shards],
         }
 
-    def summary_lines(self) -> List[str]:
-        """Human-readable per-shard timing block (CLI output)."""
-        lines = [
+    def summary_line(self) -> str:
+        """Human-readable one-line summary (CLI output)."""
+        return (
             f"run: {self.total_jobs} jobs ({self.cached_jobs} cached, "
-            f"{self.executed_jobs} executed, workers={self.workers}) "
-            f"in {self.wall_seconds:.2f}s"
-        ]
-        for report in self.shards:
-            lines.append(
-                f"  shard {report.shard:>3}: {report.jobs:>3} job(s)  "
-                f"{report.seconds:7.2f}s  (est. cost {report.estimated_cost:,.0f})"
-            )
-        return lines
+            f"{self.executed_jobs} executed, workers={self.workers}, "
+            f"engine={self.mode}) in {self.wall_seconds:.2f}s"
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -673,12 +579,13 @@ class SweepEngine:
     Parallel execution keeps one **persistent** process pool alive across
     ``run()`` / ``run_jobs()`` calls (spawning workers costs ~100 ms each;
     iterative users -- the red-team bisection, figure benchmarks -- call the
-    engine many times).  Missing jobs are packed into cost-estimated shards
-    dispatched longest-first, and since several shards exist per worker the
-    pool self-balances: a worker finishing a cheap shard steals the next one
-    instead of idling behind a long attack-search job.  Workers stream every
-    finished result into the on-disk cache themselves (atomic per-key
-    files), so result persistence never serialises on the parent.
+    engine many times).  Each missing job is one pool task, submitted in
+    the order given: an idle worker takes the next job from the pool's
+    shared queue, so a long attack-search probe never holds back a batch of
+    cheap baselines.  Workers write every finished result into the on-disk
+    cache themselves (atomic per-key files), so result persistence never
+    serialises on the parent.  Serial and pool runs book each finished job
+    the same way and emit the same progress events.
     """
 
     def __init__(
@@ -749,16 +656,15 @@ class SweepEngine:
         """Run ``jobs``, returning ``{job.key: result}``.
 
         Cached jobs are served immediately; the remainder executes either
-        serially or across the persistent worker pool (cost-balanced
-        shards, longest first).  The result mapping is byte-identical and
-        independent of execution order, worker count and mode.
+        serially or across the persistent worker pool, one task per job.
+        The result mapping is byte-identical and independent of execution
+        order, worker count and mode.
 
         ``progress`` receives JSON-serialisable event dicts as the run
         advances: one ``plan`` event up front (totals, cache hits, mode),
-        a ``job`` event per job executed in-process (serial mode), a
-        ``shard`` event per completed unit of work, and a final ``report``
-        event mirroring :meth:`RunReport.as_dict`.  ``cancel`` is polled
-        between jobs / shard completions; when it fires the engine raises
+        one ``job`` event per executed job in either mode, and a final
+        ``report`` event mirroring :meth:`RunReport.as_dict`.  ``cancel`` is
+        polled between simulations; when it fires the engine raises
         :class:`SweepCancelled` (carrying the partial report) -- every
         result finished up to that point is already in the cache, so a
         resubmission resumes instead of recomputing.
@@ -795,13 +701,36 @@ class SweepEngine:
                     "workers": self.workers,
                 }
             )
+        # A pool worker already wrote each result's disk entry.
+        absorb = mode == "pool" and self.cache.directory is not None
         try:
             if missing:
                 self._check_cancel(cancel, report)
-                if mode == "pool":
-                    self._run_sharded(missing, results, report, progress, cancel)
-                else:
-                    self._run_serial(missing, results, report, progress, cancel)
+                run = self._run_pool if mode == "pool" else self._run_serial
+                # Both modes book every finished job the same way: count it,
+                # cache it, map its result and emit one ``job`` event.
+                with closing(run(missing, report, cancel)) as outcomes:
+                    for job, seconds, result in outcomes:
+                        self.executed_jobs += 1
+                        report.executed_jobs += 1
+                        if absorb:
+                            self.cache.absorb(job.key, result)
+                        else:
+                            self.cache.put(job.key, result, job.cache_payload())
+                        results[job.key] = result
+                        if progress is not None:
+                            progress(
+                                {
+                                    "event": "job",
+                                    "key": job.key,
+                                    "label": job.label,
+                                    "mechanism": job.config.mechanism,
+                                    "nrh": job.config.nrh,
+                                    "seconds": seconds,
+                                    "done_jobs": report.executed_jobs,
+                                    "missing_jobs": len(missing),
+                                }
+                            )
         finally:
             # Also on a cancel: the partial report travels on the exception.
             report.wall_seconds = time.perf_counter() - start
@@ -815,121 +744,36 @@ class SweepEngine:
         if cancel is not None and cancel.cancelled:
             raise SweepCancelled(report)
 
-    @staticmethod
-    def _emit_job(
-        progress: Optional[ProgressFn],
-        job: SimJob,
-        seconds: float,
-        done: int,
-        missing: int,
-    ) -> None:
-        if progress is None:
-            return
-        progress(
-            {
-                "event": "job",
-                "key": job.key,
-                "label": job.label,
-                "mechanism": job.config.mechanism,
-                "nrh": job.config.nrh,
-                "seconds": seconds,
-                "done_jobs": done,
-                "missing_jobs": missing,
-            }
-        )
-
-    @staticmethod
-    def _emit_shard(
-        progress: Optional[ProgressFn],
-        shard: ShardReport,
-        done: int,
-        missing: int,
-    ) -> None:
-        if progress is None:
-            return
-        event = {"event": "shard", "done_jobs": done, "missing_jobs": missing}
-        event.update(dataclasses.asdict(shard))
-        progress(event)
-
     def _run_serial(
-        self,
-        missing: List[SimJob],
-        results: Dict[str, SimulationResult],
-        report: RunReport,
-        progress: Optional[ProgressFn] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> None:
-        shard_start = time.perf_counter()
+        self, missing: List[SimJob], report: RunReport, cancel: Optional[CancelToken]
+    ) -> Iterator[Tuple[SimJob, float, SimulationResult]]:
+        """Run ``missing`` in-process, yielding ``(job, seconds, result)``."""
         for job in missing:
             self._check_cancel(cancel, report)
-            job_start = time.perf_counter()
-            result = execute_job(job)
-            self.executed_jobs += 1
-            self.cache.put(job.key, result, job.cache_payload())
-            results[job.key] = result
-            report.executed_jobs += 1
-            self._emit_job(
-                progress, job, time.perf_counter() - job_start,
-                report.executed_jobs, len(missing),
-            )
-        shard = ShardReport(
-            shard=0,
-            jobs=len(missing),
-            estimated_cost=sum(estimate_job_cost(job) for job in missing),
-            seconds=time.perf_counter() - shard_start,
-        )
-        report.shards.append(shard)
-        self._emit_shard(progress, shard, report.executed_jobs, len(missing))
+            yield (job, *execute_timed(job))
 
-    def _run_sharded(
-        self,
-        missing: List[SimJob],
-        results: Dict[str, SimulationResult],
-        report: RunReport,
-        progress: Optional[ProgressFn] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> None:
-        shards = build_shards(missing, self.workers)
+    def _run_pool(
+        self, missing: List[SimJob], report: RunReport, cancel: Optional[CancelToken]
+    ) -> Iterator[Tuple[SimJob, float, SimulationResult]]:
+        """Run ``missing`` on the pool, one task per job, yielding
+        ``(job, seconds, result)`` as the jobs finish."""
         pool = self._ensure_pool()
         cache_dir = self.cache.directory
         pending = {
-            pool.submit(execute_shard, shard, cache_dir): (index, shard)
-            for index, shard in enumerate(shards)
+            pool.submit(execute_timed, job, cache_dir): job for job in missing
         }
-        stream_to_disk = cache_dir is not None
-        while pending:
-            if cancel is not None and cancel.cancelled:
-                # Cooperative: shards that never started are dropped; shards
-                # already executing run on in the workers and stream their
-                # results to the on-disk cache, so nothing computed is lost.
-                for future in pending:
-                    future.cancel()
-                raise SweepCancelled(report)
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index, shard = pending.pop(future)
-                elapsed, executed = future.result()
-                for job, result in zip(shard, executed):
-                    self.executed_jobs += 1
-                    if stream_to_disk:
-                        # The worker already wrote the disk entry.
-                        self.cache.absorb(job.key, result)
-                    else:
-                        self.cache.put(job.key, result, job.cache_payload())
-                    results[job.key] = result
-                report.executed_jobs += len(shard)
-                shard_report = ShardReport(
-                    shard=index,
-                    jobs=len(shard),
-                    estimated_cost=sum(
-                        estimate_job_cost(job) for job in shard
-                    ),
-                    seconds=elapsed,
-                )
-                report.shards.append(shard_report)
-                self._emit_shard(
-                    progress, shard_report, report.executed_jobs, len(missing)
-                )
+        try:
+            while pending:
+                self._check_cancel(cancel, report)
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    yield (pending.pop(future), *future.result())
+        finally:
+            # On a cancel or a failed job, the jobs no worker has taken yet
+            # are dropped; those already running finish in their workers
+            # and, with an on-disk cache, still land there.
+            for future in pending:
+                future.cancel()
 
     def run(
         self,

@@ -12,20 +12,22 @@ and multiplexes it across clients:
 * A single **executor task** drains the queue in priority/fairness order
   and runs each job on the engine in a worker thread.  The engine's
   progress callback is bridged onto the event loop with
-  ``call_soon_threadsafe``, so every ``plan`` / ``job`` / ``shard`` /
-  ``report`` event lands in the record's append-only event log **and** is
-  pushed live to WebSocket subscribers.  Jobs run one at a time -- the
-  engine parallelises *inside* a job (pool shards), which
-  also guarantees that overlapping submissions are computed once: the
-  second job finds the first one's results in the shared cache.
+  ``call_soon_threadsafe``, so every ``plan`` / ``job`` / ``report`` event
+  lands in the record's append-only event log **and** is pushed live to
+  WebSocket subscribers: one ``job`` event per executed simulation, serial
+  or pooled.  Jobs run one at a time -- the engine parallelises *inside* a
+  job (one pool task per simulation), which also guarantees that
+  overlapping submissions are computed once: the second job finds the
+  first one's results in the shared cache.
 * ``GET /ws/jobs/{id}`` upgrades to WebSocket: the
   :class:`ConnectionManager` replays the job's event history, then streams
   live events until a terminal state.  A client that disconnects mid-stream
   is unsubscribed; the job keeps running.
 * ``POST /jobs/{id}/cancel`` removes a queued job immediately, or fires the
   running job's :class:`~repro.experiments.sweep.CancelToken` --
-  cancellation is cooperative, and everything computed before the
-  cancellation point stays cached.
+  cancellation is cooperative and takes effect between simulations in both
+  engine modes, and everything computed before the cancellation point
+  stays cached.
 * ``GET /jobs/{id}/artifact`` serves a finished job's results as a
   self-describing result artifact (:mod:`repro.artifacts`) -- signed when
   the service holds an ``auth_key``.
@@ -66,7 +68,7 @@ from repro.service.specs import SpecError, parse_submission
 from repro.system.metrics import SimulationResult
 
 #: Protocol version advertised by /healthz (bump on breaking changes).
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 def result_summary(job: SimJob, result: SimulationResult) -> Dict[str, object]:

@@ -61,7 +61,6 @@ class SystemConfig:
     legacy_prac_timings: bool = False
 
     # --- run control ---------------------------------------------------------
-    seed: int = 0
     #: Hard limit on simulated DRAM cycles (safety net for runaway configs).
     max_cycles: int = 200_000_000
 

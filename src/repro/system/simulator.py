@@ -70,6 +70,7 @@ class SystemSimulator:
         energy_model: Optional[EnergyModel] = None,
         oracle: Optional["DisturbanceOracle"] = None,
         strict_tick: bool = False,
+        seed: int = 0,
     ) -> None:
         if len(traces) != config.num_cores:
             raise ValueError(
@@ -89,14 +90,14 @@ class SystemSimulator:
         self.num_channels = organization.channels
         # One mechanism instance per channel: counter tables, back-off state
         # and (for PARA) the RNG are per-channel hardware.  Channel seeds are
-        # decorrelated; channel 0 keeps the config seed, so single-channel
-        # systems are unchanged.
+        # decorrelated; channel 0 keeps ``seed``, so single-channel systems
+        # are unchanged.
         self.setups: List[MechanismSetup] = [
             build_mechanism(
                 config.mechanism,
                 nrh=config.nrh,
                 num_banks=organization.total_banks,
-                seed=config.seed + channel,
+                seed=seed + channel,
             )
             for channel in range(self.num_channels)
         ]
@@ -434,6 +435,7 @@ def simulate(
     workload_name: Optional[str] = None,
     oracle: Optional["DisturbanceOracle"] = None,
     strict_tick: bool = False,
+    seed: int = 0,
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`SystemSimulator` and run it.
 
@@ -441,8 +443,10 @@ def simulate(
     given, its ground-truth disturbance statistics are merged into the
     result's ``mitigation_stats`` under ``oracle_*`` keys.  ``strict_tick``
     selects the cycle-stepped debug path (see :class:`SystemSimulator`).
+    ``seed`` seeds the mechanisms' RNGs (PARA), ``seed + i`` on channel
+    ``i``; a sweep job passes its own seed.
     """
     return SystemSimulator(
         config, traces, workload_name=workload_name, oracle=oracle,
-        strict_tick=strict_tick,
+        strict_tick=strict_tick, seed=seed,
     ).run()

@@ -155,23 +155,24 @@ class TestChannelsKnob:
 
     def test_single_channel_cache_keys_are_byte_identical(self):
         """Golden keys recorded from the pre-scale-out implementation, then
-        re-recorded once when ``blast_radius`` left ``SystemConfig`` (putting
-        ``"blast_radius": 2`` back into the config payload gives the old keys)."""
+        re-recorded once when ``blast_radius`` left ``SystemConfig`` and once
+        when ``seed`` did (putting ``"seed": 0`` back into the config payload
+        gives the previous keys)."""
         base = paper_system_config()
         apps = ("429.mcf", "401.bzip2")
         assert baseline_job(base, apps, 400).key == (
-            "be2126071aca97d7cae1d9e546458c38f231a465e2cee838365651110536da46"
+            "289faa7ecc0783814094fde68ceb801c9427f482bdf05ea9d2182de5a50295e4"
         )
         assert mechanism_job(base, apps, "PRAC-4", 64, 400).key == (
-            "9d4ad512857207c24af445561f6ed9c4a8f74e9245835a27bd03d7b1343f16c9"
+            "e5554dec4e8ceec82798abc2621d49efc46990d036b3b5a03689d806a69cdf5b"
         )
         assert alone_job(base, "429.mcf", 400).key == (
-            "f82113b19c8d1539cf2012e7839e789b0b0f7ecf4d9cd34034e237a4cc73e460"
+            "dc0f303eba5ffa918d0d930c13bc896b9a332ebb413c934816e2f499c0ada2e7"
         )
         assert attack_search_job(
             base, "Chronus", 64, AttackSpec(pattern="single_sided")
         ).key == (
-            "288c576f996eeca1c293c9bf26c280d48bfc2c704afae5566491bf1cf949e0b7"
+            "de8d0040cdf775a5baf14094e717bc155d48cd901db5ea538f8589eea40c4b6a"
         )
 
     def test_channel_count_changes_cache_keys(self):

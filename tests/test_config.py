@@ -29,9 +29,9 @@ class TestSystemConfig:
         assert config.nrh == 256
 
     def test_with_overrides(self):
-        config = paper_system_config().with_overrides(num_cores=8, seed=7)
+        config = paper_system_config().with_overrides(num_cores=8, max_cycles=7)
         assert config.num_cores == 8
-        assert config.seed == 7
+        assert config.max_cycles == 7
 
     def test_appendix_e_config(self):
         config = appendix_e_system_config()

@@ -253,6 +253,7 @@ class TestEntryDocuments:
             doc = (REPO_ROOT / "docs" / name).read_text(encoding="utf-8")
             for removed in (
                 "REPRO_COUNTER_BACKEND", "--batch", "adopt_count_buffers",
+                "estimate_job_cost", "build_shards", "ShardReport",
             ):
                 assert removed not in doc, f"{name} names {removed!r}"
 

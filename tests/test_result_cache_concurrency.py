@@ -1,4 +1,4 @@
-"""ResultCache concurrency and the sharded sweep tier.
+"""ResultCache concurrency and the sweep engine's worker pool.
 
 The concurrent-writer regression is the PR 5 satellite fix: a monolithic
 single-JSON store loses entries when two workers read-modify-write it at the
@@ -15,16 +15,7 @@ from repro.experiments.cache import (
     ResultCache,
     result_to_dict,
 )
-from repro.experiments.sweep import (
-    SHARDS_PER_WORKER,
-    SweepEngine,
-    SweepSpec,
-    attack_search_job,
-    build_shards,
-    estimate_job_cost,
-    mechanism_job,
-)
-from repro.system.config import paper_system_config
+from repro.experiments.sweep import SweepEngine, SweepSpec
 from repro.system.metrics import SimulationResult
 
 
@@ -114,38 +105,6 @@ SMALL_SPEC = SweepSpec(
 )
 
 
-class TestShardPlanning:
-    def _jobs(self):
-        base = paper_system_config()
-        return [
-            mechanism_job(base, ("429.mcf",), "Chronus", 1024, accesses, seed=seed)
-            for seed, accesses in enumerate((100, 200, 400, 800, 1600, 3200))
-        ]
-
-    def test_longest_jobs_dispatch_first(self):
-        shards = build_shards(self._jobs(), workers=2)
-        costs = [sum(estimate_job_cost(job) for job in shard) for shard in shards]
-        assert costs == sorted(costs, reverse=True)
-
-    def test_shard_count_bounded(self):
-        jobs = self._jobs()
-        shards = build_shards(jobs, workers=2)
-        assert sum(len(shard) for shard in shards) == len(jobs)
-        assert len(shards) <= max(len(jobs), 2 * SHARDS_PER_WORKER)
-        assert build_shards([], workers=4) == []
-
-    def test_attack_probes_cost_more_than_benign_jobs(self):
-        from repro.attacks.patterns import AttackSpec
-
-        base = paper_system_config()
-        benign = mechanism_job(base, ("429.mcf",), "Chronus", 1024, 500)
-        probe = attack_search_job(
-            base, "Chronus", 1024, AttackSpec.create("single_sided"),
-            accesses_per_core=500,
-        )
-        assert estimate_job_cost(probe) > estimate_job_cost(benign)
-
-
 class TestPersistentPoolEngine:
     def test_pool_persists_across_runs(self, tmp_path):
         engine = SweepEngine(
@@ -187,7 +146,7 @@ class TestPersistentPoolEngine:
         cold.run(SMALL_SPEC)
         assert cold.executed_jobs == 0
 
-    def test_run_report_records_shards_and_hits(self, tmp_path):
+    def test_run_report_counts_jobs_and_hits(self, tmp_path):
         engine = SweepEngine(
             cache=ResultCache(str(tmp_path / "cache")), workers=2
         )
@@ -196,29 +155,27 @@ class TestPersistentPoolEngine:
             report = engine.last_run_report
             assert report.executed_jobs == report.total_jobs > 0
             assert report.cached_jobs == 0
-            assert sum(s.jobs for s in report.shards) == report.executed_jobs
-            assert all(s.seconds >= 0.0 for s in report.shards)
+            assert report.mode == "pool"
+            assert "engine=pool" in report.summary_line()
             engine.run(SMALL_SPEC)
             warm = engine.last_run_report
             assert warm.executed_jobs == 0
             assert warm.cached_jobs == warm.total_jobs
-            assert warm.shards == []
-            lines = warm.summary_lines()
-            assert any("cached" in line for line in lines)
+            assert "engine=cached" in warm.summary_line()
         finally:
             engine.close()
 
-    def test_serial_and_sharded_results_identical(self, tmp_path):
+    def test_serial_and_pool_results_identical(self, tmp_path):
         serial = SweepEngine(workers=0).run(SMALL_SPEC)
         engine = SweepEngine(workers=2)
         try:
-            sharded = engine.run(SMALL_SPEC)
+            pooled = engine.run(SMALL_SPEC)
         finally:
             engine.close()
         assert json.dumps(
             {k: result_to_dict(v) for k, v in sorted(serial.items())},
             sort_keys=True,
         ) == json.dumps(
-            {k: result_to_dict(v) for k, v in sorted(sharded.items())},
+            {k: result_to_dict(v) for k, v in sorted(pooled.items())},
             sort_keys=True,
         )

@@ -332,6 +332,14 @@ class TestParseSubmission:
         {"pattern": "wave", "params": {"rounds": 10**9}},
         {"pattern": "single_sided", "params": {"hammer_count": 2**62}},
         {"pattern": "wave", "params": {"num_rows": -5}},
+        # Rows or banks outside the organization, caught without compiling.
+        {"pattern": "single_sided", "params": {"row": 10**9}},
+        {"pattern": "single_sided", "params": {"bank_index": 64}},
+        {"pattern": "single_sided", "params": {"dummy_distance": 10**6}},
+        {"pattern": "many_sided", "params": {"first_row": 65530}},
+        {"pattern": "rfm_dodge", "params": {"first_row": 70000}},
+        {"pattern": "double_sided", "params": {"victim_row": 0}},
+        {"pattern": "perf_attack", "params": {"rows_per_bank": 20000}},
     ])
     def test_malformed_attack_spec_is_rejected(self, mutation):
         spec = {"mechanism": "Chronus", "nrh": [8], "pattern": "single_sided"}
@@ -534,7 +542,7 @@ class TestHttpSurface:
         client = harness.client()
         health = client.health()
         assert health["status"] == "ok"
-        assert health["protocol"] == 1
+        assert health["protocol"] == 2
         stats = client.stats()
         assert stats["queue"]["depth"] == 0
         assert "cache" in stats["engine"]

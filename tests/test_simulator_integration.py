@@ -8,6 +8,7 @@ evaluation rests on.
 import pytest
 
 from repro.attacks import AttackSpec
+from repro.attacks.redteam import RedTeamEngine
 from repro.core.factory import MECHANISM_NAMES
 from repro.experiments import sweep
 from repro.experiments.cache import ResultCache
@@ -17,7 +18,7 @@ from repro.experiments.sweep import (
     execute_job,
     mechanism_job,
 )
-from repro.system import SimulationTruncated
+from repro.system import SimulationTruncated, simulator
 from repro.system.config import appendix_e_system_config, paper_system_config
 from repro.attacks.patterns import performance_attack_trace
 from repro.system.simulator import SystemSimulator, simulate
@@ -199,9 +200,10 @@ class TestVictimsPerAggressor:
     def test_attack_job_oracle_and_mechanism_agree(self, mechanism, monkeypatch):
         built = []
 
-        def build_only(config, traces, workload_name=None, oracle=None):
+        def build_only(config, traces, workload_name=None, oracle=None, seed=0):
             built.append(SystemSimulator(
-                config, traces, workload_name=workload_name, oracle=oracle
+                config, traces, workload_name=workload_name, oracle=oracle,
+                seed=seed,
             ))
 
         monkeypatch.setattr(sweep, "simulate", build_only)
@@ -214,3 +216,33 @@ class TestVictimsPerAggressor:
         assert parts
         for part in parts:
             assert part.victim_rows_per_aggressor == sim.oracle.victims_per_aggressor
+
+
+class TestJobSeed:
+    """A job's seed is its simulation's only seed: beside the traces it
+    seeds each channel's mechanism (PARA's RNG), ``seed + i`` on channel
+    ``i``."""
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_para_job_seeds_its_mechanism_with_the_job_seed(
+        self, channels, monkeypatch
+    ):
+        seeds = []
+        build = simulator.build_mechanism
+
+        def recording_build(name, nrh, num_banks, seed=0):
+            seeds.append(seed)
+            return build(name, nrh, num_banks, seed=seed)
+
+        monkeypatch.setattr(simulator, "build_mechanism", recording_build)
+        red_team = RedTeamEngine(
+            base_config=paper_system_config().with_overrides(channels=channels),
+            seed=5,
+        )
+        job = red_team.build_job(
+            "PARA", 64,
+            AttackSpec.create("single_sided", {"hammer_count": 100}, seed=5),
+        )
+        assert job.seed == 5
+        execute_job(job)
+        assert seeds == [5 + channel for channel in range(channels)]

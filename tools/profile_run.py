@@ -126,7 +126,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     profiler.enable()
     result = simulate(
         job.config, traces, workload_name=job.workload_name,
-        oracle=oracle, strict_tick=args.strict_tick,
+        oracle=oracle, strict_tick=args.strict_tick, seed=job.seed,
     )
     profiler.disable()
 
