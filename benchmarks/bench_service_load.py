@@ -4,13 +4,13 @@
 Boots a real :class:`SimulationService` on an ephemeral port (event loop on
 a background thread, serial engine, cold on-disk cache) and drives it with
 several concurrent :class:`ServiceClient` threads over real sockets -- the
-HTTP parser, WebSocket framing, admission queue and executor thread are all
-on the measured path.
+HTTP parser, the JSON-lines event stream, admission queue and executor
+thread are all on the measured path.
 
 Two phases, maintained in ``BENCH_service_load.json``:
 
 * **cold** -- every client submits distinct sweeps (unique seeds), watches
-  each over WebSocket to completion and records the end-to-end latency
+  each job's event stream to completion and records the end-to-end latency
   (submit POST to terminal ``done`` event).  Because one executor thread
   serialises execution, cold latency includes honest queue wait -- that is
   the number a capacity planner needs, not the bare engine time.

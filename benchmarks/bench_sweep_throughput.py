@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Sweep-throughput benchmark: cold-sweep worker-pool scaling.
 
-One declarative sweep executed twice from a cold cache: serially, then
-across the persistent pool, one task per job.  Wall-clock for both, plus the
-warm re-run (which must be 100 % cached), maintained in
-``BENCH_sweep_throughput.json``.  Single-run simulator speed is measured by
-the repository benchmark, ``benchmarks/e2e/run.py``.
+One declarative sweep executed from a cold cache: serially, then across the
+persistent pool, one task per job.  Wall-clock for both, plus the warm
+re-run (which must be 100 % cached), maintained in
+``BENCH_sweep_throughput.json``.  Back-to-back pairs of the same sweep
+spread widely, so ``--update`` times :data:`UPDATE_PAIRS` alternating
+serial/pool pairs and records the median and quartiles of each; a run
+whose checks fail exits 1 and records nothing.  Single-run simulator speed
+is measured by the repository benchmark, ``benchmarks/e2e/run.py``.
 
 Machine-independent gating (CI): absolute wall-clock depends on the runner,
 so the CI gate is the *same-run* relative speedup ``--min-parallel-speedup``,
@@ -27,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -45,6 +49,9 @@ BENCH_JSON = os.path.join(
 
 #: Worker count of the recorded scaling measurement.
 DEFAULT_WORKERS = 8
+
+#: Alternating serial/pool pairs that ``--update`` times.
+UPDATE_PAIRS = 10
 
 
 def sweep_spec(quick: bool) -> SweepSpec:
@@ -87,6 +94,15 @@ def run_cold_sweep(spec: SweepSpec, workers: int) -> Dict[str, object]:
         "seconds": elapsed,
         "warm_executed": warm_executed,
     }
+
+
+def spread(samples: List[float]) -> Dict[str, float]:
+    """Median and quartiles, the way ``benchmarks/e2e/run.py`` reports them."""
+    median = statistics.median(samples)
+    q1, q3 = (
+        statistics.quantiles(samples, n=4)[::2] if len(samples) > 1 else (median, median)
+    )
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
 def load_bench() -> Dict[str, object]:
@@ -133,19 +149,31 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     spec = sweep_spec(args.quick)
     label = "quick" if args.quick else "full"
-    print(f"cold sweep ({label}): {len(spec.expand())} jobs, serial...")
-    serial = run_cold_sweep(spec, workers=0)
-    print(f"  serial:   {serial['seconds']:6.2f}s ({serial['jobs']} jobs)")
-    print(f"cold sweep ({label}): {args.workers} workers...")
-    parallel = run_cold_sweep(spec, workers=args.workers)
-    parallel_speedup = serial["seconds"] / parallel["seconds"]
+    pairs = UPDATE_PAIRS if args.update else 1
     print(
-        f"  parallel: {parallel['seconds']:6.2f}s "
-        f"({parallel_speedup:.2f}x, cpu_count={cpu_count})"
+        f"cold sweep ({label}): {len(spec.expand())} jobs, {pairs} pair(s) of "
+        f"serial then {args.workers} workers"
     )
+    serial_seconds: List[float] = []
+    parallel_seconds: List[float] = []
+    speedups: List[float] = []
+    warm_executed = 0
+    for _ in range(pairs):
+        serial = run_cold_sweep(spec, workers=0)
+        parallel = run_cold_sweep(spec, workers=args.workers)
+        serial_seconds.append(serial["seconds"])
+        parallel_seconds.append(parallel["seconds"])
+        speedups.append(serial["seconds"] / parallel["seconds"])
+        warm_executed += serial["warm_executed"] + parallel["warm_executed"]
+        print(
+            f"  serial {serial['seconds']:6.2f}s  parallel "
+            f"{parallel['seconds']:6.2f}s  ({speedups[-1]:.2f}x)"
+        )
+    parallel_speedup = statistics.median(speedups)
+    print(f"  median speedup {parallel_speedup:.2f}x (cpu_count={cpu_count})")
 
     if not args.no_check:
-        if serial["warm_executed"] or parallel["warm_executed"]:
+        if warm_executed:
             failures.append(
                 "warm re-run executed jobs: the cache did not serve the sweep"
             )
@@ -164,17 +192,26 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"{args.min_parallel_speedup:.2f}x: OK"
                 )
 
+    if failures:
+        # A failed measurement never reaches the committed record.
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        return 1
+
     if args.update:
+        speedup = spread(speedups)
         bench["cold_sweep"] = {
-            "spec": "full" if not args.quick else "quick",
+            "spec": label,
             "jobs": serial["jobs"],
-            "serial_seconds": round(serial["seconds"], 3),
-            "parallel_seconds": round(parallel["seconds"], 3),
+            "pairs": pairs,
+            "serial_seconds": spread(serial_seconds),
+            "parallel_seconds": spread(parallel_seconds),
             "workers": args.workers,
             "cpu_count": cpu_count,
-            "speedup": round(parallel_speedup, 3),
+            "speedup": speedup,
             "note": (
-                "parallel speedup is bounded by cpu_count; on a 1-CPU "
+                "median and quartiles of alternating serial/pool pairs; "
+                "parallel speedup is bounded by cpu_count, and on a 1-CPU "
                 "machine the honest measurement is ~1.0x regardless of the "
                 "worker count"
             ),
@@ -182,7 +219,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         bench.setdefault("trajectory", []).append(
             {
                 "date": time.strftime("%Y-%m-%d"),
-                "cold_sweep_speedup": round(parallel_speedup, 3),
+                "cold_sweep_speedup": speedup["median"],
+                "cold_sweep_speedup_q1": speedup["q1"],
+                "cold_sweep_speedup_q3": speedup["q3"],
+                "pairs": pairs,
                 "cpu_count": cpu_count,
                 "python": platform.python_version(),
             }
@@ -195,11 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         artifact = emit_bench_artifact(BENCH_JSON)
         print(f"re-recorded {artifact}")
-        return 0
-
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -41,7 +41,8 @@ Subcommands:
 ``serve``
     Run the long-lived simulation service (:mod:`repro.service`): clients
     submit sweep / attack-search jobs over HTTP and stream live progress
-    over WebSocket, all multiplexed onto one shared engine and cache.
+    as JSON lines over plain HTTP, all multiplexed onto one shared engine
+    and cache.
     ``--auth-key FILE`` authenticates clients (HMAC of the client id,
     compared in constant time; 401 otherwise) and signs served artifacts.
 
@@ -327,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = subparsers.add_parser(
-        "serve", help="run the simulation service (HTTP + WebSocket job server)"
+        "serve", help="run the simulation service (HTTP job server)"
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
@@ -1021,6 +1022,20 @@ def _print_event(event: Dict[str, object]) -> None:
     print("  ".join(parts), flush=True)
 
 
+def _watch_until_done(client, job_id: str, timeout: float) -> int:
+    """Print a job's events; exit 0 only when it ends ``done``."""
+    final_state = ""
+    try:
+        for event in client.watch(job_id, timeout=timeout):
+            _print_event(event)
+            if event.get("event") == "state":
+                final_state = str(event.get("state"))
+    except TimeoutError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    return 0 if final_state == "done" else 1
+
+
 def _cmd_client(args: argparse.Namespace) -> int:
     from repro.artifacts import ArtifactKeyError
     from repro.service.client import ServiceClient, ServiceError
@@ -1049,20 +1064,9 @@ def _cmd_client(args: argparse.Namespace) -> int:
             print(json.dumps(response, indent=2, sort_keys=True))
             if not args.watch:
                 return 0
-            job_id = str(response["job"])
-            final_state = ""
-            for event in client.watch(job_id, timeout=args.timeout):
-                _print_event(event)
-                if event.get("event") == "state":
-                    final_state = str(event.get("state"))
-            return 0 if final_state == "done" else 1
+            return _watch_until_done(client, str(response["job"]), args.timeout)
         if args.client_command == "watch":
-            final_state = ""
-            for event in client.watch(args.job_id, timeout=args.timeout):
-                _print_event(event)
-                if event.get("event") == "state":
-                    final_state = str(event.get("state"))
-            return 0 if final_state == "done" else 1
+            return _watch_until_done(client, args.job_id, args.timeout)
         if args.client_command == "status":
             print(json.dumps(client.status(args.job_id, full=args.full),
                              indent=2, sort_keys=True))

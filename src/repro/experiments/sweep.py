@@ -428,7 +428,7 @@ class RunReport:
     def as_dict(self) -> Dict[str, object]:
         """JSON-serialisable report.
 
-        The one serialization the service streams over WebSocket, the CLI
+        The one serialization the service streams to watchers, the CLI
         writes with ``--report-json`` and the benchmarks record -- so every
         consumer agrees on field names.
         """

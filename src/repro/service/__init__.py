@@ -2,9 +2,9 @@
 
 The package turns the one-shot CLI into a long-running multi-tenant service:
 
-* :mod:`repro.service.protocol` -- a minimal, dependency-free HTTP/1.1 and
-  WebSocket (RFC 6455) layer over ``asyncio`` streams, with a sans-I/O
-  frame codec shared by the server and the blocking client.
+* :mod:`repro.service.protocol` -- a minimal, dependency-free HTTP/1.1
+  layer over ``asyncio`` streams: the request parser, responses, and the
+  JSON lines of a job's event stream.
 * :mod:`repro.service.specs` -- strict validation of client JSON payloads
   into :class:`~repro.experiments.sweep.SimJob` lists (whitelisted fields
   only; malformed payloads are rejected with a 4xx, never injected).
@@ -12,7 +12,7 @@ The package turns the one-shot CLI into a long-running multi-tenant service:
   fairness queue with per-client concurrency caps and token-bucket rate
   limits (full / capped / throttled submissions answer 429 + Retry-After).
 * :mod:`repro.service.server` -- :class:`SimulationService`: routes,
-  the per-job WebSocket :class:`ConnectionManager`, and the executor that
+  the per-job event-stream :class:`ConnectionManager`, and the executor that
   drives the shared :class:`~repro.experiments.sweep.SweepEngine` with
   progress streaming and cooperative cancellation.
 * :mod:`repro.service.client` -- a blocking stdlib client

@@ -1,9 +1,10 @@
 """Blocking stdlib client for the simulation service.
 
-``http.client`` drives the REST side, a raw socket plus the shared sans-I/O
-frame codec (:mod:`repro.service.protocol`) drives the WebSocket side --
-the client therefore works in any environment the repo's tier-1 tests run
-in (no ``requests``, no ``websockets`` dependency).
+Every call is one ``http.client`` request on its own connection, the event
+stream included: :meth:`ServiceClient.watch` reads the JSON lines of
+``GET /jobs/{id}/events`` until the server closes.  The client therefore
+works in any environment the repo's tier-1 tests run in (no ``requests``
+dependency).
 
 The CLI (``python -m repro client ...``), the load benchmark and the
 service tests are all built on :class:`ServiceClient`.
@@ -13,11 +14,8 @@ from __future__ import annotations
 
 import http.client
 import json
-import socket
 import time
 from typing import Callable, Dict, Iterator, Optional
-
-from repro.service import protocol
 
 
 class ServiceError(Exception):
@@ -69,39 +67,39 @@ class ServiceClient:
     # ------------------------------------------------------------------ #
     # REST
     # ------------------------------------------------------------------ #
-    def _request(
+    def _send(
         self, method: str, path: str, body: Optional[object] = None
-    ) -> Dict[str, object]:
+    ) -> http.client.HTTPConnection:
+        """Open a connection and send one request on it."""
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
+        payload = None
+        headers = self._base_headers()
+        if body is not None:
+            # reprolint: disable=canonical-json -- the blocking stdlib
+            # client encodes request bodies it just built from user
+            # flags/files; the server re-parses and strictly re-validates
+            # every byte (service/specs.py whitelist), so canonical byte
+            # form on the request wire buys nothing.
+            payload = json.dumps(body).encode("utf-8")
+            headers["Content-Type"] = "application/json"
         try:
-            payload = None
-            headers = self._base_headers()
-            if body is not None:
-                # reprolint: disable=canonical-json -- the blocking stdlib
-                # client encodes request bodies it just built from user
-                # flags/files; the server re-parses and strictly re-validates
-                # every byte (service/specs.py whitelist), so canonical byte
-                # form on the request wire buys nothing.
-                payload = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
             connection.request(method, path, body=payload, headers=headers)
+        except BaseException:
+            connection.close()
+            raise
+        return connection
+
+    def _request(
+        self, method: str, path: str, body: Optional[object] = None
+    ) -> Dict[str, object]:
+        connection = self._send(method, path, body)
+        try:
             response = connection.getresponse()
+            _raise_for_status(response)
             raw = response.read()
-            try:
-                decoded = json.loads(raw.decode("utf-8")) if raw else {}
-            except ValueError:
-                decoded = {"error": raw.decode("utf-8", "replace")}
-            if response.status >= 400:
-                retry_after = response.getheader("Retry-After")
-                raise ServiceError(
-                    response.status,
-                    str(decoded.get("error", "request failed")),
-                    reason=str(decoded.get("reason", "")),
-                    retry_after=int(retry_after) if retry_after else None,
-                )
-            return decoded
+            return json.loads(raw.decode("utf-8")) if raw else {}
         finally:
             connection.close()
 
@@ -142,26 +140,11 @@ class ServiceClient:
         Verify with :class:`repro.artifacts.ArtifactReader` -- pass the
         shared auth key to also check the signature.
         """
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        connection = self._send("GET", f"/jobs/{job_id}/artifact")
         try:
-            connection.request(
-                "GET", f"/jobs/{job_id}/artifact", headers=self._base_headers()
-            )
             response = connection.getresponse()
-            raw = response.read()
-            if response.status >= 400:
-                try:
-                    decoded = json.loads(raw.decode("utf-8"))
-                except ValueError:
-                    decoded = {"error": raw.decode("utf-8", "replace")}
-                raise ServiceError(
-                    response.status,
-                    str(decoded.get("error", "request failed")),
-                    reason=str(decoded.get("reason", "")),
-                )
-            return raw
+            _raise_for_status(response)
+            return response.read()
         finally:
             connection.close()
 
@@ -169,7 +152,7 @@ class ServiceClient:
         return self._request("POST", "/shutdown")
 
     # ------------------------------------------------------------------ #
-    # WebSocket watch
+    # Event stream
     # ------------------------------------------------------------------ #
     def watch(
         self,
@@ -180,68 +163,35 @@ class ServiceClient:
         """Stream a job's events until its terminal state.
 
         Yields each event dict (history first, then live).  ``timeout``
-        bounds the whole watch; the per-read timeout is the client default.
+        bounds the whole watch, an idle stream included, and raises
+        :class:`TimeoutError`; each read also waits at most the client's
+        own timeout.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
         try:
-            key = protocol.websocket_client_key()
-            auth_line = (
-                f"X-Auth-Token: {self._auth_token}\r\n"
-                if self._auth_token is not None else ""
-            )
-            handshake = (
-                f"GET /ws/jobs/{job_id} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Key: {key}\r\n"
-                "Sec-WebSocket-Version: 13\r\n"
-                f"X-Client: {self.client_id}\r\n"
-                f"{auth_line}"
-                "\r\n"
-            )
-            sock.sendall(handshake.encode("latin-1"))
-            buffer = bytearray()
-            head = self._read_handshake(sock, buffer)
-            status_line = head.split(b"\r\n", 1)[0].decode("latin-1")
-            if " 101 " not in f" {status_line} ":
-                body, error = self._read_error_body(sock, head, buffer)
-                raise ServiceError(
-                    self._handshake_status(status_line), error or status_line
-                )
-            headers = {}
-            for line in head.split(b"\r\n")[1:]:
-                name, separator, value = line.decode("latin-1").partition(":")
-                if separator:
-                    headers[name.strip().lower()] = value.strip()
-            if headers.get("sec-websocket-accept") != protocol.websocket_accept_key(key):
-                raise ServiceError(502, "bad Sec-WebSocket-Accept from server")
-            while True:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise TimeoutError(f"watch of job {job_id} timed out")
-                opcode, payload = self._read_frame(sock, buffer)
-                if opcode == protocol.OP_CLOSE:
-                    return
-                if opcode == protocol.OP_PING:
-                    sock.sendall(
-                        protocol.encode_frame(payload, protocol.OP_PONG, mask=True)
-                    )
-                    continue
-                if opcode != protocol.OP_TEXT:
-                    continue
-                event = json.loads(payload.decode("utf-8"))
-                if on_event is not None:
-                    on_event(event)
-                yield event
-        finally:
+            connection = self._send("GET", f"/jobs/{job_id}/events")
+            # http.client drops its own reference once the response will close.
+            sock = connection.sock
             try:
-                sock.sendall(protocol.encode_close(1000, mask=True))
-            except OSError:
-                pass
-            sock.close()
+                with connection.getresponse() as response:
+                    _raise_for_status(response)
+                    while True:
+                        if deadline is not None:
+                            left = deadline - time.monotonic()
+                            if left <= 0:
+                                raise TimeoutError
+                            sock.settimeout(min(self.timeout, left))
+                        line = response.readline()
+                        if not line:
+                            return
+                        event = json.loads(line.decode("utf-8"))
+                        if on_event is not None:
+                            on_event(event)
+                        yield event
+            finally:
+                connection.close()
+        except TimeoutError:  # the deadline, or a read that outlived it
+            raise TimeoutError(f"watch of job {job_id} timed out") from None
 
     def wait(
         self, job_id: str, timeout: Optional[float] = None
@@ -254,67 +204,25 @@ class ServiceClient:
             ):
                 final = event
         if not final:
-            # The stream closed without a terminal event (e.g. server stop);
-            # fall back to the REST snapshot.
+            # The stream closed without a terminal event (the server went
+            # away mid-stream); fall back to the REST snapshot.
             final = self.status(job_id)
         return final
 
-    # ------------------------------------------------------------------ #
-    # Socket helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _handshake_status(status_line: str) -> int:
-        parts = status_line.split()
-        try:
-            return int(parts[1])
-        except (IndexError, ValueError):
-            return 502
 
-    @staticmethod
-    def _read_handshake(sock: socket.socket, buffer: bytearray) -> bytes:
-        """Read up to the end of the response headers; rest stays buffered."""
-        while b"\r\n\r\n" not in buffer:
-            chunk = sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("server closed during WebSocket handshake")
-            buffer += chunk
-        head, _, rest = bytes(buffer).partition(b"\r\n\r\n")
-        del buffer[:]
-        buffer += rest
-        return head
-
-    @staticmethod
-    def _read_error_body(
-        sock: socket.socket, head: bytes, buffer: bytearray
-    ) -> tuple:
-        """Best-effort read of a JSON error body after a failed handshake."""
-        length = 0
-        for line in head.split(b"\r\n"):
-            if line.lower().startswith(b"content-length:"):
-                try:
-                    length = int(line.split(b":", 1)[1].strip())
-                except ValueError:
-                    length = 0
-        while len(buffer) < length:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            buffer += chunk
-        body = bytes(buffer[:length])
-        try:
-            return body, json.loads(body.decode("utf-8")).get("error", "")
-        except ValueError:
-            return body, ""
-
-    @staticmethod
-    def _read_frame(sock: socket.socket, buffer: bytearray) -> tuple:
-        while True:
-            decoded = protocol.decode_frame(bytes(buffer))
-            if decoded is not None:
-                opcode, payload, consumed = decoded
-                del buffer[:consumed]
-                return opcode, payload
-            chunk = sock.recv(65536)
-            if not chunk:
-                raise ConnectionError("server closed mid-frame")
-            buffer += chunk
+def _raise_for_status(response: http.client.HTTPResponse) -> None:
+    """:class:`ServiceError` from a 4xx/5xx response's JSON error body."""
+    if response.status < 400:
+        return
+    raw = response.read()
+    try:
+        decoded = json.loads(raw.decode("utf-8"))
+    except ValueError:
+        decoded = {"error": raw.decode("utf-8", "replace")}
+    retry_after = response.getheader("Retry-After")
+    raise ServiceError(
+        response.status,
+        str(decoded.get("error", "request failed")),
+        reason=str(decoded.get("reason", "")),
+        retry_after=int(retry_after) if retry_after else None,
+    )

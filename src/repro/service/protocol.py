@@ -1,58 +1,32 @@
-"""Minimal HTTP/1.1 + WebSocket (RFC 6455) layer over asyncio streams.
+"""Minimal HTTP/1.1 layer over asyncio streams.
 
 The service deliberately has **no framework dependency**: tier-1 tests must
 stay hermetic, and the container cannot install FastAPI/uvicorn.  What the
 job server actually needs from HTTP is tiny -- parse a request line, a
 handful of headers and a bounded JSON body; write a status line, headers
-and a body -- and the WebSocket side needs the RFC 6455 opening handshake
-plus the frame codec.
-
-The frame codec is **sans-I/O** (pure ``bytes -> frame`` / ``frame ->
-bytes`` functions), so the asyncio server and the blocking stdlib client
-(:mod:`repro.service.client`) share one implementation, and the codec is
-unit-testable without sockets.
+and a body, or a stream of JSON lines that ends when the server closes.
 
 Scope limits, by design (documented in ``docs/SERVICE.md``):
 
-* one request per HTTP connection (``Connection: close``); only WebSocket
-  upgrades keep the socket open,
+* one request per HTTP connection (``Connection: close``),
 * request bodies are capped (:data:`MAX_BODY_BYTES`) -- oversized payloads
   answer 413 before the body is read into memory,
-* WebSocket messages must fit in one unfragmented frame (events are small
-  JSON documents; fragmented frames answer close code 1003).
+* an event stream has no ``Content-Length``: its end is the server closing
+  the connection after the job's terminal event.
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
-import os
-import struct
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 from urllib.parse import parse_qsl, urlsplit
-
-#: RFC 6455 §1.3 magic GUID appended to the client key before hashing.
-WEBSOCKET_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 #: Upper bound on accepted HTTP request bodies (1 MiB).
 MAX_BODY_BYTES = 1 << 20
 
-#: Upper bound on a single WebSocket frame payload accepted by either side.
-MAX_FRAME_BYTES = 1 << 22
-
-#: WebSocket opcodes (the subset the service speaks).
-OP_CONT = 0x0
-OP_TEXT = 0x1
-OP_BINARY = 0x2
-OP_CLOSE = 0x8
-OP_PING = 0x9
-OP_PONG = 0xA
-
 #: Reason phrases for the status codes the service emits.
 REASON_PHRASES = {
-    101: "Switching Protocols",
     200: "OK",
     202: "Accepted",
     204: "No Content",
@@ -62,7 +36,6 @@ REASON_PHRASES = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
-    426: "Upgrade Required",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -70,7 +43,7 @@ REASON_PHRASES = {
 
 
 class ProtocolError(ValueError):
-    """A malformed HTTP request or WebSocket frame.
+    """A malformed HTTP request.
 
     ``status`` is the HTTP status a malformed request answers: 400, or 413
     for a body over the cap.
@@ -104,14 +77,6 @@ class HttpRequest:
             return json.loads(self.body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as error:
             raise ProtocolError(f"request body is not valid JSON: {error}")
-
-    @property
-    def wants_websocket(self) -> bool:
-        """True when the request asks for a WebSocket upgrade."""
-        return (
-            "websocket" in self.header("upgrade").lower()
-            and "upgrade" in self.header("connection").lower()
-        )
 
 
 async def read_request(reader, max_body: int = MAX_BODY_BYTES) -> Optional[HttpRequest]:
@@ -199,6 +164,24 @@ def http_response(
     return head.encode("latin-1") + body
 
 
+#: The head of an event stream: JSON lines follow until the server closes
+#: the connection, so there is no ``Content-Length``.
+EVENT_STREAM_HEAD = (
+    b"HTTP/1.1 200 OK\r\n"
+    b"Content-Type: application/x-ndjson\r\n"
+    b"Connection: close\r\n"
+    b"\r\n"
+)
+
+
+def json_line(payload: object) -> bytes:
+    """One event of a stream: ``payload`` as JSON, then ``\\n``."""
+    # reprolint: disable=canonical-json -- transient stream framing: each
+    # line is delimited by its newline on the wire and never persisted,
+    # hashed or signed, so canonical byte form buys nothing here.
+    return json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+
+
 def json_response(
     status: int,
     payload: object,
@@ -228,140 +211,3 @@ def error_response(
         headers["Retry-After"] = str(max(1, int(round(retry_after))))
         payload["retry_after"] = max(1, int(round(retry_after)))
     return json_response(status, payload, extra_headers=headers)
-
-
-# --------------------------------------------------------------------------- #
-# WebSocket handshake
-# --------------------------------------------------------------------------- #
-
-def websocket_accept_key(client_key: str) -> str:
-    """``Sec-WebSocket-Accept`` value for a client's ``Sec-WebSocket-Key``."""
-    digest = hashlib.sha1((client_key + WEBSOCKET_GUID).encode("latin-1")).digest()
-    return base64.b64encode(digest).decode("latin-1")
-
-
-def websocket_client_key() -> str:
-    """A fresh random ``Sec-WebSocket-Key`` (client side)."""
-    return base64.b64encode(os.urandom(16)).decode("latin-1")
-
-
-def websocket_handshake_response(request: HttpRequest) -> bytes:
-    """The 101 response completing a WebSocket upgrade."""
-    client_key = request.header("sec-websocket-key")
-    if not client_key:
-        raise ProtocolError("upgrade request is missing Sec-WebSocket-Key")
-    head = (
-        "HTTP/1.1 101 Switching Protocols\r\n"
-        "Upgrade: websocket\r\n"
-        "Connection: Upgrade\r\n"
-        f"Sec-WebSocket-Accept: {websocket_accept_key(client_key)}\r\n"
-        "\r\n"
-    )
-    return head.encode("latin-1")
-
-
-# --------------------------------------------------------------------------- #
-# WebSocket frame codec (sans-I/O)
-# --------------------------------------------------------------------------- #
-
-def encode_frame(payload: bytes, opcode: int = OP_TEXT, mask: bool = False) -> bytes:
-    """Serialise one unfragmented WebSocket frame.
-
-    Clients MUST mask (``mask=True``), servers MUST NOT (RFC 6455 §5.1);
-    the codec enforces neither so tests can exercise both directions.
-    """
-    length = len(payload)
-    head = bytearray([0x80 | (opcode & 0x0F)])
-    mask_bit = 0x80 if mask else 0x00
-    if length < 126:
-        head.append(mask_bit | length)
-    elif length < (1 << 16):
-        head.append(mask_bit | 126)
-        head += struct.pack(">H", length)
-    else:
-        head.append(mask_bit | 127)
-        head += struct.pack(">Q", length)
-    if not mask:
-        return bytes(head) + payload
-    key = os.urandom(4)
-    head += key
-    masked = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return bytes(head) + masked
-
-
-def decode_frame(buffer: bytes) -> Optional[Tuple[int, bytes, int]]:
-    """Parse one frame from ``buffer``.
-
-    Returns ``(opcode, payload, bytes_consumed)`` or ``None`` when the
-    buffer does not yet hold a complete frame.  Fragmented messages
-    (``FIN=0`` or continuation frames) raise :class:`ProtocolError` -- every
-    message the service exchanges fits one frame.
-    """
-    if len(buffer) < 2:
-        return None
-    first, second = buffer[0], buffer[1]
-    fin = bool(first & 0x80)
-    opcode = first & 0x0F
-    if not fin or opcode == OP_CONT:
-        raise ProtocolError("fragmented WebSocket messages are not supported")
-    masked = bool(second & 0x80)
-    length = second & 0x7F
-    offset = 2
-    if length == 126:
-        if len(buffer) < offset + 2:
-            return None
-        (length,) = struct.unpack_from(">H", buffer, offset)
-        offset += 2
-    elif length == 127:
-        if len(buffer) < offset + 8:
-            return None
-        (length,) = struct.unpack_from(">Q", buffer, offset)
-        offset += 8
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame payload of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    key = b""
-    if masked:
-        if len(buffer) < offset + 4:
-            return None
-        key = buffer[offset:offset + 4]
-        offset += 4
-    if len(buffer) < offset + length:
-        return None
-    payload = buffer[offset:offset + length]
-    if masked:
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return opcode, payload, offset + length
-
-
-def encode_text(payload: object, mask: bool = False) -> bytes:
-    """A text frame carrying ``payload`` as JSON."""
-    return encode_frame(
-        # reprolint: disable=canonical-json -- transient WebSocket framing:
-        # frames are length-prefixed on the wire and never persisted,
-        # hashed or signed, so canonical byte form buys nothing here.
-        json.dumps(payload, sort_keys=True).encode("utf-8"), OP_TEXT, mask=mask
-    )
-
-
-def encode_close(code: int = 1000, mask: bool = False) -> bytes:
-    """A close frame with the given status code."""
-    return encode_frame(struct.pack(">H", code), OP_CLOSE, mask=mask)
-
-
-async def read_frame(reader, buffer: bytearray) -> Tuple[int, bytes]:
-    """Read one complete frame from an asyncio stream.
-
-    ``buffer`` holds bytes carried over between calls (the stream may
-    deliver several frames in one read).  Raises :class:`ProtocolError` on
-    malformed frames and :class:`ConnectionError` on EOF mid-frame.
-    """
-    while True:
-        decoded = decode_frame(bytes(buffer))
-        if decoded is not None:
-            opcode, payload, consumed = decoded
-            del buffer[:consumed]
-            return opcode, payload
-        chunk = await reader.read(65536)
-        if not chunk:
-            raise ConnectionError("WebSocket peer closed mid-frame")
-        buffer += chunk

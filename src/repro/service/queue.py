@@ -62,7 +62,7 @@ class JobRecord:
     submitted_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    #: Append-only event log (replayed to late WebSocket subscribers).
+    #: Append-only event log (replayed to late event-stream subscribers).
     events: List[Dict[str, object]] = field(default_factory=list)
     #: Summarised results, set on the DONE transition.
     result: Optional[Dict[str, object]] = None

@@ -14,15 +14,16 @@ and multiplexes it across clients:
   progress callback is bridged onto the event loop with
   ``call_soon_threadsafe``, so every ``plan`` / ``job`` / ``report`` event
   lands in the record's append-only event log **and** is pushed live to
-  WebSocket subscribers: one ``job`` event per executed simulation, serial
-  or pooled.  Jobs run one at a time -- the engine parallelises *inside* a
+  every watcher: one ``job`` event per executed simulation, serial or
+  pooled.  Jobs run one at a time -- the engine parallelises *inside* a
   job (one pool task per simulation), which also guarantees that
   overlapping submissions are computed once: the second job finds the
   first one's results in the shared cache.
-* ``GET /ws/jobs/{id}`` upgrades to WebSocket: the
-  :class:`ConnectionManager` replays the job's event history, then streams
-  live events until a terminal state.  A client that disconnects mid-stream
-  is unsubscribed; the job keeps running.
+* ``GET /jobs/{id}/events`` answers one response of JSON lines: the job's
+  event history, then live events, and the server closes the connection
+  after the terminal state.  The :class:`ConnectionManager` tracks who is
+  watching; a client that disconnects mid-stream is unsubscribed and the
+  job keeps running.
 * ``POST /jobs/{id}/cancel`` removes a queued job immediately, or fires the
   running job's :class:`~repro.experiments.sweep.CancelToken` --
   cancellation is cooperative and takes effect between simulations in both
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Union
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.sweep import (
@@ -68,15 +69,14 @@ from repro.service.specs import SpecError, parse_submission
 from repro.system.metrics import SimulationResult
 
 #: Protocol version advertised by /healthz (bump on breaking changes).
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 def result_summary(job: SimJob, result: SimulationResult) -> Dict[str, object]:
     """The compact per-job result shipped in ``done`` events.
 
     Full :class:`SimulationResult` payloads are available via
-    ``GET /jobs/{id}?full=1``; the streamed summary keeps WebSocket events
-    small.
+    ``GET /jobs/{id}?full=1``; the streamed summary keeps events small.
     """
     ipcs = list(result.core_ipcs)
     return {
@@ -92,10 +92,10 @@ def result_summary(job: SimJob, result: SimulationResult) -> Dict[str, object]:
 
 
 class ConnectionManager:
-    """Tracks live WebSocket subscriptions per job.
+    """Tracks live event-stream subscriptions per job.
 
     Subscription state is only mutated from the event-loop thread.  The
-    manager does not push frames itself -- each subscriber's handler task
+    manager does not push events itself -- each subscriber's handler task
     drains the job's event log at its own pace (a slow client can therefore
     never stall the executor or other subscribers) -- but it is the single
     source of truth for who is subscribed, which the disconnect tests and
@@ -205,11 +205,12 @@ class SimulationService:
         self._executor_task = asyncio.ensure_future(self._executor_loop())
 
     async def stop(self) -> None:
-        """Stop serving: cancel running work, close the engine and pool."""
+        """Stop serving: cancel every unfinished job, close the engine and
+        pool."""
         self._stopping.set()
         for record in self.jobs.values():
             if not record.finished:
-                record.cancel.cancel()
+                self._cancel(record)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -335,10 +336,10 @@ class SimulationService:
                 writer.write(denied)
                 await writer.drain()
                 return
-            if request.path.startswith("/ws/"):
-                await self._handle_websocket(request, reader, writer)
-                return
             response = self._route_http(request)
+            if isinstance(response, JobRecord):
+                await self._stream_events(response, reader, writer)
+                return
             writer.write(response)
             await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
@@ -353,8 +354,8 @@ class SimulationService:
     def _auth_error(self, request: protocol.HttpRequest) -> Optional[bytes]:
         """401 response when auth is on and the request fails it, else None.
 
-        Applies to every route -- HTTP and WebSocket upgrades alike --
-        except ``/healthz`` (liveness probes must work before keys are
+        Applies to every route -- event streams included -- except
+        ``/healthz`` (liveness probes must work before keys are
         distributed).  The token binds the *client identity* the fairness
         queue accounts against: ``X-Auth-Token = HMAC(key, X-Client)``,
         compared in constant time, so an attacker can neither submit jobs
@@ -377,7 +378,8 @@ class SimulationService:
             reason="unauthorized",
         )
 
-    def _route_http(self, request: protocol.HttpRequest) -> bytes:
+    def _route_http(self, request: protocol.HttpRequest) -> Union[bytes, JobRecord]:
+        """The response to send, or the job whose events to stream."""
         path = request.path.rstrip("/") or "/"
         if path == "/healthz":
             if request.method != "GET":
@@ -401,7 +403,9 @@ class SimulationService:
             return self._route_job(request, path)
         return protocol.error_response(404, f"no route for {request.path!r}")
 
-    def _route_job(self, request: protocol.HttpRequest, path: str) -> bytes:
+    def _route_job(
+        self, request: protocol.HttpRequest, path: str
+    ) -> Union[bytes, JobRecord]:
         parts = path.split("/")  # ["", "jobs", id, maybe-action]
         job_id = parts[2] if len(parts) > 2 else ""
         record = self.jobs.get(job_id)
@@ -412,6 +416,8 @@ class SimulationService:
             return protocol.json_response(200, record.snapshot(full=full))
         if len(parts) == 4 and parts[3] == "artifact" and request.method == "GET":
             return self._handle_artifact(record)
+        if len(parts) == 4 and parts[3] == "events" and request.method == "GET":
+            return record
         wants_cancel = (
             (len(parts) == 4 and parts[3] == "cancel" and request.method == "POST")
             or (len(parts) == 3 and request.method == "DELETE")
@@ -501,7 +507,7 @@ class SimulationService:
                 "position": position,
                 "num_jobs": len(record.jobs),
                 "cached_jobs": cached,
-                "watch": f"/ws/jobs/{record.id}",
+                "watch": f"/jobs/{record.id}/events",
             },
         )
 
@@ -529,94 +535,65 @@ class SimulationService:
         )
 
     def _handle_cancel(self, record: JobRecord) -> bytes:
-        if record.finished:
-            # Idempotent: cancelling a finished job reports its final state.
-            return protocol.json_response(200, record.snapshot())
-        if record.state == JobState.QUEUED and self.queue.remove(record.id) is not None:
-            record.cancel.cancel()
-            self._set_state(record, JobState.CANCELLED)
-        else:
-            # Running (or queued-but-racing): fire the token; the executor
-            # publishes the terminal state when the engine acknowledges.
-            record.cancel.cancel()
-            self._publish(record, {"event": "cancel_requested"})
+        # Idempotent: cancelling a finished job reports its final state.
+        if not record.finished:
+            self._cancel(record)
         return protocol.json_response(200, record.snapshot())
 
+    def _cancel(self, record: JobRecord) -> None:
+        """Cancel an unfinished job: a queued one leaves the queue and is
+        cancelled at once; a running one has its token fired, and the
+        executor publishes the terminal state when the engine acknowledges."""
+        record.cancel.cancel()
+        if record.state == JobState.QUEUED and self.queue.remove(record.id) is not None:
+            self._set_state(record, JobState.CANCELLED)
+        else:
+            self._publish(record, {"event": "cancel_requested"})
+
     # ------------------------------------------------------------------ #
-    # WebSocket streaming
+    # Event streaming
     # ------------------------------------------------------------------ #
-    async def _handle_websocket(self, request, reader, writer) -> None:
-        parts = request.path.rstrip("/").split("/")
-        # Expected shape: /ws/jobs/{id}
-        record = (
-            self.jobs.get(parts[3])
-            if len(parts) == 4 and parts[1] == "ws" and parts[2] == "jobs"
-            else None
-        )
-        if record is None:
-            writer.write(protocol.error_response(404, f"no stream at {request.path!r}"))
-            await writer.drain()
-            return
-        if not request.wants_websocket:
-            writer.write(protocol.error_response(
-                426, "this endpoint speaks WebSocket", reason="upgrade_required"
-            ))
-            await writer.drain()
-            return
-        try:
-            writer.write(protocol.websocket_handshake_response(request))
-            await writer.drain()
-        except protocol.ProtocolError as error:
-            writer.write(protocol.error_response(400, str(error)))
-            await writer.drain()
-            return
+    async def _stream_events(self, record: JobRecord, reader, writer) -> None:
+        """``GET /jobs/{id}/events``: JSON lines until the terminal state.
+
+        Returns when the job's whole log is written or the client is gone
+        (EOF, a half-close included); either way the subscription is
+        dropped and the job keeps running.
+        """
         token = self.manager.subscribe(record.id)
-        sender = asyncio.ensure_future(self._stream_events(record, writer))
-        receiver = asyncio.ensure_future(self._drain_client(reader, writer))
+        writer.write(protocol.EVENT_STREAM_HEAD)
+        sender = asyncio.ensure_future(self._send_events(record, writer))
+        receiver = asyncio.ensure_future(_discard_until_eof(reader))
         try:
-            done, pending = await asyncio.wait(
-                {sender, receiver}, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in pending:
-                task.cancel()
-                try:
-                    await task
-                except (asyncio.CancelledError, ConnectionError, OSError):
-                    pass
+            await asyncio.wait({sender, receiver}, return_when=asyncio.FIRST_COMPLETED)
         finally:
             self.manager.unsubscribe(record.id, token)
+            sender.cancel()
+            receiver.cancel()
+            # Retrieve both outcomes: a watcher that left shows up here as a
+            # ConnectionError, which ends the stream quietly.
+            await asyncio.gather(sender, receiver, return_exceptions=True)
 
-    async def _stream_events(self, record: JobRecord, writer) -> None:
+    async def _send_events(self, record: JobRecord, writer) -> None:
         """Replay the record's event log, then follow it live."""
         sent = 0
         while True:
             pulse = self._pulses.get(record.id)
             while sent < len(record.events):
-                writer.write(protocol.encode_text(record.events[sent]))
+                writer.write(protocol.json_line(record.events[sent]))
                 sent += 1
             await writer.drain()
             if record.finished and sent >= len(record.events):
-                writer.write(protocol.encode_close(1000))
-                await writer.drain()
                 return
             if pulse is None:
                 pulse = self._pulses.setdefault(record.id, asyncio.Event())
             await pulse.wait()
 
-    async def _drain_client(self, reader, writer) -> None:
-        """Consume client frames: answer pings, stop on close/EOF."""
-        buffer = bytearray()
-        while True:
-            try:
-                opcode, payload = await protocol.read_frame(reader, buffer)
-            except (ConnectionError, protocol.ProtocolError, OSError):
-                return
-            if opcode == protocol.OP_CLOSE:
-                return
-            if opcode == protocol.OP_PING:
-                writer.write(protocol.encode_frame(payload, protocol.OP_PONG))
-                await writer.drain()
-            # Text/binary frames from watchers are ignored.
+
+async def _discard_until_eof(reader) -> None:
+    """Read and drop whatever a watcher sends, in bounded chunks, until EOF."""
+    while await reader.read(65536):
+        pass
 
 
 async def run_service(

@@ -89,7 +89,7 @@ class TestEntryDocuments:
         service = (REPO_ROOT / "docs" / "SERVICE.md").read_text(encoding="utf-8")
         for needle in (
             "python -m repro serve", "python -m repro client",
-            "POST /jobs", "/ws/jobs/", "Retry-After", "429",
+            "POST /jobs", "/jobs/{id}/events", "Retry-After", "429",
             "CancelToken", "round-robin", "cached_jobs",
             "bench_service_load.py",
         ):
@@ -132,8 +132,9 @@ class TestEntryDocuments:
 
     def test_docs_name_no_removed_lint_or_artifact_path(self):
         """The lint baseline, its file-wide scope and second entry point,
-        the artifact store, resume and index seek, and the security
-        analysis' parameter object and override arguments are gone."""
+        the artifact store, resume and index seek, the security analysis'
+        parameter object and override arguments, and the service's WebSocket
+        route are gone."""
         docs = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
         for path in docs:
             text = path.read_text(encoding="utf-8")
@@ -142,6 +143,7 @@ class TestEntryDocuments:
                 "tools/reprolint_baseline.json", "disable-file",
                 "ArtifactStore", "ArtifactWriter.resume", "record_at",
                 "SecurityParameters", "security_params", "allow_insecure",
+                "WebSocket", "/ws/jobs",
             ):
                 assert removed not in text, f"{path.name} names {removed!r}"
 

@@ -2,7 +2,7 @@
 
 The integration tests run a real :class:`SimulationService` on an ephemeral
 port (event loop on a background thread) and talk to it through the real
-blocking :class:`ServiceClient` -- sockets, HTTP parsing, WebSocket framing
+blocking :class:`ServiceClient` -- sockets, HTTP parsing, the event stream
 and the executor thread are all exercised exactly as in production.
 
 Controllable timing (submit-while-full, cancel mid-run, disconnect
@@ -49,82 +49,6 @@ TINY_SWEEP = {
 # --------------------------------------------------------------------------- #
 # Protocol layer (sans-I/O, no sockets)
 # --------------------------------------------------------------------------- #
-
-class TestWebSocketCodec:
-    def test_accept_key_matches_rfc6455_example(self):
-        # The worked example from RFC 6455 §1.3.
-        key = "dGhlIHNhbXBsZSBub25jZQ=="
-        assert protocol.websocket_accept_key(key) == "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
-
-    @pytest.mark.parametrize("mask", [False, True])
-    @pytest.mark.parametrize("size", [0, 1, 125, 126, 65535, 65536])
-    def test_frame_roundtrip_across_length_encodings(self, mask, size):
-        payload = bytes(range(256)) * (size // 256 + 1)
-        payload = payload[:size]
-        frame = protocol.encode_frame(payload, protocol.OP_BINARY, mask=mask)
-        decoded = protocol.decode_frame(frame)
-        assert decoded is not None
-        opcode, out, consumed = decoded
-        assert (opcode, out, consumed) == (protocol.OP_BINARY, payload, len(frame))
-
-    def test_partial_frame_returns_none(self):
-        frame = protocol.encode_frame(b"hello world", protocol.OP_TEXT)
-        for cut in range(len(frame)):
-            assert protocol.decode_frame(frame[:cut]) is None
-
-    def test_two_frames_in_one_buffer_decode_sequentially(self):
-        first = protocol.encode_frame(b"one", protocol.OP_TEXT)
-        second = protocol.encode_frame(b"two", protocol.OP_TEXT)
-        opcode, payload, consumed = protocol.decode_frame(first + second)
-        assert payload == b"one"
-        opcode, payload, _ = protocol.decode_frame((first + second)[consumed:])
-        assert payload == b"two"
-
-    def test_fragmented_frames_are_rejected(self):
-        unfinished = bytes([0x01, 0x03]) + b"abc"  # FIN=0, text
-        with pytest.raises(protocol.ProtocolError):
-            protocol.decode_frame(unfinished)
-
-    def test_masked_frame_differs_on_the_wire_but_roundtrips(self):
-        masked = protocol.encode_frame(b"secret", mask=True)
-        assert b"secret" not in masked
-        _, payload, _ = protocol.decode_frame(masked)
-        assert payload == b"secret"
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        buffer=st.one_of(
-            st.binary(max_size=80),
-            # Real frames, cut short or trailed by garbage, and headers that
-            # declare 16- and 64-bit lengths the buffer does not hold.
-            st.builds(
-                lambda payload, opcode, mask, cut, tail: (
-                    protocol.encode_frame(payload, opcode, mask=mask)[:cut] + tail
-                ),
-                st.binary(max_size=300), st.integers(0, 15), st.booleans(),
-                st.integers(0, 320), st.binary(max_size=8),
-            ),
-            st.builds(
-                lambda first, mask, marker, length, tail: (
-                    bytes([first, mask | marker]) + length + tail
-                ),
-                st.integers(0, 255), st.sampled_from((0x00, 0x80)),
-                st.sampled_from((126, 127)), st.binary(min_size=0, max_size=8),
-                st.binary(max_size=16),
-            ),
-        )
-    )
-    def test_decode_frame_never_overreads(self, buffer):
-        """Any buffer decodes to nothing yet, one frame it holds, or a
-        ProtocolError."""
-        try:
-            frame = protocol.decode_frame(buffer)
-        except protocol.ProtocolError:
-            return
-        if frame is not None:
-            _, payload, consumed = frame
-            assert len(payload) <= consumed <= len(buffer)
-
 
 #: asyncio's default stream buffer limit, as ``asyncio.start_server`` and a
 #: bare ``asyncio.StreamReader()`` both use.
@@ -542,7 +466,7 @@ class TestHttpSurface:
         client = harness.client()
         health = client.health()
         assert health["status"] == "ok"
-        assert health["protocol"] == 2
+        assert health["protocol"] == 3
         stats = client.stats()
         assert stats["queue"]["depth"] == 0
         assert "cache" in stats["engine"]
@@ -608,14 +532,6 @@ class TestHttpSurface:
                 response += chunk
         assert response.startswith(b"HTTP/1.1 400 Bad Request\r\n")
 
-    def test_websocket_route_without_upgrade_is_426(self, harness):
-        client = harness.client()
-        response = client.submit(dict(TINY_SWEEP))
-        client.wait(str(response["job"]), timeout=60)
-        with pytest.raises(ServiceError) as excinfo:
-            client._request("GET", f"/ws/jobs/{response['job']}")
-        assert excinfo.value.status == 426
-
 
 # --------------------------------------------------------------------------- #
 # Jobs end to end
@@ -626,6 +542,7 @@ class TestJobLifecycle:
         client = harness.client("alice")
         response = client.submit(dict(TINY_SWEEP))
         assert response["state"] == "queued"
+        assert response["watch"] == f"/jobs/{response['job']}/events"
         events = list(client.watch(str(response["job"]), timeout=60))
         kinds = [event["event"] for event in events]
         assert kinds[0] == "state"                      # queued
@@ -684,6 +601,126 @@ class TestJobLifecycle:
         events = list(client.watch(str(response["job"]), timeout=30))
         assert events[0]["state"] == "queued"
         assert events[-1]["state"] == "done"
+
+
+# --------------------------------------------------------------------------- #
+# The event stream: JSON lines over plain HTTP
+# --------------------------------------------------------------------------- #
+
+def open_stream(port, job_id):
+    """A raw socket that has sent ``GET /jobs/{id}/events``."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+    sock.sendall(f"GET /jobs/{job_id}/events HTTP/1.1\r\nHost: x\r\n\r\n".encode())
+    return sock
+
+
+def read_until_closed(sock, data=b""):
+    """Everything the server sends until it closes the connection."""
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
+
+
+class TestEventStream:
+    def test_wire_format_is_json_lines_until_the_server_closes(self, harness):
+        job_id = str(harness.client().submit(dict(TINY_SWEEP))["job"])
+        with open_stream(harness.service.port, job_id) as sock:
+            head, _, body = read_until_closed(sock).partition(b"\r\n\r\n")
+        header_lines = head.split(b"\r\n")
+        assert header_lines[0] == b"HTTP/1.1 200 OK"
+        assert b"Content-Type: application/x-ndjson" in header_lines
+        assert not any(line.lower().startswith(b"content-length") for line in header_lines)
+        lines = body.split(b"\n")
+        assert lines.pop() == b""  # every event ends with its newline
+        events = [json.loads(line) for line in lines]
+        for line, event in zip(lines, events):
+            assert isinstance(event, dict)
+            assert line == json.dumps(event, sort_keys=True).encode("utf-8")
+        assert [event["seq"] for event in events] == list(range(len(events)))
+        assert (events[-1]["event"], events[-1]["state"]) == ("state", "done")
+
+    def test_other_methods_on_the_stream_are_405(self, harness):
+        job_id = str(harness.client().submit(dict(TINY_SWEEP))["job"])
+        with pytest.raises(ServiceError) as excinfo:
+            harness.client()._request("POST", f"/jobs/{job_id}/events")
+        assert excinfo.value.status == 405
+
+    def test_unknown_job_stream_is_404(self, harness):
+        with pytest.raises(ServiceError) as excinfo:
+            list(harness.client().watch("doesnotexist", timeout=10))
+        assert excinfo.value.status == 404
+
+    def test_bytes_sent_after_the_request_neither_end_nor_break_it(
+        self, blocking_harness
+    ):
+        harness, engine = blocking_harness
+        job_id = str(harness.client().submit(dict(TINY_SWEEP))["job"])
+        with open_stream(harness.service.port, job_id) as sock:
+            data = b""
+            while b"\n" not in data.partition(b"\r\n\r\n")[2]:
+                data += sock.recv(65536)
+            sock.sendall(b"x" * 200_000)  # several of the server's read chunks
+            time.sleep(0.2)
+            assert harness.service.manager.subscriber_count(job_id) == 1
+            engine.release.set()
+            body = read_until_closed(sock, data).partition(b"\r\n\r\n")[2]
+        final = json.loads(body.splitlines()[-1])
+        assert (final["event"], final["state"]) == ("state", "done")
+
+    def test_every_watcher_gets_the_whole_stream(self, blocking_harness):
+        harness, engine = blocking_harness
+        client = harness.client()
+        job_id = str(client.submit(dict(TINY_SWEEP))["job"])
+        watchers = [client.watch(job_id, timeout=60) for _ in range(2)]
+        firsts = [next(watcher) for watcher in watchers]
+        wait_for(
+            lambda: harness.service.manager.subscriber_count(job_id) == 2,
+            message="two subscriptions",
+        )
+        engine.release.set()
+        streams = [[first] + list(watcher) for first, watcher in zip(firsts, watchers)]
+        assert streams[0] == streams[1]
+        assert streams[0][-1]["state"] == "done"
+
+    def test_half_closed_client_counts_as_gone(self, blocking_harness):
+        harness, engine = blocking_harness
+        job_id = str(harness.client().submit(dict(TINY_SWEEP))["job"])
+        with open_stream(harness.service.port, job_id) as sock:
+            sock.shutdown(socket.SHUT_WR)
+            body = read_until_closed(sock).partition(b"\r\n\r\n")[2]
+        assert b'"done"' not in body  # closed before the job ended
+        assert harness.service.manager.subscriber_count(job_id) == 0
+        engine.release.set()
+        assert harness.client().wait(job_id, timeout=60)["state"] == "done"
+
+    def test_watch_timeout_bounds_an_idle_stream(self, blocking_harness):
+        harness, _engine = blocking_harness
+        client = harness.client()  # each read may wait 30 s
+        job_id = str(client.submit(dict(TINY_SWEEP))["job"])
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match=f"watch of job {job_id} timed out"):
+            list(client.watch(job_id, timeout=0.5))
+        assert time.monotonic() - started < 2
+
+
+    def test_cli_watch_prints_its_own_timeout(self, blocking_harness, capsys):
+        from repro.cli import main as cli_main
+
+        harness, _engine = blocking_harness
+        job_id = str(harness.client().submit(dict(TINY_SWEEP))["job"])
+        server = f"127.0.0.1:{harness.service.port}"
+        assert cli_main(["client", "--server", server, "watch", job_id,
+                         "--timeout", "0.5"]) == 1
+        assert f"error: watch of job {job_id} timed out" in capsys.readouterr().err
+
+    def test_cli_watch_of_unknown_job_exits_1(self, harness, capsys):
+        from repro.cli import main as cli_main
+
+        server = f"127.0.0.1:{harness.service.port}"
+        assert cli_main(["client", "--server", server, "watch", "nosuch"]) == 1
+        assert "HTTP 404" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------- #
@@ -768,6 +805,40 @@ class TestCancellation:
         client.cancel(str(response["job"]))  # engine blocked: cancel mid-run
         final = client.wait(str(response["job"]), timeout=60)
         assert final["state"] == "cancelled"
+
+    def test_stop_cancels_queued_jobs_and_ends_every_stream(self, blocking_harness):
+        harness, _engine = blocking_harness
+        client = harness.client("alice")
+        running = str(client.submit(dict(TINY_SWEEP))["job"])
+        wait_for(
+            lambda: harness.service.jobs[running].state == "running",
+            message="first job running",
+        )
+        queued = str(client.submit(dict(TINY_SWEEP))["job"])
+        outcomes = {}
+
+        def watch(job_id):
+            try:
+                outcomes[job_id] = list(client.watch(job_id, timeout=20))[-1]
+            except Exception as error:  # noqa: BLE001 -- reported below
+                outcomes[job_id] = error
+
+        watchers = [threading.Thread(target=watch, args=(job,)) for job in (running, queued)]
+        for thread in watchers:
+            thread.start()
+        wait_for(
+            lambda: all(harness.service.manager.subscriber_count(job) == 1
+                        for job in (running, queued)),
+            message="both jobs watched",
+        )
+        asyncio.run_coroutine_threadsafe(harness.service.stop(), harness.loop).result(30)
+        for thread in watchers:
+            thread.join(timeout=10)
+        for job in (running, queued):
+            final = outcomes.get(job)
+            assert isinstance(final, dict), f"watch of {job}: {final!r}"
+            assert (final["event"], final["state"]) == ("state", "cancelled")
+        assert harness.service.jobs[queued].started_at is None
 
     def test_cancel_is_idempotent_after_completion(self, harness):
         client = harness.client()
@@ -878,7 +949,7 @@ def auth_harness():
 
 class TestAuthentication:
     """Every route except /healthz requires X-Auth-Token = HMAC(key, client)
-    -- enforced over real sockets, HTTP and WebSocket alike."""
+    -- enforced over real sockets, event streams included."""
 
     def test_healthz_stays_open_without_a_token(self, auth_harness):
         harness, _key = auth_harness
@@ -924,7 +995,7 @@ class TestAuthentication:
         final = client.wait(str(response["job"]), timeout=120)
         assert final["state"] == "done"
 
-    def test_websocket_watch_without_token_is_401(self, auth_harness):
+    def test_event_stream_without_token_is_401(self, auth_harness):
         harness, key = auth_harness
         job = harness.client(auth_key=key).submit(dict(TINY_SWEEP))
         with pytest.raises(ServiceError) as excinfo:
