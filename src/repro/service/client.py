@@ -15,7 +15,7 @@ from __future__ import annotations
 import http.client
 import json
 import time
-from typing import Callable, Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 
 class ServiceError(Exception):
@@ -155,10 +155,7 @@ class ServiceClient:
     # Event stream
     # ------------------------------------------------------------------ #
     def watch(
-        self,
-        job_id: str,
-        on_event: Optional[Callable[[Dict[str, object]], None]] = None,
-        timeout: Optional[float] = None,
+        self, job_id: str, timeout: Optional[float] = None
     ) -> Iterator[Dict[str, object]]:
         """Stream a job's events until its terminal state.
 
@@ -184,10 +181,7 @@ class ServiceClient:
                         line = response.readline()
                         if not line:
                             return
-                        event = json.loads(line.decode("utf-8"))
-                        if on_event is not None:
-                            on_event(event)
-                        yield event
+                        yield json.loads(line.decode("utf-8"))
             finally:
                 connection.close()
         except TimeoutError:  # the deadline, or a read that outlived it
@@ -218,6 +212,8 @@ def _raise_for_status(response: http.client.HTTPResponse) -> None:
     try:
         decoded = json.loads(raw.decode("utf-8"))
     except ValueError:
+        decoded = None
+    if not isinstance(decoded, dict):  # not JSON, or JSON but no object
         decoded = {"error": raw.decode("utf-8", "replace")}
     retry_after = response.getheader("Retry-After")
     raise ServiceError(

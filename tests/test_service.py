@@ -12,6 +12,8 @@ cancellation token the way the real engine does between jobs.
 """
 
 import asyncio
+import http.client
+import io
 import json
 import socket
 import threading
@@ -26,7 +28,7 @@ from repro.experiments.sweep import (
     SweepEngine,
 )
 from repro.service import protocol
-from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import ServiceClient, ServiceError, _raise_for_status
 from repro.service.queue import (
     ClientCapExceeded,
     FairQueue,
@@ -35,7 +37,7 @@ from repro.service.queue import (
     RateLimited,
     TokenBucket,
 )
-from repro.service.server import SimulationService
+from repro.service.server import SimulationService, _discard_until_eof
 from repro.service.specs import MAX_ACCESSES, SpecError, parse_submission
 
 TINY_SWEEP = {
@@ -169,6 +171,126 @@ class TestReadRequest:
         with pytest.raises(protocol.ProtocolError, match="exceeds") as info:
             read_request_from(b"GET / HTTP/1.1\r\nexceeds\r\n\r\n")
         assert info.value.status == 400
+
+
+class CannedSocket:
+    """What ``http.client.HTTPResponse`` reads from: ``data``, then EOF."""
+
+    def __init__(self, data: bytes):
+        self._file = io.BytesIO(data)
+
+    def makefile(self, mode):
+        return self._file
+
+
+def canned_response(data: bytes) -> http.client.HTTPResponse:
+    """``data`` parsed by http.client as the answer to a GET."""
+    response = http.client.HTTPResponse(CannedSocket(data), method="GET")
+    response.begin()
+    return response
+
+
+#: Any value a JSON event can hold.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=12),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+class TestEventLines:
+    """The stream's framing: one JSON object per ``\\n``-ended line after a
+    head that leaves the length to the server's close."""
+
+    @pytest.mark.parametrize("payload", (
+        {"event": "state", "state": "done", "seq": 3, "job": "j1"},
+        {"event": "state", "state": "failed", "error": "line one\nline two\r\n"},
+        {"event": "job", "app": "na\u00efve \u2028 \u2029 \x85 sep"},
+        {"event": "report", "report": {"b": [1, 2.5, None, True], "a": {}}},
+    ), ids=("state", "newlines-in-text", "unicode-line-breaks", "nested"))
+    def test_json_line_is_one_sorted_object_then_its_newline(self, payload):
+        line = protocol.json_line(payload)
+        assert line.count(b"\n") == 1 and line.endswith(b"\n")
+        # Escaped to ASCII, so no reader can split a line on U+2028 or NEL.
+        assert line.isascii()
+        assert line == json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+        assert json.loads(line) == payload
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6))
+    def test_any_event_is_exactly_one_line(self, payload):
+        line = protocol.json_line(payload)
+        assert line.index(b"\n") == len(line) - 1
+        assert json.loads(line) == payload
+
+    def test_stream_head_reads_as_a_200_that_ends_when_the_server_closes(self):
+        events = [
+            {"event": "state", "seq": 0, "state": "queued"},
+            {"event": "state", "seq": 1, "state": "done"},
+        ]
+        response = canned_response(
+            protocol.EVENT_STREAM_HEAD
+            + b"".join(protocol.json_line(event) for event in events)
+        )
+        assert response.status == 200
+        assert response.getheader("Content-Type") == "application/x-ndjson"
+        assert response.getheader("Content-Length") is None
+        assert response.length is None and response.will_close
+        assert [json.loads(line) for line in iter(response.readline, b"")] == events
+
+    def test_stray_client_bytes_are_read_in_bounded_chunks_until_eof(self):
+        sizes = []
+
+        class RecordingReader(asyncio.StreamReader):
+            async def read(self, n=-1):
+                sizes.append(n)
+                return await super().read(n)
+
+        async def discard():
+            reader = RecordingReader()
+            reader.feed_data(b"x" * 300_000)
+            reader.feed_eof()
+            await asyncio.wait_for(_discard_until_eof(reader), timeout=5)
+
+        asyncio.run(discard())
+        assert len(sizes) > 1
+        assert all(0 < size <= 65536 for size in sizes)
+
+
+class TestErrorBodies:
+    """One decoder turns every call's 4xx/5xx answer into a ServiceError."""
+
+    @pytest.mark.parametrize("wire, expected", (
+        (
+            protocol.error_response(429, "queue full", reason="queue_full", retry_after=2.6),
+            (429, "queue full", "queue_full", 3),
+        ),
+        (
+            protocol.http_response(502, b"bad gateway", content_type="text/plain"),
+            (502, "bad gateway", "", None),
+        ),
+        (
+            protocol.json_response(500, {"detail": "no error field"}),
+            (500, "request failed", "", None),
+        ),
+        (protocol.http_response(503, b'["busy"]'), (503, '["busy"]', "", None)),
+        (protocol.http_response(500, b"\xff oops"), (500, "\ufffd oops", "", None)),
+    ), ids=("json-with-retry-after", "plain-text", "json-without-error",
+            "json-not-an-object", "not-utf8"))
+    def test_error_body_becomes_a_service_error(self, wire, expected):
+        with pytest.raises(ServiceError) as info:
+            _raise_for_status(canned_response(wire))
+        error = info.value
+        assert (error.status, error.message, error.reason, error.retry_after) == expected
+
+    def test_success_is_left_unread(self):
+        response = canned_response(protocol.json_response(200, {"status": "ok"}))
+        _raise_for_status(response)
+        assert json.loads(response.read()) == {"status": "ok"}
 
 
 # --------------------------------------------------------------------------- #
@@ -623,6 +745,29 @@ def read_until_closed(sock, data=b""):
         data += chunk
 
 
+def serve_canned(responses):
+    """A stand-in server on an ephemeral port: it answers one connection
+    per canned response, in order, then stops.  Returns (port, thread)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        with listener:
+            for response in responses:
+                connection, _ = listener.accept()
+                with connection:
+                    head = b""
+                    while b"\r\n\r\n" not in head:
+                        chunk = connection.recv(65536)
+                        if not chunk:
+                            break
+                        head += chunk
+                    connection.sendall(response)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
 class TestEventStream:
     def test_wire_format_is_json_lines_until_the_server_closes(self, harness):
         job_id = str(harness.client().submit(dict(TINY_SWEEP))["job"])
@@ -704,7 +849,6 @@ class TestEventStream:
             list(client.watch(job_id, timeout=0.5))
         assert time.monotonic() - started < 2
 
-
     def test_cli_watch_prints_its_own_timeout(self, blocking_harness, capsys):
         from repro.cli import main as cli_main
 
@@ -721,6 +865,48 @@ class TestEventStream:
         server = f"127.0.0.1:{harness.service.port}"
         assert cli_main(["client", "--server", server, "watch", "nosuch"]) == 1
         assert "HTTP 404" in capsys.readouterr().err
+
+    def test_delete_on_the_stream_is_405_and_cancels_nothing(self, blocking_harness):
+        harness, engine = blocking_harness
+        client = harness.client()
+        job_id = str(client.submit(dict(TINY_SWEEP))["job"])
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("DELETE", f"/jobs/{job_id}/events")
+        assert excinfo.value.status == 405
+        assert not harness.service.jobs[job_id].cancel.cancelled
+        engine.release.set()
+        assert client.wait(job_id, timeout=60)["state"] == "done"
+
+    def test_stream_of_a_queued_job_ends_when_it_is_cancelled(self, blocking_harness):
+        harness, _engine = blocking_harness
+        client = harness.client("alice")
+        running = str(client.submit(dict(TINY_SWEEP))["job"])
+        wait_for(
+            lambda: harness.service.jobs[running].state == "running",
+            message="first job running",
+        )
+        queued = str(client.submit(dict(TINY_SWEEP))["job"])
+        watcher = client.watch(queued, timeout=30)
+        assert next(watcher)["state"] == "queued"
+        wait_for(
+            lambda: harness.service.manager.subscriber_count(queued) == 1,
+            message="queued job watched",
+        )
+        client.cancel(queued)
+        rest = list(watcher)  # returns only once the server closes
+        assert (rest[-1]["event"], rest[-1]["state"]) == ("state", "cancelled")
+        assert harness.service.jobs[running].state == "running"
+
+    def test_wait_falls_back_to_the_snapshot_when_a_stream_ends_early(self):
+        running = {"event": "state", "job": "j1", "seq": 0, "state": "running"}
+        snapshot = {"job": "j1", "state": "cancelled"}
+        port, server = serve_canned([
+            protocol.EVENT_STREAM_HEAD + protocol.json_line(running),
+            protocol.json_response(200, snapshot),
+        ])
+        assert ServiceClient(port=port, timeout=10).wait("j1", timeout=10) == snapshot
+        server.join(timeout=10)
+        assert not server.is_alive()
 
 
 # --------------------------------------------------------------------------- #
