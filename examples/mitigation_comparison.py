@@ -13,7 +13,8 @@ Run with::
 import sys
 
 from repro.analysis.storage import storage_overhead_bytes
-from repro.experiments.runner import ExperimentRunner, default_mixes
+from repro.experiments.runner import compare, default_mixes
+from repro.experiments.sweep import SweepEngine, SweepSpec
 
 
 MECHANISMS = ("Chronus", "Chronus-PB", "PRAC-4", "Graphene", "Hydra", "PRFM", "PARA")
@@ -22,12 +23,16 @@ NRH_VALUES = (1024, 64, 20)
 
 def main() -> None:
     accesses = int(sys.argv[1]) if len(sys.argv) > 1 else 1200
-    runner = ExperimentRunner(accesses_per_core=accesses)
-    mixes = [mix.applications for mix in default_mixes(2)]
+    spec = SweepSpec(
+        mechanisms=MECHANISMS,
+        nrh_values=NRH_VALUES,
+        mixes=[mix.applications for mix in default_mixes(2)],
+        accesses_per_core=accesses,
+    )
     print(f"Simulating {len(MECHANISMS)} mechanisms x {len(NRH_VALUES)} thresholds "
-          f"x {len(mixes)} four-core mixes ({accesses} accesses/core) ...\n")
+          f"x {len(spec.mixes)} four-core mixes ({accesses} accesses/core) ...\n")
 
-    comparisons = runner.compare(MECHANISMS, NRH_VALUES, mixes)
+    comparisons = compare(spec, SweepEngine().run(spec))
 
     print("mechanism    N_RH   norm. WS   perf. overhead   norm. energy   storage (MiB)")
     for comparison in comparisons:

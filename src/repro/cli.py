@@ -75,8 +75,8 @@ from repro.attacks.redteam import DEFAULT_NRH_GRID, RedTeamEngine, RedTeamReport
 from repro.core.factory import MECHANISM_NAMES
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.figures import format_rows
-from repro.experiments.runner import ExperimentRunner, default_mixes
-from repro.experiments.sweep import SweepEngine, default_workers
+from repro.experiments.runner import compare, default_mixes
+from repro.experiments.sweep import SweepEngine, SweepSpec, default_workers
 from repro.system.config import paper_system_config
 from repro.workloads.mixes import MIX_TYPES
 
@@ -489,12 +489,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: --channels: {error}", file=sys.stderr)
         return 2
-    runner = ExperimentRunner(
-        base_config=base_config,
-        accesses_per_core=args.accesses, seed=args.seed, engine=engine,
-    )
     try:
-        spec = runner.sweep_spec(args.mechanisms, args.nrh, mixes)
+        spec = SweepSpec(
+            mechanisms=args.mechanisms,
+            nrh_values=args.nrh,
+            mixes=mixes,
+            accesses_per_core=args.accesses,
+            seed=args.seed,
+            base_config=base_config,
+        )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -525,7 +528,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        comparisons = runner.compare(args.mechanisms, args.nrh, mixes)
+        results = engine.run_jobs(jobs)
     finally:
         # The pool must not outlive the command, error or not.
         engine.close()
@@ -538,7 +541,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "normalized_energy": c.mean_normalized_energy,
             "is_secure": c.is_secure,
         }
-        for c in comparisons
+        for c in compare(spec, results)
     ]
     print(format_rows(rows))
     print()
@@ -554,9 +557,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
         try:
             key = _load_key_arg(args.sign_key)
-            # compare() ran every job through the engine, so the cache's
-            # memory layer holds every result.
-            results = {job.key: cache.get(job.key) for job in jobs}
             count = emit_run_artifact(
                 args.artifact, jobs, results,
                 report=engine.last_run_report, base_config=base_config,

@@ -1,17 +1,17 @@
-"""Experiment harness: sweep engine, result cache, runner and figure data."""
+"""Experiment harness: sweep engine, result cache, aggregation and figure data."""
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.runner import ExperimentRunner, MechanismComparison, default_mixes
+from repro.experiments.runner import MechanismComparison, compare, default_mixes
 from repro.experiments.sweep import SimJob, SweepEngine, SweepSpec
 from repro.experiments import figures
 
 __all__ = [
-    "ExperimentRunner",
     "MechanismComparison",
     "ResultCache",
     "SimJob",
     "SweepEngine",
     "SweepSpec",
+    "compare",
     "default_mixes",
     "figures",
 ]

@@ -115,12 +115,6 @@ class ResultCache:
         self.disk_hits = 0
         self.stores = 0
         self.corrupt_entries = 0
-        # Outcome of the *first* lookup per key: repeated lookups of a job
-        # within one run (e.g. aggregation after a batched execution) would
-        # otherwise inflate the hit rate and hide whether a run was cold.
-        self.unique_hits = 0
-        self.unique_misses = 0
-        self._seen_keys: set = set()
         #: Results inserted memory-only via :meth:`absorb` (already written
         #: to disk by a worker process).
         self.absorbed = 0
@@ -130,8 +124,6 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     def get(self, key: str) -> Optional[SimulationResult]:
         """Return the cached result for ``key`` or None (counted as a miss)."""
-        first_lookup = key not in self._seen_keys
-        self._seen_keys.add(key)
         result = self._memory.get(key)
         if result is None:
             result = self._read_disk(key)
@@ -140,12 +132,8 @@ class ResultCache:
                 self.disk_hits += 1
         if result is not None:
             self.hits += 1
-            if first_lookup:
-                self.unique_hits += 1
             return result
         self.misses += 1
-        if first_lookup:
-            self.unique_misses += 1
         return None
 
     def put(
@@ -230,14 +218,16 @@ class ResultCache:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
+            if not isinstance(entry, dict):
+                raise ValueError("entry is not a JSON object")
             if entry.get("schema") != CACHE_SCHEMA_VERSION:
                 raise ValueError(f"schema {entry.get('schema')!r} != {CACHE_SCHEMA_VERSION}")
             if entry.get("key") != key:
                 raise ValueError("entry key does not match its file name")
             return result_from_dict(entry["result"])
         except (OSError, ValueError, TypeError, KeyError):
-            # Corrupted / truncated / stale-schema entry: drop it and let the
-            # caller recompute, which rewrites a valid entry.
+            # Corrupted / truncated / non-object / stale-schema entry: drop
+            # it and let the caller recompute, which rewrites a valid entry.
             self.corrupt_entries += 1
             try:
                 os.unlink(path)
@@ -266,8 +256,6 @@ class ResultCache:
     def clear(self) -> int:
         """Drop both layers; returns the number of disk entries removed."""
         self._memory.clear()
-        # Cleared jobs must re-execute, so their next lookup counts fresh.
-        self._seen_keys.clear()
         removed = 0
         for path in list(self._iter_entry_paths()):
             try:
@@ -281,21 +269,16 @@ class ResultCache:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def unique_lookups(self) -> int:
-        """Distinct jobs looked up since this cache object was created."""
-        return self.unique_hits + self.unique_misses
-
     def hit_rate(self) -> float:
-        """Fraction of *unique* jobs served from the cache (0 when idle).
+        """Fraction of lookups served from the cache (0 when idle).
 
-        A job's first lookup decides: repeated lookups of the same key
-        within one run do not count, so a cold run reports 0% no matter how
-        the caller interleaves batching and aggregation.
+        :meth:`~repro.experiments.sweep.SweepEngine.run_jobs` looks each
+        distinct job up once and callers aggregate the map it returns, so a
+        cold sweep reads 0% and a fully cached re-run 100%.
         """
-        if self.unique_lookups == 0:
+        if self.lookups == 0:
             return 0.0
-        return self.unique_hits / self.unique_lookups
+        return self.hits / self.lookups
 
     def summary(self) -> str:
         """One-line, human-readable cache statistics."""
@@ -305,7 +288,7 @@ class ResultCache:
         if self.absorbed:
             detail += f" ({self.absorbed} streamed by workers)"
         return (
-            f"cache[{location}]: {self.unique_hits}/{self.unique_lookups} unique jobs "
+            f"cache[{location}]: {self.hits}/{self.lookups} lookups "
             f"served ({self.hit_rate() * 100.0:.1f}% hit rate, {self.disk_hits} from disk, "
             f"{detail}, {self.corrupt_entries} corrupt entries recovered)"
         )

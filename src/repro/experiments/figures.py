@@ -39,8 +39,8 @@ from repro.analysis.storage import (
 )
 from repro.core.decrementer import DecrementerCircuit
 from repro.dram.timing import timing_table_rows
-from repro.experiments.runner import ExperimentRunner, default_mixes
-from repro.experiments.sweep import SweepEngine, attack_job, mechanism_job
+from repro.experiments.runner import compare, default_mixes
+from repro.experiments.sweep import SweepEngine, SweepSpec, attack_job, mechanism_job
 from repro.system.config import appendix_e_system_config, paper_system_config
 from repro.system.metrics import max_slowdown, weighted_speedup
 from repro.workloads.mixes import MIX_TYPES
@@ -118,11 +118,14 @@ def fig4_data(
     engine: Optional[SweepEngine] = None,
 ) -> List[Dict[str, float]]:
     """Fig. 4: normalised weighted speedup of the industry mechanisms."""
-    runner = ExperimentRunner(
-        accesses_per_core=accesses_per_core, seed=seed, engine=engine
+    engine = engine if engine is not None else SweepEngine()
+    spec = SweepSpec(
+        mechanisms=mechanisms,
+        nrh_values=nrh_values,
+        mixes=[mix.applications for mix in default_mixes(num_mixes)],
+        accesses_per_core=accesses_per_core,
+        seed=seed,
     )
-    mixes = [mix.applications for mix in default_mixes(num_mixes)]
-    comparisons = runner.compare(mechanisms, nrh_values, mixes)
     return [
         {
             "mechanism": c.mechanism,
@@ -132,7 +135,7 @@ def fig4_data(
             "max_performance_overhead": c.max_performance_overhead,
             "is_secure": c.is_secure,
         }
-        for c in comparisons
+        for c in compare(spec, engine.run(spec))
     ]
 
 
@@ -151,23 +154,27 @@ def fig7_data(
     """Fig. 7: per-application normalised speedup at N_RH = 1K and 32."""
     if applications is None:
         applications = app_names("H")[:6] + app_names("M")[:2] + app_names("L")[:2]
-    runner = ExperimentRunner(
-        accesses_per_core=accesses_per_core, seed=seed, engine=engine
+    engine = engine if engine is not None else SweepEngine()
+    spec = SweepSpec(
+        mechanisms=mechanisms,
+        nrh_values=nrh_values,
+        mixes=[(application,) for application in applications],
+        accesses_per_core=accesses_per_core,
+        seed=seed,
     )
-    rows: List[Dict[str, float]] = []
-    for nrh in nrh_values:
-        per_mech = runner.single_core_sweep(mechanisms, nrh, applications)
-        for mechanism, per_app in per_mech.items():
-            for application, speedup in per_app.items():
-                rows.append(
-                    {
-                        "nrh": nrh,
-                        "mechanism": mechanism,
-                        "application": application,
-                        "normalized_speedup": speedup,
-                    }
-                )
-    return rows
+    comparisons = compare(spec, engine.run(spec))
+    # Rows go N_RH by N_RH, then mechanism by mechanism (a stable sort).
+    comparisons.sort(key=lambda c: spec.nrh_values.index(c.nrh))
+    return [
+        {
+            "nrh": c.nrh,
+            "mechanism": c.mechanism,
+            "application": application,
+            "normalized_speedup": speedup,
+        }
+        for c in comparisons
+        for application, speedup in zip(applications, c.normalized_weighted_speedups)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +190,14 @@ def fig8_fig10_data(
     engine: Optional[SweepEngine] = None,
 ) -> List[Dict[str, float]]:
     """Fig. 8 (performance) and Fig. 10 (energy) share the same sweep."""
-    runner = ExperimentRunner(
-        accesses_per_core=accesses_per_core, seed=seed, engine=engine
+    engine = engine if engine is not None else SweepEngine()
+    spec = SweepSpec(
+        mechanisms=mechanisms,
+        nrh_values=nrh_values,
+        mixes=[mix.applications for mix in default_mixes(num_mixes)],
+        accesses_per_core=accesses_per_core,
+        seed=seed,
     )
-    mixes = [mix.applications for mix in default_mixes(num_mixes)]
-    comparisons = runner.compare(mechanisms, nrh_values, mixes)
     return [
         {
             "mechanism": c.mechanism,
@@ -202,7 +212,7 @@ def fig8_fig10_data(
             ),
             "is_secure": c.is_secure,
         }
-        for c in comparisons
+        for c in compare(spec, engine.run(spec))
     ]
 
 
@@ -229,17 +239,20 @@ def fig9_data(
     engine: Optional[SweepEngine] = None,
 ) -> List[Dict[str, float]]:
     """Fig. 9: normalised weighted speedup per workload-intensity type."""
-    runner = ExperimentRunner(
-        accesses_per_core=accesses_per_core, seed=seed, engine=engine
-    )
+    engine = engine if engine is not None else SweepEngine()
     rows: List[Dict[str, float]] = []
     for mix_type in MIX_TYPES:
-        mixes = [
-            mix.applications
-            for mix in default_mixes(mixes_per_type, mix_types=[mix_type])
-        ]
-        comparisons = runner.compare(mechanisms, [nrh], mixes)
-        for c in comparisons:
+        spec = SweepSpec(
+            mechanisms=mechanisms,
+            nrh_values=(nrh,),
+            mixes=[
+                mix.applications
+                for mix in default_mixes(mixes_per_type, mix_types=[mix_type])
+            ],
+            accesses_per_core=accesses_per_core,
+            seed=seed,
+        )
+        for c in compare(spec, engine.run(spec)):
             rows.append(
                 {
                     "mix_type": mix_type,
@@ -295,13 +308,15 @@ def fig12_data(
     engine: Optional[SweepEngine] = None,
 ) -> List[Dict[str, float]]:
     """Fig. 12: Chronus vs ABACuS with ABACuS's address mapping."""
-    base = paper_system_config().with_overrides(address_mapping="ABACuS")
-    runner = ExperimentRunner(
-        base_config=base, accesses_per_core=accesses_per_core, seed=seed,
-        engine=engine,
+    engine = engine if engine is not None else SweepEngine()
+    spec = SweepSpec(
+        mechanisms=("Chronus", "ABACuS"),
+        nrh_values=nrh_values,
+        mixes=[mix.applications for mix in default_mixes(num_mixes)],
+        accesses_per_core=accesses_per_core,
+        seed=seed,
+        base_config=paper_system_config().with_overrides(address_mapping="ABACuS"),
     )
-    mixes = [mix.applications for mix in default_mixes(num_mixes)]
-    comparisons = runner.compare(("Chronus", "ABACuS"), nrh_values, mixes)
     return [
         {
             "mechanism": c.mechanism,
@@ -309,7 +324,7 @@ def fig12_data(
             "normalized_ws": c.mean_normalized_ws,
             "performance_overhead": c.mean_performance_overhead,
         }
-        for c in comparisons
+        for c in compare(spec, engine.run(spec))
     ]
 
 
@@ -328,12 +343,15 @@ def fig14_fig15_data(
     if applications is None:
         applications = ["519.lbm", "505.mcf", "523.xalancbmk", "541.leela"]
     base = appendix_e_system_config()
-    runner = ExperimentRunner(
-        base_config=base, accesses_per_core=accesses_per_core, seed=seed,
-        engine=engine,
+    engine = engine if engine is not None else SweepEngine()
+    spec = SweepSpec(
+        mechanisms=("PRAC-4",),
+        nrh_values=nrh_values,
+        mixes=[(app,) * base.num_cores for app in applications],
+        accesses_per_core=accesses_per_core,
+        seed=seed,
+        base_config=base,
     )
-    mixes = [tuple([app] * base.num_cores) for app in applications]
-    comparisons = runner.compare(("PRAC-4",), nrh_values, mixes)
     return [
         {
             "mechanism": c.mechanism,
@@ -342,7 +360,7 @@ def fig14_fig15_data(
             "performance_overhead": c.mean_performance_overhead,
             "normalized_energy": c.mean_normalized_energy,
         }
-        for c in comparisons
+        for c in compare(spec, engine.run(spec))
     ]
 
 
@@ -368,16 +386,20 @@ def table4_data(
     engine: Optional[SweepEngine] = None,
 ) -> List[Dict[str, float]]:
     """Table 4: PRAC-4 overhead with the old (buggy) vs fixed timings."""
+    engine = engine if engine is not None else SweepEngine()
     rows: List[Dict[str, float]] = []
     for legacy in (True, False):
-        base = paper_system_config().with_overrides(legacy_prac_timings=legacy)
-        runner = ExperimentRunner(
-            base_config=base, accesses_per_core=accesses_per_core, seed=seed,
-            engine=engine,
+        spec = SweepSpec(
+            mechanisms=("PRAC-4",),
+            nrh_values=nrh_values,
+            mixes=[mix.applications for mix in default_mixes(num_mixes)],
+            accesses_per_core=accesses_per_core,
+            seed=seed,
+            base_config=paper_system_config().with_overrides(
+                legacy_prac_timings=legacy
+            ),
         )
-        mixes = [mix.applications for mix in default_mixes(num_mixes)]
-        comparisons = runner.compare(("PRAC-4",), nrh_values, mixes)
-        for c in comparisons:
+        for c in compare(spec, engine.run(spec)):
             rows.append(
                 {
                     "timings": "old" if legacy else "new",
@@ -444,7 +466,7 @@ def sec11_simulation_data(
         for nrh in nrh_values
         for mix in mixes
     ]
-    engine.run_jobs([job for point in points for job in point_jobs(*point)])
+    results = engine.run_jobs([job for point in points for job in point_jobs(*point)])
 
     rows: List[Dict[str, float]] = []
     for mechanism in mechanisms:
@@ -453,8 +475,8 @@ def sec11_simulation_data(
             max_slowdowns = []
             for mix in mixes:
                 attacked_job, peaceful_job = point_jobs(mechanism, nrh, mix)
-                attacked = engine.run_job(attacked_job)
-                peaceful = engine.run_job(peaceful_job)
+                attacked = results[attacked_job.key]
+                peaceful = results[peaceful_job.key]
 
                 benign_ipcs_attacked = attacked.core_ipcs[1:]
                 benign_ipcs_peaceful = peaceful.core_ipcs

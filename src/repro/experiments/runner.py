@@ -1,19 +1,20 @@
-"""Experiment runner: a thin, metric-aware consumer of the sweep engine.
+"""Aggregation of a sweep's results into per-point mechanism comparisons.
 
-The runner aggregates the simulations behind the paper's evaluation figures:
-for a set of workload mixes, mechanisms and RowHammer thresholds it needs
+The paper's evaluation figures normalise every (mechanism, N_RH) point to
+two kinds of run:
 
-1. every application alone on the baseline (no mitigation) system to obtain
-   the ``IPC_alone`` values the weighted-speedup metric needs,
-2. every mix on the baseline system (the normalisation point), and
-3. every (mix, mechanism, N_RH) combination.
+1. every application alone on the baseline (no mitigation) system, which
+   yields the ``IPC_alone`` values the weighted-speedup metric needs, and
+2. every mix on the baseline system (the normalisation point).
 
-All three kinds of run are expressed as :class:`~repro.experiments.sweep.SimJob`
-objects and executed by a :class:`~repro.experiments.sweep.SweepEngine`, which
-memoises each result -- keyed by the *full* system configuration, access
-budget and seed -- in a :class:`~repro.experiments.cache.ResultCache` and can
-fan the independent jobs out across worker processes.  Repeated sweeps (and
-different figures sharing baselines) therefore re-simulate nothing.
+A :class:`~repro.experiments.sweep.SweepSpec` expands into exactly those
+jobs plus one job per (mechanism, N_RH, mix) point, and
+:meth:`~repro.experiments.sweep.SweepEngine.run` returns their results as a
+``{job.key: result}`` map.  :func:`compare` reads each result from that map
+once; it never executes a job or looks one up in the cache::
+
+    results = engine.run(spec)
+    comparisons = compare(spec, results)
 
 Experiments are scaled by ``accesses_per_core``: the paper runs 100 M
 instructions per core on a compute cluster; the default here is small enough
@@ -24,21 +25,10 @@ for the exact budgets used for the recorded results).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.experiments.cache import ResultCache
-from repro.experiments.sweep import (
-    SweepEngine,
-    SweepSpec,
-    alone_job,
-    baseline_job,
-    mechanism_job,
-)
-from repro.system.config import SystemConfig, paper_system_config
-from repro.system.metrics import (
-    SimulationResult,
-    normalized_weighted_speedup,
-)
+from repro.experiments.sweep import SweepSpec, mechanism_job
+from repro.system.metrics import SimulationResult, normalized_weighted_speedup
 from repro.workloads.mixes import WorkloadMix, workload_mixes
 
 
@@ -76,156 +66,49 @@ class MechanismComparison:
         return max(0.0, 1.0 - min(values))
 
 
-class ExperimentRunner:
-    """Builds jobs, delegates execution to the engine, aggregates metrics."""
+def compare(
+    spec: SweepSpec, results: Mapping[str, SimulationResult]
+) -> List[MechanismComparison]:
+    """One comparison per (mechanism, N_RH) point of ``spec``.
 
-    def __init__(
-        self,
-        base_config: Optional[SystemConfig] = None,
-        accesses_per_core: int = 6000,
-        seed: int = 0,
-        cache: Optional[ResultCache] = None,
-        workers: Optional[int] = None,
-        engine: Optional[SweepEngine] = None,
-    ) -> None:
-        """Create a runner.
-
-        Args:
-            base_config: system configuration every job derives from.
-            accesses_per_core: memory accesses generated per core.
-            seed: base seed for trace generation.
-            cache: result cache for a newly created engine (ignored when
-                ``engine`` is given).
-            workers: worker-process count for a newly created engine.
-            engine: share an existing engine (and therefore its cache)
-                across runners, e.g. between figures of one benchmark run.
-        """
-        self.base_config = base_config or paper_system_config()
-        self.accesses_per_core = accesses_per_core
-        self.seed = seed
-        self.engine = engine if engine is not None else SweepEngine(
-            cache=cache, workers=workers
-        )
-
-    # ------------------------------------------------------------------ #
-    # Building blocks
-    # ------------------------------------------------------------------ #
-    def alone_ipc(self, application: str) -> float:
-        """IPC of an application running alone on the baseline system."""
-        job = alone_job(self.base_config, application, self.accesses_per_core, self.seed)
-        return self.engine.run_job(job).core_ipcs[0]
-
-    def baseline_result(self, applications: Sequence[str]) -> SimulationResult:
-        """No-mitigation run of a mix (cached, keyed by the full config)."""
-        job = baseline_job(self.base_config, applications, self.accesses_per_core, self.seed)
-        return self.engine.run_job(job)
-
-    def run_mix(
-        self, applications: Sequence[str], mechanism: str, nrh: int
-    ) -> SimulationResult:
-        """Simulate a mix under one mechanism / threshold."""
-        job = mechanism_job(
-            self.base_config, applications, mechanism, nrh,
-            self.accesses_per_core, self.seed,
-        )
-        return self.engine.run_job(job)
-
-    # ------------------------------------------------------------------ #
-    # Metrics
-    # ------------------------------------------------------------------ #
-    def normalized_ws(
-        self, applications: Sequence[str], result: SimulationResult
-    ) -> float:
-        """Normalised weighted speedup of ``result`` for a mix."""
-        alone = [self.alone_ipc(app) for app in applications]
-        baseline = self.baseline_result(applications)
-        return normalized_weighted_speedup(result.core_ipcs, alone, baseline.core_ipcs)
-
-    def normalized_energy(
-        self, applications: Sequence[str], result: SimulationResult
-    ) -> float:
-        """Energy of ``result`` normalised to the no-mitigation baseline."""
-        baseline = self.baseline_result(applications)
-        if baseline.energy_nj <= 0:
-            return 0.0
-        return result.energy_nj / baseline.energy_nj
-
-    # ------------------------------------------------------------------ #
-    # Sweeps
-    # ------------------------------------------------------------------ #
-    def sweep_spec(
-        self,
-        mechanisms: Sequence[str],
-        nrh_values: Sequence[int],
-        mixes: Sequence[Sequence[str]],
-    ) -> SweepSpec:
-        """The declarative sweep this runner's parameters imply."""
-        return SweepSpec(
-            mechanisms=tuple(mechanisms),
-            nrh_values=tuple(nrh_values),
-            mixes=tuple(tuple(mix) for mix in mixes),
-            accesses_per_core=self.accesses_per_core,
-            seed=self.seed,
-            base_config=self.base_config,
-        )
-
-    def compare(
-        self,
-        mechanisms: Sequence[str],
-        nrh_values: Sequence[int],
-        mixes: Sequence[Sequence[str]],
-    ) -> List[MechanismComparison]:
-        """Run the full (mechanism x N_RH x mix) sweep and aggregate."""
-        spec = self.sweep_spec(mechanisms, nrh_values, mixes)
-        # One batched engine call executes every missing job (in parallel if
-        # the engine has workers); the per-point lookups below are all hits.
-        self.engine.run(spec)
-        return [
-            self._comparison(mechanism, nrh, spec.mixes)
-            for mechanism in spec.mechanisms
-            for nrh in spec.nrh_values
-        ]
-
-    def _comparison(
-        self, mechanism: str, nrh: int, mixes: Sequence[Sequence[str]]
-    ) -> MechanismComparison:
-        """Aggregate one (mechanism, N_RH) point over its mixes."""
-        comparison = MechanismComparison(mechanism=mechanism, nrh=nrh)
-        for applications in mixes:
-            result = self.run_mix(applications, mechanism, nrh)
-            comparison.normalized_weighted_speedups.append(
-                self.normalized_ws(applications, result)
-            )
-            comparison.normalized_energies.append(
-                self.normalized_energy(applications, result)
-            )
-            comparison.backoffs_per_mcycle.append(
-                result.backoffs_per_million_cycles()
-            )
-            comparison.is_secure = comparison.is_secure and result.is_secure
-        return comparison
-
-    def single_core_sweep(
-        self,
-        mechanisms: Sequence[str],
-        nrh: int,
-        applications: Sequence[str],
-    ) -> Dict[str, Dict[str, float]]:
-        """Per-application normalised performance (Fig. 7 style).
-
-        Returns ``{mechanism: {application: normalized speedup}}``.
-        """
-        spec = self.sweep_spec(mechanisms, [nrh], [(app,) for app in applications])
-        self.engine.run(spec)
-        return {
-            mechanism: {
-                application: self.normalized_ws(
-                    [application], self.run_mix([application], mechanism, nrh)
+    ``results`` maps each job key of ``spec.expand()`` to its result, as
+    :meth:`~repro.experiments.sweep.SweepEngine.run` returns it.  Points go
+    mechanism by mechanism, then by N_RH; each per-mix list follows
+    ``spec.mixes``.
+    """
+    alone_ipcs = {
+        job.applications[0]: results[job.key].core_ipcs[0]
+        for job in spec.alone_jobs()
+    }
+    baselines = [results[job.key] for job in spec.baseline_jobs()]
+    base = spec.resolved_base_config()
+    comparisons: List[MechanismComparison] = []
+    for mechanism in spec.mechanisms:
+        for nrh in spec.nrh_values:
+            comparison = MechanismComparison(mechanism=mechanism, nrh=nrh)
+            for mix, baseline in zip(spec.mixes, baselines):
+                job = mechanism_job(
+                    base, mix, mechanism, nrh, spec.accesses_per_core, spec.seed
                 )
-                for application in applications
-            }
-            for mechanism in mechanisms
-        }
+                result = results[job.key]
+                comparison.normalized_weighted_speedups.append(
+                    normalized_weighted_speedup(
+                        result.core_ipcs,
+                        [alone_ipcs[app] for app in mix],
+                        baseline.core_ipcs,
+                    )
+                )
+                comparison.normalized_energies.append(
+                    result.energy_nj / baseline.energy_nj
+                    if baseline.energy_nj > 0
+                    else 0.0
+                )
+                comparison.backoffs_per_mcycle.append(
+                    result.backoffs_per_million_cycles()
+                )
+                comparison.is_secure = comparison.is_secure and result.is_secure
+            comparisons.append(comparison)
+    return comparisons
 
 
 def default_mixes(count: int, mix_types: Optional[Sequence[str]] = None, seed: int = 42) -> List[WorkloadMix]:

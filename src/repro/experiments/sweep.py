@@ -465,8 +465,6 @@ class SweepSpec:
     accesses_per_core: int = 4000
     seed: int = 0
     base_config: Optional[SystemConfig] = None
-    include_alone: bool = True
-    include_baselines: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
@@ -532,12 +530,7 @@ class SweepSpec:
         execution, the normalisation points are available as early as
         possible.
         """
-        jobs: List[SimJob] = []
-        if self.include_alone:
-            jobs.extend(self.alone_jobs())
-        if self.include_baselines:
-            jobs.extend(self.baseline_jobs())
-        jobs.extend(self.mechanism_jobs())
+        jobs = self.alone_jobs() + self.baseline_jobs() + self.mechanism_jobs()
         unique: Dict[str, SimJob] = {}
         for job in jobs:
             unique.setdefault(job.key, job)
@@ -638,15 +631,6 @@ class SweepEngine:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run_job(self, job: SimJob) -> SimulationResult:
-        """Run (or fetch) a single job."""
-        result = self.cache.get(job.key)
-        if result is None:
-            result = execute_job(job)
-            self.executed_jobs += 1
-            self.cache.put(job.key, result, job.cache_payload())
-        return result
-
     def run_jobs(
         self,
         jobs: Sequence[SimJob],
@@ -781,5 +765,9 @@ class SweepEngine:
         progress: Optional[ProgressFn] = None,
         cancel: Optional[CancelToken] = None,
     ) -> Dict[str, SimulationResult]:
-        """Expand and run a whole sweep."""
+        """Expand and run a whole sweep, returning ``{job.key: result}``.
+
+        :func:`repro.experiments.runner.compare` aggregates that map into
+        the sweep's per-point mechanism comparisons.
+        """
         return self.run_jobs(spec.expand(), progress=progress, cancel=cancel)

@@ -161,8 +161,9 @@ class ServiceClient:
 
         Yields each event dict (history first, then live).  ``timeout``
         bounds the whole watch, an idle stream included, and raises
-        :class:`TimeoutError`; each read also waits at most the client's
-        own timeout.
+        :class:`TimeoutError`: each read waits at most the time left, however
+        long that is.  Without ``timeout`` each read waits at most the
+        client's own timeout.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
@@ -177,7 +178,7 @@ class ServiceClient:
                             left = deadline - time.monotonic()
                             if left <= 0:
                                 raise TimeoutError
-                            sock.settimeout(min(self.timeout, left))
+                            sock.settimeout(left)
                         line = response.readline()
                         if not line:
                             return

@@ -69,7 +69,7 @@ from repro.service.specs import SpecError, parse_submission
 from repro.system.metrics import SimulationResult
 
 #: Protocol version advertised by /healthz (bump on breaking changes).
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 
 def result_summary(job: SimJob, result: SimulationResult) -> Dict[str, object]:

@@ -104,13 +104,6 @@ def _read_int(
     return value
 
 
-def _read_bool(mapping: Mapping[str, object], name: str, default: bool) -> bool:
-    value = mapping.get(name, default)
-    if not isinstance(value, bool):
-        raise SpecError(f"{name} must be a boolean, got {type(value).__name__}")
-    return value
-
-
 def _read_str_list(
     mapping: Mapping[str, object],
     name: str,
@@ -165,7 +158,7 @@ def validate_client(client: object) -> str:
 
 _SWEEP_FIELDS = (
     "mechanisms", "nrh", "mixes", "num_mixes", "mix_types", "accesses",
-    "seed", "channels", "include_alone", "include_baselines",
+    "seed", "channels",
 )
 
 
@@ -176,8 +169,6 @@ def _parse_sweep(spec: Mapping[str, object]) -> Tuple[Dict[str, object], Tuple[S
     accesses = _read_int(spec, "accesses", 1000, 1, MAX_ACCESSES)
     seed = _read_int(spec, "seed", 0, 0, 1 << 31)
     channels = _read_int(spec, "channels", 1, 1, 8)
-    include_alone = _read_bool(spec, "include_alone", True)
-    include_baselines = _read_bool(spec, "include_baselines", True)
 
     if "mixes" in spec and "num_mixes" in spec:
         raise SpecError("give either mixes or num_mixes, not both")
@@ -224,8 +215,6 @@ def _parse_sweep(spec: Mapping[str, object]) -> Tuple[Dict[str, object], Tuple[S
             accesses_per_core=accesses,
             seed=seed,
             base_config=base_config,
-            include_alone=include_alone,
-            include_baselines=include_baselines,
         )
         jobs = tuple(sweep.expand())
     except ValueError as error:
@@ -237,8 +226,6 @@ def _parse_sweep(spec: Mapping[str, object]) -> Tuple[Dict[str, object], Tuple[S
         "accesses": accesses,
         "seed": seed,
         "channels": channels,
-        "include_alone": include_alone,
-        "include_baselines": include_baselines,
     }
     return canonical, jobs
 

@@ -1,47 +1,70 @@
-"""Tests for the experiment runner and figure data generators."""
+"""Tests for the sweep aggregation and figure data generators."""
 
 import pytest
 
 from repro.experiments import figures
-from repro.experiments.runner import ExperimentRunner, default_mixes
+from repro.experiments.runner import compare, default_mixes
+from repro.experiments.sweep import (
+    SweepEngine,
+    SweepSpec,
+    alone_job,
+    baseline_job,
+    mechanism_job,
+)
+from repro.system.metrics import normalized_weighted_speedup
 
 
 ACCESSES = 250
 
+SPEC = SweepSpec(
+    mechanisms=("Chronus", "PRAC-4"),
+    nrh_values=(1024, 20),
+    mixes=(("429.mcf", "401.bzip2"), ("470.lbm",)),
+    accesses_per_core=ACCESSES,
+)
+
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(accesses_per_core=ACCESSES, seed=0)
+def results():
+    return SweepEngine().run(SPEC)
 
 
-class TestRunner:
-    def test_alone_ipc_cached(self, runner):
-        first = runner.alone_ipc("429.mcf")
-        second = runner.alone_ipc("429.mcf")
-        assert first == second
-        assert first > 0
-
-    def test_baseline_cached(self, runner):
-        apps = ("429.mcf", "401.bzip2")
-        first = runner.baseline_result(apps)
-        second = runner.baseline_result(apps)
-        assert first is second
-
-    def test_normalized_ws_close_to_one_for_baseline_like_run(self, runner):
-        apps = ("429.mcf", "401.bzip2")
-        result = runner.run_mix(apps, "Chronus", 1024)
-        value = runner.normalized_ws(apps, result)
-        assert 0.9 <= value <= 1.05
-
-    def test_compare_produces_one_row_per_point(self, runner):
-        mixes = [("429.mcf", "401.bzip2")]
-        comparisons = runner.compare(["Chronus", "PRAC-4"], [1024, 20], mixes)
-        assert len(comparisons) == 4
+class TestCompare:
+    def test_one_comparison_per_point_in_spec_order(self, results):
+        comparisons = compare(SPEC, results)
+        assert [(c.mechanism, c.nrh) for c in comparisons] == [
+            ("Chronus", 1024), ("Chronus", 20), ("PRAC-4", 1024), ("PRAC-4", 20),
+        ]
         keyed = {(c.mechanism, c.nrh): c for c in comparisons}
         assert keyed[("PRAC-4", 20)].mean_normalized_ws <= keyed[("Chronus", 20)].mean_normalized_ws
+        assert 0.9 <= keyed[("Chronus", 1024)].normalized_weighted_speedups[0] <= 1.05
         for comparison in comparisons:
+            assert len(comparison.normalized_weighted_speedups) == len(SPEC.mixes)
             assert 0.0 < comparison.mean_normalized_ws <= 1.2
             assert comparison.mean_normalized_energy > 0.0
+
+    def test_per_mix_values_follow_spec_mixes(self, results):
+        base = SPEC.resolved_base_config()
+        mix = SPEC.mixes[1]
+        result = results[mechanism_job(base, mix, "PRAC-4", 20, ACCESSES).key]
+        baseline = results[baseline_job(base, mix, ACCESSES).key]
+        alone = [results[alone_job(base, app, ACCESSES).key].core_ipcs[0] for app in mix]
+        point = compare(SPEC, results)[3]
+        assert point.normalized_weighted_speedups[1] == normalized_weighted_speedup(
+            result.core_ipcs, alone, baseline.core_ipcs
+        )
+        assert point.normalized_energies[1] == result.energy_nj / baseline.energy_nj
+        assert point.backoffs_per_mcycle[1] == result.backoffs_per_million_cycles()
+
+    def test_cold_sweep_looks_each_job_up_once(self):
+        spec = SweepSpec(
+            mechanisms=("Chronus",), nrh_values=(1024,),
+            mixes=(("429.mcf", "401.bzip2"),), accesses_per_core=100,
+        )
+        engine = SweepEngine()
+        compare(spec, engine.run(spec))
+        assert engine.cache.lookups == len(spec.expand())
+        assert engine.cache.hit_rate() == 0.0
 
     def test_default_mixes_spread_across_types(self):
         mixes = default_mixes(6)

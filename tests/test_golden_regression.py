@@ -33,7 +33,6 @@ from repro.analysis.security import (
 )
 from repro.core.factory import MECHANISM_NAMES
 from repro.experiments.sweep import (
-    SweepEngine,
     alone_job,
     baseline_job,
     execute_job,
@@ -153,14 +152,13 @@ class TestSimulationGoldens:
     @pytest.fixture(scope="class")
     def results(self):
         base = paper_system_config()
-        engine = SweepEngine()
         return {
-            "baseline": engine.run_job(baseline_job(base, self.APPS, self.ACCESSES)),
-            "mech": engine.run_job(
+            "baseline": execute_job(baseline_job(base, self.APPS, self.ACCESSES)),
+            "mech": execute_job(
                 mechanism_job(base, self.APPS, "PRAC-4", 64, self.ACCESSES)
             ),
             "alone": [
-                engine.run_job(alone_job(base, app, self.ACCESSES)).core_ipcs[0]
+                execute_job(alone_job(base, app, self.ACCESSES)).core_ipcs[0]
                 for app in self.APPS
             ],
         }

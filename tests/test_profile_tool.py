@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -66,3 +68,14 @@ def test_cli_rejects_unknown_job():
     assert "unknown job 'bogus' of wave" in result.stderr
     for job in ("PRAC-1", "Chronus-PB", "PRFM", "Graphene"):
         assert job in result.stderr
+
+
+def test_documented_commands_run():
+    """Every profile command shown in docs/EXPERIMENTS.md runs."""
+    with open(os.path.join(REPO_ROOT, "docs", "EXPERIMENTS.md"), encoding="utf-8") as handle:
+        doc = handle.read()
+    commands = re.findall(r"^\$ PYTHONPATH=src python -m tools\.profile_run (.*)$", doc, re.M)
+    assert commands
+    for arguments in commands:
+        result = run_tool(*shlex.split(arguments))
+        assert result.returncode == 0, result.stderr

@@ -312,7 +312,10 @@ class TestParseSubmission:
         assert spec["mechanisms"] == ["Chronus"]
         assert spec["accesses"] == 200
         # Defaults are resolved into the echo.
-        assert spec["include_alone"] is True
+        assert (spec["seed"], spec["channels"]) == (0, 1)
+        assert sorted(spec) == [
+            "accesses", "channels", "mechanisms", "mixes", "nrh", "seed",
+        ]
 
     def test_valid_attack_search(self):
         submission = parse_submission({
@@ -351,7 +354,6 @@ class TestParseSubmission:
         {"num_mixes": 0},
         {"mix_types": ["imaginary"]},
         {"channels": 9},
-        {"include_alone": 1},
         {"__class__": "exploit"},
         {"base_config": {"nrh": 1}},   # no field injection past the whitelist
         {"workload_name": "x"},
@@ -588,7 +590,7 @@ class TestHttpSurface:
         client = harness.client()
         health = client.health()
         assert health["status"] == "ok"
-        assert health["protocol"] == 3
+        assert health["protocol"] == 4
         stats = client.stats()
         assert stats["queue"]["depth"] == 0
         assert "cache" in stats["engine"]
@@ -848,6 +850,16 @@ class TestEventStream:
         with pytest.raises(TimeoutError, match=f"watch of job {job_id} timed out"):
             list(client.watch(job_id, timeout=0.5))
         assert time.monotonic() - started < 2
+
+    def test_watch_timeout_outlasts_the_client_timeout(self, blocking_harness):
+        harness, _engine = blocking_harness
+        job_id = str(harness.client().submit(dict(TINY_SWEEP))["job"])
+        client = ServiceClient(port=harness.service.port, timeout=1.0)
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match=f"watch of job {job_id} timed out"):
+            list(client.watch(job_id, timeout=3))
+        # The watch outlasts the client's 1 s per-read timeout.
+        assert 2.5 <= time.monotonic() - started < 5
 
     def test_cli_watch_prints_its_own_timeout(self, blocking_harness, capsys):
         from repro.cli import main as cli_main

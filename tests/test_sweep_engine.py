@@ -12,7 +12,6 @@ from repro.experiments.cache import (
     result_from_dict,
     result_to_dict,
 )
-from repro.experiments.runner import ExperimentRunner
 from repro.experiments.sweep import (
     WORKERS_ENV,
     SimJob,
@@ -35,6 +34,11 @@ SPEC = SweepSpec(
     mixes=(("429.mcf", "401.bzip2"), ("429.mcf",)),
     accesses_per_core=ACCESSES,
 )
+
+
+def run_one(engine, job):
+    """Run (or fetch) one job and return its result."""
+    return engine.run_jobs([job])[job.key]
 
 
 def results_digest(results) -> str:
@@ -162,7 +166,7 @@ class TestCaching:
     def test_memory_cache_returns_identical_object(self):
         engine = SweepEngine()
         job = mechanism_job(paper_system_config(), ("429.mcf",), "Chronus", 64, ACCESSES)
-        assert engine.run_job(job) is engine.run_job(job)
+        assert run_one(engine, job) is run_one(engine, job)
         assert engine.executed_jobs == 1
 
     def test_disk_cache_round_trip(self, tmp_path):
@@ -181,35 +185,37 @@ class TestCaching:
     def test_result_serialization_round_trip(self):
         engine = SweepEngine()
         job = mechanism_job(paper_system_config(), ("429.mcf",), "Chronus", 64, ACCESSES)
-        result = engine.run_job(job)
+        result = run_one(engine, job)
         rebuilt = result_from_dict(json.loads(json.dumps(result_to_dict(result))))
         assert result_to_dict(rebuilt) == result_to_dict(result)
 
-    def test_corrupted_entry_recovers(self, tmp_path):
+    # Valid JSON that is not an object is as corrupt as a truncated entry.
+    @pytest.mark.parametrize("garbage", ["{ truncated garbage", "[]", '"text"', "null"])
+    def test_corrupted_entry_recovers(self, tmp_path, garbage):
         cache_dir = str(tmp_path / "cache")
         job = mechanism_job(paper_system_config(), ("429.mcf",), "Chronus", 64, ACCESSES)
         engine = SweepEngine(cache=ResultCache(cache_dir))
-        expected = result_to_dict(engine.run_job(job))
+        expected = result_to_dict(run_one(engine, job))
 
         entry_path = os.path.join(cache_dir, job.key[:2], f"{job.key}.json")
         with open(entry_path, "w", encoding="utf-8") as handle:
-            handle.write("{ truncated garbage")
+            handle.write(garbage)
 
         recovered = SweepEngine(cache=ResultCache(cache_dir))
-        result = recovered.run_job(job)
+        result = run_one(recovered, job)
         assert recovered.cache.corrupt_entries == 1
         assert recovered.executed_jobs == 1
         assert result_to_dict(result) == expected
         # The entry was rewritten and is valid again.
         fresh = SweepEngine(cache=ResultCache(cache_dir))
-        assert result_to_dict(fresh.run_job(job)) == expected
+        assert result_to_dict(run_one(fresh, job)) == expected
         assert fresh.executed_jobs == 0
 
     def test_schema_mismatch_treated_as_miss(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         job = mechanism_job(paper_system_config(), ("429.mcf",), "Chronus", 64, ACCESSES)
         engine = SweepEngine(cache=ResultCache(cache_dir))
-        engine.run_job(job)
+        run_one(engine, job)
 
         entry_path = os.path.join(cache_dir, job.key[:2], f"{job.key}.json")
         with open(entry_path, "r", encoding="utf-8") as handle:
@@ -219,7 +225,7 @@ class TestCaching:
             json.dump(entry, handle)
 
         stale = SweepEngine(cache=ResultCache(cache_dir))
-        stale.run_job(job)
+        run_one(stale, job)
         assert stale.cache.corrupt_entries == 1
         assert stale.executed_jobs == 1
 
@@ -228,39 +234,32 @@ class TestCaching:
         engine = SweepEngine(cache=cache)
         job = mechanism_job(paper_system_config(), ("429.mcf",), "Chronus", 64, ACCESSES)
         assert not cache.contains(job.key)
-        engine.run_job(job)
+        run_one(engine, job)
         assert cache.contains(job.key)
         assert cache.disk_entry_count() == 1
         assert cache.clear() == 1
         assert not cache.contains(job.key)
 
 
-class TestRunnerIntegration:
-    def test_runners_share_engine_and_cache(self):
+class TestSharedEngine:
+    def test_sweeps_on_one_engine_share_alone_and_baseline_runs(self):
         engine = SweepEngine()
-        first = ExperimentRunner(accesses_per_core=ACCESSES, engine=engine)
-        second = ExperimentRunner(accesses_per_core=ACCESSES, engine=engine)
-        a = first.baseline_result(("429.mcf", "401.bzip2"))
-        b = second.baseline_result(("429.mcf", "401.bzip2"))
-        assert a is b
-        assert engine.executed_jobs == 1
+        mixes = (("429.mcf", "401.bzip2"),)
+        first = engine.run(SweepSpec(("Chronus",), (1024,), mixes, ACCESSES))
+        second = engine.run(SweepSpec(("PRAC-4",), (1024,), mixes, ACCESSES))
+        # 2 alone + 1 baseline + 1 mechanism job, then 1 new mechanism job.
+        assert engine.executed_jobs == 5
+        shared = set(first) & set(second)
+        assert len(shared) == 3
+        assert all(first[key] is second[key] for key in shared)
 
     def test_baseline_distinguished_by_access_budget(self):
         engine = SweepEngine()
-        small = ExperimentRunner(accesses_per_core=100, engine=engine)
-        large = ExperimentRunner(accesses_per_core=200, engine=engine)
-        a = small.baseline_result(("429.mcf",))
-        b = large.baseline_result(("429.mcf",))
-        assert a is not b
+        base = paper_system_config()
+        small = run_one(engine, baseline_job(base, ("429.mcf",), 100))
+        large = run_one(engine, baseline_job(base, ("429.mcf",), 200))
+        assert small is not large
         assert engine.executed_jobs == 2
-
-    def test_compare_uses_one_batched_engine_call(self):
-        runner = ExperimentRunner(accesses_per_core=ACCESSES)
-        comparisons = runner.compare(("Chronus",), (1024,), (("429.mcf",),))
-        assert len(comparisons) == 1
-        assert 0.0 < comparisons[0].mean_normalized_ws <= 1.2
-        # alone/baseline (shared job) + mechanism run.
-        assert runner.engine.executed_jobs == 2
 
 
 class TestCli:
