@@ -21,10 +21,16 @@ All durations are the Table 1 nanosecond values of :mod:`repro.dram.timing`
 (``BASE_NS`` and ``PRAC_NS``), the same numbers the simulator converts to
 cycles, so the analysis is independent of the simulator's clock
 discretisation (matching the paper, which works in ns).
+
+The Eq. 1 and Eq. 2 bounds are pure functions of their integer arguments
+and are memoized per process (``functools.cache``), so the secure-threshold
+search that every PRFM and PRAC channel of every job runs when it is built
+evaluates each bound once per process.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.counters import CounterSubarray
@@ -42,6 +48,7 @@ ANORMAL_CHRONUS = int(BASE_NS["tABOACT"] // BASE_NS["tRC"])
 # PRFM (periodic RFM) -- Eq. 1
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def prfm_max_activations(rfm_threshold: int, initial_rows: int) -> int:
     """Maximum activations a single row can receive under PRFM (Eq. 1).
 
@@ -107,6 +114,7 @@ def prfm_security_sweep(
 # PRAC-N back-off -- Eq. 2
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def prac_max_activations(nbo: int, nref: int, initial_rows: int) -> int:
     """Maximum activations a single row can receive under PRAC-N (Eq. 2).
 

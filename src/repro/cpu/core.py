@@ -122,7 +122,7 @@ class Core:
         # attributes, re-aligning the address and re-dividing the gap on
         # every attempt.
         line_size = llc.line_size
-        entries = list(trace.entries)
+        entries = trace.entries
         self._gaps = [entry.gap_instructions for entry in entries]
         self._lines = [(entry.address // line_size) * line_size for entry in entries]
         self._is_writes = [entry.is_write for entry in entries]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Sequence
+from typing import Iterator, Sequence, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,13 +34,18 @@ class TraceEntry:
 
 
 class Trace:
-    """A named sequence of :class:`TraceEntry` objects."""
+    """A named, immutable sequence of :class:`TraceEntry` objects.
+
+    ``entries`` is a tuple of frozen entries, so one trace can be shared by
+    every job that replays it (see
+    :func:`repro.experiments.sweep.build_job_traces`).
+    """
 
     def __init__(self, name: str, entries: Sequence[TraceEntry]) -> None:
         if not entries:
             raise ValueError(f"trace {name!r} must contain at least one entry")
         self.name = name
-        self.entries: List[TraceEntry] = list(entries)
+        self.entries: Tuple[TraceEntry, ...] = tuple(entries)
 
     def __len__(self) -> int:
         return len(self.entries)

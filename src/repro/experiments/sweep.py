@@ -24,20 +24,23 @@ attack runs and :func:`attack_search_job` builds the red-team probes of
 ground-truth disturbance oracle).
 
 Determinism: a job's traces are regenerated inside the worker from
-``(applications, accesses_per_core, seed, organization)``, and every random
-decision in the simulator is seeded from the job itself, so the same spec
-produces byte-identical results regardless of worker count or execution
-order.
+``(applications, accesses_per_core, seed, organization)`` (and the attack
+fields), once per process for all the jobs that share them
+(:func:`trace_set`), and every random decision in the simulator is seeded
+from the job itself, so the same spec produces byte-identical results
+regardless of worker count or execution order.
 """
 
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import threading
 import time
 import weakref
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -46,6 +49,7 @@ from repro.attacks.oracle import DisturbanceOracle
 from repro.attacks.patterns import AttackSpec, performance_attack_trace
 from repro.core.factory import MECHANISM_NAMES
 from repro.cpu.trace import Trace
+from repro.dram.organization import DramOrganization
 from repro.experiments.cache import ResultCache, config_payload, job_key
 from repro.system.config import SystemConfig, paper_system_config
 from repro.system.metrics import SimulationResult
@@ -134,6 +138,23 @@ class SweepCancelled(RuntimeError):
     def __init__(self, report: "RunReport") -> None:
         super().__init__(
             f"sweep cancelled after {report.executed_jobs} executed job(s)"
+        )
+        self.report = report
+
+
+class SweepWorkerLost(RuntimeError):
+    """Raised by :meth:`SweepEngine.run_jobs` when a pool worker dies mid-run.
+
+    A dead worker breaks the whole ``ProcessPoolExecutor``, so the engine
+    drops its pool and the next run builds a fresh one.  ``report`` carries
+    the :class:`RunReport` of the work booked before the loss; every result
+    a worker finished is already cached, so a rerun resumes.
+    """
+
+    def __init__(self, report: "RunReport") -> None:
+        super().__init__(
+            f"a sweep worker died after {report.executed_jobs} executed "
+            f"job(s); the pool was dropped and the next run starts a new one"
         )
         self.report = report
 
@@ -340,29 +361,64 @@ def attack_search_job(
     )
 
 
+#: Trace sets kept by the per-process memo of :func:`build_job_traces`.  The
+#: benches cycle through at most four mixes, and a four-core set at 1,500
+#: accesses per core holds about 0.6 MB.  A sweep over more mixes than this
+#: (Fig. 7 at its default ten applications) builds every job's traces anew.
+TRACE_MEMO_SIZE = 8
+
+
 def build_job_traces(job: SimJob) -> List[Trace]:
-    """Regenerate the per-core traces of a job (deterministic)."""
+    """The per-core traces of a job (deterministic).
+
+    Jobs that differ only in mechanism, N_RH or name share one trace set,
+    built once per process by :func:`trace_set`; the list is fresh, the
+    (immutable) :class:`Trace` objects are shared.
+    """
+    return list(
+        trace_set(
+            job.attack_accesses,
+            job.attack,
+            job.applications,
+            job.accesses_per_core,
+            job.config.organization,
+            job.seed,
+        )
+    )
+
+
+@functools.lru_cache(maxsize=TRACE_MEMO_SIZE)
+def trace_set(
+    attack_accesses: int,
+    attack: Optional[AttackSpec],
+    applications: Tuple[str, ...],
+    accesses_per_core: int,
+    organization: DramOrganization,
+    seed: int,
+) -> Tuple[Trace, ...]:
+    """The per-core traces built from six job fields, memoized per process:
+    the §11 attacker or the compiled attack first, then the mix."""
     traces: List[Trace] = []
-    if job.attack_accesses:
+    if attack_accesses:
         traces.append(
             performance_attack_trace(
-                num_accesses=job.attack_accesses,
-                organization=job.config.organization,
-                seed=job.seed,
+                num_accesses=attack_accesses,
+                organization=organization,
+                seed=seed,
             )
         )
-    if job.attack is not None:
-        traces.append(job.attack.compile(organization=job.config.organization))
-    if job.applications:
+    if attack is not None:
+        traces.append(attack.compile(organization=organization))
+    if applications:
         traces.extend(
             build_mix_traces(
-                job.applications,
-                accesses_per_core=job.accesses_per_core,
-                organization=job.config.organization,
-                seed=job.seed,
+                applications,
+                accesses_per_core=accesses_per_core,
+                organization=organization,
+                seed=seed,
             )
         )
-    return traces
+    return tuple(traces)
 
 
 def execute_job(job: SimJob) -> SimulationResult:
@@ -651,7 +707,10 @@ class SweepEngine:
         polled between simulations; when it fires the engine raises
         :class:`SweepCancelled` (carrying the partial report) -- every
         result finished up to that point is already in the cache, so a
-        resubmission resumes instead of recomputing.
+        resubmission resumes instead of recomputing.  A pool worker that
+        dies mid-run raises :class:`SweepWorkerLost` the same way; one that
+        died while the pool sat idle is replaced before any job is handed
+        over.
         """
         start = time.perf_counter()
         unique: Dict[str, SimJob] = {}
@@ -741,17 +800,31 @@ class SweepEngine:
     ) -> Iterator[Tuple[SimJob, float, SimulationResult]]:
         """Run ``missing`` on the pool, one task per job, yielding
         ``(job, seconds, result)`` as the jobs finish."""
-        pool = self._ensure_pool()
         cache_dir = self.cache.directory
-        pending = {
-            pool.submit(execute_timed, job, cache_dir): job for job in missing
-        }
+
+        def submit_all() -> Dict[Future, SimJob]:
+            pool = self._ensure_pool()
+            return {pool.submit(execute_timed, job, cache_dir): job for job in missing}
+
+        try:
+            pending = submit_all()
+        except BrokenProcessPool:
+            # A worker died while the pool sat idle between runs.  None of
+            # this run's jobs was handed to it, so they go to a fresh pool.
+            self.close()
+            pending = submit_all()
         try:
             while pending:
                 self._check_cancel(cancel, report)
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    yield (pending.pop(future), *future.result())
+                    job = pending.pop(future)
+                    try:
+                        seconds, result = future.result()
+                    except BrokenProcessPool as error:
+                        self.close()
+                        raise SweepWorkerLost(report) from error
+                    yield job, seconds, result
         finally:
             # On a cancel or a failed job, the jobs no worker has taken yet
             # are dropped; those already running finish in their workers

@@ -37,6 +37,10 @@ and multiplexes it across clients:
   otherwise) -- replacing the honor-system ``X-Client`` header as the
   client identity.
 
+The service keeps every unfinished job and the :data:`MAX_FINISHED_JOBS`
+most recently finished ones; an older job's record, event log and pulse are
+dropped, so a long-running server's job history stays bounded.
+
 Event-log consistency relies on every mutation happening on the event-loop
 thread; the executor's worker thread only ever talks to the loop through
 ``call_soon_threadsafe``.
@@ -46,7 +50,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, Optional, Set, Union
+from collections import deque
+from typing import Deque, Dict, Optional, Set, Union
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.sweep import (
@@ -70,6 +75,11 @@ from repro.system.metrics import SimulationResult
 
 #: Protocol version advertised by /healthz (bump on breaking changes).
 PROTOCOL_VERSION = 4
+
+#: Finished jobs the service keeps, each with its event log and pulse.  Past
+#: this many, the job that finished first is forgotten and its id answers 404
+#: like an unknown one; a queued or running job is never dropped.
+MAX_FINISHED_JOBS = 256
 
 
 def result_summary(job: SimJob, result: SimulationResult) -> Dict[str, object]:
@@ -152,6 +162,8 @@ class SimulationService:
         #: the same key.  ``None`` keeps the open, honor-system behaviour.
         self.auth_key = auth_key
         self.jobs: Dict[str, JobRecord] = {}
+        #: Ids of the finished jobs in ``jobs``, oldest finish first.
+        self._finished: Deque[str] = deque()
         self.started_at = time.time()
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -208,7 +220,7 @@ class SimulationService:
         """Stop serving: cancel every unfinished job, close the engine and
         pool."""
         self._stopping.set()
-        for record in self.jobs.values():
+        for record in list(self.jobs.values()):
             if not record.finished:
                 self._cancel(record)
         if self._server is not None:
@@ -259,6 +271,17 @@ class SimulationService:
         event: Dict[str, object] = {"event": "state", "state": state}
         event.update(extra)
         self._publish(record, event)
+        if state in JobState.TERMINAL:
+            self._retire(record)
+
+    def _retire(self, record: JobRecord) -> None:
+        """Keep a just-finished job, forgetting the oldest finished jobs
+        past :data:`MAX_FINISHED_JOBS`."""
+        self._finished.append(record.id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            job_id = self._finished.popleft()
+            del self.jobs[job_id]
+            self._pulses.pop(job_id, None)
 
     # ------------------------------------------------------------------ #
     # Executor

@@ -37,6 +37,7 @@ from repro.service.queue import (
     RateLimited,
     TokenBucket,
 )
+from repro.service import server
 from repro.service.server import SimulationService, _discard_until_eof
 from repro.service.specs import MAX_ACCESSES, SpecError, parse_submission
 
@@ -725,6 +726,67 @@ class TestJobLifecycle:
         events = list(client.watch(str(response["job"]), timeout=30))
         assert events[0]["state"] == "queued"
         assert events[-1]["state"] == "done"
+
+
+class TestJobHistory:
+    """The service keeps MAX_FINISHED_JOBS finished jobs, and every
+    unfinished one."""
+
+    def test_the_oldest_finished_jobs_are_forgotten(self, harness, monkeypatch):
+        monkeypatch.setattr(server, "MAX_FINISHED_JOBS", 2)
+        client = harness.client()
+        ids = []
+        for _ in range(4):
+            job_id = str(client.submit(dict(TINY_SWEEP))["job"])
+            assert client.wait(job_id, timeout=60)["state"] == "done"
+            ids.append(job_id)
+        assert list(harness.service.jobs) == ids[2:]
+        assert set(harness.service._pulses) == set(ids[2:])
+        for job_id in ids[:2]:
+            with pytest.raises(ServiceError) as excinfo:
+                client.status(job_id)
+            assert excinfo.value.status == 404
+            with pytest.raises(ServiceError) as excinfo:
+                list(client.watch(job_id, timeout=10))
+            assert excinfo.value.status == 404
+        assert client.stats()["jobs_by_state"] == {"done": 2}
+
+    def test_unfinished_jobs_are_never_forgotten(self, blocking_harness, monkeypatch):
+        monkeypatch.setattr(server, "MAX_FINISHED_JOBS", 1)
+        harness, engine = blocking_harness
+        client = harness.client("alice")
+        running = str(client.submit(dict(TINY_SWEEP))["job"])
+        wait_for(
+            lambda: harness.service.jobs[running].state == "running",
+            message="first job running",
+        )
+        cancelled = []
+        for _ in range(2):
+            job_id = str(client.submit(dict(TINY_SWEEP))["job"])
+            assert client.cancel(job_id)["state"] == "cancelled"
+            cancelled.append(job_id)
+        assert list(harness.service.jobs) == [running, cancelled[1]]
+        engine.release.set()
+        assert client.wait(running, timeout=60)["state"] == "done"
+        assert list(harness.service.jobs) == [running]
+
+    def test_stop_past_the_cap_cancels_every_unfinished_job(
+        self, blocking_harness, monkeypatch
+    ):
+        monkeypatch.setattr(server, "MAX_FINISHED_JOBS", 1)
+        harness, _engine = blocking_harness
+        client = harness.client("alice")
+        running = str(client.submit(dict(TINY_SWEEP))["job"])
+        wait_for(
+            lambda: harness.service.jobs[running].state == "running",
+            message="first job running",
+        )
+        client.cancel(str(client.submit(dict(TINY_SWEEP))["job"]))
+        client.submit(dict(TINY_SWEEP))  # queued until stop cancels it
+        # Each cancel in stop() forgets an older finished job.
+        asyncio.run_coroutine_threadsafe(harness.service.stop(), harness.loop).result(30)
+        assert list(harness.service.jobs) == [running]
+        assert harness.service.jobs[running].state == "cancelled"
 
 
 # --------------------------------------------------------------------------- #

@@ -8,14 +8,20 @@ interrupted runs from leaking worker processes.
 
 import dataclasses
 import json
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.experiments.cache import ResultCache
 from repro.experiments.sweep import (
     CancelToken,
     SweepCancelled,
     SweepEngine,
     SweepSpec,
+    SweepWorkerLost,
     shutdown_live_engines,
 )
 
@@ -188,3 +194,70 @@ class TestPoolLifecycle:
         pool = engine._ensure_pool()
         assert pool is engine._pool is not None
         engine.close()
+
+
+def kill_a_worker(engine):
+    """SIGKILL one live worker of the engine's pool; returns the pool."""
+    pool = engine._pool
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    return pool
+
+
+def wait_until_broken(pool, timeout=10.0):
+    """Block until ``pool`` has noticed its dead worker."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            pool.submit(int).result(timeout=timeout)
+        except BrokenProcessPool:
+            return
+        time.sleep(0.01)
+    raise AssertionError("the pool never noticed its dead worker")
+
+
+class TestWorkerLoss:
+    #: Seven jobs, so that most are still pending after the first finishes.
+    LONG_SPEC = SweepSpec(
+        mechanisms=("Chronus", "PRAC-4"),
+        nrh_values=(128, 64, 32),
+        mixes=(("429.mcf",),),
+        accesses_per_core=400,
+    )
+
+    def test_worker_killed_between_runs_leaves_the_next_run_pooled(self):
+        with SweepEngine(workers=2) as engine:
+            engine.run(SPEC)
+            wait_until_broken(kill_a_worker(engine))
+            spec = dataclasses.replace(SPEC, accesses_per_core=151)
+            results = engine.run(spec)
+            assert engine.last_run_report.mode == "pool"
+            assert engine.last_run_report.executed_jobs == len(spec.expand())
+        assert set(results) == {job.key for job in spec.expand()}
+
+    def test_worker_killed_mid_run_raises_worker_lost(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        total = len(self.LONG_SPEC.expand())
+        with SweepEngine(cache=ResultCache(cache_dir), workers=2) as engine:
+            def kill_on_first_job(event):
+                if event["event"] == "job" and event["done_jobs"] == 1:
+                    kill_a_worker(engine)
+
+            with pytest.raises(SweepWorkerLost) as excinfo:
+                engine.run(self.LONG_SPEC, progress=kill_on_first_job)
+            executed = excinfo.value.report.executed_jobs
+            assert 1 <= executed < total
+            assert f"after {executed} executed job(s)" in str(excinfo.value)
+            assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+            assert engine._pool is None
+            # Every entry the workers left on disk is whole.
+            left = ResultCache(cache_dir)
+            loaded = [
+                job for job in self.LONG_SPEC.expand() if left.get(job.key) is not None
+            ]
+            assert len(loaded) == left.disk_entry_count() >= executed
+            assert left.corrupt_entries == 0
+            # The next run starts a fresh pool and resumes from the cache.
+            events = []
+            results = engine.run(self.LONG_SPEC, progress=events.append)
+        assert len(results) == total
+        assert events[0]["missing_jobs"] == total - len(loaded)
