@@ -1,17 +1,18 @@
 """Signed, self-describing result artifacts with provenance.
 
-A streaming, indexed container every result producer in the repo can
-emit (sweeps, red-team searches, service jobs, benches) and every consumer
-can verify byte-for-byte:
+A line-oriented container every result producer in the repo can emit
+(sweeps, red-team searches, service jobs, benches) and every consumer can
+verify byte-for-byte:
 
 * :mod:`repro.artifacts.spec` -- the format, its typed error hierarchy,
   and the whitelist header parsers (no reflection, no ``setattr``);
 * :mod:`repro.artifacts.integrity` -- SHA-256 / HMAC-SHA256 helpers, key
-  files, constant-time verification;
-* :mod:`repro.artifacts.writer` -- :class:`ArtifactWriter` (streaming
-  append) and :func:`write_artifact_bytes` (a whole artifact in memory);
+  files, constant-time verification, the atomic file write;
+* :mod:`repro.artifacts.writer` -- :func:`write_artifact_bytes` (a whole
+  artifact in memory) and :func:`write_artifact` (the same bytes written
+  atomically to a path);
 * :mod:`repro.artifacts.reader` -- :class:`ArtifactReader` (full
-  verification on open, the index cross-checked against the record scan);
+  verification on open);
 * :mod:`repro.artifacts.diff` -- job-by-job artifact comparison;
 * :mod:`repro.artifacts.emit` -- record shapes the experiment / service /
   bench layers emit.
@@ -37,7 +38,6 @@ from repro.artifacts.spec import (
     ArtifactError,
     ArtifactFormatError,
     ArtifactHeaderError,
-    ArtifactIndexError,
     ArtifactIntegrityError,
     ArtifactKeyError,
     ArtifactMarkerError,
@@ -46,14 +46,13 @@ from repro.artifacts.spec import (
     FORMAT_VERSION,
     provenance,
 )
-from repro.artifacts.writer import ArtifactWriter, write_artifact_bytes
+from repro.artifacts.writer import write_artifact, write_artifact_bytes
 
 __all__ = [
     "ArtifactDiff",
     "ArtifactError",
     "ArtifactFormatError",
     "ArtifactHeaderError",
-    "ArtifactIndexError",
     "ArtifactIntegrityError",
     "ArtifactKeyError",
     "ArtifactMarkerError",
@@ -61,7 +60,6 @@ __all__ = [
     "ArtifactRecord",
     "ArtifactSignatureError",
     "ArtifactTruncatedError",
-    "ArtifactWriter",
     "FORMAT_VERSION",
     "auth_token",
     "diff_artifacts",
@@ -73,6 +71,7 @@ __all__ = [
     "provenance",
     "verify_artifact",
     "verify_auth_token",
+    "write_artifact",
     "write_artifact_bytes",
     "write_key_file",
 ]

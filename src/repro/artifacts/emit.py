@@ -29,7 +29,7 @@ import os
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.artifacts.spec import provenance
-from repro.artifacts.writer import ArtifactWriter
+from repro.artifacts.writer import write_artifact
 from repro.experiments.cache import config_payload, result_to_dict
 
 
@@ -80,17 +80,15 @@ def emit_run_artifact(
     result is missing (e.g. cancelled mid-run) are skipped rather than
     emitted half-empty.
     """
-    with ArtifactWriter(
-        path, meta=run_meta(base_config, extra=extra_meta), key=key
-    ) as writer:
-        for job in jobs:
-            result = results.get(job.key)
-            if result is not None:
-                writer.append("job", job_record(job, result))
-        if report is not None:
-            writer.append("report", report.as_dict())
-        count = writer.record_count
-    return count
+    records = [
+        ("job", job_record(job, results[job.key]))
+        for job in jobs if results.get(job.key) is not None
+    ]
+    if report is not None:
+        records.append(("report", report.as_dict()))
+    return write_artifact(
+        path, run_meta(base_config, extra=extra_meta), records, key=key
+    )
 
 
 def emit_probe_artifact(
@@ -101,13 +99,10 @@ def emit_probe_artifact(
     extra_meta: Optional[Dict[str, object]] = None,
 ) -> int:
     """Write one red-team search as an artifact of ``probe`` records."""
-    with ArtifactWriter(
-        path, meta=run_meta(base_config, extra=extra_meta), key=key
-    ) as writer:
-        for probe in probes:
-            writer.append("probe", probe_record(probe))
-        count = writer.record_count
-    return count
+    return write_artifact(
+        path, run_meta(base_config, extra=extra_meta),
+        [("probe", probe_record(probe)) for probe in probes], key=key,
+    )
 
 
 def emit_bench_artifact(
@@ -129,12 +124,10 @@ def emit_bench_artifact(
         stem, _ = os.path.splitext(bench_json_path)
         artifact_path = stem + ".artifact"
     name = os.path.basename(bench_json_path)
-    with ArtifactWriter(
-        artifact_path,
-        meta=provenance(extra={"source": name}),
-        key=key,
-    ) as writer:
-        writer.append("bench", {"key": name, "bench": bench})
+    write_artifact(
+        artifact_path, provenance(extra={"source": name}),
+        [("bench", {"key": name, "bench": bench})], key=key,
+    )
     return os.fspath(artifact_path)
 
 

@@ -1,12 +1,10 @@
-"""Hashing, signing and key-file handling for artifacts.
+"""Hashing, signing, key files and the atomic file write for artifacts.
 
 The integrity model is layered (weakest to strongest):
 
-* per-record SHA-256 -- catches corruption and lets index seeks validate
-  the bytes they land on;
+* per-record SHA-256 -- catches corruption of one record's payload;
 * whole-content SHA-256 in the footer -- catches any tampering *including*
-  of headers and the index, but an attacker who can rewrite the file can
-  recompute it;
+  of headers, but an attacker who can rewrite the file can recompute it;
 * HMAC-SHA256 over the same content bytes, keyed by a secret file --
   unforgeable without the key, verified with :func:`hmac.compare_digest`
   so the check leaks no timing information.
@@ -18,6 +16,7 @@ The same key doubles as the service's client-auth secret
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import hmac
 import os
@@ -70,8 +69,36 @@ def verify_auth_token(key: bytes, client_id: str, token: str) -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# Key files
+# Files
 # --------------------------------------------------------------------------- #
+
+def write_file_atomically(
+    path: Union[str, os.PathLike], data: bytes, mode: int = 0o666
+) -> None:
+    """Replace ``path`` with ``data``, or leave it as it was.
+
+    The bytes go to a new temporary file in ``path``'s directory, created
+    with ``mode`` (less the umask), which is flushed, fsynced and renamed
+    over ``path``.  On any failure the temporary file is closed and
+    removed, and an :class:`OSError` names ``path``.
+    """
+    path = os.fspath(path)
+    tmp_path = os.path.join(os.path.dirname(path), f".tmp-{secrets.token_hex(8)}")
+    try:
+        descriptor = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+        try:
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp_path, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_path)
+            raise
+    except OSError as error:
+        raise OSError(error.errno, error.strerror, path) from error
+
 
 def generate_key(num_bytes: int = DEFAULT_KEY_BYTES) -> bytes:
     return secrets.token_bytes(num_bytes)
@@ -80,18 +107,18 @@ def generate_key(num_bytes: int = DEFAULT_KEY_BYTES) -> bytes:
 def write_key_file(
     path: Union[str, os.PathLike], key: Optional[bytes] = None
 ) -> bytes:
-    """Write ``key`` (or a fresh one) as hex, owner-read-only."""
+    """Write ``key`` (or a fresh one) as hex, owner-read-only (0600).
+
+    The file is always a new one, so a key written over an existing,
+    more permissive file does not inherit that file's mode.
+    """
     if key is None:
         key = generate_key()
     if len(key) < MIN_KEY_BYTES:
         raise ArtifactKeyError(
             f"refusing to write a {len(key)}-byte key (minimum {MIN_KEY_BYTES})"
         )
-    descriptor = os.open(
-        os.fspath(path), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600
-    )
-    with os.fdopen(descriptor, "w", encoding="ascii") as handle:
-        handle.write(key.hex() + "\n")
+    write_file_atomically(path, (key.hex() + "\n").encode("ascii"), mode=0o600)
     return key
 
 

@@ -2,12 +2,11 @@
 
 The reader is deliberately paranoid: *opening* an artifact performs a full
 sequential parse that validates every structural rule of the format
-(:mod:`repro.artifacts.spec`), every per-record checksum, the index
-(bounds-checked and cross-checked against the scan), the whole-content
-checksum, and -- when a key is supplied -- the HMAC signature in constant
-time.  There is no lazy mode where a crafted file partially "works":
-either the whole container verifies or a typed :class:`ArtifactError`
-names what is wrong.
+(:mod:`repro.artifacts.spec`), every per-record checksum, the footer's
+record count, the whole-content checksum, and -- when a key is supplied --
+the HMAC signature in constant time.  There is no lazy mode where a crafted
+file partially "works": either the whole container verifies or a typed
+:class:`ArtifactError` names what is wrong.
 """
 
 from __future__ import annotations
@@ -19,14 +18,11 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.artifacts import integrity
 from repro.artifacts.spec import (
     ArtifactFormatError,
-    ArtifactIndexError,
     ArtifactIntegrityError,
     ArtifactMarkerError,
     ArtifactTruncatedError,
     END_MARKER,
     Footer,
-    INDEX_MARKER,
-    IndexEntry,
     MAGIC_MARKER,
     META_MARKER,
     MagicHeader,
@@ -45,7 +41,6 @@ class ArtifactRecord:
     seq: int
     kind: str
     payload: Dict[str, object]
-    offset: int
     length: int
     sha256: str
 
@@ -74,9 +69,6 @@ class ArtifactReader:
         self.meta: Dict[str, object] = {}
         self.magic: Optional[MagicHeader] = None
         self.footer: Optional[Footer] = None
-        self.index_entries: Tuple[IndexEntry, ...] = ()
-        #: Byte offset of the ``#@index`` header line (end of the records).
-        self.index_offset = 0
         self._records: List[ArtifactRecord] = []
         self._parse()
 
@@ -143,117 +135,49 @@ class ArtifactReader:
         )
         self.meta = parse_payload(blob, "meta")
 
-        # Record sections until the index.
-        index_header: Optional[SectionHeader] = None
+        # Record sections until the footer.
         while True:
             line_start = pos
             line, pos = self._read_line(pos, "a section header")
             marker, mapping = split_header_line(line, "section")
-            if marker == RECORD_MARKER:
-                header = RecordHeader.parse(mapping)
-                if header.seq != len(self._records):
-                    raise ArtifactFormatError(
-                        f"record at offset {line_start} declares seq "
-                        f"{header.seq}, expected {len(self._records)}"
-                    )
-                payload_offset = pos
-                blob, pos = self._read_section_payload(
-                    pos, header.length, header.sha256,
-                    f"record {header.seq}",
-                )
-                self._records.append(ArtifactRecord(
-                    seq=header.seq, kind=header.kind,
-                    payload=parse_payload(blob, f"record {header.seq}"),
-                    offset=payload_offset, length=header.length,
-                    sha256=header.sha256,
-                ))
-                continue
-            if marker == INDEX_MARKER:
-                self.index_offset = line_start
-                index_header = SectionHeader.parse_index(mapping)
+            if marker == END_MARKER:
                 break
-            raise ArtifactFormatError(
-                f"unexpected section marker {marker!r} at offset {line_start} "
-                f"(expected {RECORD_MARKER} or {INDEX_MARKER})"
+            if marker != RECORD_MARKER:
+                raise ArtifactFormatError(
+                    f"unexpected section marker {marker!r} at offset "
+                    f"{line_start} (expected {RECORD_MARKER} or {END_MARKER})"
+                )
+            header = RecordHeader.parse(mapping)
+            if header.seq != len(self._records):
+                raise ArtifactFormatError(
+                    f"record at offset {line_start} declares seq "
+                    f"{header.seq}, expected {len(self._records)}"
+                )
+            blob, pos = self._read_section_payload(
+                pos, header.length, header.sha256, f"record {header.seq}",
             )
+            self._records.append(ArtifactRecord(
+                seq=header.seq, kind=header.kind,
+                payload=parse_payload(blob, f"record {header.seq}"),
+                length=header.length, sha256=header.sha256,
+            ))
 
-        # Index section.
-        assert index_header is not None
-        blob, pos = self._read_section_payload(
-            pos, index_header.length, index_header.sha256, "index"
-        )
-        content_length = pos  # footer checksums cover [0, here)
-        index_payload = parse_payload(blob, "index")
-        if set(index_payload) != {"entries"}:
-            raise ArtifactIndexError(
-                f"index payload must hold exactly 'entries', "
-                f"got {sorted(index_payload)}"
-            )
-        raw_entries = index_payload["entries"]
-        if not isinstance(raw_entries, list):
-            raise ArtifactIndexError("index entries must be a list")
-        entries = tuple(IndexEntry.parse(entry) for entry in raw_entries)
-        if index_header.count != len(entries):
-            raise ArtifactIndexError(
-                f"index header declares {index_header.count} entries, "
-                f"payload holds {len(entries)}"
-            )
-        self._validate_index(entries)
-        self.index_entries = entries
-
-        # Footer.
-        line, pos = self._read_line(pos, "the footer")
-        marker, mapping = split_header_line(line, "footer")
-        if marker != END_MARKER:
-            raise ArtifactFormatError(f"expected {END_MARKER} line, got {marker!r}")
+        # Footer: checksums cover every byte before its line.
         self.footer = Footer.parse(mapping)
         if pos != len(data):
             raise ArtifactFormatError(
                 f"{len(data) - pos} trailing bytes after the {END_MARKER} line"
             )
         if self.footer.records != len(self._records):
-            raise ArtifactIndexError(
+            raise ArtifactFormatError(
                 f"footer declares {self.footer.records} records, "
                 f"stream holds {len(self._records)}"
             )
-        content = data[:content_length]
+        content = data[:line_start]
         if integrity.sha256_hex(content) != self.footer.content_sha256:
             raise ArtifactIntegrityError("artifact content checksum mismatch")
         if self.key is not None:
             integrity.verify_signature(self.key, content, self.footer.signature)
-
-    def _validate_index(self, entries: Tuple[IndexEntry, ...]) -> None:
-        """Bounds-check every offset, then cross-check against the scan."""
-        if len(entries) != len(self._records):
-            raise ArtifactIndexError(
-                f"index holds {len(entries)} entries, "
-                f"stream holds {len(self._records)} records"
-            )
-        for entry in entries:
-            # IndexEntry.parse already rejected negative ints; re-assert the
-            # invariant here so a future parser change cannot silently drop
-            # the bounds check, then cap against the record region.
-            if entry.offset < 0 or entry.length < 0:
-                raise ArtifactIndexError(
-                    f"index entry {entry.seq} has negative offset/length"
-                )
-            if entry.offset + entry.length > self.index_offset:
-                raise ArtifactIndexError(
-                    f"index entry {entry.seq} points past the record region "
-                    f"({entry.offset}+{entry.length} > {self.index_offset})"
-                )
-            if not 0 <= entry.seq < len(self._records):
-                raise ArtifactIndexError(
-                    f"index entry seq {entry.seq} out of range"
-                )
-            record = self._records[entry.seq]
-            actual = (record.kind, record.offset, record.length, record.sha256)
-            declared = (entry.kind, entry.offset, entry.length, entry.sha256)
-            if actual != declared:
-                raise ArtifactIndexError(
-                    f"index entry {entry.seq} disagrees with the record "
-                    f"stream: declared {declared}, scanned {actual}"
-                )
 
     # ------------------------------------------------------------------ #
     # Access

@@ -1,16 +1,14 @@
 """The artifact container format: constants, typed errors, header parsing.
 
-An artifact is a **text container** holding an append-only stream of JSON
-records plus an index and an integrity footer::
+An artifact is a **text container** holding an ordered stream of JSON
+records and an integrity footer::
 
-    #!REPRO-ARTIFACT {"format":"repro-artifact","version":1}
+    #!REPRO-ARTIFACT {"format":"repro-artifact","version":2}
     #@meta {"length":L,"sha256":H}
     {...provenance JSON...}
     #@record {"kind":"job","length":L,"seq":0,"sha256":H}
     {...payload JSON...}
     ...
-    #@index {"count":N,"length":L,"sha256":H}
-    {"entries":[{"kind":...,"length":...,"offset":...,"seq":...,"sha256":...}]}
     #!END {"content_sha256":H,"records":N,"signature":null}
 
 Design rules, each the direct answer to a known container-format exploit
@@ -26,9 +24,9 @@ class (see ``docs/ARTIFACTS.md``):
   set exactly and type-checks every value explicitly -- there is no
   ``setattr`` loop anywhere in this package, so unknown fields are a typed
   error (:class:`ArtifactHeaderError`), not an attribute injection.
-* **Offsets are untrusted.**  Index entries are bounds-checked and
-  cross-checked against a full sequential scan before any seek uses them
-  (:class:`ArtifactIndexError`).
+* **The container holds no offsets.**  The reader finds every record by
+  a sequential scan; the footer's record count must equal the records
+  scanned (:class:`ArtifactFormatError`).
 * **Integrity is layered**: per-record SHA-256, a whole-content SHA-256 in
   the footer, and an optional HMAC-SHA256 signature verified in constant
   time (:mod:`repro.artifacts.integrity`).
@@ -48,14 +46,12 @@ from repro.experiments.cache import CACHE_SCHEMA_VERSION
 MAGIC_MARKER = "#!REPRO-ARTIFACT"
 END_MARKER = "#!END"
 
-#: Bytes that open every section header line.
-SECTION_PREFIX = "#@"
+#: Bytes that open the two section header lines.
 META_MARKER = "#@meta"
 RECORD_MARKER = "#@record"
-INDEX_MARKER = "#@index"
 
 #: Format version written by this code; readers reject anything else.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 FORMAT_NAME = "repro-artifact"
 
 #: Record/section kinds must look like identifiers (no markers, no spaces).
@@ -90,10 +86,6 @@ class ArtifactMarkerError(ArtifactFormatError):
 
 class ArtifactTruncatedError(ArtifactError):
     """The file ends before its declared structure does."""
-
-
-class ArtifactIndexError(ArtifactError):
-    """Index offsets/lengths out of bounds or disagreeing with the stream."""
 
 
 class ArtifactIntegrityError(ArtifactError):
@@ -238,20 +230,15 @@ class MagicHeader:
             )
         return cls(format=name, version=version)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {"format": self.format, "version": self.version}
-
 
 @dataclass(frozen=True)
 class SectionHeader:
-    """``#@meta`` / ``#@index`` line: one checksummed payload section."""
+    """``#@meta`` line: the checksummed provenance section."""
 
     length: int
     sha256: str
-    count: Optional[int] = None  # index only
 
     _META_FIELDS = frozenset({"length", "sha256"})
-    _INDEX_FIELDS = frozenset({"count", "length", "sha256"})
 
     @classmethod
     def parse_meta(cls, mapping: Mapping[str, object]) -> "SectionHeader":
@@ -259,15 +246,6 @@ class SectionHeader:
         return cls(
             length=_read_length(mapping, "length", "meta"),
             sha256=_read_sha256(mapping, "sha256", "meta"),
-        )
-
-    @classmethod
-    def parse_index(cls, mapping: Mapping[str, object]) -> "SectionHeader":
-        _require_exact_keys(mapping, cls._INDEX_FIELDS, "index")
-        return cls(
-            length=_read_length(mapping, "length", "index"),
-            sha256=_read_sha256(mapping, "sha256", "index"),
-            count=_read_int(mapping, "count", "index"),
         )
 
 
@@ -291,53 +269,6 @@ class RecordHeader:
             length=_read_length(mapping, "length", "record"),
             sha256=_read_sha256(mapping, "sha256", "record"),
         )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind, "length": self.length,
-            "seq": self.seq, "sha256": self.sha256,
-        }
-
-
-@dataclass(frozen=True)
-class IndexEntry:
-    """One row of the index payload: where record ``seq`` lives."""
-
-    kind: str
-    seq: int
-    offset: int
-    length: int
-    sha256: str
-
-    _FIELDS = frozenset({"kind", "length", "offset", "seq", "sha256"})
-
-    @classmethod
-    def parse(cls, mapping: Mapping[str, object]) -> "IndexEntry":
-        if not isinstance(mapping, dict):
-            raise ArtifactIndexError("index entry must be a JSON object")
-        unknown = sorted(set(mapping) - cls._FIELDS)
-        if unknown:
-            raise ArtifactIndexError(f"index entry has unknown fields: {unknown}")
-        missing = sorted(cls._FIELDS - set(mapping))
-        if missing:
-            raise ArtifactIndexError(f"index entry is missing fields: {missing}")
-        try:
-            return cls(
-                kind=_read_kind(mapping, "kind", "index entry"),
-                seq=_read_int(mapping, "seq", "index entry"),
-                offset=_read_int(mapping, "offset", "index entry"),
-                length=_read_length(mapping, "length", "index entry"),
-                sha256=_read_sha256(mapping, "sha256", "index entry"),
-            )
-        except ArtifactHeaderError as error:
-            # Field-level problems inside the index are index poisoning.
-            raise ArtifactIndexError(str(error))
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind, "length": self.length, "offset": self.offset,
-            "seq": self.seq, "sha256": self.sha256,
-        }
 
 
 @dataclass(frozen=True)
@@ -365,13 +296,6 @@ class Footer:
             records=_read_int(mapping, "records", "footer"),
             signature=signature,
         )
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "content_sha256": self.content_sha256,
-            "records": self.records,
-            "signature": self.signature,
-        }
 
 
 def validate_kind(kind: str) -> str:

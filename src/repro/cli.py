@@ -648,11 +648,19 @@ def _cmd_attack_trace(args: argparse.Namespace) -> int:
 
 
 def _redteam_engine(args: argparse.Namespace) -> RedTeamEngine:
+    """The engine of ``attack search|compare``.
+
+    Raises :class:`ValueError` naming a bad ``--channels``, ``--channel`` or
+    worker count before any cache directory is created.
+    """
+    try:
+        base_config = paper_system_config().with_overrides(channels=args.channels)
+    except ValueError as error:
+        raise ValueError(f"--channels: {error}") from None
+    if not 0 <= args.channel < args.channels:
+        raise ValueError(f"--channel {args.channel} out of range [0, {args.channels})")
     workers = default_workers(auto=True) if args.workers is None else args.workers
     engine = SweepEngine(cache=_resolve_cache(args), workers=workers)
-    base_config = paper_system_config().with_overrides(
-        channels=getattr(args, "channels", 1)
-    )
     return RedTeamEngine(engine=engine, base_config=base_config, seed=args.seed)
 
 
@@ -698,22 +706,12 @@ def _print_search_summary(report: RedTeamReport) -> None:
         print(f"agreement: {'no -- ' + disagreement if disagreement else 'yes'}")
 
 
-def _check_channel_args(args: argparse.Namespace) -> Optional[str]:
-    try:
-        paper_system_config().with_overrides(channels=args.channels)
-    except ValueError as error:
-        return f"--channels: {error}"
-    if not 0 <= args.channel < args.channels:
-        return f"--channel {args.channel} out of range [0, {args.channels})"
-    return None
-
-
 def _cmd_attack_search(args: argparse.Namespace) -> int:
-    error = _check_channel_args(args)
-    if error:
+    try:
+        redteam = _redteam_engine(args)
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    redteam = _redteam_engine(args)
     specs = default_search_specs(args.patterns, seed=args.seed, channel=args.channel)
 
     if args.dry_run:
@@ -782,11 +780,11 @@ def _cmd_attack_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack_compare(args: argparse.Namespace) -> int:
-    error = _check_channel_args(args)
-    if error:
+    try:
+        redteam = _redteam_engine(args)
+    except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    redteam = _redteam_engine(args)
     specs = default_search_specs(args.patterns, seed=args.seed, channel=args.channel)
     rows = []
     try:

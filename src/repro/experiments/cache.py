@@ -163,7 +163,11 @@ class ResultCache:
         result: SimulationResult,
         job_payload: Optional[Dict[str, object]],
     ) -> None:
-        """Atomically write one per-key entry file (concurrency-safe)."""
+        """Atomically write one per-key entry file (concurrency-safe).
+
+        A failed write leaves no temporary file and any entry already at
+        the path unchanged, and raises an :class:`OSError` naming the path.
+        """
         entry = {
             "schema": CACHE_SCHEMA_VERSION,
             "key": key,
@@ -171,18 +175,21 @@ class ResultCache:
             "result": result_to_dict(result),
         }
         path = self._entry_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
-        )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, tmp_path = tempfile.mkstemp(
+                dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
+            )
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    json.dump(entry, handle, sort_keys=True)
+                os.replace(tmp_path, path)
+            except BaseException:
+                if os.path.exists(tmp_path):
+                    os.unlink(tmp_path)
+                raise
+        except OSError as error:
+            raise OSError(error.errno, error.strerror, path) from error
 
     def absorb(self, key: str, result: SimulationResult) -> None:
         """Insert a result into the memory layer only.

@@ -571,12 +571,14 @@ class SweepSpec:
         ]
 
     def mechanism_jobs(self) -> List[SimJob]:
+        """Mix-outermost, so each mix's jobs reuse one memoized trace set
+        (:func:`trace_set`) however many mixes the sweep has."""
         base = self.resolved_base_config()
         return [
             mechanism_job(base, mix, mechanism, nrh, self.accesses_per_core, self.seed)
+            for mix in self.mixes
             for mechanism in self.mechanisms
             for nrh in self.nrh_values
-            for mix in self.mixes
         ]
 
     def expand(self) -> List[SimJob]:

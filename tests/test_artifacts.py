@@ -1,13 +1,17 @@
 """Result-artifact round-trip properties: write -> read is byte-stable,
-in-memory and on-disk writes agree, signing round-trips, and emitted sweep
-artifacts diff field by field.
+in-memory and on-disk writes agree, signing round-trips, emitted sweep
+artifacts diff field by field, and a failed write leaves the previous file.
 
 The adversarial half of the contract (tampering, truncation, injection)
 lives in ``tests/test_artifacts_security.py``.
 """
 
+import errno
+import gc
+import io
 import json
 import os
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,16 +21,17 @@ from repro.artifacts import (
     ArtifactError,
     ArtifactReader,
     ArtifactSignatureError,
-    ArtifactWriter,
     diff_artifacts,
     generate_key,
     load_key_file,
     provenance,
     verify_artifact,
+    write_artifact,
     write_artifact_bytes,
     write_key_file,
 )
 from repro.artifacts.emit import emit_run_artifact
+from repro.cli import main as cli_main
 from repro.experiments.cache import (
     CACHE_SCHEMA_VERSION,
     ResultCache,
@@ -43,7 +48,7 @@ from repro.experiments.sweep import SweepEngine, SweepSpec
 # markers themselves -- all must round-trip safely *inside* payload values.
 nasty_text = st.one_of(
     st.text(alphabet="abc #@!\\\"{}[]:,\n\r\té☃", max_size=20),
-    st.sampled_from(["#@record", "#@index", "#!END", "#!REPRO-ARTIFACT"]),
+    st.sampled_from(["#@record", "#@meta", "#!END", "#!REPRO-ARTIFACT"]),
 )
 
 json_scalars = st.one_of(
@@ -74,35 +79,38 @@ class TestRoundTrip:
     def test_write_read_rewrite_is_byte_stable(self, tmp_path_factory, records, meta):
         tmp_path = tmp_path_factory.mktemp("artifact")
         first = str(tmp_path / "first.artifact")
-        with ArtifactWriter(first, meta=meta) as writer:
-            for kind, payload in records:
-                writer.append(kind, payload)
+        assert write_artifact(first, meta, records) == len(records)
         reader = ArtifactReader(first)
         assert reader.meta == meta
         assert [(r.kind, r.payload) for r in reader.records()] == records
         # Re-writing the parsed content reproduces the file byte for byte.
         second = str(tmp_path / "second.artifact")
-        with ArtifactWriter(second, meta=reader.meta) as writer:
-            for record in reader.records():
-                writer.append(record.kind, record.payload)
+        write_artifact(
+            second, reader.meta, [(r.kind, r.payload) for r in reader.records()]
+        )
         with open(first, "rb") as a, open(second, "rb") as b:
             assert a.read() == b.read()
 
     def test_in_memory_bytes_equal_on_disk_bytes(self, tmp_path):
         records = [("job", {"key": "k", "x": 1}), ("note", {"t": "#@record"})]
         path = str(tmp_path / "disk.artifact")
-        with ArtifactWriter(path, meta={"m": 1}) as writer:
-            for kind, payload in records:
-                writer.append(kind, payload)
+        write_artifact(path, {"m": 1}, records)
         blob = write_artifact_bytes({"m": 1}, records)
         with open(path, "rb") as handle:
             assert handle.read() == blob
 
+    def test_format_version_2_has_no_index(self):
+        blob = write_artifact_bytes({"m": 1}, [("job", {"key": "k"})])
+        lines = blob.splitlines()
+        assert lines[0] == b'#!REPRO-ARTIFACT {"format":"repro-artifact","version":2}'
+        assert [line.split(b" ")[0] for line in lines[1::2]] == [
+            b"#@meta", b"#@record", b"#!END",
+        ]
+
     def test_marker_text_inside_values_is_escaped_not_executed(self, tmp_path):
         path = str(tmp_path / "markers.artifact")
         evil = "\n#@record {\"kind\":\"job\",\"length\":1,\"seq\":9,\"sha256\":\"x\"}\n"
-        with ArtifactWriter(path, meta={}) as writer:
-            writer.append("job", {"key": "k", "note": evil})
+        write_artifact(path, {}, [("job", {"key": "k", "note": evil})])
         reader = ArtifactReader(path)
         assert reader.record_count == 1
         assert reader.records()[0].payload["note"] == evil
@@ -112,8 +120,7 @@ class TestSigning:
     def test_signed_round_trip_and_summary(self, tmp_path):
         path = str(tmp_path / "signed.artifact")
         key = generate_key()
-        with ArtifactWriter(path, meta=provenance(), key=key) as writer:
-            writer.append("job", {"key": "k"})
+        write_artifact(path, provenance(), [("job", {"key": "k"})], key=key)
         summary = verify_artifact(path, key=key)
         assert summary["signed"] is True
         assert summary["signature_verified"] is True
@@ -122,15 +129,13 @@ class TestSigning:
 
     def test_wrong_key_is_rejected(self, tmp_path):
         path = str(tmp_path / "signed.artifact")
-        with ArtifactWriter(path, meta={}, key=generate_key()) as writer:
-            writer.append("job", {"key": "k"})
+        write_artifact(path, {}, [("job", {"key": "k"})], key=generate_key())
         with pytest.raises(ArtifactSignatureError):
             ArtifactReader(path, key=generate_key())
 
     def test_unsigned_artifact_with_key_is_rejected(self, tmp_path):
         path = str(tmp_path / "plain.artifact")
-        with ArtifactWriter(path, meta={}) as writer:
-            writer.append("job", {"key": "k"})
+        write_artifact(path, {}, [("job", {"key": "k"})])
         with pytest.raises(ArtifactSignatureError):
             ArtifactReader(path, key=generate_key())
 
@@ -139,6 +144,17 @@ class TestSigning:
         key = write_key_file(path)
         assert load_key_file(path) == key
         assert os.stat(path).st_mode & 0o777 == 0o600
+
+    def test_keygen_force_over_a_readable_file_leaves_mode_0600(self, tmp_path, capsys):
+        path = str(tmp_path / "hmac.key")
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write("00" * 32 + "\n")
+        os.chmod(path, 0o644)
+        assert cli_main(["artifact", "keygen", path, "--force"]) == 0
+        assert "(mode 0600)" in capsys.readouterr().out
+        assert os.stat(path).st_mode & 0o777 == 0o600
+        assert load_key_file(path) != bytes(32)
+        assert os.listdir(tmp_path) == ["hmac.key"]
 
 
 # --------------------------------------------------------------------------- #
@@ -196,12 +212,13 @@ class TestEmitAndDiff:
         path = self._emit(tmp_path, "base.artifact", str(tmp_path / "cache"))
         reader = ArtifactReader(path)
         mutated = str(tmp_path / "mutated.artifact")
-        with ArtifactWriter(mutated, meta=reader.meta) as writer:
-            for record in reader.records():
-                payload = json.loads(json.dumps(record.payload))
-                if record.kind == "job":
-                    payload["result"]["cycles"] += 7
-                writer.append(record.kind, payload)
+        records = []
+        for record in reader.records():
+            payload = json.loads(json.dumps(record.payload))
+            if record.kind == "job":
+                payload["result"]["cycles"] += 7
+            records.append((record.kind, payload))
+        write_artifact(mutated, reader.meta, records)
         outcome = diff_artifacts(ArtifactReader(path), ArtifactReader(mutated))
         assert not outcome.is_empty
         changes = list(outcome.changed.values())[0]
@@ -210,12 +227,8 @@ class TestEmitAndDiff:
     def test_diff_reports_added_and_removed_records(self, tmp_path):
         left = str(tmp_path / "left.artifact")
         right = str(tmp_path / "right.artifact")
-        with ArtifactWriter(left, meta={}) as writer:
-            writer.append("job", {"key": "shared"})
-            writer.append("job", {"key": "only-left"})
-        with ArtifactWriter(right, meta={}) as writer:
-            writer.append("job", {"key": "shared"})
-            writer.append("job", {"key": "only-right"})
+        write_artifact(left, {}, [("job", {"key": "shared"}), ("job", {"key": "only-left"})])
+        write_artifact(right, {}, [("job", {"key": "shared"}), ("job", {"key": "only-right"})])
         outcome = diff_artifacts(ArtifactReader(left), ArtifactReader(right))
         assert outcome.removed == ["job:only-left"]
         assert outcome.added == ["job:only-right"]
@@ -226,27 +239,88 @@ class TestWriterValidation:
     def test_bad_kind_is_rejected_before_writing(self, tmp_path):
         path = str(tmp_path / "bad.artifact")
         with pytest.raises(ArtifactError):
-            with ArtifactWriter(path, meta={}) as writer:
-                writer.append("Not A Kind!", {"key": "k"})
-        # The failed session removed its half-written file.
-        assert not os.path.exists(path)
+            write_artifact(path, {}, [("Not A Kind!", {"key": "k"})])
+        assert os.listdir(tmp_path) == []
+
+    def test_rewrite_with_a_bad_kind_keeps_the_previous_artifact(self, tmp_path):
+        path = str(tmp_path / "run.artifact")
+        write_artifact(path, {}, [("job", {"key": "k"})])
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(ArtifactError):
+            write_artifact(path, {}, [("job", {"key": "k"}), ("Not A Kind!", {})])
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert os.listdir(tmp_path) == ["run.artifact"]
 
     def test_non_dict_payload_is_rejected(self, tmp_path):
         with pytest.raises(ArtifactError):
-            with ArtifactWriter(str(tmp_path / "x.artifact"), meta={}) as writer:
-                writer.append("job", [1, 2, 3])
+            write_artifact(str(tmp_path / "x.artifact"), {}, [("job", [1, 2, 3])])
 
     def test_nan_payload_is_rejected(self, tmp_path):
         with pytest.raises(ArtifactError):
-            with ArtifactWriter(str(tmp_path / "x.artifact"), meta={}) as writer:
-                writer.append("job", {"x": float("nan")})
+            write_artifact(str(tmp_path / "x.artifact"), {}, [("job", {"x": float("nan")})])
 
-    def test_closed_writer_refuses_appends(self, tmp_path):
-        path = str(tmp_path / "closed.artifact")
-        writer = ArtifactWriter(path, meta={})
-        writer.close()
-        with pytest.raises(ArtifactError):
-            writer.append("job", {"key": "k"})
+
+class _FullDisk(io.FileIO):
+    """A file whose every write fails the way a full disk does."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _full_disk_fdopen(descriptor, mode="r", *args, **kwargs):
+    return io.BufferedWriter(_FullDisk(descriptor, "wb"))
+
+
+def _raise_eio(*args, **kwargs):
+    raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+class TestAtomicWrite:
+    """A write that fails anywhere leaves the artifact that was at the path
+    byte for byte, no temporary file, and no unclosed handle."""
+
+    FAULTS = {
+        "write": ("fdopen", _full_disk_fdopen, errno.ENOSPC),
+        "fsync": ("fsync", _raise_eio, errno.EIO),
+        "replace": ("replace", _raise_eio, errno.EIO),
+    }
+
+    @pytest.mark.parametrize("stage", list(FAULTS))
+    def test_failed_rewrite_keeps_the_previous_artifact(self, tmp_path, monkeypatch, stage):
+        path = str(tmp_path / "run.artifact")
+        write_artifact(path, {"run": 1}, [("job", {"key": "k"})])
+        with open(path, "rb") as handle:
+            before = handle.read()
+        name, fault, code = self.FAULTS[stage]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, name, fault)
+                with pytest.raises(OSError) as excinfo:
+                    write_artifact(path, {"run": 2}, [("job", {"key": "new"})])
+            errno_seen, filename = excinfo.value.errno, excinfo.value.filename
+            del excinfo  # its traceback holds the writer's frame and handle
+            gc.collect()
+        assert errno_seen == code
+        assert filename == path
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert os.listdir(tmp_path) == ["run.artifact"]
+        # Once the fault clears, the same write goes through.
+        write_artifact(path, {"run": 2}, [("job", {"key": "new"})])
+        assert ArtifactReader(path).meta == {"run": 2}
+
+    def test_a_new_artifact_honours_the_umask(self, tmp_path):
+        path = str(tmp_path / "run.artifact")
+        previous = os.umask(0o027)
+        try:
+            write_artifact(path, {}, [])
+        finally:
+            os.umask(previous)
+        assert os.stat(path).st_mode & 0o777 == 0o640
 
 
 class TestCommittedBenchArtifacts:

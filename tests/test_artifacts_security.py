@@ -1,6 +1,6 @@
 """Adversarial artifact suite: every corruption class must raise a *typed*
 :class:`ArtifactError` -- truncation at any boundary, bit flips anywhere,
-poisoned index offsets, unknown-field injection, marker smuggling -- and
+a lying record count, unknown-field injection, marker smuggling -- and
 ``python -m repro artifact verify`` must exit nonzero on all of them.
 
 The forgery helper below rebuilds a structurally valid artifact from
@@ -10,7 +10,6 @@ hash consistent, so each test isolates exactly one defense.
 
 import dataclasses
 import hashlib
-import os
 import pathlib
 
 import pytest
@@ -19,7 +18,6 @@ from repro.artifacts import (
     ArtifactError,
     ArtifactFormatError,
     ArtifactHeaderError,
-    ArtifactIndexError,
     ArtifactMarkerError,
     ArtifactReader,
     ArtifactSignatureError,
@@ -31,7 +29,6 @@ from repro.artifacts import (
 from repro.artifacts.integrity import sha256_hex
 from repro.artifacts.spec import (
     Footer,
-    IndexEntry,
     MagicHeader,
     RecordHeader,
     canonical_json_bytes,
@@ -44,7 +41,20 @@ RECORDS = [
     ("job", {"key": "beta", "result": {"cycles": 200}}),
     ("report", {"wall_seconds": 1.5}),
 ]
-META = {"artifact_format": 1, "run": "security-suite"}
+META = {"artifact_format": 2, "run": "security-suite"}
+
+#: A complete, valid artifact as format version 1 wrote it (with its
+#: record index), byte for byte.
+V1_ARTIFACT = (
+    b'#!REPRO-ARTIFACT {"format":"repro-artifact","version":1}\n'
+    b'#@meta {"length":12,"sha256":"61b0c9572cf9cb28730ffb06ef542ba79ca2db62eeaeb26e587186fea84d9a32"}\n'
+    b'{"run":"v1"}\n'
+    b'#@record {"kind":"job","length":11,"seq":0,"sha256":"9d51e365f1c8bfc26e8dff4501c26cf03bf87902824143a6476f10c50e912cf0"}\n'
+    b'{"key":"k"}\n'
+    b'#@index {"count":1,"length":137,"sha256":"fa9330ffd2b038f3b4164bd05de1b1c7b92671ab5ca10184363a2dbc5f4e9d5d"}\n'
+    b'{"entries":[{"kind":"job","length":11,"offset":287,"seq":0,"sha256":"9d51e365f1c8bfc26e8dff4501c26cf03bf87902824143a6476f10c50e912cf0"}]}\n'
+    b'#!END {"content_sha256":"ad09c0eaa4e364287e9010a6a90ba2fdeef9b521241e8da1db9ee530db313dd9","records":1,"signature":null}\n'
+)
 
 
 def forge(
@@ -54,8 +64,6 @@ def forge(
     mutate_meta_header=None,
     mutate_record_header=None,
     mutate_payload=None,
-    mutate_entry=None,
-    mutate_index_header=None,
     mutate_footer=None,
 ):
     """Build artifact bytes, optionally poisoning exactly one layer.
@@ -65,7 +73,7 @@ def forge(
     inconsistency the reader gets to catch.
     """
     out = bytearray()
-    magic = {"format": "repro-artifact", "version": 1}
+    magic = {"format": "repro-artifact", "version": 2}
     if mutate_magic:
         magic = mutate_magic(magic)
     out += header_line("#!REPRO-ARTIFACT", magic)
@@ -77,42 +85,22 @@ def forge(
     out += header_line("#@meta", meta_header)
     out += meta_blob + b"\n"
 
-    entries = []
-    for seq, (kind, payload) in enumerate(RECORDS if records is None else records):
+    records = RECORDS if records is None else records
+    for seq, (kind, payload) in enumerate(records):
         blob = canonical_json_bytes(payload)
         if mutate_payload:
             blob = mutate_payload(blob, seq)
-        digest = sha256_hex(blob)
         record_header = {
-            "kind": kind, "length": len(blob), "seq": seq, "sha256": digest,
+            "kind": kind, "length": len(blob), "seq": seq, "sha256": sha256_hex(blob),
         }
         if mutate_record_header:
             record_header = mutate_record_header(record_header, seq)
         out += header_line("#@record", record_header)
-        offset = len(out)
         out += blob + b"\n"
-        entry = {
-            "kind": kind, "length": len(blob), "offset": offset,
-            "seq": seq, "sha256": digest,
-        }
-        if mutate_entry:
-            entry = mutate_entry(entry, seq)
-        entries.append(entry)
-
-    index_blob = canonical_json_bytes({"entries": entries})
-    index_header = {
-        "count": len(entries),
-        "length": len(index_blob),
-        "sha256": sha256_hex(index_blob),
-    }
-    if mutate_index_header:
-        index_header = mutate_index_header(index_header)
-    out += header_line("#@index", index_header)
-    out += index_blob + b"\n"
 
     footer = {
         "content_sha256": hashlib.sha256(bytes(out)).hexdigest(),
-        "records": len(entries),
+        "records": len(records),
         "signature": None,
     }
     if mutate_footer:
@@ -180,79 +168,18 @@ class TestBitFlips:
         assert untyped == [], f"untyped errors leaked: {untyped[:10]}"
 
 
-class TestIndexPoisoning:
-    """Index offsets are attacker-controlled numbers; every out-of-contract
-    value must be an :class:`ArtifactIndexError`, never a wild seek."""
+class TestRecordCount:
+    """With no index, the footer's record count is the one number that
+    describes the stream; it must agree with the records scanned."""
 
-    @staticmethod
-    def _poison(field, value, seq=0):
-        def mutate(entry, entry_seq):
-            if entry_seq == seq:
-                entry = dict(entry)
-                entry[field] = value
-            return entry
-        return mutate
-
-    def test_oversized_offset(self):
-        blob = forge(mutate_entry=self._poison("offset", 10 ** 9))
-        with pytest.raises(ArtifactIndexError):
-            ArtifactReader(blob)
-
-    def test_offset_past_record_region(self):
-        # Points inside the file but into the index/footer region.
-        blob = forge(mutate_entry=self._poison("offset", len(forge()) - 8))
-        with pytest.raises(ArtifactIndexError):
-            ArtifactReader(blob)
-
-    def test_negative_offset(self):
-        blob = forge(mutate_entry=self._poison("offset", -1))
-        with pytest.raises(ArtifactIndexError):
-            ArtifactReader(blob)
-
-    def test_negative_length(self):
-        blob = forge(mutate_entry=self._poison("length", -5))
-        with pytest.raises(ArtifactIndexError):
-            ArtifactReader(blob)
-
-    def test_oversized_length(self):
-        blob = forge(mutate_entry=self._poison("length", 1 << 40))
-        with pytest.raises(ArtifactIndexError):
-            ArtifactReader(blob)
-
-    def test_swapped_offsets_disagree_with_the_scan(self):
-        real = forge()
-        offsets = [entry.offset for entry in ArtifactReader(real).index_entries]
-
-        def swap(entry, seq):
-            entry = dict(entry)
-            entry["offset"] = offsets[1] if seq == 0 else (
-                offsets[0] if seq == 1 else entry["offset"]
-            )
-            return entry
-
-        with pytest.raises(ArtifactIndexError):
-            ArtifactReader(forge(mutate_entry=swap))
-
-    def test_unknown_index_entry_field(self):
-        blob = forge(mutate_entry=self._poison("__class__", "os.system"))
-        with pytest.raises(ArtifactIndexError):
-            ArtifactReader(blob)
-
-    def test_index_count_disagrees_with_entries(self):
-        def inflate(header):
-            header = dict(header)
-            header["count"] += 1
-            return header
-        with pytest.raises(ArtifactIndexError):
-            ArtifactReader(forge(mutate_index_header=inflate))
-
-    def test_footer_record_count_disagrees_with_stream(self):
-        def inflate(footer):
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_footer_record_count_disagrees_with_stream(self, delta):
+        def lie(footer):
             footer = dict(footer)
-            footer["records"] += 1
+            footer["records"] += delta
             return footer
-        with pytest.raises(ArtifactIndexError):
-            ArtifactReader(forge(mutate_footer=inflate))
+        with pytest.raises(ArtifactFormatError, match="footer declares"):
+            ArtifactReader(forge(mutate_footer=lie))
 
 
 class TestHeaderInjection:
@@ -410,9 +337,8 @@ class TestNoReflection:
         )
 
     @pytest.mark.parametrize("instance", [
-        MagicHeader(format="repro-artifact", version=1),
+        MagicHeader(format="repro-artifact", version=2),
         RecordHeader(kind="job", seq=0, length=2, sha256="0" * 64),
-        IndexEntry(kind="job", seq=0, offset=0, length=2, sha256="0" * 64),
         Footer(content_sha256="0" * 64, records=0, signature=None),
     ])
     def test_parsed_headers_are_frozen(self, instance):
@@ -448,8 +374,8 @@ class TestCliVerifyExitCodes:
     @pytest.mark.parametrize("name,blob_fn", [
         ("truncated", lambda: forge()[:200]),
         ("bitflip", lambda: forge()[:150] + bytes([forge()[150] ^ 1]) + forge()[151:]),
-        ("badindex", lambda: forge(
-            mutate_entry=lambda e, s: {**e, "offset": 10 ** 9})),
+        ("badcount", lambda: forge(
+            mutate_footer=lambda f: {**f, "records": 10 ** 9})),
         ("injected", lambda: forge(
             mutate_record_header=lambda h, s: {**h, "__class__": "x"})),
         ("trailing", lambda: forge() + b"junk"),
@@ -473,6 +399,14 @@ class TestCliVerifyExitCodes:
         assert cli_main(["artifact", "verify", path, "--key", key_path]) == 0
         capsys.readouterr()
         assert cli_main(["artifact", "verify", path, "--key", other_path]) != 0
+
+    def test_format_version_1_is_rejected(self, tmp_path, capsys):
+        path = self._write(tmp_path, "v1.artifact", V1_ARTIFACT)
+        assert cli_main(["artifact", "verify", path]) == 1
+        assert (
+            "unsupported artifact format version 1 (this reader speaks 2)"
+            in capsys.readouterr().err
+        )
 
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         assert cli_main(

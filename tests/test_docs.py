@@ -107,7 +107,7 @@ class TestEntryDocuments:
         for needle in (
             "#!REPRO-ARTIFACT", "HMAC", "constant time",
             "python -m repro artifact verify", "canonical JSON",
-            "ArtifactIndexError", "ArtifactHeaderError", "--auth-key",
+            "ArtifactFormatError", "ArtifactHeaderError", "--auth-key",
             "tests/test_artifacts_security.py", "X-Auth-Token",
         ):
             assert needle in artifacts, f"ARTIFACTS.md is missing {needle!r}"
@@ -132,16 +132,17 @@ class TestEntryDocuments:
 
     def test_docs_name_no_removed_lint_or_artifact_path(self):
         """The lint baseline, its file-wide scope and second entry point,
-        the artifact store, resume and index seek, the security analysis'
-        parameter object and override arguments, and the service's WebSocket
-        route are gone."""
+        the artifact store, streaming writer, index section and index seek,
+        the security analysis' parameter object and override arguments, and
+        the service's WebSocket route are gone."""
         docs = sorted((REPO_ROOT / "docs").glob("*.md")) + [REPO_ROOT / "README.md"]
         for path in docs:
             text = path.read_text(encoding="utf-8")
             for removed in (
                 "tools/reprolint.py", "--write-baseline",
                 "tools/reprolint_baseline.json", "disable-file",
-                "ArtifactStore", "ArtifactWriter.resume", "record_at",
+                "ArtifactStore", "ArtifactWriter", "record_at",
+                "#@index", "ArtifactIndexError",
                 "SecurityParameters", "security_params", "allow_insecure",
                 "WebSocket", "/ws/jobs",
             ):

@@ -5,8 +5,9 @@ Every mechanism at every N_RH replays the same workload mixes, so
 a bounded per-process memo (:func:`~repro.experiments.sweep.trace_set`)
 keyed by the six job fields they are built from, and the wave-attack bounds
 behind PRFM's and PRAC's secure thresholds are memoized too.  The memo may
-change no trace and no threshold, a shared trace must be immutable, and the
-memo must stay within its bound.
+change no trace and no threshold, a shared trace must be immutable, the
+memo must stay within its bound, and a sweep over more mixes than it holds
+must still share it.
 """
 
 import dataclasses
@@ -19,10 +20,11 @@ from repro.analysis.security import prfm_max_activations, secure_prfm_threshold
 from repro.attacks.patterns import AttackSpec
 from repro.core.prfm import PRFM
 from repro.cpu.trace import Trace, TraceEntry
-from repro.experiments.figures import FIG8_MECHANISMS, NRH_SWEEP
+from repro.experiments.figures import FIG8_MECHANISMS, NRH_SWEEP, fig7_data
 from repro.experiments.runner import default_mixes
 from repro.experiments.sweep import (
     TRACE_MEMO_SIZE,
+    SweepEngine,
     SweepSpec,
     attack_job,
     attack_search_job,
@@ -153,6 +155,17 @@ def test_the_memo_stays_within_its_bound():
         build_job_traces(mechanism_job(BASE, APPS, "Chronus", 1024, 50, seed=seed))
         assert trace_set.cache_info().currsize <= TRACE_MEMO_SIZE
     assert trace_set.cache_info().currsize == TRACE_MEMO_SIZE
+
+
+def test_a_sweep_over_more_mixes_than_the_memo_holds_still_shares():
+    """Fig. 7 sweeps ten single-application mixes, more than the memo's
+    eight sets; its jobs run mix by mix, so each mix's traces are built for
+    its alone/baseline job and once more for its mechanism jobs."""
+    assert TRACE_MEMO_SIZE < 10
+    fig7_data(accesses_per_core=50, engine=SweepEngine(workers=0))
+    info = trace_set.cache_info()
+    assert info.misses <= 20
+    assert info.hits >= 100
 
 
 def test_a_second_prfm_build_reuses_the_bound_evaluations():

@@ -1,4 +1,4 @@
-"""ResultCache concurrency and the sweep engine's worker pool.
+"""ResultCache concurrency, disk faults and the sweep engine's worker pool.
 
 The concurrent-writer regression is the PR 5 satellite fix: a monolithic
 single-JSON store loses entries when two workers read-modify-write it at the
@@ -7,9 +7,14 @@ its own file landed by an atomic rename -- and the stress test here drives
 real concurrent writer *processes* against one directory to pin that.
 """
 
+import errno
+import io
 import json
+import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
+import pytest
 
 from repro.experiments.cache import (
     ResultCache,
@@ -83,6 +88,60 @@ class TestConcurrentWriters:
         result = ResultCache(directory).get("shared-key")
         assert result is not None
         assert result.cycles in (101, 102)
+
+
+class TestDiskFaults:
+    """A full or failing disk under ``put``: the error reaches the caller
+    naming the entry, the shard keeps no temporary file and its old entry,
+    and the next ``put`` after the fault clears lands."""
+
+    @staticmethod
+    def _fault(monkeypatch, stage, code):
+        def fail(*args, **kwargs):
+            raise OSError(code, os.strerror(code))
+
+        class FailingFile(io.FileIO):
+            def write(self, data):
+                fail()
+
+        def failing_fdopen(descriptor, mode="r", *args, **kwargs):
+            return io.TextIOWrapper(
+                io.BufferedWriter(FailingFile(descriptor, "wb")), encoding="utf-8"
+            )
+
+        if stage == "mkstemp":
+            monkeypatch.setattr(tempfile, "mkstemp", fail)
+        elif stage == "json-write":
+            monkeypatch.setattr(os, "fdopen", failing_fdopen)
+        else:
+            monkeypatch.setattr(os, "replace", fail)
+
+    @pytest.mark.parametrize("code", [errno.ENOSPC, errno.EIO], ids=["ENOSPC", "EIO"])
+    @pytest.mark.parametrize("stage", ["mkstemp", "json-write", "replace"])
+    def test_failed_put_is_loud_atomic_and_recoverable(
+        self, tmp_path, monkeypatch, stage, code
+    ):
+        directory = str(tmp_path / "cache")
+        key = "ab" + "0" * 62
+        ResultCache(directory).put(key, make_result(1), {"tag": 1})
+        path = os.path.join(directory, key[:2], f"{key}.json")
+        with open(path, "rb") as handle:
+            before = handle.read()
+
+        with monkeypatch.context() as patch:
+            self._fault(patch, stage, code)
+            with pytest.raises(OSError) as excinfo:
+                ResultCache(directory).put(key, make_result(2), {"tag": 2})
+        assert excinfo.value.errno == code
+        assert excinfo.value.filename == path
+        assert path in str(excinfo.value)
+        assert os.listdir(os.path.dirname(path)) == [f"{key}.json"]
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+
+        ResultCache(directory).put(key, make_result(2), {"tag": 2})
+        assert ResultCache(directory).get(key) == make_result(2)
+        assert os.listdir(os.path.dirname(path)) == [f"{key}.json"]
 
 
 class TestAbsorb:

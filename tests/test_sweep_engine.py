@@ -70,6 +70,20 @@ class TestDefaultWorkers:
         with pytest.raises(ValueError, match=r"REPRO_SWEEP_WORKERS.*'eight'"):
             default_workers(auto=True)
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--dry-run", "--num-mixes", "1", "--nrh", "1024", "--no-cache"],
+        ["serve", "--port", "0", "--no-cache"],
+        ["attack", "search", "--mechanism", "Chronus", "--dry-run", "--no-cache"],
+        ["attack", "compare", "--mechanisms", "Chronus", "--no-cache"],
+    ], ids=["sweep", "serve", "attack-search", "attack-compare"])
+    def test_every_command_reports_an_unparsable_value(self, monkeypatch, capsys, argv):
+        monkeypatch.setenv(WORKERS_ENV, "eight")
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: REPRO_SWEEP_WORKERS must be an integer worker count, "
+            "got 'eight'\n"
+        )
+
     def test_negative_value_clamped_to_serial(self, monkeypatch):
         # Negative counts used to flow through to the engine verbatim.
         monkeypatch.setenv(WORKERS_ENV, "-4")
