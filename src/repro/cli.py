@@ -52,6 +52,13 @@ Subcommands:
     ``client health|stats|shutdown`` poke the server.  Used by the CI smoke
     test and the service load benchmark.
 
+Every command exits 0 on success; 1 when a check or the service failed (a
+corrupt artifact, a diff that found a difference, a lint finding, a job that
+did not end ``done``, a service that refused a call or could not be
+reached); and 2 for bad input or an output that cannot be written.  A
+failure prints one ``error: <message>`` line on stderr, and every check of
+a command's input and output paths runs before its first job.
+
 The on-disk cache location defaults to ``$REPRO_CACHE_DIR`` or
 ``.repro-cache``; pass ``--no-cache`` for a purely in-memory run.
 """
@@ -62,7 +69,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.attacks.patterns import (
     ATTACK_PATTERNS,
@@ -77,7 +85,7 @@ from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.figures import format_rows
 from repro.experiments.runner import compare, default_mixes
 from repro.experiments.sweep import SweepEngine, SweepSpec, default_workers
-from repro.system.config import paper_system_config
+from repro.system.config import SystemConfig, paper_system_config
 from repro.workloads.mixes import MIX_TYPES
 
 #: Mechanisms ``attack compare`` tabulates by default (one representative of
@@ -89,6 +97,191 @@ DEFAULT_COMPARE_MECHANISMS = ("Chronus", "PRAC-4", "PRFM", "Graphene")
 #: runs |mechanisms| x |grid| x |specs| simulations).
 DEFAULT_COMPARE_PATTERNS = ("wave", "single_sided", "rfm_dodge")
 
+T = TypeVar("T")
+
+
+class CommandError(Exception):
+    """Ends a command: :func:`main` prints ``error: <message>`` and returns
+    ``code`` -- 2 for bad input or an output that cannot be written, 1 for a
+    failed check or service call."""
+
+    def __init__(self, message: str, code: int = 2) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+def _named(error: Exception, code: int = 2) -> CommandError:
+    """A :class:`CommandError` that names the type of ``error``."""
+    return CommandError(f"{type(error).__name__}: {error}", code)
+
+
+# --------------------------------------------------------------------------- #
+# Options shared by several commands: each is declared and resolved here
+# --------------------------------------------------------------------------- #
+
+def _add_engine_options(
+    parser: argparse.ArgumentParser, auto_workers: Optional[bool] = None
+) -> None:
+    """Declare ``--cache-dir`` and, for a command that runs an engine
+    (``auto_workers`` not None), ``--no-cache`` and ``--workers``.  Without
+    ``--workers`` or ``$REPRO_SWEEP_WORKERS`` the engine takes one worker per
+    CPU when ``auto_workers`` holds, else runs serially."""
+    parser.add_argument(
+        "--cache-dir", default=None, metavar="PATH",
+        help="on-disk result cache (default: $REPRO_CACHE_DIR or .repro-cache)",
+    )
+    if auto_workers is None:
+        return
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="keep results in memory only (no on-disk cache)",
+    )
+    otherwise = "one per CPU up to 8; values below 2 run serially" if auto_workers else "serial"
+    parser.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help=f"worker processes (default: $REPRO_SWEEP_WORKERS, else {otherwise})",
+    )
+    parser.set_defaults(auto_workers=auto_workers)
+
+
+def _cache(args: argparse.Namespace) -> ResultCache:
+    if getattr(args, "no_cache", False):
+        return ResultCache(directory=None)
+    directory = args.cache_dir if args.cache_dir is not None else default_cache_dir()
+    return ResultCache(directory=directory)
+
+
+def _engine(args: argparse.Namespace) -> SweepEngine:
+    """The engine of the engine options.  The worker count is the last input
+    check, so call this after every other one: nothing before it creates an
+    engine, a pool or a cache directory."""
+    try:
+        workers = (
+            default_workers(auto=args.auto_workers) if args.workers is None
+            else max(0, args.workers)
+        )
+    except ValueError as error:
+        raise CommandError(str(error)) from None
+    return SweepEngine(cache=_cache(args), workers=workers)
+
+
+def _add_system_options(parser: argparse.ArgumentParser, attack: bool = False) -> None:
+    """Declare ``--channels`` and, for a command that aims attacks,
+    ``--channel``."""
+    parser.add_argument(
+        "--channels", type=int, default=1, metavar="N",
+        help="memory channels of the simulated system (default: 1, as in Table 2)",
+    )
+    if attack:
+        parser.add_argument(
+            "--channel", type=int, default=0, metavar="CH",
+            help="memory channel the attacks target (default: 0)",
+        )
+
+
+def _system_config(args: argparse.Namespace) -> SystemConfig:
+    """The paper's system on ``--channels``, with ``--channel`` inside it."""
+    try:
+        config = paper_system_config().with_overrides(channels=args.channels)
+    except ValueError as error:
+        raise CommandError(f"--channels: {error}") from None
+    channel = getattr(args, "channel", 0)
+    if not 0 <= channel < args.channels:
+        raise CommandError(f"--channel {channel} out of range [0, {args.channels})")
+    return config
+
+
+def _load_key(path: Optional[str]) -> Optional[bytes]:
+    """The HMAC key of a ``--sign-key``, ``--key`` or ``--auth-key`` file
+    (``None`` without one)."""
+    if path is None:
+        return None
+    from repro.artifacts import ArtifactKeyError, load_key_file
+
+    try:
+        return load_key_file(path)
+    except ArtifactKeyError as error:
+        raise _named(error) from None
+
+
+def _check_output(option: str, path: Optional[str]) -> None:
+    """Fail ``option`` up front when ``path``'s directory cannot take it."""
+    if path is None:
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise CommandError(f"{option}: {directory} is not a writable directory")
+
+
+def _write_output(option: str, write: Callable[[], T]) -> T:
+    """Run ``write``; a failure to write is bad input naming ``option``."""
+    from repro.artifacts import ArtifactError
+
+    try:
+        return write()
+    except (OSError, ArtifactError) as error:
+        raise CommandError(f"{option}: {error}") from None
+
+
+def _add_artifact_options(parser: argparse.ArgumentParser, content: str) -> None:
+    """Declare ``--artifact`` and ``--sign-key``."""
+    parser.add_argument(
+        "--artifact", default=None, metavar="PATH",
+        help=f"emit {content} as a signed, self-describing result artifact "
+             "(see docs/ARTIFACTS.md)",
+    )
+    parser.add_argument(
+        "--sign-key", default=None, metavar="FILE",
+        help="HMAC key file signing --artifact (create one with "
+             "'artifact keygen')",
+    )
+
+
+def _artifact_key(args: argparse.Namespace) -> Optional[bytes]:
+    """Check ``--artifact``'s directory and load ``--sign-key``, before any
+    job runs."""
+    if args.artifact is None:
+        return None
+    _check_output("--artifact", args.artifact)
+    return _load_key(args.sign_key)
+
+
+def _emit_artifact(args: argparse.Namespace, key: Optional[bytes], emit, *content, **meta) -> None:
+    """Write ``--artifact`` with ``emit(path, *content, key=key, **meta)``."""
+    if args.artifact is None:
+        return
+    count = _write_output("--artifact", lambda: emit(args.artifact, *content, key=key, **meta))
+    signed = " (signed)" if key is not None else ""
+    print(f"artifact written to {args.artifact}: {count} record(s){signed}")
+
+
+def _print_dry_run(
+    engine: SweepEngine, jobs: Sequence, columns: Callable[..., dict], noun: str,
+    detail: str = "",
+) -> int:
+    """List ``jobs`` (their ``columns``) with their cache status, then one
+    summary line that counts them as ``noun``."""
+    cached = [engine.cache.contains(job.key) for job in jobs]
+    print(format_rows([
+        {"job": index, **columns(job), "cached": "yes" if hit else "no", "key": job.key[:12]}
+        for index, (job, hit) in enumerate(zip(jobs, cached))
+    ]))
+    print(
+        f"\ndry run: {len(jobs)} {noun} ({detail}{sum(cached)} cached, "
+        f"{len(jobs) - sum(cached)} to simulate, workers={engine.workers}, "
+        f"cache={engine.cache.directory or 'memory-only'})"
+    )
+    return 0
+
+
+def _print_json(document: object) -> int:
+    print(json.dumps(document, indent=2, sort_keys=True))
+    return 0
+
+
+# --------------------------------------------------------------------------- #
+# The parser: every leaf names its handler
+# --------------------------------------------------------------------------- #
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -100,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = subparsers.add_parser(
         "sweep", help="run a (mechanism x N_RH x mix) performance sweep"
     )
+    sweep.set_defaults(handler=_cmd_sweep)
     sweep.add_argument(
         "--mechanisms", nargs="+", default=["Chronus", "PRAC-4"],
         metavar="NAME", help=f"mechanisms to sweep (from: {', '.join(MECHANISM_NAMES)})",
@@ -120,24 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--accesses", type=int, default=1000, metavar="N",
         help="memory accesses per core (paper: 100M instructions)",
     )
-    sweep.add_argument(
-        "--channels", type=int, default=1, metavar="N",
-        help="memory channels of the simulated system (default: 1, as in Table 2)",
-    )
+    _add_system_options(sweep)
     sweep.add_argument("--seed", type=int, default=0, help="trace-generation seed")
-    sweep.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes (default: $REPRO_SWEEP_WORKERS, else one per "
-             "CPU up to 8; values below 2 run serially)",
-    )
-    sweep.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="on-disk result cache (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    sweep.add_argument(
-        "--no-cache", action="store_true",
-        help="keep results in memory only (no on-disk cache)",
-    )
+    _add_engine_options(sweep, auto_workers=True)
     sweep.add_argument(
         "--dry-run", action="store_true",
         help="list the expanded jobs and their cache status, then exit",
@@ -147,44 +326,39 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the run report (RunReport.as_dict) as JSON -- the "
              "same serialization the service streams and the benches record",
     )
-    sweep.add_argument(
-        "--artifact", default=None, metavar="PATH",
-        help="emit the run as a signed, self-describing result artifact "
-             "(full SystemConfig + per-job results; see docs/ARTIFACTS.md)",
-    )
-    sweep.add_argument(
-        "--sign-key", default=None, metavar="FILE",
-        help="HMAC key file signing --artifact (create one with "
-             "'artifact keygen')",
-    )
+    _add_artifact_options(sweep, "the run (full SystemConfig + per-job results)")
 
     cache = subparsers.add_parser("cache", help="inspect or clear the result cache")
+    cache.set_defaults(handler=_cmd_cache)
     cache.add_argument("action", choices=["info", "clear"])
-    cache.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="on-disk result cache (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
+    _add_engine_options(cache)
 
-    subparsers.add_parser("mechanisms", help="list the available mechanism names")
+    subparsers.add_parser(
+        "mechanisms", help="list the available mechanism names"
+    ).set_defaults(handler=_cmd_mechanisms)
 
     lint = subparsers.add_parser(
         "lint",
         help="run reprolint, the project-aware static contract checker",
     )
-    from repro.lint.cli import add_lint_arguments
+    from repro.lint.cli import add_lint_arguments, run_lint
 
     add_lint_arguments(lint)
+    lint.set_defaults(handler=run_lint)
 
     attack = subparsers.add_parser(
         "attack", help="attack synthesis and empirical red-team search"
     )
     attack_sub = attack.add_subparsers(dest="attack_command", required=True)
 
-    attack_sub.add_parser("list", help="list the registered attack patterns")
+    attack_sub.add_parser(
+        "list", help="list the registered attack patterns"
+    ).set_defaults(handler=_cmd_attack_list)
 
     trace = attack_sub.add_parser(
         "trace", help="compile one attack pattern into a trace"
     )
+    trace.set_defaults(handler=_cmd_attack_trace)
     trace.add_argument(
         "--pattern", required=True, choices=list(pattern_names()),
         help="attack pattern to compile",
@@ -194,14 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="overrides", help="override a pattern parameter (repeatable)",
     )
     trace.add_argument("--seed", type=int, default=0, help="trace-generation seed")
-    trace.add_argument(
-        "--channel", type=int, default=0, metavar="CH",
-        help="target memory channel of the compiled attack (default: 0)",
-    )
-    trace.add_argument(
-        "--channels", type=int, default=1, metavar="N",
-        help="memory channels of the addressed system (default: 1)",
-    )
+    _add_system_options(trace, attack=True)
     trace.add_argument(
         "--out", default=None, metavar="PATH",
         help="save the compiled trace in the text format instead of printing stats",
@@ -213,36 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N", help="RowHammer thresholds of the grid scan",
         )
         parser.add_argument("--seed", type=int, default=0, help="trace/mechanism seed")
-        parser.add_argument(
-            "--channels", type=int, default=1, metavar="N",
-            help="memory channels of the probed system (default: 1)",
-        )
-        parser.add_argument(
-            "--channel", type=int, default=0, metavar="CH",
-            help="channel the synthesised attacks target (default: 0)",
-        )
+        _add_system_options(parser, attack=True)
         parser.add_argument(
             "--no-refine", action="store_true",
             help="skip the bisection refinement of the empirical boundary",
         )
-        parser.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="worker processes (default: $REPRO_SWEEP_WORKERS, else one "
-                 "per CPU up to 8; values below 2 run serially)",
-        )
-        parser.add_argument(
-            "--cache-dir", default=None, metavar="PATH",
-            help="on-disk result cache (default: $REPRO_CACHE_DIR or .repro-cache)",
-        )
-        parser.add_argument(
-            "--no-cache", action="store_true",
-            help="keep results in memory only (no on-disk cache)",
-        )
+        _add_engine_options(parser, auto_workers=True)
 
     search = attack_sub.add_parser(
         "search",
         help="search for the minimum N_RH at which an attack escapes a mechanism",
     )
+    search.set_defaults(handler=_cmd_attack_search)
     search.add_argument(
         "--mechanism", required=True, choices=list(MECHANISM_NAMES),
         help="mechanism to red-team",
@@ -256,19 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--dry-run", action="store_true",
         help="list the grid-scan probe jobs and their cache status, then exit",
     )
-    search.add_argument(
-        "--artifact", default=None, metavar="PATH",
-        help="emit the probe outcomes as a result artifact "
-             "(see docs/ARTIFACTS.md)",
-    )
-    search.add_argument(
-        "--sign-key", default=None, metavar="FILE",
-        help="HMAC key file signing --artifact",
-    )
+    _add_artifact_options(search, "the probe outcomes")
 
     compare = attack_sub.add_parser(
         "compare", help="tabulate the empirical vs analytical boundary per mechanism"
     )
+    compare.set_defaults(handler=_cmd_attack_compare)
     compare.add_argument(
         "--mechanisms", nargs="+", default=list(DEFAULT_COMPARE_MECHANISMS),
         choices=list(MECHANISM_NAMES), metavar="NAME",
@@ -289,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     keygen = artifact_sub.add_parser(
         "keygen", help="generate an HMAC signing/auth key file"
     )
+    keygen.set_defaults(handler=_cmd_artifact_keygen)
     keygen.add_argument("path", help="where to write the key (hex, mode 0600)")
     keygen.add_argument(
         "--force", action="store_true", help="overwrite an existing key file"
@@ -298,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="fully verify one artifact (nonzero exit on any corruption)",
     )
+    verify.set_defaults(handler=_cmd_artifact_verify)
     verify.add_argument("path", help="artifact to verify")
     verify.add_argument(
         "--key", default=None, metavar="FILE",
@@ -307,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     show = artifact_sub.add_parser(
         "show", help="print an artifact's provenance meta and record listing"
     )
+    show.set_defaults(handler=_cmd_artifact_show)
     show.add_argument("path", help="artifact to show")
     show.add_argument(
         "--key", default=None, metavar="FILE",
@@ -320,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     adiff = artifact_sub.add_parser(
         "diff", help="compare two artifacts job-by-job"
     )
+    adiff.set_defaults(handler=_cmd_artifact_diff)
     adiff.add_argument("left", help="baseline artifact")
     adiff.add_argument("right", help="artifact to compare against the baseline")
     adiff.add_argument(
@@ -330,39 +476,30 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve", help="run the simulation service (HTTP job server)"
     )
+    serve.set_defaults(handler=_cmd_serve)
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
         "--port", type=int, default=8123,
         help="bind port (0 picks a free port and prints it)",
     )
+    _add_engine_options(serve, auto_workers=False)
+    # The admission defaults belong to FairQueue; only a given flag
+    # overrides one (test_cli_errors pins these help texts to them).
     serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes of the shared engine (default: "
-             "$REPRO_SWEEP_WORKERS, else serial)",
-    )
-    serve.add_argument(
-        "--queue-depth", type=int, default=32, metavar="N",
+        "--queue-depth", type=int, default=None, metavar="N",
         help="bounded job-queue depth; overflow answers 429 (default: 32)",
     )
     serve.add_argument(
-        "--client-cap", type=int, default=4, metavar="N",
+        "--client-cap", type=int, default=None, metavar="N",
         help="max jobs one client may have queued or running (default: 4)",
     )
     serve.add_argument(
-        "--rate", type=float, default=10.0, metavar="R",
+        "--rate", type=float, default=None, metavar="R",
         help="per-client submissions per second refill rate (default: 10)",
     )
     serve.add_argument(
-        "--burst", type=int, default=20, metavar="N",
+        "--burst", type=int, default=None, metavar="N",
         help="per-client submission token-bucket burst (default: 20)",
-    )
-    serve.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="on-disk result cache (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true",
-        help="keep results in memory only (no on-disk cache)",
     )
     serve.add_argument(
         "--auth-key", default=None, metavar="FILE",
@@ -389,6 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     client_sub = client.add_subparsers(dest="client_command", required=True)
 
     submit = client_sub.add_parser("submit", help="submit a job")
+    submit.set_defaults(handler=_client_command(_client_submit))
     submit.add_argument(
         "--kind", choices=["sweep", "attack_search"], default="sweep",
         help="job kind (default: sweep)",
@@ -422,73 +560,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     watch = client_sub.add_parser("watch", help="stream one job's events")
+    watch.set_defaults(handler=_client_command(
+        lambda args, service: _watch_until_done(service, args.job_id, args.timeout)
+    ))
     watch.add_argument("job_id")
     watch.add_argument("--timeout", type=float, default=300.0)
 
     status = client_sub.add_parser("status", help="print one job's snapshot")
+    status.set_defaults(handler=_client_command(
+        lambda args, service: _print_json(service.status(args.job_id, full=args.full))
+    ))
     status.add_argument("job_id")
     status.add_argument(
         "--full", action="store_true", help="include the full event log"
     )
 
     cancel = client_sub.add_parser("cancel", help="cancel one job")
+    cancel.set_defaults(handler=_client_command(
+        lambda args, service: _print_json(service.cancel(args.job_id))
+    ))
     cancel.add_argument("job_id")
 
     cartifact = client_sub.add_parser(
         "artifact", help="download one finished job's signed result artifact"
     )
+    cartifact.set_defaults(handler=_client_command(_client_artifact))
     cartifact.add_argument("job_id")
     cartifact.add_argument(
         "--out", required=True, metavar="PATH",
         help="where to write the artifact",
     )
 
-    client_sub.add_parser("health", help="print the service health document")
-    client_sub.add_parser("stats", help="print the service statistics")
-    client_sub.add_parser("shutdown", help="ask the service to stop cleanly")
+    client_sub.add_parser(
+        "health", help="print the service health document"
+    ).set_defaults(handler=_client_command(lambda args, service: _print_json(service.health())))
+    client_sub.add_parser(
+        "stats", help="print the service statistics"
+    ).set_defaults(handler=_client_command(lambda args, service: _print_json(service.stats())))
+    client_sub.add_parser(
+        "shutdown", help="ask the service to stop cleanly"
+    ).set_defaults(handler=_client_command(lambda args, service: _print_json(service.shutdown())))
     return parser
 
 
-def _resolve_cache(args: argparse.Namespace) -> ResultCache:
-    if getattr(args, "no_cache", False):
-        return ResultCache(directory=None)
-    directory = args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    return ResultCache(directory=directory)
-
-
-def _load_key_arg(path: Optional[str]) -> Optional[bytes]:
-    """Load an HMAC key file argument; ``None`` stays ``None``.
-
-    Raises :class:`repro.artifacts.ArtifactError` (the caller turns it into
-    exit code 2 -- a usage error, not a verification failure).
-    """
-    if path is None:
-        return None
-    from repro.artifacts import load_key_file
-
-    return load_key_file(path)
-
+# --------------------------------------------------------------------------- #
+# sweep / cache / mechanisms
+# --------------------------------------------------------------------------- #
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    base_config = _system_config(args)
     mixes = [
         mix.applications
         for mix in default_mixes(args.num_mixes, mix_types=args.mix_types)
     ]
     if not mixes:
-        print("error: no mixes selected", file=sys.stderr)
-        return 2
-    cache = _resolve_cache(args)
-    try:
-        workers = default_workers(auto=True) if args.workers is None else args.workers
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    engine = SweepEngine(cache=cache, workers=workers)
-    try:
-        base_config = paper_system_config().with_overrides(channels=args.channels)
-    except ValueError as error:
-        print(f"error: --channels: {error}", file=sys.stderr)
-        return 2
+        raise CommandError("no mixes selected")
     try:
         spec = SweepSpec(
             mechanisms=args.mechanisms,
@@ -499,33 +625,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             base_config=base_config,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise CommandError(str(error)) from None
+    _check_output("--report-json", args.report_json)
+    key = _artifact_key(args)
+    engine = _engine(args)
     jobs = spec.expand()
-
     if args.dry_run:
-        rows = [
-            {
-                "job": index,
+        return _print_dry_run(
+            engine, jobs,
+            lambda job: {
                 "workload": job.workload_name,
                 "mechanism": job.config.mechanism,
                 "nrh": job.config.nrh,
                 "cores": job.config.num_cores,
                 "accesses": job.accesses_per_core,
-                "cached": "yes" if cache.contains(job.key) else "no",
-                "key": job.key[:12],
-            }
-            for index, job in enumerate(jobs)
-        ]
-        print(format_rows(rows))
-        cached = sum(1 for row in rows if row["cached"] == "yes")
-        print(
-            f"\ndry run: {len(jobs)} jobs ({spec.num_points()} sweep points, "
-            f"{cached} cached, {len(jobs) - cached} to simulate, "
-            f"workers={workers}, "
-            f"cache={cache.directory or 'memory-only'})"
+            },
+            "jobs", f"{spec.num_points()} sweep points, ",
         )
-        return 0
 
     try:
         results = engine.run_jobs(jobs)
@@ -546,34 +662,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(format_rows(rows))
     print()
     print(engine.last_run_report.summary_line())
-    print(f"{engine.executed_jobs} jobs simulated; {cache.summary()}")
+    print(f"{engine.executed_jobs} jobs simulated; {engine.cache.summary()}")
     if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as handle:
-            json.dump(engine.last_run_report.as_dict(), handle, indent=2, sort_keys=True)
+        report = json.dumps(engine.last_run_report.as_dict(), indent=2, sort_keys=True)
+        _write_output(
+            "--report-json",
+            lambda: Path(args.report_json).write_text(report, encoding="utf-8"),
+        )
         print(f"run report written to {args.report_json}")
-    if args.artifact:
-        from repro.artifacts import ArtifactError
-        from repro.artifacts.emit import emit_run_artifact
+    from repro.artifacts.emit import emit_run_artifact
 
-        try:
-            key = _load_key_arg(args.sign_key)
-            count = emit_run_artifact(
-                args.artifact, jobs, results,
-                report=engine.last_run_report, base_config=base_config,
-                key=key,
-                extra_meta={"command": "sweep", "accesses": args.accesses,
-                            "seed": args.seed},
-            )
-        except ArtifactError as error:
-            print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
-            return 2
-        signed = " (signed)" if key is not None else ""
-        print(f"artifact written to {args.artifact}: {count} record(s){signed}")
+    _emit_artifact(
+        args, key, emit_run_artifact, jobs, results,
+        report=engine.last_run_report, base_config=base_config,
+        extra_meta={"command": "sweep", "accesses": args.accesses, "seed": args.seed},
+    )
     return 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    cache = _resolve_cache(args)
+    cache = _cache(args)
     if args.action == "clear":
         removed = cache.clear()
         print(f"removed {removed} entries from {cache.directory}")
@@ -583,7 +691,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_mechanisms() -> int:
+def _cmd_mechanisms(args: argparse.Namespace) -> int:
     for name in MECHANISM_NAMES:
         print(name)
     return 0
@@ -593,7 +701,7 @@ def _cmd_mechanisms() -> int:
 # attack subcommands
 # --------------------------------------------------------------------------- #
 
-def _cmd_attack_list() -> int:
+def _cmd_attack_list(args: argparse.Namespace) -> int:
     rows = [
         {
             "pattern": pattern.name,
@@ -619,20 +727,17 @@ def _parse_overrides(pairs: Sequence[str]) -> Dict[str, int]:
 
 
 def _cmd_attack_trace(args: argparse.Namespace) -> int:
+    organization = _system_config(args).organization
     try:
         spec = AttackSpec.create(
             args.pattern, _parse_overrides(args.overrides), seed=args.seed,
             channel=args.channel,
         )
-        organization = paper_system_config().with_overrides(
-            channels=args.channels
-        ).organization
         trace = spec.compile(organization=organization)
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise CommandError(str(error)) from None
     if args.out:
-        trace.save(args.out)
+        _write_output("--out", lambda: trace.save(args.out))
         print(f"saved {trace.memory_accesses} accesses to {args.out}")
         return 0
     print(f"pattern: {spec.label} (seed {spec.seed})")
@@ -647,21 +752,16 @@ def _cmd_attack_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _redteam_engine(args: argparse.Namespace) -> RedTeamEngine:
-    """The engine of ``attack search|compare``.
+def _search_config(args: argparse.Namespace) -> SystemConfig:
+    """The probed system of ``attack search|compare``, after their checks."""
+    config = _system_config(args)
+    if min(args.nrh) <= 0:
+        raise CommandError("nrh_values must be positive")
+    return config
 
-    Raises :class:`ValueError` naming a bad ``--channels``, ``--channel`` or
-    worker count before any cache directory is created.
-    """
-    try:
-        base_config = paper_system_config().with_overrides(channels=args.channels)
-    except ValueError as error:
-        raise ValueError(f"--channels: {error}") from None
-    if not 0 <= args.channel < args.channels:
-        raise ValueError(f"--channel {args.channel} out of range [0, {args.channels})")
-    workers = default_workers(auto=True) if args.workers is None else args.workers
-    engine = SweepEngine(cache=_resolve_cache(args), workers=workers)
-    return RedTeamEngine(engine=engine, base_config=base_config, seed=args.seed)
+
+def _redteam(args: argparse.Namespace, base_config: SystemConfig) -> RedTeamEngine:
+    return RedTeamEngine(engine=_engine(args), base_config=base_config, seed=args.seed)
 
 
 def _search_report_rows(report: RedTeamReport) -> List[dict]:
@@ -707,49 +807,28 @@ def _print_search_summary(report: RedTeamReport) -> None:
 
 
 def _cmd_attack_search(args: argparse.Namespace) -> int:
-    try:
-        redteam = _redteam_engine(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    base_config = _search_config(args)
+    key = _artifact_key(args)
+    redteam = _redteam(args, base_config)
     specs = default_search_specs(args.patterns, seed=args.seed, channel=args.channel)
 
     if args.dry_run:
-        try:
-            jobs = redteam.probe_jobs(args.mechanism, sorted(set(args.nrh)), specs)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        cache = redteam.engine.cache
-        organization = redteam.base_config.organization
-        rows = [
-            {
-                "job": index,
+        return _print_dry_run(
+            redteam.engine,
+            redteam.probe_jobs(args.mechanism, sorted(set(args.nrh)), specs),
+            lambda job: {
                 "workload": job.workload_name,
                 "nrh": job.config.nrh,
-                "accesses": job.attack.trace_length(organization),
-                "cached": "yes" if cache.contains(job.key) else "no",
-                "key": job.key[:12],
-            }
-            for index, job in enumerate(jobs)
-        ]
-        print(format_rows(rows))
-        cached = sum(1 for row in rows if row["cached"] == "yes")
-        print(
-            f"\ndry run: {len(jobs)} grid-scan probes ({cached} cached, "
-            f"{len(jobs) - cached} to simulate, workers={redteam.engine.workers}, "
-            f"cache={cache.directory or 'memory-only'})"
+                "accesses": job.attack.trace_length(base_config.organization),
+            },
+            "grid-scan probes",
         )
-        return 0
 
     try:
         report = redteam.search(
             args.mechanism, args.nrh, specs=specs,
             refine=not args.no_refine,
         )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     finally:
         redteam.engine.close()
     print(f"red-team search: {args.mechanism} ({len(specs)} attack specs per N_RH)")
@@ -759,32 +838,18 @@ def _cmd_attack_search(args: argparse.Namespace) -> int:
         f"\n{redteam.engine.executed_jobs} probes simulated; "
         f"{redteam.engine.cache.summary()}"
     )
-    if args.artifact:
-        from repro.artifacts import ArtifactError
-        from repro.artifacts.emit import emit_probe_artifact
+    from repro.artifacts.emit import emit_probe_artifact
 
-        try:
-            key = _load_key_arg(args.sign_key)
-            count = emit_probe_artifact(
-                args.artifact, report.probes,
-                base_config=redteam.base_config, key=key,
-                extra_meta={"command": "attack search",
-                            "mechanism": args.mechanism, "seed": args.seed},
-            )
-        except ArtifactError as error:
-            print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
-            return 2
-        signed = " (signed)" if key is not None else ""
-        print(f"artifact written to {args.artifact}: {count} record(s){signed}")
+    _emit_artifact(
+        args, key, emit_probe_artifact, report.probes, base_config=base_config,
+        extra_meta={"command": "attack search", "mechanism": args.mechanism,
+                    "seed": args.seed},
+    )
     return 0
 
 
 def _cmd_attack_compare(args: argparse.Namespace) -> int:
-    try:
-        redteam = _redteam_engine(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    redteam = _redteam(args, _search_config(args))
     specs = default_search_specs(args.patterns, seed=args.seed, channel=args.channel)
     rows = []
     try:
@@ -823,53 +888,45 @@ def _cmd_attack_compare(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------- #
 
 def _cmd_artifact_keygen(args: argparse.Namespace) -> int:
-    import os
-
     from repro.artifacts import write_key_file
 
     if os.path.exists(args.path) and not args.force:
-        print(
-            f"error: {args.path} exists (pass --force to overwrite)",
-            file=sys.stderr,
-        )
-        return 2
-    key = write_key_file(args.path)
+        raise CommandError(f"{args.path} exists (pass --force to overwrite)")
+    key = _write_output("artifact keygen", lambda: write_key_file(args.path))
     print(f"wrote {len(key)}-byte key to {args.path} (mode 0600)")
     return 0
 
 
 def _cmd_artifact_verify(args: argparse.Namespace) -> int:
-    from repro.artifacts import ArtifactError, ArtifactKeyError, verify_artifact
+    from repro.artifacts import ArtifactError, verify_artifact
 
-    try:
-        key = _load_key_arg(args.key)
-    except ArtifactKeyError as error:
-        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
-        return 2
+    key = _load_key(args.key)
     try:
         summary = verify_artifact(args.path, key=key)
     except ArtifactError as error:
-        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
-        return 1
-    print(json.dumps(summary, indent=2, sort_keys=True))
+        raise _named(error, 1) from None
+    _print_json(summary)
     print(f"OK: {args.path} verified ({summary['records']} records)")
     return 0
 
 
-def _cmd_artifact_show(args: argparse.Namespace) -> int:
-    from repro.artifacts import ArtifactError, ArtifactKeyError, ArtifactReader
+def _signature_line(summary: Dict[str, object]) -> str:
+    return (
+        f"{summary['records']} record(s), "
+        f"{'signed' if summary['signed'] else 'unsigned'}"
+        f"{' + signature verified' if summary['signature_verified'] else ''}"
+    )
 
-    try:
-        key = _load_key_arg(args.key)
-    except ArtifactKeyError as error:
-        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
-        return 2
+
+def _cmd_artifact_show(args: argparse.Namespace) -> int:
+    from repro.artifacts import ArtifactError, ArtifactReader
+
+    key = _load_key(args.key)
     try:
         reader = ArtifactReader(args.path, key=key)
     except ArtifactError as error:
-        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
-        return 1
-    print(json.dumps({"meta": reader.meta}, indent=2, sort_keys=True))
+        raise _named(error, 1) from None
+    _print_json({"meta": reader.meta})
     rows = [
         {
             "seq": record.seq,
@@ -881,12 +938,7 @@ def _cmd_artifact_show(args: argparse.Namespace) -> int:
     ]
     if rows:
         print(format_rows(rows))
-    summary = reader.verify_summary()
-    print(
-        f"\n{summary['records']} record(s), "
-        f"{'signed' if summary['signed'] else 'unsigned'}"
-        f"{' + signature verified' if summary['signature_verified'] else ''}"
-    )
+    print(f"\n{_signature_line(reader.verify_summary())}")
     if args.records:
         for record in reader.records():
             print(json.dumps(record.payload, sort_keys=True))
@@ -900,26 +952,13 @@ def _cmd_artifact_diff(args: argparse.Namespace) -> int:
         left = ArtifactReader(args.left)
         right = ArtifactReader(args.right)
     except ArtifactError as error:
-        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
-        return 2
+        raise _named(error) from None
     outcome = diff_artifacts(
         left, right, include_volatile=args.include_volatile
     )
     for line in outcome.summary_lines():
         print(line)
     return 0 if outcome.is_empty else 1
-
-
-def _cmd_artifact(args: argparse.Namespace) -> int:
-    if args.artifact_command == "keygen":
-        return _cmd_artifact_keygen(args)
-    if args.artifact_command == "verify":
-        return _cmd_artifact_verify(args)
-    if args.artifact_command == "show":
-        return _cmd_artifact_show(args)
-    if args.artifact_command == "diff":
-        return _cmd_artifact_diff(args)
-    raise AssertionError(f"unhandled artifact command {args.artifact_command!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -929,31 +968,20 @@ def _cmd_artifact(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.service.queue import FairQueue
     from repro.service.server import SimulationService, run_service
 
-    try:
-        workers = default_workers() if args.workers is None else max(0, args.workers)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    cache_dir = None if args.no_cache else (
-        args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    )
-    from repro.artifacts import ArtifactKeyError
-
-    try:
-        auth_key = _load_key_arg(args.auth_key)
-    except ArtifactKeyError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    service = SimulationService.build(
-        cache_dir=cache_dir,
-        workers=workers,
-        max_queue_depth=args.queue_depth,
-        per_client_active=args.client_cap,
-        rate=args.rate,
-        burst=args.burst,
-        auth_key=auth_key,
+    auth_key = _load_key(args.auth_key)
+    admission = {
+        name: value
+        for name, value in (
+            ("max_depth", args.queue_depth), ("per_client_active", args.client_cap),
+            ("rate", args.rate), ("burst", args.burst),
+        )
+        if value is not None
+    }
+    service = SimulationService(
+        engine=_engine(args), queue=FairQueue(**admission), auth_key=auth_key
     )
     try:
         asyncio.run(run_service(service, host=args.host, port=args.port))
@@ -964,28 +992,51 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_server(address: str) -> tuple:
-    host, separator, port_text = address.rpartition(":")
-    if not separator:
-        raise ValueError(f"expected HOST:PORT, got {address!r}")
-    return host, int(port_text)
+def _client_command(call: Callable) -> Callable[[argparse.Namespace], int]:
+    """The handler of a ``client`` subcommand: ``call(args, client)`` on a
+    client of ``--server``, where a refused call or a failed connection
+    exits 1."""
+
+    def handler(args: argparse.Namespace) -> int:
+        from repro.service.client import ServiceClient, ServiceError
+
+        host, separator, port_text = args.server.rpartition(":")
+        if not separator:
+            raise CommandError(f"expected HOST:PORT, got {args.server!r}")
+        try:
+            port = int(port_text)
+        except ValueError as error:
+            raise CommandError(str(error)) from None
+        client = ServiceClient(
+            host=host, port=port, client_id=args.client_id,
+            auth_key=_load_key(args.auth_key),
+        )
+        try:
+            return call(args, client)
+        except ServiceError as error:
+            detail = f" (retry after {error.retry_after}s)" if error.retry_after else ""
+            raise CommandError(f"{error}{detail}", 1) from None
+        except (ConnectionError, OSError, TimeoutError) as error:
+            raise CommandError(f"cannot reach {args.server}: {error}", 1) from None
+
+    return handler
 
 
 def _client_spec(args: argparse.Namespace) -> Dict[str, object]:
     """The spec payload of ``client submit`` (inline JSON, file, or flags)."""
-    import os
-
     if args.spec is not None:
         text = args.spec
-        if os.path.exists(text):
-            with open(text, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        spec = json.loads(text)
+        try:
+            if os.path.exists(text):
+                text = Path(text).read_text(encoding="utf-8")
+            spec = json.loads(text)
+        except (ValueError, OSError) as error:
+            raise CommandError(str(error)) from None
         if not isinstance(spec, dict):
-            raise ValueError("spec must be a JSON object")
+            raise CommandError("spec must be a JSON object")
         return spec
     if args.kind != "sweep":
-        raise ValueError("--spec is required for non-sweep submissions")
+        raise CommandError("--spec is required for non-sweep submissions")
     return {
         "mechanisms": args.mechanisms,
         "nrh": args.nrh,
@@ -993,6 +1044,32 @@ def _client_spec(args: argparse.Namespace) -> Dict[str, object]:
         "accesses": args.accesses,
         "seed": args.seed,
     }
+
+
+def _client_submit(args: argparse.Namespace, client) -> int:
+    response = client.submit(_client_spec(args), kind=args.kind, priority=args.priority)
+    _print_json(response)
+    if not args.watch:
+        return 0
+    return _watch_until_done(client, str(response["job"]), args.timeout)
+
+
+def _client_artifact(args: argparse.Namespace, client) -> int:
+    from repro.artifacts import ArtifactError, ArtifactReader
+
+    blob = client.artifact(args.job_id)
+    try:
+        reader = ArtifactReader(blob, key=client.auth_key)
+    except ArtifactError as error:
+        raise CommandError(
+            f"served artifact failed verification: {type(error).__name__}: {error}", 1
+        ) from None
+    _write_output("--out", lambda: Path(args.out).write_bytes(blob))
+    print(
+        f"artifact for job {args.job_id} written to {args.out}: "
+        f"{_signature_line(reader.verify_summary())}"
+    )
+    return 0
 
 
 def _print_event(event: Dict[str, object]) -> None:
@@ -1029,132 +1106,21 @@ def _watch_until_done(client, job_id: str, timeout: float) -> int:
             if event.get("event") == "state":
                 final_state = str(event.get("state"))
     except TimeoutError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+        raise CommandError(str(error), 1) from None
     return 0 if final_state == "done" else 1
-
-
-def _cmd_client(args: argparse.Namespace) -> int:
-    from repro.artifacts import ArtifactKeyError
-    from repro.service.client import ServiceClient, ServiceError
-
-    try:
-        host, port = _parse_server(args.server)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        auth_key = _load_key_arg(args.auth_key)
-    except ArtifactKeyError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    client = ServiceClient(
-        host=host, port=port, client_id=args.client_id, auth_key=auth_key
-    )
-    try:
-        if args.client_command == "submit":
-            try:
-                spec = _client_spec(args)
-            except (ValueError, OSError) as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
-            response = client.submit(spec, kind=args.kind, priority=args.priority)
-            print(json.dumps(response, indent=2, sort_keys=True))
-            if not args.watch:
-                return 0
-            return _watch_until_done(client, str(response["job"]), args.timeout)
-        if args.client_command == "watch":
-            return _watch_until_done(client, args.job_id, args.timeout)
-        if args.client_command == "status":
-            print(json.dumps(client.status(args.job_id, full=args.full),
-                             indent=2, sort_keys=True))
-            return 0
-        if args.client_command == "cancel":
-            print(json.dumps(client.cancel(args.job_id), indent=2, sort_keys=True))
-            return 0
-        if args.client_command == "artifact":
-            from repro.artifacts import ArtifactError, ArtifactReader
-
-            blob = client.artifact(args.job_id)
-            try:
-                reader = ArtifactReader(blob, key=auth_key)
-            except ArtifactError as error:
-                print(
-                    f"error: served artifact failed verification: "
-                    f"{type(error).__name__}: {error}",
-                    file=sys.stderr,
-                )
-                return 1
-            with open(args.out, "wb") as handle:
-                handle.write(blob)
-            summary = reader.verify_summary()
-            print(
-                f"artifact for job {args.job_id} written to {args.out}: "
-                f"{summary['records']} record(s), "
-                f"{'signed' if summary['signed'] else 'unsigned'}"
-                f"{' + signature verified' if summary['signature_verified'] else ''}"
-            )
-            return 0
-        if args.client_command == "health":
-            print(json.dumps(client.health(), indent=2, sort_keys=True))
-            return 0
-        if args.client_command == "stats":
-            print(json.dumps(client.stats(), indent=2, sort_keys=True))
-            return 0
-        if args.client_command == "shutdown":
-            print(json.dumps(client.shutdown(), indent=2, sort_keys=True))
-            return 0
-    except ServiceError as error:
-        detail = f" (retry after {error.retry_after}s)" if error.retry_after else ""
-        print(f"error: {error}{detail}", file=sys.stderr)
-        return 1
-    except (ConnectionError, OSError, TimeoutError) as error:
-        print(f"error: cannot reach {args.server}: {error}", file=sys.stderr)
-        return 1
-    raise AssertionError(f"unhandled client command {args.client_command!r}")
-
-
-def _cmd_attack(args: argparse.Namespace) -> int:
-    if args.attack_command == "list":
-        return _cmd_attack_list()
-    if args.attack_command == "trace":
-        return _cmd_attack_trace(args)
-    if args.attack_command == "search":
-        return _cmd_attack_search(args)
-    if args.attack_command == "compare":
-        return _cmd_attack_compare(args)
-    raise AssertionError(f"unhandled attack command {args.attack_command!r}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     try:
-        return _dispatch(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
+    except CommandError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return error.code
     except BrokenPipeError:
         # Piping into ``head``/``jq`` closes stdout early (common with
         # ``artifact show``); swap in devnull so interpreter shutdown does
         # not raise again while flushing, and exit quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-
-
-def _dispatch(args) -> int:
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "mechanisms":
-        return _cmd_mechanisms()
-    if args.command == "lint":
-        from repro.lint.cli import run_lint
-
-        return run_lint(args)
-    if args.command == "attack":
-        return _cmd_attack(args)
-    if args.command == "artifact":
-        return _cmd_artifact(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "client":
-        return _cmd_client(args)
-    raise AssertionError(f"unhandled command {args.command!r}")

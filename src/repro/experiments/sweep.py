@@ -363,9 +363,17 @@ def attack_search_job(
 
 #: Trace sets kept by the per-process memo of :func:`build_job_traces`.  The
 #: benches cycle through at most four mixes, and a four-core set at 1,500
-#: accesses per core holds about 0.6 MB.  A sweep over more mixes than this
-#: (Fig. 7 at its default ten applications) builds every job's traces anew.
+#: accesses per core holds about 0.6 MB.  Jobs expand mix by mix, so a sweep
+#: over more mixes than this still shares each mix's set.
 TRACE_MEMO_SIZE = 8
+
+#: Trace entries (over every core) above which :func:`build_job_traces`
+#: builds a job's set without the memo.  An entry holds about 99 bytes, so a
+#: full memo stays under 80 MB; a four-core set at the service's largest
+#: budget (200,000 accesses per core) holds 79 MB by itself.  Every job of
+#: the benchmark, the benches and the examples holds under 10,000 entries at
+#: their default budgets.
+TRACE_MEMO_MAX_ENTRIES = 100_000
 
 
 def build_job_traces(job: SimJob) -> List[Trace]:
@@ -373,15 +381,21 @@ def build_job_traces(job: SimJob) -> List[Trace]:
 
     Jobs that differ only in mechanism, N_RH or name share one trace set,
     built once per process by :func:`trace_set`; the list is fresh, the
-    (immutable) :class:`Trace` objects are shared.
+    (immutable) :class:`Trace` objects are shared.  A set of more than
+    :data:`TRACE_MEMO_MAX_ENTRIES` entries is built without the memo.
     """
+    organization = job.config.organization
+    entries = job.attack_accesses + job.accesses_per_core * len(job.applications)
+    if job.attack is not None:
+        entries += job.attack.trace_length(organization)
+    build = trace_set if entries <= TRACE_MEMO_MAX_ENTRIES else trace_set.__wrapped__
     return list(
-        trace_set(
+        build(
             job.attack_accesses,
             job.attack,
             job.applications,
             job.accesses_per_core,
-            job.config.organization,
+            organization,
             job.seed,
         )
     )

@@ -153,14 +153,18 @@ class TokenBucket:
 
 
 class FairQueue:
-    """Bounded, priority-then-round-robin fair queue of :class:`JobRecord`\\ s."""
+    """Bounded, priority-then-round-robin fair queue of :class:`JobRecord`\\ s.
+
+    Its defaults are the service's admission defaults; ``repro serve``
+    overrides each with a flag.
+    """
 
     def __init__(
         self,
         max_depth: int = 32,
         per_client_active: int = 4,
-        rate: float = 5.0,
-        burst: int = 10,
+        rate: float = 10.0,
+        burst: int = 20,
     ) -> None:
         self.max_depth = max_depth
         self.per_client_active = per_client_active

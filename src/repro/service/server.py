@@ -53,13 +53,7 @@ import time
 from collections import deque
 from typing import Deque, Dict, Optional, Set, Union
 
-from repro.experiments.cache import ResultCache
-from repro.experiments.sweep import (
-    SweepCancelled,
-    SweepEngine,
-    SimJob,
-    default_workers,
-)
+from repro.experiments.sweep import SweepCancelled, SweepEngine, SimJob
 from repro.service import protocol
 from repro.service.queue import (
     ClientCapExceeded,
@@ -141,8 +135,9 @@ class SimulationService:
     """The job server application object (framework-free).
 
     ``engine`` may be injected (tests stub it; an optional FastAPI adapter
-    could wrap this same object); :meth:`build` constructs the standard
-    production wiring from CLI-style options.
+    could wrap this same object); ``repro serve`` builds one over the result
+    cache and hands in its admission options as a
+    :class:`~repro.service.queue.FairQueue`.
     """
 
     def __init__(
@@ -181,30 +176,6 @@ class SimulationService:
         self._work_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-service-exec"
         )
-
-    @classmethod
-    def build(
-        cls,
-        cache_dir: Optional[str] = None,
-        workers: Optional[int] = None,
-        max_queue_depth: int = 32,
-        per_client_active: int = 4,
-        rate: float = 10.0,
-        burst: int = 20,
-        auth_key: Optional[bytes] = None,
-    ) -> "SimulationService":
-        """Standard wiring: one engine over an on-disk (or memory) cache."""
-        engine = SweepEngine(
-            cache=ResultCache(cache_dir),
-            workers=default_workers() if workers is None else workers,
-        )
-        queue = FairQueue(
-            max_depth=max_queue_depth,
-            per_client_active=per_client_active,
-            rate=rate,
-            burst=burst,
-        )
-        return cls(engine=engine, queue=queue, auth_key=auth_key)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -6,8 +6,8 @@ a bounded per-process memo (:func:`~repro.experiments.sweep.trace_set`)
 keyed by the six job fields they are built from, and the wave-attack bounds
 behind PRFM's and PRAC's secure thresholds are memoized too.  The memo may
 change no trace and no threshold, a shared trace must be immutable, the
-memo must stay within its bound, and a sweep over more mixes than it holds
-must still share it.
+memo must stay within its bounds (sets, and entries per set), and a sweep
+over more mixes than it holds must still share it.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+import repro.experiments.sweep as sweep_module
 from repro.analysis.security import prfm_max_activations, secure_prfm_threshold
 from repro.attacks.patterns import AttackSpec
 from repro.core.prfm import PRFM
@@ -23,6 +24,7 @@ from repro.cpu.trace import Trace, TraceEntry
 from repro.experiments.figures import FIG8_MECHANISMS, NRH_SWEEP, fig7_data
 from repro.experiments.runner import default_mixes
 from repro.experiments.sweep import (
+    TRACE_MEMO_MAX_ENTRIES,
     TRACE_MEMO_SIZE,
     SweepEngine,
     SweepSpec,
@@ -155,6 +157,38 @@ def test_the_memo_stays_within_its_bound():
         build_job_traces(mechanism_job(BASE, APPS, "Chronus", 1024, 50, seed=seed))
         assert trace_set.cache_info().currsize <= TRACE_MEMO_SIZE
     assert trace_set.cache_info().currsize == TRACE_MEMO_SIZE
+
+
+#: A job of each kind, with the trace entries of its set over every core.
+SIZED_JOBS = {
+    "mix": (mechanism_job(BASE, APPS, "Chronus", 1024, ACCESSES), 2 * ACCESSES),
+    "performance-attack": (
+        attack_job(BASE, APPS[:1], "Chronus", 1024, ACCESSES, 400), ACCESSES + 400
+    ),
+    "attack-spec": (attack_search_job(BASE, "Chronus", 1024, _single_sided(100)), 100),
+}
+
+
+@pytest.mark.parametrize("kind", list(SIZED_JOBS))
+def test_a_set_above_the_entry_bound_is_built_without_the_memo(kind, monkeypatch):
+    job, entries = SIZED_JOBS[kind]
+    expected = _contents(build_job_traces(job))
+    assert sum(len(trace) for trace in build_job_traces(job)) == entries
+    trace_set.cache_clear()
+    build_job_traces(mechanism_job(BASE, APPS, "Chronus", 1024, 50))
+    monkeypatch.setattr(sweep_module, "TRACE_MEMO_MAX_ENTRIES", entries - 1)
+    assert _contents(build_job_traces(job)) == expected
+    assert trace_set.cache_info().currsize == 1
+    monkeypatch.setattr(sweep_module, "TRACE_MEMO_MAX_ENTRIES", entries)
+    build_job_traces(job)
+    assert trace_set.cache_info().currsize == 2
+
+
+def test_every_benchmark_job_stays_memoized():
+    for name in harness.WORKLOADS:
+        for job in harness.job_set(name, 0).values():
+            entries = sum(len(trace) for trace in build_job_traces(job))
+            assert entries <= TRACE_MEMO_MAX_ENTRIES, job.label
 
 
 def test_a_sweep_over_more_mixes_than_the_memo_holds_still_shares():

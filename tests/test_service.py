@@ -38,8 +38,9 @@ from repro.service.queue import (
     TokenBucket,
 )
 from repro.service import server
-from repro.service.server import SimulationService, _discard_until_eof
+from repro.service.server import _discard_until_eof
 from repro.service.specs import MAX_ACCESSES, SpecError, parse_submission
+from service_harness import ServiceHarness
 
 TINY_SWEEP = {
     "mechanisms": ["Chronus"],
@@ -519,42 +520,6 @@ class BlockingEngine(SweepEngine):
             if cancel is not None and cancel.cancelled:
                 raise SweepCancelled(RunReport())
         return super().run_jobs(jobs, progress=progress, cancel=cancel)
-
-
-class ServiceHarness:
-    """One live service on an ephemeral port, loop on a daemon thread."""
-
-    def __init__(self, engine=None, auth_key=None, **queue_options):
-        self.engine = engine if engine is not None else SweepEngine(workers=0)
-        self.auth_key = auth_key
-        self.service = SimulationService(
-            engine=self.engine, queue=FairQueue(**queue_options),
-            auth_key=auth_key,
-        )
-        self.loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def run():
-            asyncio.set_event_loop(self.loop)
-            self.loop.run_until_complete(self.service.start(port=0))
-            started.set()
-            self.loop.run_forever()
-
-        self.thread = threading.Thread(target=run, daemon=True)
-        self.thread.start()
-        assert started.wait(10), "service did not start"
-
-    def client(self, client_id="tester", auth_key=None):
-        return ServiceClient(
-            port=self.service.port, client_id=client_id, timeout=30,
-            auth_key=auth_key,
-        )
-
-    def close(self):
-        asyncio.run_coroutine_threadsafe(self.service.stop(), self.loop).result(30)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10)
-        self.loop.close()
 
 
 @pytest.fixture
