@@ -1017,6 +1017,10 @@ def _client_command(call: Callable) -> Callable[[argparse.Namespace], int]:
             detail = f" (retry after {error.retry_after}s)" if error.retry_after else ""
             raise CommandError(f"{error}{detail}", 1) from None
         except (ConnectionError, OSError, TimeoutError) as error:
+            if isinstance(error, BrokenPipeError):
+                # A closed stdout (``| head``) fails this flush too and is
+                # main's to handle; a closed connection leaves stdout alone.
+                sys.stdout.flush()
             raise CommandError(f"cannot reach {args.server}: {error}", 1) from None
 
     return handler

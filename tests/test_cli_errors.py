@@ -7,6 +7,7 @@ traceback.  A check on a command's input runs before any job: the rows
 marked ``NO_JOB`` assert that no simulation started.
 """
 
+import errno
 import socket
 
 import pytest
@@ -17,6 +18,7 @@ from repro.artifacts import write_key_file
 from repro.cli import main
 from repro.core.factory import MECHANISM_NAMES
 from repro.experiments.sweep import SweepEngine
+from repro.service.client import ServiceClient
 from repro.service.queue import FairQueue
 from service_harness import ServiceHarness
 
@@ -231,6 +233,40 @@ def test_a_value_error_from_a_running_search_propagates(monkeypatch):
     monkeypatch.setattr(SweepEngine, "run_jobs", broken)
     with pytest.raises(ValueError, match="broken engine"):
         main(TINY_SEARCH)
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone, like ``| head`` after its lines."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        self.flush()
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_is_not_an_unreachable_service(live_service, tmp_path,
+                                                       monkeypatch, capsys):
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(target.fileno()))
+        assert main(["client", "--server", live_service[0], "health"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_broken_connection_is_an_unreachable_service(monkeypatch, capsys):
+    def broken(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(ServiceClient, "health", broken)
+    address = _closed_address()
+    assert main(["client", "--server", address, "health"]) == 1
+    assert capsys.readouterr().err == f"error: cannot reach {address}: [Errno 32] Broken pipe\n"
 
 
 ADMISSION_FLAGS = {
