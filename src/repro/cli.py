@@ -206,7 +206,7 @@ def _load_key(path: Optional[str]) -> Optional[bytes]:
 
 def _check_output(option: str, path: Optional[str]) -> None:
     """Fail ``option`` up front when ``path``'s directory cannot take it."""
-    if path is None:
+    if not path:
         return
     directory = os.path.dirname(os.path.abspath(path))
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
@@ -240,7 +240,7 @@ def _add_artifact_options(parser: argparse.ArgumentParser, content: str) -> None
 def _artifact_key(args: argparse.Namespace) -> Optional[bytes]:
     """Check ``--artifact``'s directory and load ``--sign-key``, before any
     job runs."""
-    if args.artifact is None:
+    if not args.artifact:
         return None
     _check_output("--artifact", args.artifact)
     return _load_key(args.sign_key)
@@ -248,7 +248,7 @@ def _artifact_key(args: argparse.Namespace) -> Optional[bytes]:
 
 def _emit_artifact(args: argparse.Namespace, key: Optional[bytes], emit, *content, **meta) -> None:
     """Write ``--artifact`` with ``emit(path, *content, key=key, **meta)``."""
-    if args.artifact is None:
+    if not args.artifact:
         return
     count = _write_output("--artifact", lambda: emit(args.artifact, *content, key=key, **meta))
     signed = " (signed)" if key is not None else ""
